@@ -7,6 +7,12 @@ differential operators to either argument reduces to products of profile
 derivatives.  The smoothing operator (1-Laplacian)^{-2} has no closed form
 on the periodic kernel; it is evaluated spectrally from the FFT of the
 kernel profile.
+
+The same FFT makes the 2D periodic kernel a finite sum of Fourier modes,
+K(x, y) = sum_a c_a exp(2 pi i a.(x - y)), so a representer-form field on the
+torus collapses once into one weight per mode (``mode_weights``) and every
+operator applied to it is one small spectral sum (``eval_mode_weights``).
+``spectral_tail_ratio`` tells whether the mode count resolves the kernel.
 """
 
 from __future__ import annotations
@@ -217,13 +223,30 @@ def _check_modes(n_modes: int):
         raise BadGrid(f"n_modes must be even and >= 16, got {n_modes}")
 
 
+def _profile_coeffs_1d(sigma: float, n_modes: int):
+    """Fourier coefficients of the 1D periodic profile, sampled on n_modes points."""
+    g = np.arange(n_modes) / n_modes
+    prof1d = np.exp((np.cos(2.0 * np.pi * g) - 1.0) / sigma**2)
+    return np.fft.fft(prof1d) / n_modes
+
+
 @lru_cache(maxsize=16)
 def _profile_coeff_grid(sigma: float, n_modes: int):
     """Fourier coefficients of the 2D periodic kernel profile on an n x n mode grid."""
-    g = np.arange(n_modes) / n_modes
-    prof1d = np.exp((np.cos(2.0 * np.pi * g) - 1.0) / sigma**2)
-    c1 = np.fft.fft(prof1d) / n_modes
+    c1 = _profile_coeffs_1d(sigma, n_modes)
     return np.outer(c1, c1)
+
+
+def spectral_tail_ratio(sigma: float, n_modes: int) -> float:
+    """|c_{n/2}| / max |c| of the sampled 1D profile spectrum.
+
+    Near round-off the truncated spectrum represents the kernel; near 1 the
+    spectrum has not decayed by the Nyquist mode and the coefficients are
+    aliased.
+    """
+    _check_modes(n_modes)
+    c1 = np.abs(_profile_coeffs_1d(sigma, n_modes))
+    return float(c1[n_modes // 2] / np.max(c1))
 
 
 def _mode_grid(n_modes: int):
@@ -313,6 +336,52 @@ def eval_nonlocal(
             0, 0
         ]
     )
+
+
+# ---------------------------------------------------------------------------
+# torus fields as per-mode weights of the truncated kernel spectrum
+
+def _axis_exponentials(X, n_modes: int):
+    """exp(2 pi i x_d a) for each axis d, each (n_points, n_modes) in fftfreq order."""
+    a = np.fft.fftfreq(n_modes, d=1.0 / n_modes)
+    return [np.exp(2.0j * np.pi * np.outer(X[:, d], a)) for d in range(X.shape[1])]
+
+
+def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
+    """Per-mode weights of the field sum_i coeff_i (R_i K)(., y_i) on the 2D torus.
+
+    W[a] = c_a sum_blocks sum_i coeff_i mult_R(tag, a) exp(-2 pi i a.y_i), with
+    the c_a of ``nonlocal_cross_matrix``, so J5 is one more symbol.  ``funcs``
+    is a FunctionalSet and ``coeffs`` follows its block layout.  Cost:
+    n_functionals * n_modes^2.
+    """
+    if k.family != PERIODIC_2D:
+        raise UnsupportedOperator("mode weights require the 2D periodic kernel")
+    _check_modes(n_modes)
+    a1, a2 = _mode_grid(n_modes)
+    acc = np.zeros((n_modes, n_modes), dtype=complex)
+    for (tag, pts, _), sl in zip(funcs.blocks, funcs.slices):
+        if pts.shape[0] == 0:
+            continue
+        e1, e2 = _axis_exponentials(_as_points(k, pts), n_modes)
+        # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
+        acc += _op_mode_multiplier(tag, a1, a2, "right") * (
+            e1.conj().T @ (coeffs[sl][:, None] * e2.conj())
+        )
+    return _profile_coeff_grid(k.lengthscales[0], n_modes) * acc
+
+
+def eval_mode_weights(k: KernelSpec, weights: np.ndarray, op: str, X) -> np.ndarray:
+    """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
+
+    With per-axis exponentials E1, E2 this is rowsum((E1 @ W_op) * E2), at a
+    cost of n_points * n_modes^2.
+    """
+    X = _as_points(k, X)
+    a1, a2 = _mode_grid(weights.shape[0])
+    e1, e2 = _axis_exponentials(X, weights.shape[0])
+    w = _op_mode_multiplier(op, a1, a2, "left") * weights
+    return np.real(np.sum((e1 @ w) * e2, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ planning problem.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -24,6 +25,18 @@ from .errors import ConfigError
 
 GP = "gp"
 FF = "ff"
+
+_INT_FIELDS = (
+    "M", "n_interior", "n_initial", "n_terminal", "N", "max_iters", "seed", "nonlocal_modes",
+)
+_FLOAT_FIELDS = (
+    "sigma", "sigma_space", "sigma_time", "varsigma", "nu",
+    "gamma", "beta", "eta", "mu", "alpha", "init_scale",
+)
+_BOOL_FIELDS = ("grid_sampling", "shared_features", "full_basis_2d")
+# largest Nyquist-to-peak ratio of the kernel spectrum a torus GP run accepts;
+# every torus GP field is evaluated through the truncated spectrum
+SPECTRAL_TAIL_TOL = 1e-12
 
 
 def default_potential(x):
@@ -72,9 +85,31 @@ class ExperimentConfig:
             raise ConfigError(f"problem: unknown value {self.problem!r}")
         if self.method not in (GP, FF):
             raise ConfigError(f"method: unknown value {self.method!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name}: must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float, np.integer, np.floating))
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+        for name in _BOOL_FIELDS:
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigError(f"{name}: must be true or false, got {getattr(self, name)!r}")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
         for name in ("M", "n_interior", "n_initial", "n_terminal", "N", "max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be a positive integer")
+        if self.seed < 0:
+            raise ConfigError("seed: must be nonnegative")
+        on_lattice = self.problem == P.NONLOCAL_2D and self.grid_sampling
+        if on_lattice and math.isqrt(self.M) ** 2 != self.M:
+            raise ConfigError(f"M: the 2D torus lattice needs a perfect square, got {self.M}")
         for name in ("sigma", "sigma_space", "sigma_time", "varsigma", "eta", "mu"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
@@ -85,6 +120,14 @@ class ExperimentConfig:
             raise ConfigError("alpha: must lie in (0, 1]")
         if self.nonlocal_modes < 16 or self.nonlocal_modes % 2:
             raise ConfigError("nonlocal_modes: must be even and >= 16")
+        if self.problem == P.NONLOCAL_2D and self.method == GP:
+            tail = K.spectral_tail_ratio(self.sigma, self.nonlocal_modes)
+            if not tail <= SPECTRAL_TAIL_TOL:
+                raise ConfigError(
+                    f"nonlocal_modes: {self.nonlocal_modes} modes leave the kernel spectrum "
+                    f"at {tail:.1e} of its peak (sigma={self.sigma}); raise nonlocal_modes "
+                    f"or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
+                )
         if self.init_mode not in (O.INIT_ZEROS, O.INIT_GAUSSIAN):
             raise ConfigError(f"init_mode: unknown value {self.init_mode!r}")
 

@@ -4,12 +4,18 @@ GP fields use the representer form u(x) = K(x, phi) (Theta + eta R)^{-1} z;
 FF fields are finite trigonometric sums with coefficients recovered through
 the ridge least-squares map.  Both expose exact operator application, so
 held-out PDE residuals use analytic derivatives rather than stencils.
+
+A GP field on the 2D torus is stored as the per-mode weights of the kernel's
+truncated Fourier spectrum, computed once when the field is built; applying
+an operator at n points then costs n * n_modes^2, independent of the number
+of functionals.  GP fields of the other kernel families sum the closed-form
+representer terms at every call.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,14 +30,27 @@ from .problems import SPACE_HALF_WIDTH, PLANNING, ProblemSpec, interior_residual
 
 @dataclass(frozen=True)
 class GpField:
-    """Representer-form field: sum_i c_i (R_i K)(x, y_i)."""
+    """Representer-form field: sum_i c_i (R_i K)(x, y_i).
+
+    On the 2D torus the sum is collapsed into per-mode weights once, when
+    the field is built; the other kernel families evaluate the sum in closed
+    form on every call.
+    """
 
     coeffs: np.ndarray
     funcs: FunctionalSet
     kernel: K.KernelSpec
     nonlocal_modes: int = 64
+    weights: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kernel.family == K.PERIODIC_2D:
+            w = K.mode_weights(self.kernel, self.funcs, self.coeffs, self.nonlocal_modes)
+            object.__setattr__(self, "weights", w)
 
     def eval_op(self, op: str, X) -> np.ndarray:
+        if self.weights is not None:
+            return K.eval_mode_weights(self.kernel, self.weights, op, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros(X.shape[0])
         for (tag, pts, _), sl in zip(self.funcs.blocks, self.funcs.slices):

@@ -63,6 +63,12 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+def test_non_square_torus_lattice_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"problem": "nonlocal2d", "method": "gp", "M": 401})
+    assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_CONFIG
+    assert "M:" in capsys.readouterr().err
+
+
 def test_non_object_config_exits_2(tmp_path):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]", encoding="utf-8")

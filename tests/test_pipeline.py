@@ -33,6 +33,21 @@ def test_config_rejects_unknown_keys():
         ({"nonlocal_modes": 15}, "nonlocal_modes"),
         ({"init_mode": "warm"}, "init_mode"),
         ({"max_iters": 0}, "max_iters"),
+        ({"M": 64.5}, "M"),
+        ({"M": True}, "M"),
+        ({"max_iters": 3.5}, "max_iters"),
+        ({"seed": "0"}, "seed"),
+        ({"nonlocal_modes": 64.0}, "nonlocal_modes"),
+        ({"sigma": float("nan")}, "sigma"),
+        ({"beta": float("inf")}, "beta"),
+        ({"nu": float("-inf")}, "nu"),
+        ({"eta": "1e-6"}, "eta"),
+        ({"grid_sampling": 1}, "grid_sampling"),
+        ({"problem": "nonlocal2d", "M": 401}, "M"),
+        (
+            {"problem": "nonlocal2d", "method": "gp", "sigma": 0.05, "nonlocal_modes": 16},
+            "nonlocal_modes",
+        ),
     ],
 )
 def test_config_validation_names_the_field(patch, field):

@@ -154,3 +154,24 @@ def test_error_report_json_shape():
     assert list(data) == sorted(data)
     # stable serialization: same report, same bytes
     assert text == S.ErrorReport(None, None, 0.5, 1.25, 0.0, "g").to_json()
+
+
+def test_torus_gp_field_matches_direct_representer_sum():
+    """Spectral-weight evaluation of a 2D torus field equals the representer sum."""
+    spec = P.make_nonlocal_2d(1.0)
+    kernel = K.periodic_kernel_2d(0.5)
+    pts = C.sample_uniform_grid(2, 36)
+    rng = np.random.default_rng(11)
+    X = rng.random((25, 2))
+    for funcs, ops in zip(C.build_functionals(spec, pts), (spec.u_operators, spec.m_operators)):
+        coeffs = rng.standard_normal(funcs.size)
+        f = S.GpField(coeffs, funcs, kernel, nonlocal_modes=64)
+        assert f.weights is not None
+        for op in ops:
+            direct = sum(
+                K.pairwise_op_matrix(kernel, op, tag, X, y, 64) @ coeffs[sl]
+                for (tag, y, _), sl in zip(funcs.blocks, funcs.slices)
+            )
+            np.testing.assert_allclose(
+                f.eval_op(op, X), direct, rtol=0, atol=1e-10 * np.max(np.abs(direct)), err_msg=op
+            )
