@@ -5,18 +5,28 @@ kernels and an anisotropic squared-exponential on a space-time strip.  All
 of them are tensor products of one-dimensional profiles, so applying linear
 differential operators to either argument reduces to products of profile
 derivatives.  The smoothing operator (1-Laplacian)^{-2} has no closed form
-on the periodic kernel; it is evaluated spectrally from the FFT of the
-kernel profile.
+on the periodic kernel; it is evaluated through the kernel's spectrum.
 
-The same FFT makes the 2D periodic kernel a finite sum of Fourier modes,
-K(x, y) = sum_a c_a exp(2 pi i a.(x - y)), so a representer-form field on the
-torus collapses once into one weight per mode (``mode_weights``) and every
-operator applied to it is one small spectral sum (``eval_mode_weights``).
-``spectral_tail_ratio`` tells whether the mode count resolves the kernel.
+The periodic profile's Fourier coefficients are known exactly,
+c_a = exp(-q) I_|a|(q) with q = 1/sigma^2 (``_profile_coeffs_1d``), so on
+the torus K(x, y) = sum_a c_a exp(2 pi i a.(x - y)) up to a truncation that
+``spectral_tail_ratio`` measures.  Three things are built on it:
+
+- a representer-form field on the 1D or 2D torus collapses once into one
+  weight per mode (``mode_weights``), and every operator applied to it is
+  one small spectral sum (``eval_mode_weights``);
+- a gram block with J5 on either side is one real GEMM over the mode
+  features [cos, sin](2 pi a.x) of the two point sets, with the modes
+  a and -a folded into one (``nonlocal_cross_matrix``);
+- ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
+
+``CrossTables`` holds what the blocks on one pair of point sets share: the
+profile-derivative tables and the mode features.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -61,6 +71,11 @@ class KernelSpec:
     @property
     def dim(self) -> int:
         return 1 if self.family == PERIODIC_1D else 2
+
+    @property
+    def periodic(self) -> bool:
+        """A kernel on the torus, whose spectrum is a Fourier series."""
+        return self.family in (PERIODIC_1D, PERIODIC_2D)
 
     def axis_profiles(self):
         """Per-axis (profile kind, sigma) pairs."""
@@ -179,33 +194,72 @@ def pairwise_matrix(k: KernelSpec, X, Y) -> np.ndarray:
 
 def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y, n_modes: int = 64):
     """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y."""
-    if J5 in (left, right):
-        return nonlocal_cross_matrix(k, left, right, X, Y, n_modes)
-    X = _as_points(k, X)
-    Y = _as_points(k, Y)
-    terms_l = _op_terms(k, left)
-    terms_r = _op_terms(k, right)
-    profiles = k.axis_profiles()
-    lags = [X[:, a][:, None] - Y[:, a][None, :] for a in range(k.dim)]
-    max_orders = [0] * k.dim
-    for cl, ol in terms_l:
-        for cr, orr in terms_r:
-            for a in range(k.dim):
-                max_orders[a] = max(max_orders[a], ol[a] + orr[a])
-    derivs = [
-        _profile_derivs(profiles[a][0], lags[a], profiles[a][1], max_orders[a])
-        for a in range(k.dim)
-    ]
-    out = np.zeros((X.shape[0], Y.shape[0]))
-    for cl, ol in terms_l:
-        for cr, orr in terms_r:
-            sign = -1.0 if (sum(orr) % 2) else 1.0
-            term = cl * cr * sign
-            acc = np.full_like(out, term)
-            for a in range(k.dim):
-                acc = acc * derivs[a][ol[a] + orr[a]]
-            out += acc
-    return out
+    return CrossTables(k, X, Y, (left,), (right,), n_modes).op_matrix(left, right)
+
+
+class CrossTables:
+    """Tables shared by the bi-operator matrices of one pair of point sets.
+
+    ``left_ops`` and ``right_ops`` list the operators that will be applied
+    on each side.  The per-axis profile-derivative tables are computed once,
+    on first use, up to the highest order any pair of them needs; the real
+    mode features of the J5 blocks (``_mode_features``) once per point set,
+    and once in all when X is Y.  ``op_matrix`` then costs one product of
+    tables per operator pair.
+    """
+
+    def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops, n_modes: int = 64):
+        self.kernel = k
+        self.same = X is Y
+        self.X = _as_points(k, X)
+        self.Y = self.X if self.same else _as_points(k, Y)
+        self.left_ops = tuple(left_ops)
+        self.right_ops = tuple(right_ops)
+        self.n_modes = n_modes
+        self._derivs = None
+        self._features = None
+
+    def op_matrix(self, left: str, right: str) -> np.ndarray:
+        if J5 in (left, right):
+            return self._nonlocal(left, right)
+        terms_l = _op_terms(self.kernel, left)
+        terms_r = _op_terms(self.kernel, right)
+        derivs = self._derivatives()
+        out = np.zeros((self.X.shape[0], self.Y.shape[0]))
+        for cl, ol in terms_l:
+            for cr, orr in terms_r:
+                sign = -1.0 if (sum(orr) % 2) else 1.0
+                term = cl * cr * sign
+                acc = np.full_like(out, term)
+                for a in range(self.kernel.dim):
+                    acc = acc * derivs[a][ol[a] + orr[a]]
+                out += acc
+        return out
+
+    def _derivatives(self):
+        if self._derivs is None:
+            k = self.kernel
+
+            def top(ops):  # highest derivative order per axis among ops
+                orders = [o for op in ops if op != J5 for _, o in _op_terms(k, op)]
+                return [max((o[a] for o in orders), default=0) for a in range(k.dim)]
+
+            top_l, top_r = top(self.left_ops), top(self.right_ops)
+            self._derivs = [
+                _profile_derivs(
+                    kind, self.X[:, a][:, None] - self.Y[:, a][None, :], s, top_l[a] + top_r[a]
+                )
+                for a, (kind, s) in enumerate(k.axis_profiles())
+            ]
+        return self._derivs
+
+    def _nonlocal(self, left: str, right: str) -> np.ndarray:
+        _check_nonlocal(self.kernel, left, right, self.n_modes)
+        if self._features is None:
+            fx = _mode_features(self.X, self.n_modes)
+            self._features = (fx, fx if self.same else _mode_features(self.Y, self.n_modes))
+        fx, fy = self._features
+        return _mode_cross(self.kernel, left, right, fx, fy, self.n_modes)
 
 
 def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
@@ -216,18 +270,42 @@ def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
 
 
 # ---------------------------------------------------------------------------
-# spectral evaluation of the nonlocal smoothing operator (1 - Lap)^{-2}
+# the exact Fourier spectrum of the periodic kernels
 
 def _check_modes(n_modes: int):
     if n_modes < 16 or n_modes % 2 != 0:
         raise BadGrid(f"n_modes must be even and >= 16, got {n_modes}")
 
 
+@lru_cache(maxsize=16)
 def _profile_coeffs_1d(sigma: float, n_modes: int):
-    """Fourier coefficients of the 1D periodic profile, sampled on n_modes points."""
-    g = np.arange(n_modes) / n_modes
-    prof1d = np.exp((np.cos(2.0 * np.pi * g) - 1.0) / sigma**2)
-    return np.fft.fft(prof1d) / n_modes
+    """Exact Fourier coefficients of the 1D periodic profile, in fftfreq order.
+
+    g(r) = exp(q (cos(2 pi r) - 1)), q = 1/sigma^2, has c_a = exp(-q) I_|a|(q).
+    Miller's backward recurrence gives the ratios r_k = I_k(q) / I_{k-1}(q)
+    from I_{k-1} = I_{k+1} + (2k/q) I_k, started at r = 0 far past the last
+    mode kept, and sum_a c_a = g(0) = 1 fixes the scale.  Every c_a is then
+    accurate relative to itself, down to the smallest; an FFT of the sampled
+    profile levels off near 1e-17, which derivative symbols up to
+    (pi n_modes)^4 amplify.
+    """
+    q = 1.0 / sigma**2
+    half = n_modes // 2
+    if q > half**2:
+        raise BadGrid(f"sigma={sigma} is narrower than {n_modes} modes resolve")
+    # the spectrum falls like exp(-k^2 / 2q) or faster, so starting 10 sqrt(q)
+    # modes past the last one kept leaves no trace of the start in what is kept
+    top = half + 20 + math.ceil(10.0 * math.sqrt(q))
+    ratios = np.empty(top)
+    r = 0.0
+    for k in range(top, 0, -1):
+        r = q / (2.0 * k + q * r)
+        ratios[k - 1] = r
+    rel = np.cumprod(ratios)  # I_k / I_0 for k = 1..top
+    c = np.concatenate(([1.0], rel[:half])) / (1.0 + 2.0 * np.sum(rel))
+    out = c[np.abs(_mode_axis(n_modes)).astype(int)]
+    out.flags.writeable = False
+    return out
 
 
 @lru_cache(maxsize=16)
@@ -238,19 +316,31 @@ def _profile_coeff_grid(sigma: float, n_modes: int):
 
 
 def spectral_tail_ratio(sigma: float, n_modes: int) -> float:
-    """|c_{n/2}| / max |c| of the sampled 1D profile spectrum.
+    """How far the truncated spectrum is from resolving the kernel.
 
-    Near round-off the truncated spectrum represents the kernel; near 1 the
-    spectrum has not decayed by the Nyquist mode and the coefficients are
-    aliased.
+    The ratio of c_a (2 pi a)^4 at the Nyquist mode a = n_modes/2 to its peak
+    over the modes: the 1D spectrum weighted by the largest operator-pair
+    symbol a torus problem applies (DXX or LAP on both sides).  Near
+    round-off the truncated spectrum represents the kernel and its fourth
+    derivatives.  It is 1 when 1/sigma^2 > (n_modes/2)^2: the kernel is then
+    narrower than the grid resolves, and c_{n/2} is above half of c_0.
     """
     _check_modes(n_modes)
-    c1 = np.abs(_profile_coeffs_1d(sigma, n_modes))
-    return float(c1[n_modes // 2] / np.max(c1))
+    half = n_modes // 2
+    if 1.0 / sigma**2 > half**2:
+        return 1.0
+    c = _profile_coeffs_1d(sigma, n_modes)[: half + 1]  # |a| = 0..n/2
+    w = c * (2.0 * np.pi * np.arange(half + 1)) ** 4
+    peak = np.max(w)
+    return float(w[half] / peak) if peak > 0 else 0.0
+
+
+def _mode_axis(n_modes: int):
+    return np.fft.fftfreq(n_modes, d=1.0 / n_modes)
 
 
 def _mode_grid(n_modes: int):
-    a = np.fft.fftfreq(n_modes, d=1.0 / n_modes)
+    a = _mode_axis(n_modes)
     a1, a2 = np.meshgrid(a, a, indexing="ij")
     return a1, a2
 
@@ -277,7 +367,8 @@ def _op_mode_multiplier(op: str, a1, a2, side: str):
 def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
     """Bi-operator cross matrix from explicit profile Fourier coefficients.
 
-    Entry (i, j) is sum_a c_a mult_L(a) mult_R(a) exp(2 pi i a.(x_i - y_j)).
+    Entry (i, j) is sum_a c_a mult_L(a) mult_R(a) exp(2 pi i a.(x_i - y_j)),
+    summed directly over the n x n grid: the oracle for ``_mode_cross``.
     """
     _check_modes(n_modes)
     a1, a2 = _mode_grid(n_modes)
@@ -296,14 +387,64 @@ def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
     return out
 
 
-def nonlocal_cross_matrix(k: KernelSpec, left: str, right: str, X, Y, n_modes: int = 64):
+def _check_nonlocal(k: KernelSpec, left: str, right: str, n_modes: int):
     if k.family != PERIODIC_2D:
         raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
     if J5 not in (left, right):
         raise UnsupportedOperator("no nonlocal tag present; use the closed-form path")
     _check_modes(n_modes)
-    coeffs = _profile_coeff_grid(k.lengthscales[0], n_modes)
-    return nonlocal_from_coeffs(coeffs, left, right, _as_points(k, X), _as_points(k, Y), n_modes)
+
+
+@lru_cache(maxsize=4)
+def _half_modes(n_modes: int):
+    """One mode of each pair {a, -a} of the n x n grid: (flat index, a1, a2, weight).
+
+    The terms of a and -a in Re sum_a d_a exp(2 pi i a.(x - y)) are equal
+    when d_{-a} = conj(d_a), which holds for c_a times any two symbols here,
+    so a pair is one mode of weight 2.  The zero mode, and the modes with a
+    component at -n/2 (whose partner at +n/2 is off the grid), have weight 1.
+    """
+    a1, a2 = (a.ravel() for a in _mode_grid(n_modes))
+    zero = (a1 == 0) & (a2 == 0)
+    unpaired = (a1 == -(n_modes // 2)) | (a2 == -(n_modes // 2)) | zero
+    keep = np.flatnonzero(unpaired | (a1 > 0) | ((a1 == 0) & (a2 > 0)))
+    weight = np.where(unpaired[keep], 1.0, 2.0)
+    return keep, a1[keep], a2[keep], weight
+
+
+def _mode_features(X, n_modes: int) -> np.ndarray:
+    """Real mode features [cos, sin] of 2 pi a.x over ``_half_modes``: (n_points, 2 n_half)."""
+    _, a1, a2, _ = _half_modes(n_modes)
+    phase = (2.0 * np.pi) * (X @ np.stack([a1, a2]))
+    return np.hstack([np.cos(phase), np.sin(phase)])
+
+
+def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy, n_modes: int):
+    """(L_x (x) R_y) K from the mode features of X and Y, as one real GEMM.
+
+    With d_a = w_a c_a mult_L(a) mult_R(a) and exp(2 pi i a.x) = C + i S,
+    Re(d_a exp(2 pi i a.(x - y))) = C_x (Re d C_y + Im d S_y)
+    + S_x (Re d S_y - Im d C_y); both symbols fold into the right-hand
+    table, and the left one serves every operator on its point set.
+    """
+    keep, a1, a2, weight = _half_modes(n_modes)
+    d = weight * _profile_coeff_grid(k.lengthscales[0], n_modes).ravel()[keep]
+    d = d * _op_mode_multiplier(left, a1, a2, "left") * _op_mode_multiplier(right, a1, a2, "right")
+    g = np.concatenate([d.real, d.real]) * fy
+    if np.any(d.imag):
+        h = keep.size
+        g += np.concatenate([d.imag, d.imag]) * np.hstack([fy[:, h:], -fy[:, :h]])
+    return fx @ g.T
+
+
+def nonlocal_cross_matrix(k: KernelSpec, left: str, right: str, X, Y, n_modes: int = 64):
+    """(L_x (x) R_y) K with the smoothing J5 on at least one side.
+
+    One real GEMM of n_x x n_y x about n_modes^2 over the mode features of X
+    and Y; ``nonlocal_from_coeffs`` is the direct sum it replaces.
+    """
+    _check_nonlocal(k, left, right, n_modes)
+    return CrossTables(k, X, Y, (left,), (right,), n_modes).op_matrix(left, right)
 
 
 def eval_nonlocal(
@@ -343,45 +484,61 @@ def eval_nonlocal(
 
 def _axis_exponentials(X, n_modes: int):
     """exp(2 pi i x_d a) for each axis d, each (n_points, n_modes) in fftfreq order."""
-    a = np.fft.fftfreq(n_modes, d=1.0 / n_modes)
+    a = _mode_axis(n_modes)
     return [np.exp(2.0j * np.pi * np.outer(X[:, d], a)) for d in range(X.shape[1])]
 
 
-def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
-    """Per-mode weights of the field sum_i coeff_i (R_i K)(., y_i) on the 2D torus.
+def _mode_symbol(k: KernelSpec, op: str, side: str, n_modes: int):
+    """Per-mode symbol of ``op`` on the mode grid of a periodic kernel."""
+    if not (op == J5 and k.family == PERIODIC_2D):
+        _op_terms(k, op)  # rejects an operator the kernel family does not support
+    if k.family == PERIODIC_1D:
+        a = _mode_axis(n_modes)
+        return _op_mode_multiplier(op, a, np.zeros_like(a), side)
+    return _op_mode_multiplier(op, *_mode_grid(n_modes), side)
 
-    W[a] = c_a sum_blocks sum_i coeff_i mult_R(tag, a) exp(-2 pi i a.y_i), with
-    the c_a of ``nonlocal_cross_matrix``, so J5 is one more symbol.  ``funcs``
-    is a FunctionalSet and ``coeffs`` follows its block layout.  Cost:
-    n_functionals * n_modes^2.
+
+def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
+    """Per-mode weights of the field sum_i coeff_i (R_i K)(., y_i) on the torus.
+
+    W[a] = c_a sum_blocks sum_i coeff_i mult_R(tag, a) exp(-2 pi i a.y_i) over
+    the n_modes (1D) or n_modes x n_modes (2D) mode grid, with the exact c_a
+    of ``_profile_coeffs_1d``, so J5 is one more symbol.  ``funcs`` is a
+    FunctionalSet and ``coeffs`` follows its block layout.  Cost:
+    n_functionals * n_modes^dim.
     """
-    if k.family != PERIODIC_2D:
-        raise UnsupportedOperator("mode weights require the 2D periodic kernel")
+    if not k.periodic:
+        raise UnsupportedOperator("mode weights require a periodic kernel")
     _check_modes(n_modes)
-    a1, a2 = _mode_grid(n_modes)
-    acc = np.zeros((n_modes, n_modes), dtype=complex)
+    spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
+    c = spectrum(k.lengthscales[0], n_modes)
+    acc = np.zeros(c.shape, dtype=complex)
     for (tag, pts, _), sl in zip(funcs.blocks, funcs.slices):
         if pts.shape[0] == 0:
             continue
-        e1, e2 = _axis_exponentials(_as_points(k, pts), n_modes)
-        # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
-        acc += _op_mode_multiplier(tag, a1, a2, "right") * (
-            e1.conj().T @ (coeffs[sl][:, None] * e2.conj())
-        )
-    return _profile_coeff_grid(k.lengthscales[0], n_modes) * acc
+        e = _axis_exponentials(_as_points(k, pts), n_modes)
+        if k.dim == 1:
+            summed = e[0].conj().T @ coeffs[sl]
+        else:
+            # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
+            summed = e[0].conj().T @ (coeffs[sl][:, None] * e[1].conj())
+        acc += _mode_symbol(k, tag, "right", n_modes) * summed
+    return c * acc
 
 
 def eval_mode_weights(k: KernelSpec, weights: np.ndarray, op: str, X) -> np.ndarray:
     """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
 
-    With per-axis exponentials E1, E2 this is rowsum((E1 @ W_op) * E2), at a
-    cost of n_points * n_modes^2.
+    With per-axis exponentials E1 (and E2) this is E1 @ W_op on the 1D torus
+    and rowsum((E1 @ W_op) * E2) on the 2D torus, at a cost of
+    n_points * n_modes^dim.
     """
     X = _as_points(k, X)
-    a1, a2 = _mode_grid(weights.shape[0])
-    e1, e2 = _axis_exponentials(X, weights.shape[0])
-    w = _op_mode_multiplier(op, a1, a2, "left") * weights
-    return np.real(np.sum((e1 @ w) * e2, axis=1))
+    w = _mode_symbol(k, op, "left", weights.shape[0]) * weights
+    e = _axis_exponentials(X, weights.shape[0])
+    if k.dim == 1:
+        return np.real(e[0] @ w)
+    return np.real(np.sum((e[0] @ w) * e[1], axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,10 @@ The GP path regularizes the gram matrix with a block-diagonal nugget and
 keeps its Cholesky factor; the FF path keeps a thin-QR factorization of the
 feature matrix so that (A A^T + mu I)^{-1} only ever requires factoring the
 small feature-count core R1 R1^T + mu I.
+
+Gram blocks that sit on the same pair of point sets share their kernel
+tables (``kernels.CrossTables``), so a functional set with many operators on
+one lattice pays for its profile derivatives and J5 mode features once.
 """
 
 from __future__ import annotations
@@ -25,16 +29,29 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, nonlocal_modes: in
     """Symmetric bi-operator gram matrix over a functional set.
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
-    result is exactly symmetric.
+    result is exactly symmetric.  Blocks on the same pair of point sets share
+    one ``kernels.CrossTables``: the profile-derivative tables and the J5
+    mode features are computed once per pair, not once per block.  On the
+    2D torus each J5 block is then one real GEMM over about nonlocal_modes^2
+    mode features.
     """
     n = funcs.size
     out = np.empty((n, n))
     blocks = funcs.blocks
     sls = funcs.slices
+    ops_on = {}  # operator tags per point set, keyed by the array's identity
+    for op, pts, _ in blocks:
+        ops_on.setdefault(id(pts), []).append(op)
+    tables = {}
     for i, (op_i, pts_i, _) in enumerate(blocks):
         for j in range(i, len(blocks)):
             op_j, pts_j, _ = blocks[j]
-            B = K.pairwise_op_matrix(kernel, op_i, op_j, pts_i, pts_j, nonlocal_modes)
+            key = (id(pts_i), id(pts_j))
+            if key not in tables:
+                tables[key] = K.CrossTables(
+                    kernel, pts_i, pts_j, ops_on[key[0]], ops_on[key[1]], nonlocal_modes
+                )
+            B = tables[key].op_matrix(op_i, op_j)
             if i == j:
                 B = 0.5 * (B + B.T)
             out[sls[i], sls[j]] = B

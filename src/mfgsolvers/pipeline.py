@@ -34,9 +34,18 @@ _FLOAT_FIELDS = (
     "gamma", "beta", "eta", "mu", "alpha", "init_scale",
 )
 _BOOL_FIELDS = ("grid_sampling", "shared_features", "full_basis_2d")
-# largest Nyquist-to-peak ratio of the kernel spectrum a torus GP run accepts;
-# every torus GP field is evaluated through the truncated spectrum
+_LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
+# largest Nyquist-to-peak ratio of the weighted kernel spectrum
+# (kernels.spectral_tail_ratio) a torus GP run accepts; every torus GP field
+# is evaluated through the truncated spectrum
 SPECTRAL_TAIL_TOL = 1e-12
+# cap on the largest array a torus GP run allocates, in bytes.  The arrays
+# that grow with nonlocal_modes are, on the 2D torus, the gram's J5 mode
+# features (M x about nonlocal_modes^2 float64) and the mode exponentials of
+# the 100x100 export grid (10000 x nonlocal_modes complex128); on the 1D
+# torus, the mode exponentials of the held-out points or the collocation
+# points, whichever are more (at least 2000 x nonlocal_modes complex128).
+MAX_MODE_TABLE_BYTES = 2**30
 
 
 def default_potential(x):
@@ -113,6 +122,14 @@ class ExperimentConfig:
         for name in ("sigma", "sigma_space", "sigma_time", "varsigma", "eta", "mu"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
+        for name in _LENGTHSCALE_FIELDS:
+            # the kernels and features divide by the squared lengthscale
+            value = float(getattr(self, name))
+            sq = value * value
+            if not (0.0 < sq < math.inf and 1.0 / sq < math.inf):
+                raise ConfigError(
+                    f"{name}: {value!r} is out of range; {name}^2 and 1/{name}^2 must be finite"
+                )
         for name in ("gamma", "beta"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be nonnegative")
@@ -120,13 +137,19 @@ class ExperimentConfig:
             raise ConfigError("alpha: must lie in (0, 1]")
         if self.nonlocal_modes < 16 or self.nonlocal_modes % 2:
             raise ConfigError("nonlocal_modes: must be even and >= 16")
-        if self.problem == P.NONLOCAL_2D and self.method == GP:
+        if self.method == GP and self.problem in (P.MFG_1D, P.NONLOCAL_2D):
+            size = _largest_mode_table_bytes(self)
+            if size > MAX_MODE_TABLE_BYTES:
+                raise ConfigError(
+                    f"nonlocal_modes: {self.nonlocal_modes} modes need a {size / 2**30:.1f} GiB "
+                    f"mode table (M={self.M}), above the {MAX_MODE_TABLE_BYTES / 2**30:g} GiB cap"
+                )
             tail = K.spectral_tail_ratio(self.sigma, self.nonlocal_modes)
             if not tail <= SPECTRAL_TAIL_TOL:
                 raise ConfigError(
-                    f"nonlocal_modes: {self.nonlocal_modes} modes leave the kernel spectrum "
-                    f"at {tail:.1e} of its peak (sigma={self.sigma}); raise nonlocal_modes "
-                    f"or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
+                    f"nonlocal_modes: {self.nonlocal_modes} modes leave the weighted kernel "
+                    f"spectrum at {tail:.1e} of its peak (sigma={self.sigma}); raise "
+                    f"nonlocal_modes or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
                 )
         if self.init_mode not in (O.INIT_ZEROS, O.INIT_GAUSSIAN):
             raise ConfigError(f"init_mode: unknown value {self.init_mode!r}")
@@ -146,6 +169,18 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def _largest_mode_table_bytes(cfg: ExperimentConfig) -> int:
+    """Bytes of the largest array of a torus GP run that grows with nonlocal_modes.
+
+    10000 is the size of the 2D ``_evaluation_grid`` and 2000 the default
+    count of ``solution.held_out_points``.
+    """
+    n = cfg.nonlocal_modes
+    if cfg.problem == P.NONLOCAL_2D:
+        return max(8 * cfg.M * n * n, 16 * 10000 * n)
+    return 16 * max(cfg.M, 2000) * n
 
 
 @dataclass

@@ -5,11 +5,12 @@ FF fields are finite trigonometric sums with coefficients recovered through
 the ridge least-squares map.  Both expose exact operator application, so
 held-out PDE residuals use analytic derivatives rather than stencils.
 
-A GP field on the 2D torus is stored as the per-mode weights of the kernel's
-truncated Fourier spectrum, computed once when the field is built; applying
-an operator at n points then costs n * n_modes^2, independent of the number
-of functionals.  GP fields of the other kernel families sum the closed-form
-representer terms at every call.
+A GP field on the 1D or 2D torus is stored as the per-mode weights of the
+kernel's exact, truncated Fourier spectrum, computed once when the field is
+built; applying an operator at n points then costs n * n_modes^dim,
+independent of the number of functionals.  GP fields of the anisotropic
+space-time kernel (planning) sum the closed-form representer terms at every
+call.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from .problems import SPACE_HALF_WIDTH, PLANNING, ProblemSpec, interior_residual
 class GpField:
     """Representer-form field: sum_i c_i (R_i K)(x, y_i).
 
-    On the 2D torus the sum is collapsed into per-mode weights once, when
-    the field is built; the other kernel families evaluate the sum in closed
-    form on every call.
+    On the torus the sum is collapsed into per-mode weights once, when the
+    field is built; the anisotropic kernel evaluates the sum in closed form
+    on every call.
     """
 
     coeffs: np.ndarray
@@ -44,7 +45,7 @@ class GpField:
     weights: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kernel.family == K.PERIODIC_2D:
+        if self.kernel.periodic:
             w = K.mode_weights(self.kernel, self.funcs, self.coeffs, self.nonlocal_modes)
             object.__setattr__(self, "weights", w)
 

@@ -195,3 +195,62 @@ def test_nonlocal_cross_consistent_with_derivative_riding_along():
     )
     exact = K.eval_nonlocal(k, False, True, x, y, left_op=K.DX)
     assert exact == pytest.approx(fd, abs=1e-8)
+
+
+# -- exact spectrum and the mode-feature J5 blocks ----------------------------
+
+@pytest.mark.parametrize("sigma", [0.35, 0.5, 0.6, 1.0, 3.0])
+def test_exact_profile_coefficients(sigma):
+    """c_a = exp(-q) I_|a|(q): nonnegative, summing to g(0) = 1, equal to the
+    FFT of the sampled profile at low modes and to scipy's ive everywhere."""
+    from scipy.special import ive
+
+    n = 64
+    c = K._profile_coeffs_1d(sigma, n)
+    a = np.fft.fftfreq(n, 1.0 / n)
+    assert np.all(c >= 0.0)
+    assert np.sum(c) == pytest.approx(1.0, abs=1e-15)
+    g = np.arange(n) / n
+    fft = np.fft.fft(np.exp((np.cos(2.0 * np.pi * g) - 1.0) / sigma**2)).real / n
+    low = np.abs(a) <= 12
+    np.testing.assert_allclose(c[low], fft[low], rtol=0, atol=1e-15)
+    ref = ive(np.abs(a), 1.0 / sigma**2)
+    np.testing.assert_allclose(c, ref, rtol=1e-13, atol=0)
+
+
+def test_spectral_tail_ratio_weights_the_fourth_derivative_symbol():
+    """The weighted tail passes the bundled lengthscales at 64 modes and
+    rejects kernels the grid does not resolve."""
+    from scipy.special import ive
+
+    for sigma in (0.35, 0.5, 0.6):
+        assert K.spectral_tail_ratio(sigma, 64) <= 1e-12
+    assert K.spectral_tail_ratio(0.2, 64) > 1e-12
+    assert K.spectral_tail_ratio(0.2, 128) < K.spectral_tail_ratio(0.2, 64)
+    # past 1/sigma^2 = (n/2)^2 the ratio is 1 without a recurrence: c_{n/2} > c_0 / 2 there
+    assert K.spectral_tail_ratio(0.05, 16) == 1.0
+    assert K.spectral_tail_ratio(1e-150, 64) == 1.0
+    for half in (8, 32):
+        assert ive(half, float(half**2)) > 0.5 * ive(0, float(half**2))
+
+
+@pytest.mark.parametrize("points", ["lattice", "random"])
+def test_nonlocal_cross_matrix_matches_direct_sum(points):
+    """Mode-feature J5 blocks against the direct DFT, every (op, J5) and (J5, op)."""
+    k = K.periodic_kernel_2d(0.5)
+    if points == "lattice":
+        g = np.arange(6) / 6.0
+        a, b = np.meshgrid(g, g, indexing="ij")
+        X = Y = np.stack([a.ravel(), b.ravel()], axis=1)
+    else:
+        rng = np.random.default_rng(3)
+        X, Y = rng.random((23, 2)), rng.random((17, 2))
+    coeffs = K._profile_coeff_grid(0.5, 64)
+    for op in (K.ID, K.DX, K.DY, K.LAP, K.J5):
+        for left, right in ((op, K.J5), (K.J5, op)):
+            fast = K.nonlocal_cross_matrix(k, left, right, X, Y, 64)
+            direct = K.nonlocal_from_coeffs(coeffs, left, right, X, Y, 64)
+            np.testing.assert_allclose(
+                fast, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)), err_msg=(left, right)
+            )
+

@@ -29,6 +29,30 @@ def test_gram_is_exactly_symmetric():
     np.testing.assert_array_equal(G, G.T)
 
 
+@pytest.mark.parametrize("problem", ["nonlocal2d", "planning"])
+def test_gram_with_shared_tables_equals_per_block_assembly(problem):
+    """Tables shared across blocks change no entry: each block equals its own
+    pairwise_op_matrix (symmetrized on the diagonal), and the gram is exactly
+    symmetric."""
+    if problem == "nonlocal2d":
+        spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
+        pts = C.sample_uniform_grid(2, 36)
+    else:
+        spec, kernel = P.make_planning(), K.anisotropic_kernel(0.45, 0.71)
+        pts = C.sample_planning(3, 30, 8, 8)
+    _, psi = C.build_functionals(spec, pts)
+    G = L.assemble_gram(kernel, psi, 64)
+    np.testing.assert_array_equal(G, G.T)
+    for i, (op_i, pts_i, _) in enumerate(psi.blocks):
+        for j, (op_j, pts_j, _) in enumerate(psi.blocks):
+            if j < i:
+                continue
+            B = K.pairwise_op_matrix(kernel, op_i, op_j, pts_i, pts_j, 64)
+            if i == j:
+                B = 0.5 * (B + B.T)
+            np.testing.assert_array_equal(G[psi.slices[i], psi.slices[j]], B, err_msg=(op_i, op_j))
+
+
 def test_nugget_is_blockwise_constant_mean_diagonal():
     kernel = K.periodic_kernel_1d(0.6)
     pts = C.sample_uniform_grid(1, 9)

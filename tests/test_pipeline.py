@@ -48,12 +48,34 @@ def test_config_rejects_unknown_keys():
             {"problem": "nonlocal2d", "method": "gp", "sigma": 0.05, "nonlocal_modes": 16},
             "nonlocal_modes",
         ),
+        # lengthscales whose inverse square overflows
+        ({"sigma": 1e-200}, "sigma"),
+        ({"problem": "planning", "sigma_space": 1e-200}, "sigma_space"),
+        ({"problem": "planning", "sigma_time": 1e-160}, "sigma_time"),
+        ({"problem": "planning", "method": "ff", "varsigma": 1e-200}, "varsigma"),
+        ({"problem": "nonlocal2d", "method": "gp", "sigma": 1e-200}, "sigma"),
+        ({"sigma": 1e200}, "sigma"),
+        # mode counts whose mode tables pass the byte cap; never run, they would allocate
+        (
+            {"problem": "nonlocal2d", "method": "gp", "M": 16, "nonlocal_modes": 100000},
+            "nonlocal_modes",
+        ),
+        ({"method": "gp", "nonlocal_modes": 100000}, "nonlocal_modes"),
+        # the 1D torus GP goes through the truncated spectrum as well
+        ({"method": "gp", "sigma": 0.2, "nonlocal_modes": 64}, "nonlocal_modes"),
     ],
 )
 def test_config_validation_names_the_field(patch, field):
     with pytest.raises(ConfigError) as exc:
         PL.ExperimentConfig.from_dict(patch)
-    assert field in str(exc.value)
+    assert str(exc.value).startswith(f"{field}:")
+
+
+def test_mode_table_cap_admits_more_modes_than_bundled():
+    PL.ExperimentConfig.from_dict(
+        {"problem": "nonlocal2d", "method": "gp", "M": 900, "sigma": 0.35, "nonlocal_modes": 128}
+    )
+    PL.ExperimentConfig.from_dict({"problem": "mfg1d", "method": "gp", "nonlocal_modes": 1024})
 
 
 def test_config_round_trips_through_dict():

@@ -156,13 +156,18 @@ def test_error_report_json_shape():
     assert text == S.ErrorReport(None, None, 0.5, 1.25, 0.0, "g").to_json()
 
 
-def test_torus_gp_field_matches_direct_representer_sum():
-    """Spectral-weight evaluation of a 2D torus field equals the representer sum."""
-    spec = P.make_nonlocal_2d(1.0)
-    kernel = K.periodic_kernel_2d(0.5)
-    pts = C.sample_uniform_grid(2, 36)
+@pytest.mark.parametrize(
+    "spec, kernel, pts, dim",
+    [
+        (P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5), C.sample_uniform_grid(2, 36), 2),
+        (SPEC_1D, K.periodic_kernel_1d(0.6), C.sample_uniform_grid(1, 16), 1),
+    ],
+    ids=["nonlocal2d", "mfg1d"],
+)
+def test_torus_gp_field_matches_direct_representer_sum(spec, kernel, pts, dim):
+    """Spectral-weight evaluation of a torus field equals the representer sum."""
     rng = np.random.default_rng(11)
-    X = rng.random((25, 2))
+    X = rng.random((25, dim))
     for funcs, ops in zip(C.build_functionals(spec, pts), (spec.u_operators, spec.m_operators)):
         coeffs = rng.standard_normal(funcs.size)
         f = S.GpField(coeffs, funcs, kernel, nonlocal_modes=64)
