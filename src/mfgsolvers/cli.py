@@ -9,6 +9,9 @@ reports their cross-agreement.
 The environment variable MFG_THREADS caps the BLAS/OpenMP worker count; it
 must be applied before the numeric libraries load, so the heavy imports
 happen inside main().
+
+Exit codes: 0 success; 2 a bad config or flag (output paths are checked before
+anything runs), naming it; 3 a numerical failure or any other ``MfgError``.
 """
 
 from __future__ import annotations
@@ -51,12 +54,25 @@ def _load_config(path: str):
     return ExperimentConfig.from_dict(data)
 
 
+def _check_output_file(path: str, flag: str) -> None:
+    """Fail before any run when ``path`` cannot be written as a file."""
+    from .errors import ConfigError
+
+    if Path(path).is_dir() or not Path(path).parent.is_dir():
+        raise ConfigError(f"{flag}: {path} is a directory or its directory does not exist")
+
+
 def _cmd_run(args) -> int:
+    from .errors import ConfigError
     from .pipeline import export_solution_grid, export_timing, run_experiment
 
     cfg = _load_config(args.config)
     out = Path(args.output_dir or cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        flag = "--output-dir" if args.output_dir else "output_dir"
+        raise ConfigError(f"{flag}: cannot create directory {out}: {exc}") from exc
     result = run_experiment(cfg)
     result.history.export_csv(out / "loss_history.csv")
     export_solution_grid(result, out / "solution_grid.csv")
@@ -68,12 +84,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .errors import ConfigError
-    from .pipeline import ExperimentConfig, bench_precompute, export_timing
+    from .pipeline import PROBLEMS, ExperimentConfig, bench_precompute, export_timing
 
     try:
         m_values = [int(v) for v in args.m_values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--m-values: {exc}") from exc
+    if args.problem in PROBLEMS and not PROBLEMS[args.problem].sized_by_M:
+        raise ConfigError(
+            f"--problem: {args.problem} takes its sample count from n_interior, n_initial "
+            "and n_terminal, so --m-values does not set it"
+        )
+    _check_output_file(args.output, "--output")
     base = _load_config(args.config) if args.config else ExperimentConfig()
     rows = bench_precompute(args.problem, args.method, m_values, args.repeats, base)
     export_timing(rows, args.output)
@@ -87,6 +109,8 @@ def _cmd_compare(args) -> int:
 
     cfg1 = _load_config(args.config1)
     cfg2 = _load_config(args.config2)
+    if args.output:
+        _check_output_file(args.output, "--output")
     r1 = run_experiment(cfg1)
     r2 = run_experiment(cfg2)
     gaps = compare_runs(r1, r2)
@@ -132,6 +156,7 @@ def main(argv=None) -> int:
     from .errors import (
         ConfigError,
         GridMismatch,
+        MfgError,
         NonFiniteObjective,
         NotPositiveDefinite,
         SingularNormalEquations,
@@ -144,6 +169,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except (NotPositiveDefinite, NonFiniteObjective, SingularNormalEquations) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MfgError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -68,6 +68,13 @@ def sample_uniform_random(dim: int, M: int, seed: int) -> CollocationSet:
     return CollocationSet(interior=pts, boundary=np.zeros((0, dim)), seed=seed)
 
 
+def _time_slices(x0, x1) -> np.ndarray:
+    """Points (0, x0) and (1, x1) on the initial and terminal time slices."""
+    return np.concatenate(
+        [np.stack([np.zeros_like(x0), x0], axis=1), np.stack([np.ones_like(x1), x1], axis=1)]
+    )
+
+
 def sample_planning(
     seed: int, n_interior: int = 1200, n_initial: int = 200, n_terminal: int = 200
 ) -> CollocationSet:
@@ -82,13 +89,7 @@ def sample_planning(
     interior = np.stack([t, x], axis=1)
     x0 = (rng.random(n_initial) * 2.0 - 1.0) * SPACE_HALF_WIDTH
     x1 = (rng.random(n_terminal) * 2.0 - 1.0) * SPACE_HALF_WIDTH
-    boundary = np.concatenate(
-        [
-            np.stack([np.zeros(n_initial), x0], axis=1),
-            np.stack([np.ones(n_terminal), x1], axis=1),
-        ]
-    )
-    return CollocationSet(interior=interior, boundary=boundary, seed=seed)
+    return CollocationSet(interior=interior, boundary=_time_slices(x0, x1), seed=seed)
 
 
 def sample_planning_grid(
@@ -112,13 +113,7 @@ def sample_planning_grid(
     interior = np.stack([a.ravel(), b.ravel()], axis=1)
     x0 = np.linspace(-SPACE_HALF_WIDTH, SPACE_HALF_WIDTH, n_initial)
     x1 = np.linspace(-SPACE_HALF_WIDTH, SPACE_HALF_WIDTH, n_terminal)
-    boundary = np.concatenate(
-        [
-            np.stack([np.zeros(n_initial), x0], axis=1),
-            np.stack([np.ones(n_terminal), x1], axis=1),
-        ]
-    )
-    return CollocationSet(interior=interior, boundary=boundary)
+    return CollocationSet(interior=interior, boundary=_time_slices(x0, x1))
 
 
 @dataclass(frozen=True)
@@ -154,7 +149,7 @@ class FunctionalSet:
 
 def build_functionals(spec: ProblemSpec, pts: CollocationSet):
     """Functional vectors (phi for u, psi for m) in block layout."""
-    if pts.interior.shape[1] != (1 if spec.dim == 1 else 2):
+    if pts.interior.shape[1] != spec.dim:
         raise BadCount("point dimension does not match the problem")
     phi_blocks = [(op, pts.interior, False) for op in spec.u_operators]
     psi_blocks = [(op, pts.boundary, True) for op in spec.m_boundary_operators]

@@ -17,10 +17,6 @@ import numpy as np
 from . import kernels as K
 from .errors import UnsupportedOperator
 
-SERIES_1D = "periodic_series_1d"
-TENSOR_2D = "periodic_tensor_2d"
-RANDOM_FOURIER = "random_fourier"
-
 SIN = 0
 COS = 1
 
@@ -33,7 +29,7 @@ class FeatureBasis:
     shape (count, dim)); the constant feature is cos at zero frequency.
     """
 
-    kind: str
+    axes: tuple  # axis names of the points, in coordinate order
     frequencies: np.ndarray
     phases: np.ndarray  # SIN or COS per feature
     scales: np.ndarray
@@ -56,7 +52,7 @@ def build_periodic_1d(N: int) -> FeatureBasis:
     freqs = np.concatenate([[0.0], ks, ks]) * 2.0 * np.pi
     phases = np.concatenate([[COS], np.full(N, SIN), np.full(N, COS)]).astype(int)
     return FeatureBasis(
-        kind=SERIES_1D,
+        axes=("x",),
         frequencies=freqs[:, None],
         phases=phases,
         scales=np.ones(2 * N + 1),
@@ -90,7 +86,7 @@ def build_periodic_2d(N: int, full: bool = False) -> FeatureBasis:
     freqs = np.vstack([np.zeros((1, 2)), ij, ij]) * 2.0 * np.pi
     phases = np.concatenate([[COS], np.full(n, SIN), np.full(n, COS)]).astype(int)
     return FeatureBasis(
-        kind=TENSOR_2D,
+        axes=("x", "y"),
         frequencies=freqs,
         phases=phases,
         scales=np.ones(2 * n + 1),
@@ -129,7 +125,7 @@ def sample_orthogonal_features(sampler: RandomFeatureSampler, n_pairs: int) -> F
     freqs = np.repeat(W, 2, axis=0)
     phases = np.tile([SIN, COS], n_pairs).astype(int)
     return FeatureBasis(
-        kind=RANDOM_FOURIER,
+        axes=("t", "x"),
         frequencies=freqs,
         phases=phases,
         scales=np.full(n, np.sqrt(2.0 / n)),
@@ -141,24 +137,20 @@ def sample_orthogonal_features(sampler: RandomFeatureSampler, n_pairs: int) -> F
 # operator action
 
 def _axis_index(basis: FeatureBasis, op: str) -> int:
-    # random-fourier bases live on (t, x); periodic 2D on (x1, x2)
-    if basis.kind == RANDOM_FOURIER:
-        table = {K.DT: 0, K.DX: 1, K.DXX: 1}
-    elif basis.kind == TENSOR_2D:
-        table = {K.DX: 0, K.DY: 1, K.DXX: 0}
-    else:
-        table = {K.DX: 0, K.DXX: 0}
-    if op not in table:
-        raise UnsupportedOperator(f"operator {op!r} unsupported on basis kind {basis.kind!r}")
-    return table[op]
+    """The one axis a single-axis derivative ``op`` acts along."""
+    terms = K.op_terms(basis.axes, op)
+    axes = [a for orders in terms for a, k in enumerate(orders) if k]
+    if len(axes) != 1:
+        raise UnsupportedOperator(f"operator {op!r} does not act along one axis")
+    return axes[0]
 
 
-def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
-    """Row of operator-applied feature values at each point of X.
+def eval_feature_ops(basis: FeatureBasis, ops, X) -> list:
+    """(n_points, count) matrices of each of ``ops`` applied to the features at X.
 
-    Returns an (n_points, count) matrix.  Derivatives cycle the trig pair
-    (sin -> cos -> -sin -> -cos); the Laplacian and the smoothing operator
-    are diagonal multipliers in the frequency.
+    A derivative term of order k advances the trig pair k quarter turns
+    (sin -> cos -> -sin -> -cos) and scales by the frequency components it
+    differentiates; the smoothing operator is diagonal in the frequency.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != basis.dim:
@@ -166,33 +158,34 @@ def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
             f"points of dimension {X.shape[1]} on a basis of dimension {basis.dim}"
         )
     theta = X @ basis.frequencies.T  # (n, count)
+    s, c = np.sin(theta), np.cos(theta)
     sin_sel = basis.phases == SIN
 
     def trig(shift):
         # value of the feature's trig function advanced by `shift` quarter turns
         out = np.empty_like(theta)
-        s, c = np.sin(theta), np.cos(theta)
         cyc = [(s, c), (c, -s), (-s, -c), (-c, s)][shift % 4]
         out[:, sin_sel] = cyc[0][:, sin_sel]
         out[:, ~sin_sel] = cyc[1][:, ~sin_sel]
         return out
 
-    if op == K.ID:
-        vals = trig(0)
-    elif op in (K.DX, K.DY, K.DT):
-        a = _axis_index(basis, op)
-        vals = trig(1) * basis.frequencies[:, a][None, :]
-    elif op == K.DXX:
-        a = _axis_index(basis, op)
-        vals = -trig(0) * (basis.frequencies[:, a] ** 2)[None, :]
-    elif op == K.LAP:
-        w2 = np.sum(basis.frequencies**2, axis=1)
-        vals = -trig(0) * w2[None, :]
-    elif op == K.J5:
-        if not basis.periodic:
-            raise UnsupportedOperator("smoothing operator requires a periodic basis")
-        w2 = np.sum(basis.frequencies**2, axis=1)
-        vals = trig(0) / (1.0 + w2[None, :]) ** 2
-    else:
-        raise UnsupportedOperator(f"unknown operator tag {op!r}")
-    return vals * basis.scales[None, :]
+    w = basis.frequencies
+    out = []
+    for op in ops:
+        if op == K.J5:
+            if not basis.periodic:
+                raise UnsupportedOperator("smoothing operator requires a periodic basis")
+            w2 = np.sum(w**2, axis=1)
+            vals = trig(0) / (1.0 + w2[None, :]) ** 2
+        else:
+            terms = K.op_terms(basis.axes, op)
+            mult = sum(np.prod([w[:, a] ** k for a, k in enumerate(t) if k], axis=0) for t in terms)
+            # every term of one operator has the same total order
+            vals = trig(sum(terms[0])) * mult
+        out.append(vals * basis.scales[None, :])
+    return out
+
+
+def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
+    """(n_points, count) matrix of ``op`` applied to each feature at each point of X."""
+    return eval_feature_ops(basis, (op,), X)[0]

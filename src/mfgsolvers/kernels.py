@@ -49,6 +49,23 @@ PERIODIC_1D = "periodic1d"
 PERIODIC_2D = "periodic2d"
 ANISO_SE = "anisotropic_se"
 
+# the axes of each family's points in coordinate order: (name, profile kind,
+# index of its lengthscale)
+FAMILY_AXES = {
+    PERIODIC_1D: (("x", "periodic", 0),),
+    PERIODIC_2D: (("x", "periodic", 0), ("y", "periodic", 0)),
+    ANISO_SE: (("t", "gauss", 1), ("x", "gauss", 0)),
+}
+
+# each differential operator as a sum of terms, each the derivative orders
+# along the axes it names.  On given axes a term naming an absent axis is
+# dropped, so lap is dxx on ("x",) and on ("t", "x"); an operator with no
+# term left is unsupported there.
+OP_ORDERS = {
+    ID: ({},), DX: ({"x": 1},), DY: ({"y": 1},), DT: ({"t": 1},),
+    DXX: ({"x": 2},), LAP: ({"x": 2}, {"y": 2}),
+}
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -63,14 +80,18 @@ class KernelSpec:
     lengthscales: tuple
 
     def __post_init__(self):
-        if self.family not in (PERIODIC_1D, PERIODIC_2D, ANISO_SE):
+        if self.family not in FAMILY_AXES:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if any(s <= 0 for s in self.lengthscales):
             raise ValueError("lengthscales must be positive")
 
     @property
+    def axes(self) -> tuple:
+        return tuple(name for name, _, _ in FAMILY_AXES[self.family])
+
+    @property
     def dim(self) -> int:
-        return 1 if self.family == PERIODIC_1D else 2
+        return len(self.axes)
 
     @property
     def periodic(self) -> bool:
@@ -79,14 +100,7 @@ class KernelSpec:
 
     def axis_profiles(self):
         """Per-axis (profile kind, sigma) pairs."""
-        if self.family == PERIODIC_1D:
-            return (("periodic", self.lengthscales[0]),)
-        if self.family == PERIODIC_2D:
-            s = self.lengthscales[0]
-            return (("periodic", s), ("periodic", s))
-        # anisotropic: axis 0 is time (sigma_2), axis 1 is space (sigma_1)
-        s_space, s_time = self.lengthscales
-        return (("gauss", s_time), ("gauss", s_space))
+        return tuple((kind, self.lengthscales[i]) for _, kind, i in FAMILY_AXES[self.family])
 
 
 def periodic_kernel_1d(sigma: float) -> KernelSpec:
@@ -139,39 +153,20 @@ def _gauss_profile_derivs(r, sigma, max_order):
     return out
 
 
-def _profile_derivs(kind, r, sigma, max_order):
-    if kind == "periodic":
-        return _periodic_profile_derivs(r, sigma, max_order)
-    return _gauss_profile_derivs(r, sigma, max_order)
+_PROFILE_DERIVS = {"periodic": _periodic_profile_derivs, "gauss": _gauss_profile_derivs}
 
 
 # ---------------------------------------------------------------------------
-# operator expansion: op -> [(coeff, per-axis derivative orders)]
+# operator expansion: op -> [per-axis derivative orders]
 
-def _op_terms(kernel: KernelSpec, op: str):
-    fam = kernel.family
+def op_terms(axes, op: str):
+    """The terms of ``op`` on the named axes, each a tuple of per-axis orders."""
     if op not in ALL_OPS:
         raise UnsupportedOperator(f"unknown operator tag {op!r}")
-    if fam == PERIODIC_1D:
-        table = {ID: [(1.0, (0,))], DX: [(1.0, (1,))], DXX: [(1.0, (2,))], LAP: [(1.0, (2,))]}
-    elif fam == PERIODIC_2D:
-        table = {
-            ID: [(1.0, (0, 0))],
-            DX: [(1.0, (1, 0))],
-            DY: [(1.0, (0, 1))],
-            DXX: [(1.0, (2, 0))],
-            LAP: [(1.0, (2, 0)), (1.0, (0, 2))],
-        }
-    else:  # anisotropic space-time, points ordered (t, x)
-        table = {
-            ID: [(1.0, (0, 0))],
-            DT: [(1.0, (1, 0))],
-            DX: [(1.0, (0, 1))],
-            DXX: [(1.0, (0, 2))],
-        }
-    if op not in table:
-        raise UnsupportedOperator(f"operator {op!r} unsupported for kernel family {fam!r}")
-    return table[op]
+    terms = [tuple(t.get(a, 0) for a in axes) for t in OP_ORDERS.get(op, ()) if set(t) <= set(axes)]
+    if not terms:
+        raise UnsupportedOperator(f"operator {op!r} unsupported on axes {axes}")
+    return terms
 
 
 def _as_points(kernel: KernelSpec, x):
@@ -222,15 +217,14 @@ class CrossTables:
     def op_matrix(self, left: str, right: str) -> np.ndarray:
         if J5 in (left, right):
             return self._nonlocal(left, right)
-        terms_l = _op_terms(self.kernel, left)
-        terms_r = _op_terms(self.kernel, right)
+        terms_l = op_terms(self.kernel.axes, left)
+        terms_r = op_terms(self.kernel.axes, right)
         derivs = self._derivatives()
         out = np.zeros((self.X.shape[0], self.Y.shape[0]))
-        for cl, ol in terms_l:
-            for cr, orr in terms_r:
+        for ol in terms_l:
+            for orr in terms_r:
                 sign = -1.0 if (sum(orr) % 2) else 1.0
-                term = cl * cr * sign
-                acc = np.full_like(out, term)
+                acc = np.full_like(out, sign)
                 for a in range(self.kernel.dim):
                     acc = acc * derivs[a][ol[a] + orr[a]]
                 out += acc
@@ -241,13 +235,13 @@ class CrossTables:
             k = self.kernel
 
             def top(ops):  # highest derivative order per axis among ops
-                orders = [o for op in ops if op != J5 for _, o in _op_terms(k, op)]
+                orders = [o for op in ops if op != J5 for o in op_terms(k.axes, op)]
                 return [max((o[a] for o in orders), default=0) for a in range(k.dim)]
 
             top_l, top_r = top(self.left_ops), top(self.right_ops)
             self._derivs = [
-                _profile_derivs(
-                    kind, self.X[:, a][:, None] - self.Y[:, a][None, :], s, top_l[a] + top_r[a]
+                _PROFILE_DERIVS[kind](
+                    self.X[:, a][:, None] - self.Y[:, a][None, :], s, top_l[a] + top_r[a]
                 )
                 for a, (kind, s) in enumerate(k.axis_profiles())
             ]
@@ -491,7 +485,7 @@ def _axis_exponentials(X, n_modes: int):
 def _mode_symbol(k: KernelSpec, op: str, side: str, n_modes: int):
     """Per-mode symbol of ``op`` on the mode grid of a periodic kernel."""
     if not (op == J5 and k.family == PERIODIC_2D):
-        _op_terms(k, op)  # rejects an operator the kernel family does not support
+        op_terms(k.axes, op)  # rejects an operator the kernel family does not support
     if k.family == PERIODIC_1D:
         a = _mode_axis(n_modes)
         return _op_mode_multiplier(op, a, np.zeros_like(a), side)
@@ -526,19 +520,20 @@ def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
     return c * acc
 
 
-def eval_mode_weights(k: KernelSpec, weights: np.ndarray, op: str, X) -> np.ndarray:
+def eval_mode_weights(k: KernelSpec, weights: np.ndarray, ops, X) -> np.ndarray:
     """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
 
-    With per-axis exponentials E1 (and E2) this is E1 @ W_op on the 1D torus
-    and rowsum((E1 @ W_op) * E2) on the 2D torus, at a cost of
+    Returns one column per operator in ``ops``.  With per-axis exponentials
+    E1 (and E2), computed once for all of them, a column is E1 @ W_op on the
+    1D torus and rowsum((E1 @ W_op) * E2) on the 2D torus, at a cost of
     n_points * n_modes^dim.
     """
-    X = _as_points(k, X)
-    w = _mode_symbol(k, op, "left", weights.shape[0]) * weights
-    e = _axis_exponentials(X, weights.shape[0])
-    if k.dim == 1:
-        return np.real(e[0] @ w)
-    return np.real(np.sum((e[0] @ w) * e[1], axis=1))
+    e = _axis_exponentials(_as_points(k, X), weights.shape[0])
+    cols = []
+    for op in ops:
+        f = e[0] @ (_mode_symbol(k, op, "left", weights.shape[0]) * weights)
+        cols.append(np.real(f if k.dim == 1 else np.sum(f * e[1], axis=1)))
+    return np.stack(cols, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -562,11 +557,11 @@ def _fd_apply(f, terms, side, x, y, step):
 
     argno = 0 if side == "left" else 1
     total = 0.0
-    for coeff, orders in terms:
+    for orders in terms:
         g = f
         for axis, order in enumerate(orders):
             g = d_axis(g, axis, order, argno)
-        total += coeff * g(x, y)
+        total += g(x, y)
     return total
 
 
@@ -584,9 +579,10 @@ def finite_diff_check(k: KernelSpec, left: str, right: str, x, y, step: float) -
 
     def stencil(h):
         def fr(xx, yy):
-            return _fd_apply(lambda a, b: eval(k, a, b), _op_terms(k, right), "right", xx, yy, h)
+            terms = op_terms(k.axes, right)
+            return _fd_apply(lambda a, b: eval(k, a, b), terms, "right", xx, yy, h)
 
-        return _fd_apply(fr, _op_terms(k, left), "left", x, y, h)
+        return _fd_apply(fr, op_terms(k.axes, left), "left", x, y, h)
 
     coarse = stencil(step)
     fine = stencil(0.5 * step)

@@ -75,6 +75,7 @@ def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
 class GramFactor:
     """Cholesky factor of the nugget-regularized gram matrix."""
 
+    qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
     regularized: np.ndarray
     chol: np.ndarray  # lower triangular
     eta: float
@@ -177,7 +178,6 @@ class FeatureFactor:
     q1: np.ndarray  # left singular vectors, (rows, k)
     sing: np.ndarray  # singular values, (k,)
     v1: np.ndarray  # right singular vectors, (cols, k)
-    tall: bool
     qr_seconds: float
     cholesky_seconds: float
 
@@ -209,7 +209,6 @@ def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:
     if mu <= 0:
         raise ValueError("mu must be positive")
     A = np.asarray(A, dtype=float)
-    rows, cols = A.shape
     t0 = time.perf_counter()
     U, s, Vt = np.linalg.svd(A, full_matrices=False)
     t_fact = time.perf_counter() - t0
@@ -228,7 +227,6 @@ def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:
         q1=U,
         sing=s,
         v1=Vt.T,
-        tall=rows >= cols,
         qr_seconds=t_fact,
         cholesky_seconds=t_core,
     )
@@ -254,11 +252,3 @@ def ridge_coefficients(f: FeatureFactor, v):
     w = f.q1.T @ v
     return f.v1 @ (w * f.sing / (f.sing**2 + f.mu))
 
-
-def solve_gram(f: GramFactor, v):
-    return f.solve(v)
-
-
-def quadratic_form(f, v) -> float:
-    """v^T (quadratic-form matrix) v for either factor kind."""
-    return f.quadratic_form(np.asarray(v, dtype=float))

@@ -375,7 +375,3 @@ def gauss_newton_run(system, init: SolverState, cfg: SolverConfig):
                 break
     return state, history
 
-
-def objective(state: SolverState, system: MfgSystem) -> float:
-    """Total relaxed objective value at a state."""
-    return system.loss(state)[0]

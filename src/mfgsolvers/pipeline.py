@@ -1,9 +1,10 @@
 """End-to-end experiment driver: sample, assemble, factor, optimize, report.
 
 Configs are plain dataclasses mirroring the JSON schema consumed by the
-CLI.  The three bundled problems are the 1D stationary game with known
-closed form, the 2D game with nonlocal coupling, and the time-dependent
-planning problem.
+CLI.  Each bundled problem (the 1D stationary game with known closed form,
+the 2D game with nonlocal coupling, the time-dependent planning problem) is
+one ``Problem`` of ``PROBLEMS`` and each method one class of ``METHODS``,
+keyed by the config's ``problem`` and ``method``; nothing else names them.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -39,12 +41,8 @@ _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
 # (kernels.spectral_tail_ratio) a torus GP run accepts; every torus GP field
 # is evaluated through the truncated spectrum
 SPECTRAL_TAIL_TOL = 1e-12
-# cap on the largest array a torus GP run allocates, in bytes.  The arrays
-# that grow with nonlocal_modes are, on the 2D torus, the gram's J5 mode
-# features (M x about nonlocal_modes^2 float64) and the mode exponentials of
-# the 100x100 export grid (10000 x nonlocal_modes complex128); on the 1D
-# torus, the mode exponentials of the held-out points or the collocation
-# points, whichever are more (at least 2000 x nonlocal_modes complex128).
+# cap on the largest array a torus GP run allocates, in bytes; see
+# _largest_mode_table_bytes for the arrays that grow with nonlocal_modes
 MAX_MODE_TABLE_BYTES = 2**30
 
 
@@ -58,6 +56,175 @@ def default_drift(x):
 
 def default_drift_dx(x):
     return -2.0 * np.pi * np.sin(2.0 * np.pi * np.asarray(x, dtype=float))
+
+
+def _torus_points(cfg, spec: P.ProblemSpec) -> C.CollocationSet:
+    if cfg.grid_sampling:
+        return C.sample_uniform_grid(spec.dim, cfg.M)
+    return C.sample_uniform_random(spec.dim, cfg.M, cfg.seed)
+
+
+def _planning_points(cfg, spec: P.ProblemSpec) -> C.CollocationSet:
+    counts = (cfg.n_interior, cfg.n_initial, cfg.n_terminal)
+    if cfg.grid_sampling:
+        return C.sample_planning_grid(*counts)
+    return C.sample_planning(cfg.seed, *counts)
+
+
+def _random_bases(cfg):
+    """Random feature bases for u and m, drawn independently unless shared."""
+    s_u = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed)
+    b_u = F.sample_orthogonal_features(s_u, cfg.N)
+    if cfg.shared_features:
+        return b_u, b_u
+    s_m = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed + 1)
+    return b_u, F.sample_orthogonal_features(s_m, cfg.N)
+
+
+_NO_REFERENCE = {"linf_u": None, "linf_m": None, "err_hbar": None}
+
+
+def _torus_metrics(m_field, lam, grid, u_grid, m_grid) -> dict:
+    return {**_NO_REFERENCE, "mass_error": abs(float(np.mean(m_grid)) - 1.0)}
+
+
+def _mfg1d_metrics(m_field, lam, grid, u_grid, m_grid) -> dict:
+    exact = P.explicit_solution_1d(default_potential, default_drift)
+    return {
+        **_torus_metrics(m_field, lam, grid, u_grid, m_grid),
+        "linf_u": S.linf_error(u_grid, lambda X: exact.u_star(X[:, 0]), grid),
+        "linf_m": S.linf_error(m_grid, lambda X: exact.m_star(X[:, 0]), grid),
+        "err_hbar": abs(float(lam) - exact.h_bar_star),
+    }
+
+
+def _planning_metrics(m_field, lam, grid, u_grid, m_grid) -> dict:
+    xq = np.linspace(-P.SPACE_HALF_WIDTH, P.SPACE_HALF_WIDTH, 512)
+    masses = S.mass_trace(m_field, (0.25, 0.5, 0.75), xq)
+    return {**_NO_REFERENCE, "mass_error": float(max(abs(v - 1.0) for v in masses))}
+
+
+@dataclass(frozen=True)
+class Problem:
+    """One bundled problem: its spec and the builders, from a config, of what a run needs."""
+
+    spec: Callable  # cfg -> ProblemSpec
+    points: Callable  # (cfg, spec) -> CollocationSet
+    kernel: Callable  # cfg -> KernelSpec, for gp
+    bases: Callable  # cfg -> (u basis, m basis), for ff
+    grid_axes: tuple  # evaluation grid nodes along each axis
+    grid_desc: str
+    metrics: Callable  # (m_field, lam, grid, u_grid, m_grid) -> the ErrorReport entries
+    sized_by_M: bool = True  # else n_interior, n_initial and n_terminal set the sample count
+    n_held_out: int = 2000
+
+    def grid(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.grid_axes, indexing="ij")
+        return np.stack([a.ravel() for a in mesh], axis=1)
+
+
+PROBLEMS = {
+    P.MFG_1D: Problem(
+        spec=lambda cfg: P.make_1d_stationary(default_potential, default_drift, default_drift_dx),
+        points=_torus_points,
+        kernel=lambda cfg: K.periodic_kernel_1d(cfg.sigma),
+        bases=lambda cfg: (F.build_periodic_1d(cfg.N),) * 2,
+        grid_axes=(np.linspace(0.0, 1.0, 1000, endpoint=False),),
+        grid_desc="1000 uniform on [0,1)",
+        metrics=_mfg1d_metrics,
+    ),
+    P.NONLOCAL_2D: Problem(
+        spec=lambda cfg: P.make_nonlocal_2d(cfg.nu),
+        points=_torus_points,
+        kernel=lambda cfg: K.periodic_kernel_2d(cfg.sigma),
+        bases=lambda cfg: (F.build_periodic_2d(cfg.N, full=cfg.full_basis_2d),) * 2,
+        grid_axes=(np.arange(100) / 100.0,) * 2,
+        grid_desc="100x100 uniform on the torus",
+        metrics=_torus_metrics,
+    ),
+    P.PLANNING: Problem(
+        spec=lambda cfg: P.make_planning(),
+        points=_planning_points,
+        kernel=lambda cfg: K.anisotropic_kernel(cfg.sigma_space, cfg.sigma_time),
+        bases=_random_bases,
+        grid_axes=(
+            np.linspace(0.0, 1.0, 64),
+            np.linspace(-P.SPACE_HALF_WIDTH, P.SPACE_HALF_WIDTH, 512),
+        ),
+        grid_desc="64x512 uniform on [0,1]x[-2,2]",
+        metrics=_planning_metrics,
+        sized_by_M=False,
+    ),
+}
+
+
+class GpMethod:
+    """Kernel collocation: gram factors and representer-form fields."""
+
+    def __init__(self, cfg, problem: Problem):
+        self.cfg, self.kernel = cfg, problem.kernel(cfg)
+
+    @staticmethod
+    def validate(cfg, problem: Problem) -> None:
+        """A torus kernel's fields go through its truncated spectrum: check its tail and tables."""
+        if not problem.kernel(cfg).periodic:
+            return
+        size = _largest_mode_table_bytes(cfg, problem)
+        if size > MAX_MODE_TABLE_BYTES:
+            raise ConfigError(
+                f"nonlocal_modes: {cfg.nonlocal_modes} modes need a {size / 2**30:.1f} GiB "
+                f"mode table (M={cfg.M}), above the {MAX_MODE_TABLE_BYTES / 2**30:g} GiB cap"
+            )
+        tail = K.spectral_tail_ratio(cfg.sigma, cfg.nonlocal_modes)
+        if not tail <= SPECTRAL_TAIL_TOL:
+            raise ConfigError(
+                f"nonlocal_modes: {cfg.nonlocal_modes} modes leave the weighted kernel "
+                f"spectrum at {tail:.1e} of its peak (sigma={cfg.sigma}); raise "
+                f"nonlocal_modes or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
+            )
+
+    def factor(self, funcs):
+        """Gram factors of the (u, m) functional sets."""
+        c, self.funcs = self.cfg, funcs
+        self.factors = [L.build_gram_factor(self.kernel, f, c.eta, c.nonlocal_modes) for f in funcs]
+        return self.factors
+
+    def reconstruct(self, state: O.SolverState):
+        """(u, m, lambda) of a solver state on the last factors."""
+        return S.gp_reconstruct(
+            state, *self.factors, self.kernel, *self.funcs, self.cfg.nonlocal_modes
+        )
+
+
+class FfMethod:
+    """Fourier features: ridge factors of the feature matrices and feature-sum fields."""
+
+    def __init__(self, cfg, problem: Problem):
+        self.cfg, self.bases = cfg, problem.bases(cfg)
+
+    @staticmethod
+    def validate(cfg, problem: Problem) -> None:
+        """Nothing to check beyond ExperimentConfig.validate."""
+
+    def factor(self, funcs):
+        """Ridge factors of the (u, m) functional sets on their feature bases."""
+        self.factors = [
+            L.qr_ridge_factor(L.assemble_feature_matrix(f, b), self.cfg.mu)
+            for f, b in zip(funcs, self.bases)
+        ]
+        return self.factors
+
+    def reconstruct(self, state: O.SolverState):
+        """(u, m, lambda) of a solver state on the last factors."""
+        return S.ff_reconstruct(state, *self.factors, *self.bases)
+
+
+METHODS = {GP: GpMethod, FF: FfMethod}
+
+
+def _factor_seconds(factors):
+    """(qr, cholesky) seconds summed over factors."""
+    return sum(f.qr_seconds for f in factors), sum(f.cholesky_seconds for f in factors)
 
 
 @dataclass(frozen=True)
@@ -90,10 +257,11 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def validate(self) -> None:
-        if self.problem not in (P.MFG_1D, P.NONLOCAL_2D, P.PLANNING):
+        if not isinstance(self.problem, str) or self.problem not in PROBLEMS:
             raise ConfigError(f"problem: unknown value {self.problem!r}")
-        if self.method not in (GP, FF):
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ConfigError(f"method: unknown value {self.method!r}")
+        problem = PROBLEMS[self.problem]
         for name in _INT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -116,7 +284,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be a positive integer")
         if self.seed < 0:
             raise ConfigError("seed: must be nonnegative")
-        on_lattice = self.problem == P.NONLOCAL_2D and self.grid_sampling
+        # collocation.sample_uniform_grid lays M points out as a square in 2D
+        on_lattice = problem.sized_by_M and problem.spec(self).dim == 2 and self.grid_sampling
         if on_lattice and math.isqrt(self.M) ** 2 != self.M:
             raise ConfigError(f"M: the 2D torus lattice needs a perfect square, got {self.M}")
         for name in ("sigma", "sigma_space", "sigma_time", "varsigma", "eta", "mu"):
@@ -137,20 +306,7 @@ class ExperimentConfig:
             raise ConfigError("alpha: must lie in (0, 1]")
         if self.nonlocal_modes < 16 or self.nonlocal_modes % 2:
             raise ConfigError("nonlocal_modes: must be even and >= 16")
-        if self.method == GP and self.problem in (P.MFG_1D, P.NONLOCAL_2D):
-            size = _largest_mode_table_bytes(self)
-            if size > MAX_MODE_TABLE_BYTES:
-                raise ConfigError(
-                    f"nonlocal_modes: {self.nonlocal_modes} modes need a {size / 2**30:.1f} GiB "
-                    f"mode table (M={self.M}), above the {MAX_MODE_TABLE_BYTES / 2**30:g} GiB cap"
-                )
-            tail = K.spectral_tail_ratio(self.sigma, self.nonlocal_modes)
-            if not tail <= SPECTRAL_TAIL_TOL:
-                raise ConfigError(
-                    f"nonlocal_modes: {self.nonlocal_modes} modes leave the weighted kernel "
-                    f"spectrum at {tail:.1e} of its peak (sigma={self.sigma}); raise "
-                    f"nonlocal_modes or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
-                )
+        METHODS[self.method].validate(self, problem)
         if self.init_mode not in (O.INIT_ZEROS, O.INIT_GAUSSIAN):
             raise ConfigError(f"init_mode: unknown value {self.init_mode!r}")
 
@@ -171,16 +327,16 @@ class ExperimentConfig:
         return asdict(self)
 
 
-def _largest_mode_table_bytes(cfg: ExperimentConfig) -> int:
+def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     """Bytes of the largest array of a torus GP run that grows with nonlocal_modes.
 
-    10000 is the size of the 2D ``_evaluation_grid`` and 2000 the default
-    count of ``solution.held_out_points``.
+    That is the mode exponentials (complex128) of the collocation, held-out
+    or grid points, or, with J5, the gram's mode features (float64).
     """
     n = cfg.nonlocal_modes
-    if cfg.problem == P.NONLOCAL_2D:
-        return max(8 * cfg.M * n * n, 16 * 10000 * n)
-    return 16 * max(cfg.M, 2000) * n
+    points = max(cfg.M, problem.n_held_out, math.prod(map(len, problem.grid_axes)))
+    features = 8 * cfg.M * n * n if K.J5 in problem.spec(cfg).m_operators else 0
+    return max(features, 16 * points * n)
 
 
 @dataclass
@@ -197,89 +353,19 @@ class RunResult:
     grid: np.ndarray
     initial_residual: float
     final_residual: float
-
-
-def build_problem(cfg: ExperimentConfig) -> P.ProblemSpec:
-    if cfg.problem == P.MFG_1D:
-        return P.make_1d_stationary(default_potential, default_drift, default_drift_dx)
-    if cfg.problem == P.NONLOCAL_2D:
-        return P.make_nonlocal_2d(cfg.nu)
-    return P.make_planning()
-
-
-def build_points(cfg: ExperimentConfig, spec: P.ProblemSpec) -> C.CollocationSet:
-    if spec.kind == P.PLANNING:
-        if cfg.grid_sampling:
-            return C.sample_planning_grid(cfg.n_interior, cfg.n_initial, cfg.n_terminal)
-        return C.sample_planning(cfg.seed, cfg.n_interior, cfg.n_initial, cfg.n_terminal)
-    if cfg.grid_sampling:
-        return C.sample_uniform_grid(spec.dim, cfg.M)
-    return C.sample_uniform_random(spec.dim, cfg.M, cfg.seed)
-
-
-def build_kernel(cfg: ExperimentConfig, spec: P.ProblemSpec) -> K.KernelSpec:
-    if spec.kind == P.MFG_1D:
-        return K.periodic_kernel_1d(cfg.sigma)
-    if spec.kind == P.NONLOCAL_2D:
-        return K.periodic_kernel_2d(cfg.sigma)
-    return K.anisotropic_kernel(cfg.sigma_space, cfg.sigma_time)
-
-
-def build_bases(cfg: ExperimentConfig, spec: P.ProblemSpec):
-    """Feature bases for u and m; random bases draw independently by default."""
-    if spec.kind == P.MFG_1D:
-        b = F.build_periodic_1d(cfg.N)
-        return b, b
-    if spec.kind == P.NONLOCAL_2D:
-        b = F.build_periodic_2d(cfg.N, full=cfg.full_basis_2d)
-        return b, b
-    s_u = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed)
-    b_u = F.sample_orthogonal_features(s_u, cfg.N)
-    if cfg.shared_features:
-        return b_u, b_u
-    s_m = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed + 1)
-    return b_u, F.sample_orthogonal_features(s_m, cfg.N)
-
-
-def _evaluation_grid(spec: P.ProblemSpec):
-    if spec.kind == P.MFG_1D:
-        return np.linspace(0.0, 1.0, 1000, endpoint=False)[:, None], "1000 uniform on [0,1)"
-    if spec.kind == P.NONLOCAL_2D:
-        g = np.arange(100) / 100.0
-        a, b = np.meshgrid(g, g, indexing="ij")
-        return np.stack([a.ravel(), b.ravel()], axis=1), "100x100 uniform on the torus"
-    t = np.linspace(0.0, 1.0, 64)
-    x = np.linspace(-P.SPACE_HALF_WIDTH, P.SPACE_HALF_WIDTH, 512)
-    a, b = np.meshgrid(t, x, indexing="ij")
-    return np.stack([a.ravel(), b.ravel()], axis=1), "64x512 uniform on [0,1]x[-2,2]"
+    u_grid: np.ndarray  # u and m on the evaluation grid
+    m_grid: np.ndarray
 
 
 def run_experiment(cfg: ExperimentConfig) -> RunResult:
     cfg.validate()
-    spec = build_problem(cfg)
-    pts = build_points(cfg, spec)
+    problem = PROBLEMS[cfg.problem]
+    spec = problem.spec(cfg)
+    pts = problem.points(cfg, spec)
     phi, psi = C.build_functionals(spec, pts)
-    timing_rows = []
-
-    if cfg.method == GP:
-        kernel = build_kernel(cfg, spec)
-        fac_u = L.build_gram_factor(kernel, phi, cfg.eta, cfg.nonlocal_modes)
-        fac_m = L.build_gram_factor(kernel, psi, cfg.eta, cfg.nonlocal_modes)
-        timing_rows.append(
-            (GP, pts.m_total, 0.0, fac_u.cholesky_seconds + fac_m.cholesky_seconds)
-        )
-    else:
-        basis_u, basis_m = build_bases(cfg, spec)
-        fac_u = L.qr_ridge_factor(L.assemble_feature_matrix(phi, basis_u), cfg.mu)
-        fac_m = L.qr_ridge_factor(L.assemble_feature_matrix(psi, basis_m), cfg.mu)
-        timing_rows.append(
-            (
-                FF,
-                pts.m_total,
-                fac_u.qr_seconds + fac_m.qr_seconds,
-                fac_u.cholesky_seconds + fac_m.cholesky_seconds,
-            )
-        )
+    method = METHODS[cfg.method](cfg, problem)
+    fac_u, fac_m = method.factor((phi, psi))
+    timing_rows = [(cfg.method, pts.m_total, *_factor_seconds((fac_u, fac_m)))]
 
     solver_cfg = O.SolverConfig(
         gamma=cfg.gamma,
@@ -292,45 +378,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     )
     system = O.MfgSystem(spec, pts, phi, psi, fac_u, fac_m, cfg.gamma, cfg.beta)
     state0 = O.init_state(phi, psi, spec.has_ergodic_constant, solver_cfg)
-    held = S.held_out_points(spec)
-    initial_residual = _held_out_residual(cfg, spec, state0, fac_u, fac_m, phi, psi, held)
+    held = S.held_out_points(spec, problem.n_held_out)
+    initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)
     state, history = O.gauss_newton_run(system, state0, solver_cfg)
 
-    if cfg.method == GP:
-        kernel = build_kernel(cfg, spec)
-        u_field, m_field, lam = S.gp_reconstruct(
-            state, fac_u, fac_m, kernel, phi, psi, cfg.nonlocal_modes
-        )
-    else:
-        u_field, m_field, lam = S.ff_reconstruct(state, fac_u, fac_m, basis_u, basis_m)
-
-    grid, grid_desc = _evaluation_grid(spec)
+    u_field, m_field, lam = method.reconstruct(state)
     final_residual = S.pde_residual_norm(u_field, m_field, lam, spec, held)
-
-    linf_u = linf_m = err_hbar = None
-    mass_error = 0.0
-    if spec.kind == P.MFG_1D:
-        exact = P.explicit_solution_1d(default_potential, default_drift)
-        linf_u = S.linf_error(u_field, lambda X: exact.u_star(X[:, 0]), grid)
-        linf_m = S.linf_error(m_field, lambda X: exact.m_star(X[:, 0]), grid)
-        err_hbar = abs(float(lam) - exact.h_bar_star)
-        mv = m_field(grid)
-        mass_error = abs(float(np.mean(mv)) - 1.0)
-    elif spec.kind == P.NONLOCAL_2D:
-        mv = m_field(grid)
-        mass_error = abs(float(np.mean(mv)) - 1.0)
-    else:
-        xq = np.linspace(-P.SPACE_HALF_WIDTH, P.SPACE_HALF_WIDTH, 512)
-        masses = S.mass_trace(m_field, (0.25, 0.5, 0.75), xq)
-        mass_error = float(max(abs(v - 1.0) for v in masses))
-
+    grid = problem.grid()
+    u_grid, m_grid = u_field(grid), m_field(grid)
     report = S.ErrorReport(
-        linf_u=linf_u,
-        linf_m=linf_m,
-        err_hbar=err_hbar,
+        **problem.metrics(m_field, lam, grid, u_grid, m_grid),
         residual_l2=final_residual,
-        mass_error=mass_error,
-        grid=grid_desc,
+        grid=problem.grid_desc,
     )
     return RunResult(
         config=cfg,
@@ -345,23 +404,13 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         grid=grid,
         initial_residual=initial_residual,
         final_residual=final_residual,
+        u_grid=u_grid,
+        m_grid=m_grid,
     )
 
 
-def _held_out_residual(cfg, spec, state, fac_u, fac_m, phi, psi, held):
-    if cfg.method == GP:
-        kernel = build_kernel(cfg, spec)
-        u0, m0, lam0 = S.gp_reconstruct(state, fac_u, fac_m, kernel, phi, psi, cfg.nonlocal_modes)
-    else:
-        basis_u, basis_m = build_bases(cfg, spec)
-        u0, m0, lam0 = S.ff_reconstruct(state, fac_u, fac_m, basis_u, basis_m)
-    return S.pde_residual_norm(u0, m0, lam0, spec, held)
-
-
 def export_solution_grid(result: RunResult, path) -> None:
-    grid = result.grid
-    uv = np.asarray(result.u_field(grid))
-    mv = np.asarray(result.m_field(grid))
+    grid, uv, mv = result.grid, result.u_grid, result.m_grid
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i}" for i in range(grid.shape[1])] + ["u", "m"])
@@ -387,22 +436,11 @@ def bench_precompute(problem: str, method: str, m_values, repeats: int = 5, cfg=
         run_cfg = ExperimentConfig.from_dict(
             {**base.to_dict(), "problem": problem, "method": method, "M": int(m)}
         )
-        spec = build_problem(run_cfg)
-        pts = build_points(run_cfg, spec)
-        phi, psi = C.build_functionals(spec, pts)
-        qrs, chols = [], []
-        for _ in range(max(1, repeats)):
-            if method == GP:
-                kernel = build_kernel(run_cfg, spec)
-                fu = L.build_gram_factor(kernel, phi, run_cfg.eta, run_cfg.nonlocal_modes)
-                fm = L.build_gram_factor(kernel, psi, run_cfg.eta, run_cfg.nonlocal_modes)
-                qrs.append(0.0)
-            else:
-                bu, bm = build_bases(run_cfg, spec)
-                fu = L.qr_ridge_factor(L.assemble_feature_matrix(phi, bu), run_cfg.mu)
-                fm = L.qr_ridge_factor(L.assemble_feature_matrix(psi, bm), run_cfg.mu)
-                qrs.append(fu.qr_seconds + fm.qr_seconds)
-            chols.append(fu.cholesky_seconds + fm.cholesky_seconds)
+        entry = PROBLEMS[run_cfg.problem]
+        spec = entry.spec(run_cfg)
+        funcs = C.build_functionals(spec, entry.points(run_cfg, spec))
+        runs = (METHODS[method](run_cfg, entry).factor(funcs) for _ in range(max(1, repeats)))
+        qrs, chols = zip(*map(_factor_seconds, runs))
         rows.append((method, int(m), float(np.median(qrs)), float(np.median(chols))))
     return rows
 
@@ -415,9 +453,8 @@ def compare_runs(r1: RunResult, r2: RunResult) -> dict:
         raise GridMismatch("runs target different problems")
     if r1.grid.shape != r2.grid.shape or not np.allclose(r1.grid, r2.grid):
         raise GridMismatch("runs use different evaluation grids")
-    grid = r1.grid
-    du = float(np.max(np.abs(np.asarray(r1.u_field(grid)) - np.asarray(r2.u_field(grid)))))
-    dm = float(np.max(np.abs(np.asarray(r1.m_field(grid)) - np.asarray(r2.m_field(grid)))))
+    du = float(np.max(np.abs(r1.u_grid - r2.u_grid)))
+    dm = float(np.max(np.abs(r1.m_grid - r2.m_grid)))
     out = {"linf_u_gap": du, "linf_m_gap": dm}
     if r1.lam is not None and r2.lam is not None:
         out["hbar_gap"] = abs(float(r1.lam) - float(r2.lam))

@@ -1,15 +1,18 @@
 """The three mean field game instances and the 1D closed-form solution.
 
-Each instance is described by ordered operator lists for the value function
-u and the density m, together with pointwise residual maps coupling the
-operator values.  The residual maps also expose their Jacobians in the
-operator values, which is what the Gauss-Newton linearization consumes.
+Each instance is one ``ProblemSpec``: its domain, ordered operator lists for
+the value function u and the density m, and its own residual functions
+coupling the operator values, which also give their Jacobians in the
+operator values for the Gauss-Newton linearization.  A new problem is one
+residual function and ``make_*`` constructor here plus one entry in
+``pipeline.PROBLEMS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -34,52 +37,127 @@ def gaussian_density(x, center, width=GAUSSIAN_WIDTH):
     return np.exp(-((x - center) ** 2) / (2.0 * width**2)) / (width * np.sqrt(2.0 * np.pi))
 
 
+# ---------------------------------------------------------------------------
+# interior residuals with analytic Jacobians, one function per problem; each
+# fills the zeroed arrays of interior_residual_batch
+
+def _mfg1d_residual(V, b, b_x, spec, X, U, M, lam, out):
+    R, dU, dM, dlam = out
+    xs = X[:, 0]
+    Vv = np.asarray(V(xs), dtype=float)
+    bv = np.asarray(b(xs), dtype=float)
+    bxv = np.asarray(b_x(xs), dtype=float)
+    z2, z3 = U[:, 1], U[:, 2]
+    rho1, rho2 = M[:, 0], M[:, 1]
+    expo = np.exp(Vv + 0.5 * z2**2 + bv * z2 - lam)
+    R[:, 0] = expo - rho1
+    dU[:, 0, 1] = (z2 + bv) * expo
+    dM[:, 0, 0] = -1.0
+    dlam[:, 0] = -expo
+    R[:, 1] = rho2 * (z2 + bv) + rho1 * (z3 + bxv)
+    dU[:, 1, 1] = rho2
+    dU[:, 1, 2] = rho1
+    dM[:, 1, 0] = z3 + bxv
+    dM[:, 1, 1] = z2 + bv
+
+
+def _nonlocal2d_residual(spec, X, U, M, lam, out):
+    R, dU, dM, dlam = out
+    nu = spec.nu
+    z2, z3, z4 = U[:, 1], U[:, 2], U[:, 3]
+    rho1, rho2, rho3, rho4, rho5 = (M[:, j] for j in range(5))
+    pot = (
+        np.sin(2.0 * np.pi * X[:, 0])
+        + np.sin(2.0 * np.pi * X[:, 1])
+        + np.cos(4.0 * np.pi * X[:, 0])
+    )
+    R[:, 0] = -nu * z4 + pot + z2**2 + z3**2 - rho5 - lam
+    dU[:, 0, 1] = 2.0 * z2
+    dU[:, 0, 2] = 2.0 * z3
+    dU[:, 0, 3] = -nu
+    dM[:, 0, 4] = -1.0
+    dlam[:, 0] = -1.0
+    R[:, 1] = -nu * rho4 - 2.0 * (rho2 * z2 + rho3 * z3 + rho1 * z4)
+    dU[:, 1, 1] = -2.0 * rho2
+    dU[:, 1, 2] = -2.0 * rho3
+    dU[:, 1, 3] = -2.0 * rho1
+    dM[:, 1, 0] = -2.0 * z4
+    dM[:, 1, 1] = -2.0 * z2
+    dM[:, 1, 2] = -2.0 * z3
+    dM[:, 1, 3] = -nu
+
+
+def _planning_residual(spec, X, U, M, lam, out):
+    R, dU, dM, _ = out
+    z2, z3, z4 = U[:, 1], U[:, 2], U[:, 3]
+    rho1, rho2, rho3 = M[:, 0], M[:, 1], M[:, 2]
+    R[:, 0] = -z2 + 0.5 * z3**2 - PLANNING_INTERACTION * rho1
+    dU[:, 0, 1] = -1.0
+    dU[:, 0, 2] = z3
+    dM[:, 0, 0] = -PLANNING_INTERACTION
+    R[:, 1] = rho3 - rho2 * z3 - rho1 * z4
+    dU[:, 1, 2] = -rho2
+    dU[:, 1, 3] = -rho1
+    dM[:, 1, 0] = -z4
+    dM[:, 1, 1] = -z3
+    dM[:, 1, 2] = 1.0
+
+
+# boundary residuals; see boundary_residual_batch
+
+def _no_boundary(spec, X, Mb):
+    n = np.atleast_2d(X).shape[0]
+    return np.zeros((n, 0)), np.zeros((n, 0, 0))
+
+
+def _pinned_density_boundary(spec, X, Mb):
+    """The density equals the initial and terminal Gaussians on t=0 and t=1."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Mb = np.atleast_2d(np.asarray(Mb, dtype=float))
+    t, x = X[:, 0], X[:, 1]
+    on0 = np.abs(t) < 1e-12
+    on1 = np.abs(t - 1.0) < 1e-12
+    if not np.all(on0 | on1):
+        raise NotOnBoundary("points must lie on the t=0 or t=1 slice")
+    target = np.where(on0, gaussian_density(x, INITIAL_CENTER), gaussian_density(x, TERMINAL_CENTER))
+    R = (Mb[:, 0] - target)[:, None]
+    dMb = np.ones((X.shape[0], 1, 1))
+    return R, dMb
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """A MFG instance: operator lists plus the pointwise residual coupling."""
 
     kind: str
-    dim: int
+    domain: tuple  # (low, high) along each axis
     u_operators: tuple
     m_operators: tuple
+    interior: Callable  # residual function, called by interior_residual_batch
+    boundary: Callable = _no_boundary  # called by boundary_residual_batch
     m_boundary_operators: tuple = ()
     has_ergodic_constant: bool = False
     normalize_u: bool = False
     normalize_m: bool = False
     density_mean: float = 1.0  # target for the mean-density normalization row
     nu: float = 0.0
-    V: Callable | None = None
-    b: Callable | None = None
-    b_x: Callable | None = None
 
     @property
-    def n_residual_components(self) -> int:
-        return 2
-
-    def _check_arity(self, u_vals, m_vals):
-        if len(u_vals) != len(self.u_operators):
-            raise ArityMismatch(
-                f"{len(u_vals)} u-values for {len(self.u_operators)} operators"
-            )
-        if len(m_vals) != len(self.m_operators):
-            raise ArityMismatch(
-                f"{len(m_vals)} m-values for {len(self.m_operators)} operators"
-            )
+    def dim(self) -> int:
+        return len(self.domain)
 
 
 def make_1d_stationary(V, b, b_x=None) -> ProblemSpec:
     """Stationary MFG on the 1D torus with Hamiltonian V + p^2/2 + b p."""
     return ProblemSpec(
         kind=MFG_1D,
-        dim=1,
+        domain=((0.0, 1.0),),
         u_operators=(K.ID, K.DX, K.DXX),
         m_operators=(K.ID, K.DX),
+        interior=partial(_mfg1d_residual, V, b, b_x),
         has_ergodic_constant=True,
         normalize_u=True,
         normalize_m=True,
-        V=V,
-        b=b,
-        b_x=b_x,
     )
 
 
@@ -87,9 +165,10 @@ def make_nonlocal_2d(nu: float) -> ProblemSpec:
     """Stationary MFG on the 2D torus coupled through (1 - Lap)^{-2} m."""
     return ProblemSpec(
         kind=NONLOCAL_2D,
-        dim=2,
+        domain=((0.0, 1.0), (0.0, 1.0)),
         u_operators=(K.ID, K.DX, K.DY, K.LAP),
         m_operators=(K.ID, K.DX, K.DY, K.LAP, K.J5),
+        interior=_nonlocal2d_residual,
         has_ergodic_constant=True,
         normalize_u=True,
         normalize_m=True,
@@ -101,9 +180,11 @@ def make_planning() -> ProblemSpec:
     """Time-dependent planning problem: density pinned at t=0 and t=1."""
     return ProblemSpec(
         kind=PLANNING,
-        dim=2,
+        domain=((0.0, 1.0), (-SPACE_HALF_WIDTH, SPACE_HALF_WIDTH)),
         u_operators=(K.ID, K.DT, K.DX, K.DXX),
         m_operators=(K.ID, K.DX, K.DT),
+        interior=_planning_residual,
+        boundary=_pinned_density_boundary,
         m_boundary_operators=(K.ID,),
         normalize_m=True,
         # each time slice integrates to one, so the space-time average of the
@@ -113,28 +194,7 @@ def make_planning() -> ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# Hamiltonians
-
-def hamiltonian(spec: ProblemSpec, x, p):
-    if spec.kind == MFG_1D:
-        p = float(np.asarray(p).reshape(()))
-        xv = float(np.asarray(x).reshape(()))
-        return float(spec.V(xv) + 0.5 * p**2 + spec.b(xv) * p)
-    if spec.kind == NONLOCAL_2D:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        p = np.asarray(p, dtype=float).reshape(-1)
-        return float(
-            np.sin(2.0 * np.pi * x[0])
-            + np.sin(2.0 * np.pi * x[1])
-            + np.cos(4.0 * np.pi * x[0])
-            + p @ p
-        )
-    p = np.asarray(p, dtype=float).reshape(-1)
-    return float(0.5 * (p @ p))
-
-
-# ---------------------------------------------------------------------------
-# batched interior residuals with analytic Jacobians
+# batched residuals
 
 def interior_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
     """Residuals and Jacobians at a batch of interior points.
@@ -151,117 +211,20 @@ def interior_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
             f"value shapes {U.shape[1]}/{M.shape[1]} do not match operator "
             f"counts {len(spec.u_operators)}/{len(spec.m_operators)}"
         )
-    R = np.zeros((n, 2))
-    dU = np.zeros((n, 2, U.shape[1]))
-    dM = np.zeros((n, 2, M.shape[1]))
-    dlam = np.zeros((n, 2))
-
-    if spec.kind == MFG_1D:
-        xs = X[:, 0]
-        Vv = np.asarray(spec.V(xs), dtype=float)
-        bv = np.asarray(spec.b(xs), dtype=float)
-        bxv = np.asarray(spec.b_x(xs), dtype=float)
-        z2, z3 = U[:, 1], U[:, 2]
-        rho1, rho2 = M[:, 0], M[:, 1]
-        expo = np.exp(Vv + 0.5 * z2**2 + bv * z2 - lam)
-        R[:, 0] = expo - rho1
-        dU[:, 0, 1] = (z2 + bv) * expo
-        dM[:, 0, 0] = -1.0
-        dlam[:, 0] = -expo
-        R[:, 1] = rho2 * (z2 + bv) + rho1 * (z3 + bxv)
-        dU[:, 1, 1] = rho2
-        dU[:, 1, 2] = rho1
-        dM[:, 1, 0] = z3 + bxv
-        dM[:, 1, 1] = z2 + bv
-    elif spec.kind == NONLOCAL_2D:
-        nu = spec.nu
-        z2, z3, z4 = U[:, 1], U[:, 2], U[:, 3]
-        rho1, rho2, rho3, rho4, rho5 = (M[:, j] for j in range(5))
-        pot = (
-            np.sin(2.0 * np.pi * X[:, 0])
-            + np.sin(2.0 * np.pi * X[:, 1])
-            + np.cos(4.0 * np.pi * X[:, 0])
-        )
-        R[:, 0] = -nu * z4 + pot + z2**2 + z3**2 - rho5 - lam
-        dU[:, 0, 1] = 2.0 * z2
-        dU[:, 0, 2] = 2.0 * z3
-        dU[:, 0, 3] = -nu
-        dM[:, 0, 4] = -1.0
-        dlam[:, 0] = -1.0
-        R[:, 1] = -nu * rho4 - 2.0 * (rho2 * z2 + rho3 * z3 + rho1 * z4)
-        dU[:, 1, 1] = -2.0 * rho2
-        dU[:, 1, 2] = -2.0 * rho3
-        dU[:, 1, 3] = -2.0 * rho1
-        dM[:, 1, 0] = -2.0 * z4
-        dM[:, 1, 1] = -2.0 * z2
-        dM[:, 1, 2] = -2.0 * z3
-        dM[:, 1, 3] = -nu
-    elif spec.kind == PLANNING:
-        z2, z3, z4 = U[:, 1], U[:, 2], U[:, 3]
-        rho1, rho2, rho3 = M[:, 0], M[:, 1], M[:, 2]
-        R[:, 0] = -z2 + 0.5 * z3**2 - PLANNING_INTERACTION * rho1
-        dU[:, 0, 1] = -1.0
-        dU[:, 0, 2] = z3
-        dM[:, 0, 0] = -PLANNING_INTERACTION
-        R[:, 1] = rho3 - rho2 * z3 - rho1 * z4
-        dU[:, 1, 2] = -rho2
-        dU[:, 1, 3] = -rho1
-        dM[:, 1, 0] = -z4
-        dM[:, 1, 1] = -z3
-        dM[:, 1, 2] = 1.0
-    else:
-        raise ValueError(f"unknown problem kind {spec.kind!r}")
-    return R, dU, dM, dlam
-
-
-def interior_residual(spec: ProblemSpec, x, u_vals, m_vals, lam: float):
-    """Residual vector at a single point; see interior_residual_batch."""
-    spec._check_arity(u_vals, m_vals)
-    R, _, _, _ = interior_residual_batch(
-        spec,
-        np.asarray(x, dtype=float).reshape(1, -1),
-        np.asarray(u_vals, dtype=float).reshape(1, -1),
-        np.asarray(m_vals, dtype=float).reshape(1, -1),
-        lam,
-    )
-    return R[0]
+    q, d = U.shape[1], M.shape[1]
+    out = np.zeros((n, 2)), np.zeros((n, 2, q)), np.zeros((n, 2, d)), np.zeros((n, 2))
+    spec.interior(spec, X, U, M, lam, out)
+    return out
 
 
 def boundary_residual_batch(spec: ProblemSpec, X, Mb):
     """Boundary residuals: linear in the density value, Jacobian is 1.
 
     X is (n, 2) points on the t=0 or t=1 slice, Mb is (n, D_b) boundary
-    operator values.  Returns (R, dMb) of shapes (n, 1) and (n, 1, D_b).
+    operator values.  Returns (R, dMb) of shapes (n, 1) and (n, 1, D_b);
+    both have no columns on the torus problems, which have no boundary.
     """
-    if spec.kind != PLANNING:
-        return np.zeros((0, 0)), np.zeros((0, 0, 0))
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Mb = np.atleast_2d(np.asarray(Mb, dtype=float))
-    t, x = X[:, 0], X[:, 1]
-    on0 = np.abs(t) < 1e-12
-    on1 = np.abs(t - 1.0) < 1e-12
-    if not np.all(on0 | on1):
-        raise NotOnBoundary("points must lie on the t=0 or t=1 slice")
-    target = np.where(on0, gaussian_density(x, INITIAL_CENTER), gaussian_density(x, TERMINAL_CENTER))
-    R = (Mb[:, 0] - target)[:, None]
-    dMb = np.ones((X.shape[0], 1, 1))
-    return R, dMb
-
-
-def boundary_residual(spec: ProblemSpec, x, u_vals, m_vals):
-    """Single-point boundary residual; empty for the torus problems."""
-    if spec.kind != PLANNING:
-        return np.zeros(0)
-    if len(m_vals) != len(spec.m_boundary_operators):
-        raise ArityMismatch(
-            f"{len(m_vals)} boundary m-values for {len(spec.m_boundary_operators)} operators"
-        )
-    R, _ = boundary_residual_batch(
-        spec,
-        np.asarray(x, dtype=float).reshape(1, -1),
-        np.asarray(m_vals, dtype=float).reshape(1, -1),
-    )
-    return R[0]
+    return spec.boundary(spec, X, Mb)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .collocation import FunctionalSet
 from .errors import EmptyGrid
 from .linsys import FeatureFactor, GramFactor, ridge_coefficients
 from .optimizer import SolverState
-from .problems import SPACE_HALF_WIDTH, PLANNING, ProblemSpec, interior_residual_batch
+from .problems import ProblemSpec, interior_residual_batch
 
 
 @dataclass(frozen=True)
@@ -49,17 +49,22 @@ class GpField:
             w = K.mode_weights(self.kernel, self.funcs, self.coeffs, self.nonlocal_modes)
             object.__setattr__(self, "weights", w)
 
-    def eval_op(self, op: str, X) -> np.ndarray:
+    def eval_ops(self, ops, X) -> np.ndarray:
+        """One column per operator in ``ops``, from one table per point set."""
         if self.weights is not None:
-            return K.eval_mode_weights(self.kernel, self.weights, op, X)
+            return K.eval_mode_weights(self.kernel, self.weights, ops, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.zeros(X.shape[0])
+        out = np.zeros((X.shape[0], len(ops)))
         for (tag, pts, _), sl in zip(self.funcs.blocks, self.funcs.slices):
             if pts.shape[0] == 0:
                 continue
-            block = K.pairwise_op_matrix(self.kernel, op, tag, X, pts, self.nonlocal_modes)
-            out += block @ self.coeffs[sl]
+            tables = K.CrossTables(self.kernel, X, pts, ops, (tag,), self.nonlocal_modes)
+            for j, op in enumerate(ops):
+                out[:, j] += tables.op_matrix(op, tag) @ self.coeffs[sl]
         return out
+
+    def eval_op(self, op: str, X) -> np.ndarray:
+        return self.eval_ops((op,), X)[:, 0]
 
     def __call__(self, X) -> np.ndarray:
         return self.eval_op(K.ID, X)
@@ -72,8 +77,13 @@ class FfField:
     coeffs: np.ndarray
     basis: F.FeatureBasis
 
+    def eval_ops(self, ops, X) -> np.ndarray:
+        """One column per operator in ``ops``, from one sin/cos table of X."""
+        mats = F.eval_feature_ops(self.basis, ops, X)
+        return np.stack([a @ self.coeffs for a in mats], axis=1)
+
     def eval_op(self, op: str, X) -> np.ndarray:
-        return F.eval_feature_op(self.basis, op, X) @ self.coeffs
+        return self.eval_ops((op,), X)[:, 0]
 
     def __call__(self, X) -> np.ndarray:
         return self.eval_op(K.ID, X)
@@ -105,31 +115,27 @@ def ff_reconstruct(
     return FfField(alpha, basis_u), FfField(beta, basis_m), state.lam
 
 
-def linf_error(field, reference, grid) -> float:
+def linf_error(values, reference, grid) -> float:
+    """Sup-norm gap between field values on a grid and ``reference`` there."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.shape[0] == 0:
         raise EmptyGrid("evaluation grid is empty")
-    fv = np.asarray(field(grid), dtype=float)
+    fv = np.asarray(values, dtype=float)
     rv = np.asarray(reference(grid), dtype=float)
     return float(np.max(np.abs(fv - rv)))
 
 
 def held_out_points(spec: ProblemSpec, n: int = 2000, seed: int = 987654321) -> np.ndarray:
-    """Seed-fixed uniform points disjoint (a.s.) from any training lattice."""
-    rng = np.random.default_rng(seed)
-    if spec.dim == 1:
-        return rng.random((n, 1))
-    pts = rng.random((n, 2))
-    if spec.kind == PLANNING:
-        pts[:, 1] = (pts[:, 1] * 2.0 - 1.0) * SPACE_HALF_WIDTH
-    return pts
+    """Seed-fixed uniform points on the spec's domain, disjoint (a.s.) from any training lattice."""
+    lo, hi = np.array(spec.domain, dtype=float).T
+    return lo + np.random.default_rng(seed).random((n, spec.dim)) * (hi - lo)
 
 
 def pde_residual_norm(u_field, m_field, lam, spec: ProblemSpec, test_points) -> float:
     """RMS over test points of the interior residual vector norm."""
     X = np.atleast_2d(np.asarray(test_points, dtype=float))
-    U = np.stack([u_field.eval_op(op, X) for op in spec.u_operators], axis=1)
-    M = np.stack([m_field.eval_op(op, X) for op in spec.m_operators], axis=1)
+    U = u_field.eval_ops(spec.u_operators, X)
+    M = m_field.eval_ops(spec.m_operators, X)
     R, _, _, _ = interior_residual_batch(spec, X, U, M, lam or 0.0)
     return float(np.sqrt(np.mean(np.sum(R**2, axis=1))))
 
@@ -156,12 +162,4 @@ class ErrorReport:
     grid: str
 
     def to_json(self) -> str:
-        payload = {
-            "err_hbar": self.err_hbar,
-            "grid": self.grid,
-            "linf_m": self.linf_m,
-            "linf_u": self.linf_u,
-            "mass_error": self.mass_error,
-            "residual_l2": self.residual_l2,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)

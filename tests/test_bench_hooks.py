@@ -1,0 +1,61 @@
+"""The benchmark's layer wrappers (perfbench/tracing.py) still bind.
+
+``install_layer_wrappers`` patches package functions process-wide, so each
+run happens in a fresh subprocess: it installs the wrappers, calls
+``cli.main(["run", ...])`` on a tiny config and prints the span names it
+recorded.  A renamed or bypassed entry point shows up as a missing span.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+import json, sys
+sys.path.insert(0, sys.argv[3])
+from tracing import Tracer, install_layer_wrappers
+from mfgsolvers import cli
+tracer = Tracer("hooks")
+install_layer_wrappers(tracer)
+code = cli.main(["run", sys.argv[1], "--output-dir", sys.argv[2]])
+print(json.dumps({"code": code, "names": sorted({s["name"] for s in tracer.spans})}))
+"""
+
+SPANS = {
+    "problems.residual", "linsys.assemble", "linsys.factor", "optimizer.gauss_newton",
+    "optimizer.inner_solve", "optimizer.loss", "lapack.inner_cho", "solution.reconstruct",
+    "solution.heldout_residual", "solution.eval", "pipeline.export_grid",
+    "collocation.build_functionals",
+}
+
+CONFIGS = {
+    "mfg1d_gp": {"problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2},
+    "mfg1d_ff": {"problem": "mfg1d", "method": "ff", "M": 32, "N": 6, "beta": 1e6, "max_iters": 2},
+    "planning_gp": {
+        "problem": "planning", "method": "gp", "n_interior": 60, "n_initial": 10,
+        "n_terminal": 10, "gamma": 1e4, "beta": 1e6, "alpha": 0.2, "max_iters": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_layer_wrappers_record_every_span(name, tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CONFIGS[name]), encoding="utf-8")
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT, str(cfg), str(tmp_path / "out"), str(ROOT / "perfbench")],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["code"] == 0
+    want = SPANS | ({"features.eval"} if CONFIGS[name]["method"] == "ff" else set())
+    assert not want - set(result["names"]), f"missing spans: {sorted(want - set(result['names']))}"

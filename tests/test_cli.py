@@ -5,7 +5,7 @@ import json
 import pytest
 
 from mfgsolvers import cli
-from mfgsolvers.errors import NonFiniteObjective, NotPositiveDefinite
+from mfgsolvers.errors import BadCount, NonFiniteObjective, NotPositiveDefinite
 
 
 TINY = {
@@ -95,6 +95,51 @@ def test_non_finite_objective_exits_3(tmp_path, monkeypatch):
     )
     cfg = _write_config(tmp_path, TINY)
     assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL
+
+
+def test_other_package_errors_exit_3_on_one_line(tmp_path, capsys, monkeypatch):
+    import mfgsolvers.pipeline as PL
+
+    monkeypatch.setattr(PL, "run_experiment", lambda cfg: (_ for _ in ()).throw(BadCount("odd")))
+    cfg = _write_config(tmp_path, TINY)
+    assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "BadCount: odd" in err
+
+
+def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, TINY)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("", encoding="utf-8")
+    assert cli.main(["run", cfg, "--output-dir", str(blocker)]) == cli.EXIT_CONFIG
+    assert "--output-dir:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["compare", "bench-precompute"])
+def test_output_file_in_missing_dir_exits_2_before_running(command, tmp_path, capsys, monkeypatch):
+    import mfgsolvers.pipeline as PL
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output path was checked")
+
+    monkeypatch.setattr(PL, "run_experiment", never)
+    monkeypatch.setattr(PL, "bench_precompute", never)
+    cfg = _write_config(tmp_path, TINY)
+    target = str(tmp_path / "missing" / "out.csv")
+    argv = {
+        "compare": ["compare", cfg, cfg, "--output", target],
+        "bench-precompute": ["bench-precompute", "--m-values", "32", "--output", target],
+    }[command]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--output:" in capsys.readouterr().err
+
+
+def test_bench_rejects_m_values_for_planning(tmp_path, capsys):
+    argv = ["bench-precompute", "--problem", "planning", "--m-values", "16",
+            "--output", str(tmp_path / "t.csv")]
+    assert cli.main(argv) == cli.EXIT_CONFIG
+    assert "--problem:" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_thread_cap_applied(monkeypatch):

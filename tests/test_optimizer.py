@@ -143,7 +143,6 @@ def test_gauss_newton_descends_on_the_1d_problem():
     state, hist = O.gauss_newton_run(system, state0, cfg)
     assert len(hist.total) == 9
     assert hist.total[-1] < hist.total[0]
-    assert O.objective(state, system) == pytest.approx(hist.total[-1])
 
 
 def test_gauss_newton_debug_mode_checks_inner_solve():

@@ -104,32 +104,33 @@ def test_build_helpers_dispatch_by_problem():
     c1 = PL.ExperimentConfig(problem="mfg1d")
     c2 = PL.ExperimentConfig(problem="nonlocal2d", nu=0.7)
     c3 = PL.ExperimentConfig(problem="planning")
-    s1, s2, s3 = (PL.build_problem(c) for c in (c1, c2, c3))
+    s1, s2, s3 = (PL.PROBLEMS[c.problem].spec(c) for c in (c1, c2, c3))
     assert (s1.kind, s2.kind, s3.kind) == ("mfg1d", "nonlocal2d", "planning")
     assert s2.nu == 0.7
-    assert PL.build_kernel(c1, s1).family == "periodic1d"
-    assert PL.build_kernel(c2, s2).family == "periodic2d"
-    assert PL.build_kernel(c3, s3).family == "anisotropic_se"
+    assert PL.PROBLEMS["mfg1d"].kernel(c1).family == "periodic1d"
+    assert PL.PROBLEMS["nonlocal2d"].kernel(c2).family == "periodic2d"
+    assert PL.PROBLEMS["planning"].kernel(c3).family == "anisotropic_se"
 
 
 def test_build_points_respects_sampling_mode():
     cfg_grid = PL.ExperimentConfig(M=16)
     cfg_rand = PL.ExperimentConfig(M=16, grid_sampling=False, seed=3)
-    spec = PL.build_problem(cfg_grid)
-    g = PL.build_points(cfg_grid, spec)
-    r = PL.build_points(cfg_rand, spec)
+    problem = PL.PROBLEMS[cfg_grid.problem]
+    spec = problem.spec(cfg_grid)
+    g = problem.points(cfg_grid, spec)
+    r = problem.points(cfg_rand, spec)
     np.testing.assert_allclose(g.interior[:, 0], np.arange(16) / 16.0)
     assert not np.allclose(g.interior, r.interior)
 
 
 def test_build_bases_random_pair_independent_unless_shared():
     cfg = PL.ExperimentConfig(problem="planning", N=6, seed=9)
-    spec = PL.build_problem(cfg)
-    bu, bm = PL.build_bases(cfg, spec)
+    problem = PL.PROBLEMS["planning"]
+    bu, bm = problem.bases(cfg)
     assert bu.count == 12 and bm.count == 12
     assert not np.array_equal(bu.frequencies, bm.frequencies)
     cfg2 = PL.ExperimentConfig(problem="planning", N=6, seed=9, shared_features=True)
-    bu2, bm2 = PL.build_bases(cfg2, spec)
+    bu2, bm2 = problem.bases(cfg2)
     np.testing.assert_array_equal(bu2.frequencies, bm2.frequencies)
 
 

@@ -30,20 +30,14 @@ def test_explicit_solution_satisfies_pde_pointwise():
     exact = P.explicit_solution_1d(default_potential, default_drift)
     rng = np.random.default_rng(3)
     xs = rng.random(200)
-    worst = 0.0
-    for x in xs:
-        # closed-form operator values of the pair at x
-        ux = exact.u_x_star(x)
-        # u'' = -b'(x)
-        uxx = -default_drift_dx(x)
-        m = exact.m_star(x)
-        # m' = (V' - b b') m
-        vp = np.pi * np.cos(np.pi * x)
-        mp = (vp - default_drift(x) * default_drift_dx(x)) * m
-        r = P.interior_residual(
-            SPEC_1D, [x], [exact.u_star(x), ux, uxx], [m, mp], exact.h_bar_star
-        )
-        worst = max(worst, float(np.max(np.abs(r))))
+    # closed-form operator values of the pair at xs; u'' = -b' and m' = (V' - b b') m
+    m = exact.m_star(xs)
+    mp = (np.pi * np.cos(np.pi * xs) - default_drift(xs) * default_drift_dx(xs)) * m
+    U = np.stack([exact.u_star(xs), exact.u_x_star(xs), -default_drift_dx(xs)], axis=1)
+    R, _, _, _ = P.interior_residual_batch(
+        SPEC_1D, xs[:, None], U, np.stack([m, mp], axis=1), exact.h_bar_star
+    )
+    worst = float(np.max(np.abs(R)))
     assert worst < 1e-10, f"closed-form residual {worst:.3e}"
 
 
@@ -104,7 +98,7 @@ def test_interior_jacobians_match_finite_differences(case, seed):
 
 def test_arity_mismatch_raises():
     with pytest.raises(ArityMismatch):
-        P.interior_residual(SPEC_1D, [0.1], [0.0, 0.0], [1.0, 0.0], 0.0)
+        P.interior_residual_batch(SPEC_1D, [[0.1]], [[0.0, 0.0]], [[1.0, 0.0]], 0.0)
     with pytest.raises(ArityMismatch):
         P.interior_residual_batch(SPEC_2D, np.zeros((1, 2)), np.zeros((1, 3)), np.ones((1, 5)), 0.0)
 
@@ -131,7 +125,8 @@ def test_boundary_rejects_interior_points():
 def test_boundary_empty_for_torus_problems():
     R, dMb = P.boundary_residual_batch(SPEC_1D, np.zeros((0, 2)), np.zeros((0, 1)))
     assert R.size == 0
-    assert P.boundary_residual(SPEC_1D, [0.1], [], []).size == 0
+    R, _ = P.boundary_residual_batch(SPEC_1D, [[0.1]], np.zeros((1, 0)))
+    assert R.size == 0
 
 
 def test_gaussian_density_normalization():
@@ -139,12 +134,3 @@ def test_gaussian_density_normalization():
     mass = np.trapezoid(P.gaussian_density(x, 0.5), x)
     assert mass == pytest.approx(1.0, abs=1e-10)
 
-
-def test_hamiltonian_forms():
-    assert P.hamiltonian(SPEC_PL, [0.3, 0.1], [2.0]) == pytest.approx(2.0)
-    x = [0.25, 0.0]
-    v = P.hamiltonian(SPEC_2D, x, [0.0, 0.0])
-    assert v == pytest.approx(np.sin(np.pi / 2) + 0.0 + np.cos(np.pi), abs=1e-12)
-    assert P.hamiltonian(SPEC_1D, [0.0], [1.0]) == pytest.approx(
-        default_potential(0.0) + 0.5 + default_drift(0.0)
-    )

@@ -92,10 +92,11 @@ def test_linf_error_and_empty_grid():
     basis = F.build_periodic_1d(2)
     f = S.FfField(np.zeros(basis.count), basis)
     grid = np.linspace(0, 1, 50)[:, None]
-    err = S.linf_error(f, lambda X: np.sin(2 * np.pi * X[:, 0]), grid)
+    err = S.linf_error(f(grid), lambda X: np.sin(2 * np.pi * X[:, 0]), grid)
     assert err == pytest.approx(1.0, abs=1e-3)
+    empty = np.zeros((0, 1))
     with pytest.raises(EmptyGrid):
-        S.linf_error(f, lambda X: X[:, 0], np.zeros((0, 1)))
+        S.linf_error(f(empty), lambda X: X[:, 0], empty)
 
 
 def test_held_out_points_deterministic_and_in_domain():
@@ -122,6 +123,9 @@ def test_residual_norm_of_flat_state_is_one_for_flat_potential():
         def eval_op(self, op, X):
             X = np.atleast_2d(X)
             return np.full(X.shape[0], self.c if op == K.ID else 0.0)
+
+        def eval_ops(self, ops, X):
+            return np.stack([self.eval_op(op, X) for op in ops], axis=1)
 
         def __call__(self, X):
             return self.eval_op(K.ID, X)
