@@ -10,8 +10,9 @@ The environment variable MFG_THREADS caps the BLAS/OpenMP worker count; it
 must be applied before the numeric libraries load, so the heavy imports
 happen inside main().
 
-Exit codes: 0 success; 2 a bad config or flag (output paths are checked before
-anything runs), naming it; 3 a numerical failure or any other ``MfgError``.
+Exit codes: 0 success; 2 a bad config or flag (output paths, and whether the
+two ``compare`` configs name one problem, are checked before anything runs),
+naming it; 3 a numerical failure or any other ``MfgError``.
 """
 
 from __future__ import annotations
@@ -84,17 +85,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .errors import ConfigError
-    from .pipeline import PROBLEMS, ExperimentConfig, bench_precompute, export_timing
+    from .pipeline import ExperimentConfig, bench_precompute, export_timing, sized_by_m_problem
 
     try:
         m_values = [int(v) for v in args.m_values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--m-values: {exc}") from exc
-    if args.problem in PROBLEMS and not PROBLEMS[args.problem].sized_by_M:
-        raise ConfigError(
-            f"--problem: {args.problem} takes its sample count from n_interior, n_initial "
-            "and n_terminal, so --m-values does not set it"
-        )
+    sized_by_m_problem(args.problem, "--problem")
     _check_output_file(args.output, "--output")
     base = _load_config(args.config) if args.config else ExperimentConfig()
     rows = bench_precompute(args.problem, args.method, m_values, args.repeats, base)
@@ -105,10 +102,15 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .errors import ConfigError
     from .pipeline import compare_runs, run_experiment
 
     cfg1 = _load_config(args.config1)
     cfg2 = _load_config(args.config2)
+    if cfg1.problem != cfg2.problem:
+        raise ConfigError(
+            f"problem: the configs name different problems ({cfg1.problem} and {cfg2.problem})"
+        )
     if args.output:
         _check_output_file(args.output, "--output")
     r1 = run_experiment(cfg1)

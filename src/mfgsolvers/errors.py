@@ -46,7 +46,7 @@ class NotPositiveDefinite(MfgError):
 
 
 class SingularNormalEquations(MfgError):
-    """The linearized inner problem is singular; penalties too small."""
+    """The linearized inner problem is singular (penalties too small) or not finite."""
 
 
 class NonFiniteObjective(MfgError):

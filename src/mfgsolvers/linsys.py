@@ -1,9 +1,16 @@
 """Gram/feature matrix assembly and the cached factorizations.
 
 The GP path regularizes the gram matrix with a block-diagonal nugget and
-keeps its Cholesky factor; the FF path keeps a thin-QR factorization of the
-feature matrix so that (A A^T + mu I)^{-1} only ever requires factoring the
-small feature-count core R1 R1^T + mu I.
+keeps its Cholesky factor; the FF path keeps a thin SVD of the feature
+matrix, so that (A A^T + mu I)^{-1} is applied spectrally and no matrix the
+size of the functional count is factored.  Each factor also applies its
+quadratic form and forms the residual-space products A P^{-1} A^T of the
+dense inner step (``cross``).
+
+The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
+S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
+S in time linear in its rows and ``low_rank_update_solve`` takes a thin SVD
+of the whitened r x k matrix L^{-1} U, so nothing larger than r x k is formed.
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
@@ -76,6 +83,7 @@ class GramFactor:
     """Cholesky factor of the nugget-regularized gram matrix."""
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
+    features = None  # no feature matrix: P^{-1} is the n x n gram itself
     regularized: np.ndarray
     chol: np.ndarray  # lower triangular
     eta: float
@@ -94,7 +102,8 @@ class GramFactor:
     def solve(self, v):
         """(Theta + eta R)^{-1} v."""
         self._check(v)
-        return scipy.linalg.cho_solve((self.chol, True), v)
+        # the factor was checked once, by cholesky_factor
+        return scipy.linalg.cho_solve((self.chol, True), v, check_finite=False)
 
     def inv_quadratic_apply(self, v):
         """The inverse of the quadratic-form matrix, i.e. (Theta + eta R) v itself."""
@@ -103,8 +112,17 @@ class GramFactor:
 
     def quadratic_form(self, v) -> float:
         self._check(v)
-        y = scipy.linalg.solve_triangular(self.chol, v, lower=True)
+        y = scipy.linalg.solve_triangular(self.chol, v, lower=True, check_finite=False)
         return float(y @ y)
+
+    def cross(self, A_blk):
+        """A P^{-1} A^T for a sparse row block A, and y -> P^{-1} A^T y."""
+        M1 = A_blk @ self.regularized  # (rows, n)
+
+        def apply_t(y):
+            return M1.T @ y
+
+        return A_blk @ M1.T, apply_t
 
 
 def cholesky_factor(
@@ -185,6 +203,25 @@ class FeatureFactor:
     def rows(self) -> int:
         return self.A.shape[0]
 
+    @property
+    def features(self) -> np.ndarray:
+        """The feature matrix A: P^{-1} = A A^T + mu I."""
+        return self.A
+
+    def solve(self, v):
+        """(A A^T + mu I)^{-1} v, the quadratic-form matrix applied to v."""
+        return apply_qr_inverse(self, v)
+
+    def cross(self, A_blk):
+        """A_blk P^{-1} A_blk^T for a sparse row block, and y -> P^{-1} A_blk^T y."""
+        G = A_blk @ self.A  # (rows, n_feat)
+        B = G @ G.T + self.mu * (A_blk @ A_blk.T).toarray()
+
+        def apply_t(y):
+            return self.A @ (G.T @ y) + self.mu * (A_blk.T @ y)
+
+        return B, apply_t
+
     def inv_quadratic_apply(self, v):
         """(A A^T + mu I) v, the inverse of the quadratic-form matrix."""
         if np.shape(v)[0] != self.rows:
@@ -252,3 +289,90 @@ def ridge_coefficients(f: FeatureFactor, v):
     w = f.q1.T @ v
     return f.v1 @ (w * f.sing / (f.sing**2 + f.mu))
 
+
+# ---------------------------------------------------------------------------
+# point-local matrices plus a low-rank term: the feature-side inner solve
+
+
+class ArrowCholesky:
+    """Cholesky factor L of S = [[D, C], [C^T, E]], D block diagonal in point blocks.
+
+    D is given as groups of (n, p, p) blocks, one p x p block per point, its
+    rows point-major and the groups in order; C (rows of D x k_e) couples
+    them to k_e trailing dense rows whose own block is E.  Factoring costs
+    O(n p^3) for D plus O(rows k_e^2) for the arrow; a block that is not
+    positive definite raises ``numpy.linalg.LinAlgError``.
+    """
+
+    def __init__(self, groups, C: np.ndarray, E: np.ndarray):
+        # inverse lower Cholesky factor of each point block
+        self.inv = [np.linalg.inv(np.linalg.cholesky(g)) for g in groups]
+        self.n_d = sum(g.shape[0] * g.shape[1] for g in groups)
+        self.G = self._block_apply(C, transpose=False)  # L_D^{-1} C
+        self.L_e = np.linalg.cholesky(E - self.G.T @ self.G)
+
+    def _block_apply(self, X, transpose: bool):
+        """L_D^{-1} X, or L_D^{-T} X, for X with the rows of D."""
+        out, lo = [], 0
+        for inv in self.inv:
+            n, p, _ = inv.shape
+            Xg = X[lo : lo + n * p].reshape(n, p, -1)
+            Og = (inv.transpose(0, 2, 1) if transpose else inv) @ Xg
+            out.append(Og.reshape(n * p, *X.shape[1:]))
+            lo += n * p
+        return np.concatenate(out)
+
+    def solve_l(self, X):
+        """L^{-1} X for X with the rows of S (a vector or a matrix)."""
+        top = self._block_apply(X[: self.n_d], transpose=False)
+        bottom = X[self.n_d :] - self.G.T @ top
+        if bottom.shape[0]:
+            bottom = scipy.linalg.solve_triangular(self.L_e, bottom, lower=True, check_finite=False)
+        return np.concatenate([top, bottom])
+
+    def solve_lt(self, X):
+        """L^{-T} X for X with the rows of S (a vector or a matrix)."""
+        bottom = X[self.n_d :]
+        if bottom.shape[0]:
+            bottom = scipy.linalg.solve_triangular(
+                self.L_e, bottom, lower=True, trans="T", check_finite=False
+            )
+        top = self._block_apply(X[: self.n_d] - self.G @ bottom, transpose=True)
+        return np.concatenate([top, bottom])
+
+
+def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
+    """y = (S + U U^T)^{-1} c and U^T y, with S = L L^T and U of size r x k, k < r.
+
+    With V = L^{-1} U = Q diag(s) Z^T (thin SVD) and x = L^{-1} c,
+    y = L^{-T} [(I - Q Q^T) x + Q (I + s^2)^{-1} Q^T x] and
+    U^T y = Z s (I + s^2)^{-1} Q^T x, read in the factored basis so the
+    complement term never enters it.  The SVD is taken as V = H R (Householder
+    QR, H kept as reflectors) and R = Q_R diag(s) Z^T, so Q = H Q_R is only
+    ever applied, never formed.  Costs O(r k^2).  A non-finite V, x or y
+    raises ``FloatingPointError``; an SVD that does not converge raises
+    ``numpy.linalg.LinAlgError``.
+    """
+    V = chol.solve_l(U)
+    x = chol.solve_l(c)
+    if not (np.all(np.isfinite(V)) and np.all(np.isfinite(x))):
+        raise FloatingPointError("the whitened inner system is not finite")
+    k = V.shape[1]
+    (h, tau), R = scipy.linalg.qr(V, mode="raw", check_finite=False)
+    q_r, s, zt = np.linalg.svd(R)
+    hx = _reflect(h, tau, x, "T")  # H^T x: its first k entries are x's coordinates in range(V)
+    t = q_r.T @ hx[:k]
+    s2 = s * s
+    hx[:k] -= q_r @ (t * s2 / (1.0 + s2))
+    y = chol.solve_lt(_reflect(h, tau, hx, "N"))
+    if not np.all(np.isfinite(y)):
+        raise FloatingPointError("the inner solve is not finite")
+    return y, zt.T @ (t * s / (1.0 + s2))
+
+
+def _reflect(h, tau, v, trans: str):
+    """H^T v (trans "T") or H v (trans "N") for the reflectors of a raw QR."""
+    out, _, info = scipy.linalg.lapack.dormqr("L", trans, h, tau, v[:, None], lwork=1)
+    if info:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return out[:, 0]

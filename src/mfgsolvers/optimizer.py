@@ -11,10 +11,18 @@ linearized rows, W the row weights and c the linearized targets,
     theta_hat = P^{-1} A^T (W^{-1} + A P^{-1} A^T)^{-1} c,
 
 which is algebraically the solution of the dense normal equations
-(P + A^T W A) theta_hat = A^T W c but only ever factors a matrix of size
-equal to the number of residual rows.  Crucially P^{-1} is cheap on both
+(P + A^T W A) theta_hat = A^T W c but only ever factors a matrix whose size
+is the smaller of rows and features.  Crucially P^{-1} is cheap on both
 paths: it is the regularized gram matrix itself for the GP quadratic form
 and A_feat A_feat^T + mu I for the ridge form.
+
+With the ridge form on both u and m, B = W^{-1} + A P^{-1} A^T splits as
+S + U U^T: S = W^{-1} + mu A A^T couples only the rows of one point (plus
+the dense normalization rows) and U = [A_z F_u, A_rho F_m, a_lam] has one
+column per feature.  When those k columns are fewer than the r kept rows,
+the inner step factors S point by point and takes a thin SVD of the
+whitened r x k matrix instead of a Cholesky factor of the r x r matrix B
+(``linsys.low_rank_update_solve``); every other system factors B densely.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ import scipy.sparse
 from . import kernels as K
 from .collocation import CollocationSet, FunctionalSet
 from .errors import NonFiniteObjective, SingularNormalEquations
-from .linsys import FeatureFactor, GramFactor, apply_qr_inverse
+from .linsys import ArrowCholesky, low_rank_update_solve
 from .problems import ProblemSpec, boundary_residual_batch, interior_residual_batch
 
 INIT_ZEROS = "zeros-with-unit-density"
@@ -118,35 +126,26 @@ def init_state(
     return SolverState(z=z, rho=rho, lam=lam)
 
 
-# ---------------------------------------------------------------------------
-# cheap application of P^{-1} to sparse row blocks
-
-def _cross(provider, A_blk):
-    """B = A P^{-1} A^T and a closure computing P^{-1} A^T y for one block."""
-    if isinstance(provider, GramFactor):
-        M1 = A_blk @ provider.regularized  # (rows, n)
-
-        def apply_t(y):
-            return M1.T @ y
-
-        return A_blk @ M1.T, apply_t
-    if isinstance(provider, FeatureFactor):
-        Af = provider.A
-        G = A_blk @ Af  # (rows, n_feat)
-        B = G @ G.T + provider.mu * (A_blk @ A_blk.T).toarray()
-
-        def apply_t(y):
-            return Af @ (G.T @ y) + provider.mu * (A_blk.T @ y)
-
-        return B, apply_t
-    raise TypeError(f"unsupported quadratic provider {type(provider).__name__}")
+def _gram(J):
+    """J J^T for each point of a (points, rows, cols) stack."""
+    return J @ J.transpose(0, 2, 1)
 
 
-def _p_apply(provider, v):
-    """The quadratic-form matrix applied to v (i.e. P v); debug checks only."""
-    if isinstance(provider, GramFactor):
-        return provider.solve(v)
-    return apply_qr_inverse(provider, v)
+def _apply(J, v):
+    """J v for each point of a (points, rows, cols) stack and (points, cols) values."""
+    return np.einsum("ics,is->ic", J, v)
+
+
+def _by_point(X, slices, n):
+    """Rows of X on the given blocks of n rows each, as (n, blocks, columns)."""
+    if not slices:
+        return np.zeros((n, 0, X.shape[1]))
+    return np.stack([X[sl] for sl in slices], axis=1)
+
+
+def _point_rows(blocks):
+    """Stack per-point blocks (points, rows per point, ...) into rows, point by point."""
+    return np.concatenate([b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]) for b in blocks])
 
 
 class MfgSystem:
@@ -180,6 +179,15 @@ class MfgSystem:
         # interior psi blocks start after the boundary blocks
         self._psi_int_slices = psi.slices[self.d_b :]
         self._psi_b_slices = psi.slices[: self.d_b]
+        n_res = 2 * self.m_int + (self.n_b if self.d_b else 0)
+        self.n_rows = (n_res if self.gamma > 0 else 0) + len(self._norm_rows())
+        # the feature side pays off when B = S + U U^T has fewer columns in U
+        # than kept rows: both factors carry feature matrices and k < r
+        F_u, F_m = quad_u.features, quad_m.features
+        k = -1 if F_u is None or F_m is None else F_u.shape[1] + F_m.shape[1] + self.has_lam
+        self.feature_side = 0 <= k < self.n_rows
+        if self.feature_side:
+            self._feature_tables(F_u, F_m)
 
     # -- state block bookkeeping ------------------------------------------
 
@@ -191,6 +199,18 @@ class MfgSystem:
         else:
             Mb = np.zeros((0, 0))
         return U, M, Mb
+
+    def _norm_rows(self):
+        """The linear normalization rows, each the mean over one identity block.
+
+        One (is_u, block slice, target) per row, in row order; weight beta.
+        """
+        rows = []
+        if self.spec.normalize_u and self.beta > 0:
+            rows.append((True, self.phi.slices[0], 0.0))
+        if self.spec.normalize_m and self.beta > 0:
+            rows.append((False, self._psi_int_slices[0], self.spec.density_mean))
+        return rows
 
     # -- loss --------------------------------------------------------------
 
@@ -251,29 +271,17 @@ class MfgSystem:
             n_rows += self.n_b
 
         w = [np.full(n_rows, self.gamma)]
-        targets_extra = []
-        norm_triplets_z, norm_triplets_rho = [], []
-        if self.spec.normalize_u and self.beta > 0:
-            sl = self.phi.slices[0]
-            norm_triplets_z.append((n_rows, sl, np.full(m, 1.0 / m)))
-            targets_extra.append(0.0)
+        norm = self._norm_rows()
+        targets_extra = [target for _, _, target in norm]
+        for is_u, sl, _ in norm:
+            cols = (zr, zc, zv) if is_u else (rr, rc, rv)
+            cols[0].append(np.full(m, n_rows))
+            cols[1].append(sl.start + idx)
+            cols[2].append(np.full(m, 1.0 / m))
             n_rows += 1
-        if self.spec.normalize_m and self.beta > 0:
-            sl = self._psi_int_slices[0]
-            norm_triplets_rho.append((n_rows, sl, np.full(m, 1.0 / m)))
-            targets_extra.append(self.spec.density_mean)
-            n_rows += 1
-        n_norm = len(targets_extra)
+        n_norm = len(norm)
         if n_norm:
             w.append(np.full(n_norm, self.beta))
-        for row, sl, vals in norm_triplets_z:
-            zr.append(np.full(m, row))
-            zc.append(sl.start + idx)
-            zv.append(vals)
-        for row, sl, vals in norm_triplets_rho:
-            rr.append(np.full(m, row))
-            rc.append(sl.start + idx)
-            rv.append(vals)
 
         A_z = scipy.sparse.csr_matrix(
             (np.concatenate(zv), (np.concatenate(zr), np.concatenate(zc))),
@@ -299,6 +307,9 @@ class MfgSystem:
         return A_z, A_rho, a_lam, c_vec, np.concatenate(w)
 
     def inner_solve(self, state: SolverState) -> SolverState:
+        """Minimizer of the linearized objective, on the feature side when it is smaller."""
+        if self.feature_side:
+            return self._feature_inner_solve(state)
         A_z, A_rho, a_lam, c_vec, w = self._rows(state)
         keep = w > 0
         if not np.any(keep):
@@ -307,22 +318,104 @@ class MfgSystem:
         A_z, A_rho = A_z[keep], A_rho[keep]
         a_lam, c_vec, w = a_lam[keep], c_vec[keep], w[keep]
 
-        B_z, apply_z = _cross(self.quad_u, A_z)
-        B_r, apply_r = _cross(self.quad_m, A_rho)
+        B_z, apply_z = self.quad_u.cross(A_z)
+        B_r, apply_r = self.quad_m.cross(A_rho)
         B = np.asarray(B_z + B_r)
         if self.has_lam:
             B += np.outer(a_lam, a_lam)
         B[np.diag_indices_from(B)] += 1.0 / w
         try:
             cf = scipy.linalg.cho_factor(0.5 * (B + B.T), lower=True)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularNormalEquations(str(exc)) from exc
+        except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN in B
+            raise SingularNormalEquations(f"inner Cholesky failed: {exc}") from exc
         y = scipy.linalg.cho_solve(cf, c_vec)
+        if not np.all(np.isfinite(y)):
+            raise SingularNormalEquations("inner solve is not finite")
         z_hat = apply_z(y)
         rho_hat = apply_r(y)
         lam_hat = float(a_lam @ y) if self.has_lam else None
         hat = SolverState(z=z_hat, rho=rho_hat, lam=lam_hat)
         return hat
+
+    # -- the feature side: B = S + U U^T --------------------------------------
+
+    def _feature_tables(self, F_u, F_m):
+        """Point-major feature and normalization rows per group, and the constant rows."""
+        mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
+        norm = self._norm_rows()
+        # normalization rows as dense vectors over z and rho
+        nz, nr = np.zeros((len(norm), self.n_z)), np.zeros((len(norm), self.n_rho))
+        for j, (is_u, sl, _) in enumerate(norm):
+            (nz if is_u else nr)[j, sl] = 1.0 / (sl.stop - sl.start)
+        # point groups as in _linearize_by_point: boundary points (one row,
+        # m-values only) first, as in psi, then interior points (two rows)
+        groups = [(self.m_int, self.phi.slices, self._psi_int_slices)]
+        if self.d_b:
+            groups.insert(0, (self.n_b, (), self._psi_b_slices))
+        self._tables = [
+            (_by_point(F_u, z_sl, n), _by_point(F_m, m_sl, n),
+             _by_point(nz.T, z_sl, n), _by_point(nr.T, m_sl, n))
+            for n, z_sl, m_sl in groups
+        ]
+        lam_col = [np.zeros((len(norm), 1))] if self.has_lam else []
+        self._norm_U = np.hstack([nz @ F_u, nr @ F_m] + lam_col)
+        self._norm_S = np.diag(np.full(len(norm), 1.0 / self.beta)) if norm else np.zeros((0, 0))
+        self._norm_S += mu_u * (nz @ nz.T) + mu_m * (nr @ nr.T)
+        self._norm_c = np.array([target for _, _, target in norm])
+
+    def _linearize_by_point(self, state: SolverState):
+        """Per group: u-values, m-values, residuals and their Jacobians, point-major."""
+        U, M, Mb = self.values(state)
+        lam = state.lam or 0.0
+        R, dU, dM, dlam = interior_residual_batch(self.spec, self.pts.interior, U, M, lam)
+        groups = [(U, M, R, dU, dM, dlam)]
+        if self.d_b:
+            Rb, dMb = boundary_residual_batch(self.spec, self.pts.boundary, Mb)
+            n = self.n_b
+            groups.insert(0, (np.zeros((n, 0)), Mb, Rb, np.zeros((n, 1, 0)), dMb, np.zeros((n, 1))))
+        return groups
+
+    def _feature_inner_solve(self, state: SolverState) -> SolverState:
+        """The inner step with B = S + U U^T, factored on the feature side.
+
+        U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + mu_u A_z A_z^T +
+        mu_m A_rho A_rho^T, which is a 2 x 2 block per interior point, a
+        scalar per boundary row and the dense normalization rows.  Rows are
+        ordered point by point; ``linsys.low_rank_update_solve`` does the rest
+        in O(r k^2).  Returns P^{-1} A^T y with the feature part F^T A^T y
+        taken from the factored basis.
+        """
+        mu_u, mu_m, lam = self.quad_u.mu, self.quad_m.mu, state.lam or 0.0
+        lin = self._linearize_by_point(state)
+        if not all(np.all(np.isfinite(a)) for group in lin for a in group):
+            raise SingularNormalEquations("the linearized residual rows are not finite")
+        blocks, rows, coupling, c = [], [], [], []
+        for (Uv, Mv, R, Jz, Jm, jl), (Fz, Fm, Nz, Nm) in zip(lin, self._tables):
+            blocks.append(np.eye(R.shape[1]) / self.gamma + mu_u * _gram(Jz) + mu_m * _gram(Jm))
+            lam_col = [jl[:, :, None]] if self.has_lam else []
+            rows.append(np.concatenate([Jz @ Fz, Jm @ Fm] + lam_col, axis=2))
+            coupling.append(mu_u * (Jz @ Nz) + mu_m * (Jm @ Nm))
+            c.append(_apply(Jz, Uv) + _apply(Jm, Mv) + jl * lam - R)
+        U_all = np.vstack([_point_rows(rows), self._norm_U])
+        c_all = np.concatenate([_point_rows(c), self._norm_c])
+        try:
+            chol = ArrowCholesky(blocks, _point_rows(coupling), self._norm_S)
+            y, g = low_rank_update_solve(chol, U_all, c_all)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
+
+        # A^T y, group by group, in the block layout of z and rho
+        y_norm = y[self.n_rows - len(self._norm_c) :]
+        at_z, at_rho, lo = [], [], 0
+        for (_, _, R, Jz, Jm, _), (_, _, Nz, Nm) in zip(lin, self._tables):
+            y_g = y[lo : lo + R.size].reshape(R.shape)
+            lo += R.size
+            at_z.append((np.einsum("icq,ic->iq", Jz, y_g) + Nz @ y_norm).T.ravel())
+            at_rho.append((np.einsum("icd,ic->id", Jm, y_g) + Nm @ y_norm).T.ravel())
+        k_u, k_m = self.quad_u.features.shape[1], self.quad_m.features.shape[1]
+        z_hat = self.quad_u.features @ g[:k_u] + mu_u * np.concatenate(at_z)
+        rho_hat = self.quad_m.features @ g[k_u : k_u + k_m] + mu_m * np.concatenate(at_rho)
+        return SolverState(z=z_hat, rho=rho_hat, lam=float(g[-1]) if self.has_lam else None)
 
     def normal_equation_residual(self, state: SolverState, hat: SolverState) -> float:
         """Relative residual of (P + A^T W A) theta_hat = A^T W c; debug only."""
@@ -333,8 +426,8 @@ class MfgSystem:
         lin = A_z @ hat.z + A_rho @ hat.rho + a_lam * (hat.lam or 0.0)
         wres = w * (lin - c_vec)
         lhs = [
-            _p_apply(self.quad_u, hat.z) + A_z.T @ wres,
-            _p_apply(self.quad_m, hat.rho) + A_rho.T @ wres,
+            self.quad_u.solve(hat.z) + A_z.T @ wres,
+            self.quad_m.solve(hat.rho) + A_rho.T @ wres,
         ]
         if self.has_lam:
             lhs.append(np.array([hat.lam + a_lam @ wres]))

@@ -426,8 +426,21 @@ def export_timing(rows, path) -> None:
             w.writerow([method, m, repr(float(qr)), repr(float(chol))])
 
 
+def sized_by_m_problem(name: str, field: str = "problem") -> Problem:
+    """The ``PROBLEMS`` entry ``name``, which must take its sample count from M."""
+    if name not in PROBLEMS:
+        raise ConfigError(f"{field}: unknown value {name!r}")
+    if not PROBLEMS[name].sized_by_M:
+        raise ConfigError(
+            f"{field}: {name} takes its sample count from n_interior, n_initial "
+            "and n_terminal, so M does not set it"
+        )
+    return PROBLEMS[name]
+
+
 def bench_precompute(problem: str, method: str, m_values, repeats: int = 5, cfg=None):
     """Median factorization times at growing sample counts; basis size fixed."""
+    entry = sized_by_m_problem(problem)
     if list(m_values) != sorted(m_values):
         raise ConfigError("M values must be ascending")
     base = cfg or ExperimentConfig()
@@ -436,7 +449,6 @@ def bench_precompute(problem: str, method: str, m_values, repeats: int = 5, cfg=
         run_cfg = ExperimentConfig.from_dict(
             {**base.to_dict(), "problem": problem, "method": method, "M": int(m)}
         )
-        entry = PROBLEMS[run_cfg.problem]
         spec = entry.spec(run_cfg)
         funcs = C.build_functionals(spec, entry.points(run_cfg, spec))
         runs = (METHODS[method](run_cfg, entry).factor(funcs) for _ in range(max(1, repeats)))

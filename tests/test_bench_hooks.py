@@ -37,11 +37,18 @@ SPANS = {
 CONFIGS = {
     "mfg1d_gp": {"problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2},
     "mfg1d_ff": {"problem": "mfg1d", "method": "ff", "M": 32, "N": 6, "beta": 1e6, "max_iters": 2},
+    "mfg1d_ff_dense": {
+        "problem": "mfg1d", "method": "ff", "M": 8, "N": 6, "beta": 1e6, "max_iters": 2,
+    },
     "planning_gp": {
         "problem": "planning", "method": "gp", "n_interior": 60, "n_initial": 10,
         "n_terminal": 10, "gamma": 1e4, "beta": 1e6, "alpha": 0.2, "max_iters": 1,
     },
 }
+
+# FF runs whose inner step takes the feature side (k = 13 + 13 + 1 = 27 feature
+# columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and stays dense
+FEATURE_SIDE = {"mfg1d_ff"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -58,4 +65,8 @@ def test_layer_wrappers_record_every_span(name, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     want = SPANS | ({"features.eval"} if CONFIGS[name]["method"] == "ff" else set())
+    if name in FEATURE_SIDE:
+        # the inner step factors no r x r matrix, so no inner Cholesky runs
+        want = want - {"lapack.inner_cho"}
+        assert "lapack.inner_cho" not in result["names"]
     assert not want - set(result["names"]), f"missing spans: {sorted(want - set(result['names']))}"

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from mfgsolvers import cli
@@ -197,7 +198,13 @@ def test_compare_subcommand(tmp_path, capsys):
     assert {"linf_u_gap", "linf_m_gap", "hbar_gap"} <= set(gaps)
 
 
-def test_compare_mismatched_problems_exits_2(tmp_path):
+def test_compare_mismatched_problems_exits_2(tmp_path, capsys, monkeypatch):
+    import mfgsolvers.pipeline as PL
+
+    def never(cfg):
+        raise AssertionError("ran an experiment before comparing the problems")
+
+    monkeypatch.setattr(PL, "run_experiment", never)
     cfg1 = _write_config(tmp_path, TINY, "a.json")
     cfg2 = _write_config(
         tmp_path,
@@ -205,3 +212,26 @@ def test_compare_mismatched_problems_exits_2(tmp_path):
         "b.json",
     )
     assert cli.main(["compare", cfg1, cfg2]) == cli.EXIT_CONFIG
+    assert "problem:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["gp", "ff"])
+def test_infinite_inner_system_exits_3(method, tmp_path, capsys, monkeypatch):
+    """An infinite Jacobian entry with a finite residual is a numerical failure."""
+    import mfgsolvers.problems as P
+
+    residual = P._nonlocal2d_residual
+
+    def inf_jacobian(spec, X, U, M, lam, out):
+        residual(spec, X, U, M, lam, out)
+        out[1][0, 0, 1] = np.inf
+
+    monkeypatch.setattr(P, "_nonlocal2d_residual", inf_jacobian)
+    cfg = _write_config(
+        tmp_path,
+        {"problem": "nonlocal2d", "method": method, "M": 64, "N": 2, "full_basis_2d": True,
+         "max_iters": 2, "beta": 1e4, "gamma": 10.0},
+    )
+    assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and err.count("\n") == 1

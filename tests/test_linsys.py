@@ -177,3 +177,52 @@ def test_gram_and_feature_quadratic_forms_agree_in_the_limit():
     v = np.random.default_rng(3).standard_normal(24)
     # both forms are positive definite on the same functional vector
     assert fac.quadratic_form(v) > 0.0
+
+
+# -- point-local matrix plus a low-rank term ---------------------------------
+
+def _arrow_system(seed, n_pairs=7, n_single=4, n_dense=2, k=5):
+    """Random S = [[D, C], [C^T, E]] (2x2 and 1x1 point blocks), U and c."""
+    rng = np.random.default_rng(seed)
+    J2 = rng.standard_normal((n_pairs, 2, 3))
+    J1 = rng.standard_normal((n_single, 1, 2))
+    groups = [np.eye(2) * 0.1 + J2 @ J2.transpose(0, 2, 1), 0.1 + J1 @ J1.transpose(0, 2, 1)]
+    n_d = 2 * n_pairs + n_single
+    C = 0.3 * rng.standard_normal((n_d, n_dense))
+    E = 2.0 * np.eye(n_dense) + C.T @ C  # keeps the Schur complement positive
+    S = np.zeros((n_d + n_dense,) * 2)
+    for i in range(n_pairs):
+        S[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = groups[0][i]
+    for j in range(n_single):
+        S[2 * n_pairs + j, 2 * n_pairs + j] = groups[1][j, 0, 0]
+    S[:n_d, n_d:], S[n_d:, :n_d], S[n_d:, n_d:] = C, C.T, E
+    U = rng.standard_normal((n_d + n_dense, k))
+    c = rng.standard_normal(n_d + n_dense)
+    return groups, C, E, S, U, c
+
+
+@pytest.mark.parametrize("n_dense", [0, 2])
+def test_arrow_cholesky_factors_the_dense_matrix(n_dense):
+    groups, C, E, S, _, _ = _arrow_system(0, n_dense=n_dense)
+    chol = L.ArrowCholesky(groups, C, E)
+    Linv = chol.solve_l(np.eye(S.shape[0]))
+    np.testing.assert_allclose(Linv @ S @ Linv.T, np.eye(S.shape[0]), atol=1e-12)
+    np.testing.assert_allclose(chol.solve_lt(np.eye(S.shape[0])), Linv.T, atol=1e-12)
+    with pytest.raises(np.linalg.LinAlgError):
+        L.ArrowCholesky([-g for g in groups], C, E)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_low_rank_update_solve_matches_dense_solve(seed):
+    groups, C, E, S, U, c = _arrow_system(seed)
+    y, uty = L.low_rank_update_solve(L.ArrowCholesky(groups, C, E), U, c)
+    want = np.linalg.solve(S + U @ U.T, c)
+    np.testing.assert_allclose(y, want, rtol=1e-11, atol=1e-11 * np.abs(want).max())
+    np.testing.assert_allclose(uty, U.T @ want, rtol=1e-11, atol=1e-11 * np.abs(U.T @ want).max())
+
+
+def test_low_rank_update_solve_rejects_a_non_finite_system():
+    groups, C, E, _, U, c = _arrow_system(0)
+    U[3, 1] = np.inf
+    with pytest.raises(FloatingPointError):
+        L.low_rank_update_solve(L.ArrowCholesky(groups, C, E), U, c)

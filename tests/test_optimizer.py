@@ -1,6 +1,9 @@
 """Gauss-Newton machinery: inner solve oracles, fixed points, loss descent."""
 
 import csv
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,8 +13,9 @@ from mfgsolvers import collocation as C
 from mfgsolvers import kernels as K
 from mfgsolvers import linsys as L
 from mfgsolvers import optimizer as O
+from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
-from mfgsolvers.errors import NonFiniteObjective
+from mfgsolvers.errors import NonFiniteObjective, SingularNormalEquations
 from mfgsolvers.pipeline import default_drift, default_drift_dx, default_potential
 
 SPEC_1D = P.make_1d_stationary(default_potential, default_drift, default_drift_dx)
@@ -183,11 +187,11 @@ def test_loss_history_csv(tmp_path):
 
 
 def test_cross_block_products_match_dense():
-    """_cross returns A P^{-1} A^T for both provider kinds."""
+    """Each factor's cross gives A P^{-1} A^T and y -> P^{-1} A^T y."""
     system, phi, psi = _gp_system(M=8)
     rng = np.random.default_rng(12)
     A_blk = scipy.sparse.csr_matrix(rng.standard_normal((5, phi.size)))
-    B, apply_t = O._cross(system.quad_u, A_blk)
+    B, apply_t = system.quad_u.cross(A_blk)
     dense = A_blk.toarray() @ system.quad_u.regularized @ A_blk.toarray().T
     np.testing.assert_allclose(B, dense, atol=1e-10)
     y = rng.standard_normal(5)
@@ -197,11 +201,123 @@ def test_cross_block_products_match_dense():
 
     Af = rng.standard_normal((phi.size, 6))
     ff = L.qr_ridge_factor(Af, 0.1)
-    B2, apply2 = O._cross(ff, A_blk)
+    B2, apply2 = ff.cross(A_blk)
     dense2 = A_blk.toarray() @ (Af @ Af.T + 0.1 * np.eye(phi.size)) @ A_blk.toarray().T
     np.testing.assert_allclose(B2, dense2, atol=1e-9)
     np.testing.assert_allclose(
         apply2(y), (Af @ Af.T + 0.1 * np.eye(phi.size)) @ (A_blk.toarray().T @ y), atol=1e-9
     )
-    with pytest.raises(TypeError):
-        O._cross(object(), A_blk)
+
+
+# -- the feature side: B = S + U U^T factored through the feature rows -------
+
+def _ff_system(**overrides):
+    """A tiny FF system built the way pipeline.run_experiment builds it."""
+    cfg = PL.ExperimentConfig(method="ff", **overrides)
+    problem = PL.PROBLEMS[cfg.problem]
+    spec = problem.spec(cfg)
+    pts = problem.points(cfg, spec)
+    phi, psi = C.build_functionals(spec, pts)
+    fu, fm = PL.METHODS[cfg.method](cfg, problem).factor((phi, psi))
+    return O.MfgSystem(spec, pts, phi, psi, fu, fm, cfg.gamma, cfg.beta), phi, psi
+
+
+def _dense_inner_solve(system, state):
+    """theta_hat from np.linalg.solve of the dense r x r matrix B."""
+    A_z, A_rho, a_lam, c_vec, w = system._rows(state)
+    keep = w > 0
+    A_z, A_rho = A_z[keep].toarray(), A_rho[keep].toarray()
+    a_lam, c_vec, w = a_lam[keep], c_vec[keep], w[keep]
+    fu, fm = system.quad_u, system.quad_m
+    P_u = fu.A @ fu.A.T + fu.mu * np.eye(system.n_z)
+    P_m = fm.A @ fm.A.T + fm.mu * np.eye(system.n_rho)
+    B = A_z @ P_u @ A_z.T + A_rho @ P_m @ A_rho.T + np.diag(1.0 / w)
+    if system.has_lam:
+        B += np.outer(a_lam, a_lam)
+    y = np.linalg.solve(B, c_vec)
+    lam = float(a_lam @ y) if system.has_lam else None
+    return P_u @ (A_z.T @ y), P_m @ (A_rho.T @ y), lam
+
+
+_TORUS_1D = dict(problem="mfg1d", M=32, N=6, mu=1e-3)
+_TORUS_2D = dict(problem="nonlocal2d", M=64, N=2, full_basis_2d=True, nu=1.0, mu=1e-3)
+_PLANNING = dict(problem="planning", n_interior=60, n_initial=10, n_terminal=10, N=8, mu=1e-3)
+
+
+@pytest.mark.parametrize(
+    "case, feature_side",
+    [
+        (dict(_TORUS_1D, gamma=1.0, beta=100.0), True),  # lambda, two normalization rows
+        (dict(_TORUS_2D, gamma=1.0, beta=100.0), True),
+        (dict(_PLANNING, gamma=1.0, beta=100.0), True),  # boundary rows, no lambda
+        (dict(_TORUS_1D, gamma=1.0, beta=0.0), True),  # normalization rows dropped
+        (dict(_PLANNING, gamma=1.0, beta=0.0), True),
+        (dict(_TORUS_2D, gamma=0.0, beta=100.0), False),  # residual rows dropped: r = 2 < k
+        (dict(_TORUS_1D, M=8), False),  # k = 27 > r = 18
+    ],
+    ids=["mfg1d", "nonlocal2d", "planning", "mfg1d-beta0", "planning-beta0",
+         "nonlocal2d-gamma0", "mfg1d-dense"],
+)
+def test_ff_inner_solve_matches_dense_solve_of_B(case, feature_side):
+    """z, rho and lambda agree with a dense solve of B to 1e-8 relative."""
+    system, phi, psi = _ff_system(**case)
+    assert system.feature_side is feature_side
+    for seed in range(2):
+        state = _random_state(phi, psi, seed)
+        if not system.has_lam:
+            state.lam = None
+        hat = system.inner_solve(state)
+        z, rho, lam = _dense_inner_solve(system, state)
+        for got, want in ((hat.z, z), (hat.rho, rho)):
+            if np.linalg.norm(want):
+                assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+            else:
+                np.testing.assert_allclose(got, 0.0, atol=1e-12)
+        if lam is None:
+            assert hat.lam is None
+        else:
+            assert abs(hat.lam - lam) <= 1e-8 * max(abs(lam), 1e-12)
+
+
+@pytest.mark.parametrize("name", ["nonlocal2d_ff_nu1", "mfg1d_ff"])
+def test_debug_gauss_newton_on_bundled_ff_configs(name):
+    """A debug run of the bundled config completes; every inner solve is within 1e-10."""
+    path = Path(PL.__file__).parent / "configs" / f"{name}.json"
+    cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
+    system, phi, psi = _ff_system(**overrides)
+    assert system.feature_side
+    solver_cfg = O.SolverConfig(
+        gamma=cfg.gamma, beta=cfg.beta, alpha=cfg.alpha, max_iters=cfg.max_iters, debug=True
+    )
+    residuals, solve = [], system.inner_solve
+
+    def recorded(state):
+        hat = solve(state)
+        residuals.append(system.normal_equation_residual(state, hat))
+        return hat
+
+    system.inner_solve = recorded
+    state0 = O.init_state(phi, psi, True, solver_cfg)
+    _, hist = O.gauss_newton_run(system, state0, solver_cfg)
+    assert len(hist.total) == cfg.max_iters + 1
+    assert len(residuals) == cfg.max_iters and max(residuals) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "case, feature_side",
+    [(dict(_TORUS_2D, gamma=1.0, beta=100.0), True), (dict(_TORUS_2D, M=16), False)],
+)
+def test_infinite_jacobian_raises_singular_normal_equations(case, feature_side, monkeypatch):
+    """An infinite Jacobian entry with finite residuals fails the inner solve cleanly."""
+    system, phi, psi = _ff_system(**case)
+    assert system.feature_side is feature_side
+    interior = system.spec.interior
+
+    def inf_jacobian(spec, X, U, M, lam, out):
+        interior(spec, X, U, M, lam, out)
+        out[1][0, 0, 1] = np.inf
+
+    monkeypatch.setattr(system, "spec", replace(system.spec, interior=inf_jacobian))
+    with pytest.raises(SingularNormalEquations):
+        system.inner_solve(_random_state(phi, psi, seed=0))

@@ -200,6 +200,17 @@ def test_bench_precompute_rows_and_ordering():
         PL.bench_precompute("mfg1d", "ff", [64, 32], repeats=1)
 
 
+def test_bench_precompute_rejects_problems_not_sized_by_m(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("factored before checking the problem")
+
+    monkeypatch.setattr(PL.FfMethod, "factor", never)
+    with pytest.raises(ConfigError, match="^problem: planning"):
+        PL.bench_precompute("planning", "ff", [16, 32], repeats=1)
+    with pytest.raises(ConfigError, match="^problem: unknown"):
+        PL.bench_precompute("nowhere", "ff", [16], repeats=1)
+
+
 def test_initial_residual_reflects_the_unit_density_start():
     res = PL.run_experiment(_tiny_1d("ff"))
     assert res.initial_residual > 0.0
