@@ -3,9 +3,10 @@
 The GP path regularizes the gram matrix with a block-diagonal nugget and
 keeps its Cholesky factor; the FF path keeps a thin SVD of the feature
 matrix, so that (A A^T + mu I)^{-1} is applied spectrally and no matrix the
-size of the functional count is factored.  Each factor also applies its
-quadratic form and forms the residual-space products A P^{-1} A^T of the
-dense inner step (``cross``).
+size of the functional count is factored.  Each factor applies its quadratic
+form; the inner step of ``optimizer`` reads the inverse of the quadratic-form
+matrix from the factor itself: the regularized gram, or the feature matrix
+with its ridge mu.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
@@ -105,24 +106,10 @@ class GramFactor:
         # the factor was checked once, by cholesky_factor
         return scipy.linalg.cho_solve((self.chol, True), v, check_finite=False)
 
-    def inv_quadratic_apply(self, v):
-        """The inverse of the quadratic-form matrix, i.e. (Theta + eta R) v itself."""
-        self._check(v)
-        return self.regularized @ v
-
     def quadratic_form(self, v) -> float:
         self._check(v)
         y = scipy.linalg.solve_triangular(self.chol, v, lower=True, check_finite=False)
         return float(y @ y)
-
-    def cross(self, A_blk):
-        """A P^{-1} A^T for a sparse row block A, and y -> P^{-1} A^T y."""
-        M1 = A_blk @ self.regularized  # (rows, n)
-
-        def apply_t(y):
-            return M1.T @ y
-
-        return A_blk @ M1.T, apply_t
 
 
 def cholesky_factor(
@@ -211,22 +198,6 @@ class FeatureFactor:
     def solve(self, v):
         """(A A^T + mu I)^{-1} v, the quadratic-form matrix applied to v."""
         return apply_qr_inverse(self, v)
-
-    def cross(self, A_blk):
-        """A_blk P^{-1} A_blk^T for a sparse row block, and y -> P^{-1} A_blk^T y."""
-        G = A_blk @ self.A  # (rows, n_feat)
-        B = G @ G.T + self.mu * (A_blk @ A_blk.T).toarray()
-
-        def apply_t(y):
-            return self.A @ (G.T @ y) + self.mu * (A_blk.T @ y)
-
-        return B, apply_t
-
-    def inv_quadratic_apply(self, v):
-        """(A A^T + mu I) v, the inverse of the quadratic-form matrix."""
-        if np.shape(v)[0] != self.rows:
-            raise LengthMismatch(f"vector length {np.shape(v)[0]} vs {self.rows} rows")
-        return self.A @ (self.A.T @ v) + self.mu * v
 
     def quadratic_form(self, v) -> float:
         v = np.asarray(v, dtype=float)

@@ -13,16 +13,19 @@ linearized rows, W the row weights and c the linearized targets,
 which is algebraically the solution of the dense normal equations
 (P + A^T W A) theta_hat = A^T W c but only ever factors a matrix whose size
 is the smaller of rows and features.  Crucially P^{-1} is cheap on both
-paths: it is the regularized gram matrix itself for the GP quadratic form
-and A_feat A_feat^T + mu I for the ridge form.
+paths: it is the regularized gram matrix Theta itself for the GP quadratic
+form and F F^T + mu I, with F the feature matrix, for the ridge form.
 
-With the ridge form on both u and m, B = W^{-1} + A P^{-1} A^T splits as
-S + U U^T: S = W^{-1} + mu A A^T couples only the rows of one point (plus
-the dense normalization rows) and U = [A_z F_u, A_rho F_m, a_lam] has one
-column per feature.  When those k columns are fewer than the r kept rows,
-the inner step factors S point by point and takes a thin SVD of the
-whitened r x k matrix instead of a Cholesky factor of the r x r matrix B
-(``linsys.low_rank_update_solve``); every other system factors B densely.
+There is one linearization, point-major: each point's rows sit together
+(boundary points, then interior points, then the normalization rows), and A
+is never formed, only its per-point Jacobian stacks.  With the ridge form,
+B = W^{-1} + A P^{-1} A^T splits as S + U U^T: S = W^{-1} + mu A A^T couples
+only the rows of one point (plus the dense normalization rows) and
+U = [A_z F_u, A_rho F_m, a_lam] has one column per feature.  When those k
+columns are fewer than the r kept rows, the inner step factors S point by
+point and takes a thin SVD of the whitened r x k matrix instead of a
+Cholesky factor of the r x r matrix B (``linsys.low_rank_update_solve``);
+every other system factors B densely.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from . import kernels as K
 from .collocation import CollocationSet, FunctionalSet
@@ -137,15 +139,39 @@ def _apply(J, v):
 
 
 def _by_point(X, slices, n):
-    """Rows of X on the given blocks of n rows each, as (n, blocks, columns)."""
-    if not slices:
-        return np.zeros((n, 0, X.shape[1]))
-    return np.stack([X[sl] for sl in slices], axis=1)
+    """A view of X's rows on consecutive blocks of n rows each, as (n, blocks, ...)."""
+    lo = slices[0].start if slices else 0
+    return np.moveaxis(X[lo : lo + len(slices) * n].reshape(len(slices), n, *X.shape[1:]), 0, 1)
 
 
-def _point_rows(blocks):
-    """Stack per-point blocks (points, rows per point, ...) into rows, point by point."""
-    return np.concatenate([b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]) for b in blocks])
+def _point_rows(blocks, tail):
+    """Stack per-point blocks (points, rows per point, ...) into rows, point by point, then tail."""
+    return np.concatenate([b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]) for b in blocks] + [tail])
+
+
+def _cholesky_solve(B, c):
+    """B^{-1} c through a Cholesky factor of the symmetric part of B."""
+    try:
+        cf = scipy.linalg.cho_factor(0.5 * (B + B.T), lower=True)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN in B
+        raise SingularNormalEquations(f"inner Cholesky failed: {exc}") from exc
+    y = scipy.linalg.cho_solve(cf, c)
+    if not np.all(np.isfinite(y)):
+        raise SingularNormalEquations("inner solve is not finite")
+    return y
+
+
+def _add_arrow(B, groups, C, E):
+    """B += [[D, C], [C^T, E]], the matrix ``ArrowCholesky`` factors, written densely."""
+    n_d, lo = C.shape[0], 0
+    for g in groups:
+        n, p, _ = g.shape
+        idx = np.arange(n)
+        B[lo : lo + n * p, lo : lo + n * p].reshape(n, p, n, p)[idx, :, idx, :] += g
+        lo += n * p
+    B[:n_d, n_d:] += C
+    B[n_d:, :n_d] += C.T
+    B[n_d:, n_d:] += E
 
 
 class MfgSystem:
@@ -179,15 +205,40 @@ class MfgSystem:
         # interior psi blocks start after the boundary blocks
         self._psi_int_slices = psi.slices[self.d_b :]
         self._psi_b_slices = psi.slices[: self.d_b]
+        # point groups in row order: boundary points (one row, m-values only),
+        # as in psi, then interior points (two rows)
+        self._groups = [(self.m_int, self.phi.slices, self._psi_int_slices)]
+        if self.d_b:
+            self._groups.insert(0, (self.n_b, (), self._psi_b_slices))
+        norm = self._norm_rows()
+        self._n_norm = len(norm)
         n_res = 2 * self.m_int + (self.n_b if self.d_b else 0)
-        self.n_rows = (n_res if self.gamma > 0 else 0) + len(self._norm_rows())
-        # the feature side pays off when B = S + U U^T has fewer columns in U
-        # than kept rows: both factors carry feature matrices and k < r
+        self.n_rows = (n_res if self.gamma > 0 else 0) + self._n_norm
+        self._w = np.concatenate(
+            [np.full(self.n_rows - self._n_norm, self.gamma), np.full(self._n_norm, self.beta)]
+        )
+        # normalization rows N as dense vectors over z and rho, one column each
+        Nz, Nm = np.zeros((self.n_z, self._n_norm)), np.zeros((self.n_rho, self._n_norm))
+        for j, (is_u, sl, _) in enumerate(norm):
+            (Nz if is_u else Nm)[sl, j] = 1.0 / (sl.stop - sl.start)
+        self._norm_t = (Nz, Nm)
+        self._norm_c = np.array([target for _, _, target in norm])
         F_u, F_m = quad_u.features, quad_m.features
-        k = -1 if F_u is None or F_m is None else F_u.shape[1] + F_m.shape[1] + self.has_lam
-        self.feature_side = 0 <= k < self.n_rows
-        if self.feature_side:
-            self._feature_tables(F_u, F_m)
+        if (F_u is None) != (F_m is None):
+            raise TypeError("the u and m factors must both be gram or both be feature factors")
+        if F_u is None:
+            # N Theta: the normalization rows of A Theta, constant
+            self._norm_y = (Nz.T @ quad_u.regularized, Nm.T @ quad_m.regularized)
+            self.feature_side = False
+            return
+        mu_u, mu_m = quad_u.mu, quad_m.mu
+        lam_col = [np.zeros((self._n_norm, 1))] if self.has_lam else []
+        self._norm_U = np.hstack([Nz.T @ F_u, Nm.T @ F_m] + lam_col)
+        self._norm_S = np.diag(np.full(self._n_norm, 1.0 / self.beta)) if norm else np.zeros((0, 0))
+        self._norm_S += mu_u * (Nz.T @ Nz) + mu_m * (Nm.T @ Nm)
+        # the feature side pays off when B = S + U U^T has fewer columns in U
+        # than kept rows: k < r
+        self.feature_side = self._norm_U.shape[1] < self.n_rows
 
     # -- state block bookkeeping ------------------------------------------
 
@@ -233,206 +284,165 @@ class MfgSystem:
         total = quad + self.gamma * pde + self.beta * norm
         return total, quad, self.gamma * pde, self.beta * norm
 
-    # -- linearized rows ---------------------------------------------------
+    # -- the linearized rows, point by point ---------------------------------
 
-    def _rows(self, state: SolverState):
-        """Sparse row blocks (A_z, A_rho, a_lam), targets c and weights w."""
-        m = self.m_int
+    def _group_values(self, state: SolverState):
+        """(u-values, m-values) of the state per point group, (points, operators) each."""
         U, M, Mb = self.values(state)
-        lam = state.lam or 0.0
-        R, dU, dM, dlam = interior_residual_batch(self.spec, self.pts.interior, U, M, lam)
-        rows_int = 2 * m
-        idx = np.arange(m)
-
-        zr, zc, zv = [], [], []
-        rr, rc, rv = [], [], []
-        for c in range(2):
-            for q, sl in enumerate(self.phi.slices):
-                zr.append(c * m + idx)
-                zc.append(sl.start + idx)
-                zv.append(dU[:, c, q])
-            for d, sl in enumerate(self._psi_int_slices):
-                rr.append(c * m + idx)
-                rc.append(sl.start + idx)
-                rv.append(dM[:, c, d])
-        lam_rows = [dlam[:, 0], dlam[:, 1]]
-        resid = [R[:, 0], R[:, 1]]
-
-        n_rows = rows_int
+        groups = [(U, M)]
         if self.d_b:
-            Rb, dMb = boundary_residual_batch(self.spec, self.pts.boundary, Mb)
-            ib = np.arange(self.n_b)
-            for d, sl in enumerate(self._psi_b_slices):
-                rr.append(rows_int + ib)
-                rc.append(sl.start + ib)
-                rv.append(dMb[:, 0, d])
-            lam_rows.append(np.zeros(self.n_b))
-            resid.append(Rb[:, 0])
-            n_rows += self.n_b
-
-        w = [np.full(n_rows, self.gamma)]
-        norm = self._norm_rows()
-        targets_extra = [target for _, _, target in norm]
-        for is_u, sl, _ in norm:
-            cols = (zr, zc, zv) if is_u else (rr, rc, rv)
-            cols[0].append(np.full(m, n_rows))
-            cols[1].append(sl.start + idx)
-            cols[2].append(np.full(m, 1.0 / m))
-            n_rows += 1
-        n_norm = len(norm)
-        if n_norm:
-            w.append(np.full(n_norm, self.beta))
-
-        A_z = scipy.sparse.csr_matrix(
-            (np.concatenate(zv), (np.concatenate(zr), np.concatenate(zc))),
-            shape=(n_rows, self.n_z),
-        )
-        A_rho = scipy.sparse.csr_matrix(
-            (np.concatenate(rv), (np.concatenate(rr), np.concatenate(rc))),
-            shape=(n_rows, self.n_rho),
-        )
-        a_lam = np.zeros(n_rows)
-        if self.has_lam:
-            a_lam[: rows_int + (self.n_b if self.d_b else 0)] = np.concatenate(lam_rows)
-
-        # linearized target: c = A theta_k - r(theta_k); for the (already
-        # linear) normalization rows this is exactly the constraint target
-        theta_lin = A_z @ state.z + A_rho @ state.rho + a_lam * lam
-        r_full = np.concatenate(resid + [np.zeros(n_norm)])
-        c_vec = theta_lin - r_full
-        if n_norm:
-            # the normalization rows are already linear; their linearized
-            # target is exactly the constraint value
-            c_vec[-n_norm:] = np.asarray(targets_extra)
-        return A_z, A_rho, a_lam, c_vec, np.concatenate(w)
-
-    def inner_solve(self, state: SolverState) -> SolverState:
-        """Minimizer of the linearized objective, on the feature side when it is smaller."""
-        if self.feature_side:
-            return self._feature_inner_solve(state)
-        A_z, A_rho, a_lam, c_vec, w = self._rows(state)
-        keep = w > 0
-        if not np.any(keep):
-            zer = np.zeros_like
-            return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None)
-        A_z, A_rho = A_z[keep], A_rho[keep]
-        a_lam, c_vec, w = a_lam[keep], c_vec[keep], w[keep]
-
-        B_z, apply_z = self.quad_u.cross(A_z)
-        B_r, apply_r = self.quad_m.cross(A_rho)
-        B = np.asarray(B_z + B_r)
-        if self.has_lam:
-            B += np.outer(a_lam, a_lam)
-        B[np.diag_indices_from(B)] += 1.0 / w
-        try:
-            cf = scipy.linalg.cho_factor(0.5 * (B + B.T), lower=True)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN in B
-            raise SingularNormalEquations(f"inner Cholesky failed: {exc}") from exc
-        y = scipy.linalg.cho_solve(cf, c_vec)
-        if not np.all(np.isfinite(y)):
-            raise SingularNormalEquations("inner solve is not finite")
-        z_hat = apply_z(y)
-        rho_hat = apply_r(y)
-        lam_hat = float(a_lam @ y) if self.has_lam else None
-        hat = SolverState(z=z_hat, rho=rho_hat, lam=lam_hat)
-        return hat
-
-    # -- the feature side: B = S + U U^T --------------------------------------
-
-    def _feature_tables(self, F_u, F_m):
-        """Point-major feature and normalization rows per group, and the constant rows."""
-        mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
-        norm = self._norm_rows()
-        # normalization rows as dense vectors over z and rho
-        nz, nr = np.zeros((len(norm), self.n_z)), np.zeros((len(norm), self.n_rho))
-        for j, (is_u, sl, _) in enumerate(norm):
-            (nz if is_u else nr)[j, sl] = 1.0 / (sl.stop - sl.start)
-        # point groups as in _linearize_by_point: boundary points (one row,
-        # m-values only) first, as in psi, then interior points (two rows)
-        groups = [(self.m_int, self.phi.slices, self._psi_int_slices)]
-        if self.d_b:
-            groups.insert(0, (self.n_b, (), self._psi_b_slices))
-        self._tables = [
-            (_by_point(F_u, z_sl, n), _by_point(F_m, m_sl, n),
-             _by_point(nz.T, z_sl, n), _by_point(nr.T, m_sl, n))
-            for n, z_sl, m_sl in groups
-        ]
-        lam_col = [np.zeros((len(norm), 1))] if self.has_lam else []
-        self._norm_U = np.hstack([nz @ F_u, nr @ F_m] + lam_col)
-        self._norm_S = np.diag(np.full(len(norm), 1.0 / self.beta)) if norm else np.zeros((0, 0))
-        self._norm_S += mu_u * (nz @ nz.T) + mu_m * (nr @ nr.T)
-        self._norm_c = np.array([target for _, _, target in norm])
-
-    def _linearize_by_point(self, state: SolverState):
-        """Per group: u-values, m-values, residuals and their Jacobians, point-major."""
-        U, M, Mb = self.values(state)
-        lam = state.lam or 0.0
-        R, dU, dM, dlam = interior_residual_batch(self.spec, self.pts.interior, U, M, lam)
-        groups = [(U, M, R, dU, dM, dlam)]
-        if self.d_b:
-            Rb, dMb = boundary_residual_batch(self.spec, self.pts.boundary, Mb)
-            n = self.n_b
-            groups.insert(0, (np.zeros((n, 0)), Mb, Rb, np.zeros((n, 1, 0)), dMb, np.zeros((n, 1))))
+            groups.insert(0, (np.zeros((self.n_b, 0)), Mb))
         return groups
 
-    def _feature_inner_solve(self, state: SolverState) -> SolverState:
-        """The inner step with B = S + U U^T, factored on the feature side.
+    def _linearize_by_point(self, state: SolverState):
+        """Per point group: residuals R and Jacobians J_z, J_rho, j_lam, point-major.
+
+        Row i of a group holds point i's residual rows; the normalization rows
+        follow all groups.  With gamma = 0 the residual rows carry no weight
+        and there are no groups.
+        """
+        if self.gamma == 0:
+            return []
+        values = self._group_values(state)
+        U, M = values[-1]
+        groups = [interior_residual_batch(self.spec, self.pts.interior, U, M, state.lam or 0.0)]
+        if self.d_b:
+            Rb, dMb = boundary_residual_batch(self.spec, self.pts.boundary, values[0][1])
+            n = self.n_b
+            groups.insert(0, (Rb, np.zeros((n, 1, 0)), dMb, np.zeros((n, 1))))
+        if not all(np.all(np.isfinite(a)) for group in groups for a in group):
+            raise SingularNormalEquations("the linearized residual rows are not finite")
+        return groups
+
+    def _point_apply(self, lin, state: SolverState):
+        """A theta on the point rows at the state's values, one (points, rows) array per group."""
+        lam = state.lam or 0.0
+        return [
+            _apply(Jz, Uv) + _apply(Jm, Mv) + jl * lam
+            for (Uv, Mv), (_, Jz, Jm, jl) in zip(self._group_values(state), lin)
+        ]
+
+    def _targets(self, lin, state: SolverState):
+        """c = A theta_k - r(theta_k); the normalization rows are linear, so theirs is the target."""
+        at = self._point_apply(lin, state)
+        return _point_rows([a - R for a, (R, *_) in zip(at, lin)], self._norm_c)
+
+    def _transpose_apply(self, lin, y):
+        """A^T y as its z part, rho part (in their block layouts) and lambda part."""
+        Nz, Nm = self._norm_t
+        y_norm = y[self.n_rows - self._n_norm :]
+        at_z, at_rho, at_lam, lo = Nz @ y_norm, Nm @ y_norm, 0.0, 0
+        for (n, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
+            y_g = y[lo : lo + R.size].reshape(R.shape)
+            lo += R.size
+            _by_point(at_z, z_sl, n)[...] += np.einsum("icq,ic->iq", Jz, y_g)
+            _by_point(at_rho, m_sl, n)[...] += np.einsum("icd,ic->id", Jm, y_g)
+            at_lam += float(np.sum(jl * y_g))
+        return at_z, at_rho, at_lam
+
+    # -- the inner step ------------------------------------------------------
+
+    def inner_solve(self, state: SolverState) -> SolverState:
+        """Minimizer of the linearized objective, theta_hat = P^{-1} A^T B^{-1} c."""
+        if not self.n_rows:
+            zer = np.zeros_like
+            return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None)
+        lin = self._linearize_by_point(state)
+        c = self._targets(lin, state)
+        if self.quad_u.features is None:
+            return self._gram_inner_solve(lin, c)
+        return self._feature_inner_solve(lin, c)
+
+    def _gram_inner_solve(self, lin, c) -> SolverState:
+        """The inner step with P^{-1} = Theta: B = W^{-1} + A Theta A^T + a_lam a_lam^T.
+
+        Theta A^T is one batched product per point group, of a view of
+        Theta's block rows (its columns: Theta is symmetric) with the group's
+        Jacobians, plus the constant (N Theta)^T for the normalization rows.
+        B's rows follow the same way, point group by point group, from
+        A (Theta A^T); theta_hat = Theta A^T y.
+        """
+        r = self.n_rows
+        B = np.zeros((r, r))
+        yts = []
+        for side, quad in enumerate((self.quad_u, self.quad_m)):
+            theta = quad.regularized
+            Yt = np.empty((theta.shape[0], r))  # Theta A^T
+            lo = 0
+            for (n, *slices), (R, *J) in zip(self._groups, lin):
+                out = Yt[:, lo : lo + R.size].reshape(-1, n, R.shape[1]).transpose(1, 0, 2)
+                view = _by_point(theta, slices[side], n).transpose(0, 2, 1)
+                np.matmul(view, J[side].transpose(0, 2, 1), out=out)
+                lo += R.size
+            Yt[:, lo:] = self._norm_y[side].T
+            lo = 0
+            for (n, *slices), (R, *J) in zip(self._groups, lin):
+                B[lo : lo + R.size] += (J[side] @ _by_point(Yt, slices[side], n)).reshape(R.size, r)
+                lo += R.size
+            B[lo:] += self._norm_t[side].T @ Yt
+            yts.append(Yt)
+        a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
+        if self.has_lam:
+            B += np.outer(a_lam, a_lam)
+        B[np.diag_indices_from(B)] += 1.0 / self._w
+        y = _cholesky_solve(B, c)
+        z_hat, rho_hat = (Yt @ y for Yt in yts)
+        return SolverState(z=z_hat, rho=rho_hat, lam=float(a_lam @ y) if self.has_lam else None)
+
+    def _feature_inner_solve(self, lin, c) -> SolverState:
+        """The inner step with P^{-1} = F F^T + mu I: B = S + U U^T.
 
         U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + mu_u A_z A_z^T +
         mu_m A_rho A_rho^T, which is a 2 x 2 block per interior point, a
-        scalar per boundary row and the dense normalization rows.  Rows are
-        ordered point by point; ``linsys.low_rank_update_solve`` does the rest
-        in O(r k^2).  Returns P^{-1} A^T y with the feature part F^T A^T y
-        taken from the factored basis.
+        scalar per boundary row and the dense normalization rows.  With fewer
+        columns k in U than rows r, ``linsys.low_rank_update_solve`` works in
+        O(r k^2) on the feature side; otherwise B is formed and factored
+        densely.  Returns F g + mu A^T y with g = U^T y.
         """
-        mu_u, mu_m, lam = self.quad_u.mu, self.quad_m.mu, state.lam or 0.0
-        lin = self._linearize_by_point(state)
-        if not all(np.all(np.isfinite(a)) for group in lin for a in group):
-            raise SingularNormalEquations("the linearized residual rows are not finite")
-        blocks, rows, coupling, c = [], [], [], []
-        for (Uv, Mv, R, Jz, Jm, jl), (Fz, Fm, Nz, Nm) in zip(lin, self._tables):
+        F_u, F_m = self.quad_u.features, self.quad_m.features
+        mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
+        Nz, Nm = self._norm_t
+        blocks, rows, coupling = [], [], []
+        for (n, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
             blocks.append(np.eye(R.shape[1]) / self.gamma + mu_u * _gram(Jz) + mu_m * _gram(Jm))
             lam_col = [jl[:, :, None]] if self.has_lam else []
-            rows.append(np.concatenate([Jz @ Fz, Jm @ Fm] + lam_col, axis=2))
-            coupling.append(mu_u * (Jz @ Nz) + mu_m * (Jm @ Nm))
-            c.append(_apply(Jz, Uv) + _apply(Jm, Mv) + jl * lam - R)
-        U_all = np.vstack([_point_rows(rows), self._norm_U])
-        c_all = np.concatenate([_point_rows(c), self._norm_c])
-        try:
-            chol = ArrowCholesky(blocks, _point_rows(coupling), self._norm_S)
-            y, g = low_rank_update_solve(chol, U_all, c_all)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
-
-        # A^T y, group by group, in the block layout of z and rho
-        y_norm = y[self.n_rows - len(self._norm_c) :]
-        at_z, at_rho, lo = [], [], 0
-        for (_, _, R, Jz, Jm, _), (_, _, Nz, Nm) in zip(lin, self._tables):
-            y_g = y[lo : lo + R.size].reshape(R.shape)
-            lo += R.size
-            at_z.append((np.einsum("icq,ic->iq", Jz, y_g) + Nz @ y_norm).T.ravel())
-            at_rho.append((np.einsum("icd,ic->id", Jm, y_g) + Nm @ y_norm).T.ravel())
-        k_u, k_m = self.quad_u.features.shape[1], self.quad_m.features.shape[1]
-        z_hat = self.quad_u.features @ g[:k_u] + mu_u * np.concatenate(at_z)
-        rho_hat = self.quad_m.features @ g[k_u : k_u + k_m] + mu_m * np.concatenate(at_rho)
+            feats = [Jz @ _by_point(F_u, z_sl, n), Jm @ _by_point(F_m, m_sl, n)]
+            rows.append(np.concatenate(feats + lam_col, axis=2))
+            coupling.append(mu_u * (Jz @ _by_point(Nz, z_sl, n)) + mu_m * (Jm @ _by_point(Nm, m_sl, n)))
+        U = _point_rows(rows, self._norm_U)
+        C = _point_rows(coupling, np.zeros((0, self._n_norm)))
+        if self.feature_side:
+            try:
+                y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
+            except (np.linalg.LinAlgError, FloatingPointError) as exc:
+                raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
+        else:
+            B = U @ U.T
+            _add_arrow(B, blocks, C, self._norm_S)
+            y = _cholesky_solve(B, c)
+            g = U.T @ y
+        at_z, at_rho, _ = self._transpose_apply(lin, y)
+        k_u, k_m = F_u.shape[1], F_m.shape[1]
+        z_hat = F_u @ g[:k_u] + mu_u * at_z
+        rho_hat = F_m @ g[k_u : k_u + k_m] + mu_m * at_rho
         return SolverState(z=z_hat, rho=rho_hat, lam=float(g[-1]) if self.has_lam else None)
 
     def normal_equation_residual(self, state: SolverState, hat: SolverState) -> float:
-        """Relative residual of (P + A^T W A) theta_hat = A^T W c; debug only."""
-        A_z, A_rho, a_lam, c_vec, w = self._rows(state)
-        keep = w > 0
-        A_z, A_rho = A_z[keep], A_rho[keep]
-        a_lam, c_vec, w = a_lam[keep], c_vec[keep], w[keep]
-        lin = A_z @ hat.z + A_rho @ hat.rho + a_lam * (hat.lam or 0.0)
-        wres = w * (lin - c_vec)
-        lhs = [
-            self.quad_u.solve(hat.z) + A_z.T @ wres,
-            self.quad_m.solve(hat.rho) + A_rho.T @ wres,
-        ]
+        """Relative residual of (P + A^T W A) theta_hat = A^T W c; debug only.
+
+        A and c are the inner step's own point-major rows at state; A theta_hat
+        and A^T W (A theta_hat - c) are applied point by point, never formed.
+        """
+        lin = self._linearize_by_point(state)
+        c = self._targets(lin, state)
+        Nz, Nm = self._norm_t
+        a_hat = _point_rows(self._point_apply(lin, hat), hat.z @ Nz + hat.rho @ Nm)
+        at_z, at_rho, at_lam = self._transpose_apply(lin, self._w * (a_hat - c))
+        lhs = [self.quad_u.solve(hat.z) + at_z, self.quad_m.solve(hat.rho) + at_rho]
         if self.has_lam:
-            lhs.append(np.array([hat.lam + a_lam @ wres]))
+            lhs.append(np.array([hat.lam + at_lam]))
         num = np.linalg.norm(np.concatenate(lhs))
-        den = np.linalg.norm(w * c_vec) + 1e-300
+        den = np.linalg.norm(self._w * c) + 1e-300
         return float(num / den)
 
 

@@ -141,19 +141,6 @@ def test_qr_ridge_identity_random_cases():
     assert worst < 1e-8, f"worst relative error {worst:.3e}"
 
 
-def test_inv_quadratic_apply_is_the_matrix_itself():
-    rng = np.random.default_rng(2)
-    A = rng.standard_normal((12, 5))
-    fac = L.qr_ridge_factor(A, 0.5)
-    v = rng.standard_normal(12)
-    np.testing.assert_allclose(
-        fac.inv_quadratic_apply(v), (A @ A.T + 0.5 * np.eye(12)) @ v, atol=1e-10
-    )
-    gfac, _ = _small_factor(M=6)
-    w = rng.standard_normal(gfac.size)
-    np.testing.assert_allclose(gfac.inv_quadratic_apply(w), gfac.regularized @ w, atol=1e-12)
-
-
 # -- feature matrices --------------------------------------------------------
 
 def test_feature_matrix_blocks_stack_in_layout_order():
