@@ -3,15 +3,20 @@
 The GP path regularizes the gram matrix with a block-diagonal nugget and
 keeps its Cholesky factor; the FF path keeps a thin SVD of the feature
 matrix, so that (A A^T + mu I)^{-1} is applied spectrally and no matrix the
-size of the functional count is factored.  Each factor applies its quadratic
-form; the inner step of ``optimizer`` reads the inverse of the quadratic-form
-matrix from the factor itself: the regularized gram, or the feature matrix
-with its ridge mu.
+size of the functional count is factored.  The thin SVD is taken as a
+Householder QR, whose cost grows with the functional count, plus an SVD of
+the small triangular factor, whose cost does not (``_qr_svd``).  Each factor
+applies its quadratic form; the inner step of ``optimizer`` reads the inverse
+of the quadratic-form matrix from the factor itself: ``regularized``, the
+regularized gram or A A^T + mu I (formed only on first use, by systems with
+at least as many features as residual rows), or the feature matrix with its
+ridge mu.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
 S in time linear in its rows and ``low_rank_update_solve`` takes a thin SVD
-of the whitened r x k matrix L^{-1} U, so nothing larger than r x k is formed.
+of the whitened r x k matrix L^{-1} U through the same QR/SVD split, so
+nothing larger than r x k is formed.
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
@@ -23,6 +28,7 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -87,8 +93,6 @@ class GramFactor:
     features = None  # no feature matrix: P^{-1} is the n x n gram itself
     regularized: np.ndarray
     chol: np.ndarray  # lower triangular
-    eta: float
-    block_multipliers: tuple
     assembly_seconds: float
     cholesky_seconds: float
 
@@ -112,12 +116,7 @@ class GramFactor:
         return float(y @ y)
 
 
-def cholesky_factor(
-    matrix: np.ndarray,
-    eta: float = 0.0,
-    block_multipliers: tuple = (),
-    assembly_seconds: float = 0.0,
-) -> GramFactor:
+def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFactor:
     t0 = time.perf_counter()
     try:
         L = scipy.linalg.cholesky(matrix, lower=True)
@@ -126,12 +125,7 @@ def cholesky_factor(
         raise NotPositiveDefinite(int(m.group()) if m else -1) from exc
     dt = time.perf_counter() - t0
     return GramFactor(
-        regularized=matrix,
-        chol=L,
-        eta=eta,
-        block_multipliers=tuple(block_multipliers),
-        assembly_seconds=assembly_seconds,
-        cholesky_seconds=dt,
+        regularized=matrix, chol=L, assembly_seconds=assembly_seconds, cholesky_seconds=dt
     )
 
 
@@ -143,9 +137,7 @@ def build_gram_factor(
     gram = assemble_gram(kernel, funcs, nonlocal_modes)
     r = build_nugget(gram, funcs, eta)
     assembly = time.perf_counter() - t0
-    reg = gram + np.diag(eta * r)
-    mults = tuple(float(r[sl][0]) for sl in funcs.slices)
-    return cholesky_factor(reg, eta=eta, block_multipliers=mults, assembly_seconds=assembly)
+    return cholesky_factor(gram + np.diag(eta * r), assembly_seconds=assembly)
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +160,14 @@ class FeatureFactor:
 
     Applies the ridge identity
     Q1 (S^2 + mu I)^{-1} Q1^T + (I - Q1 Q1^T)/mu with Q1, S from a thin
-    orthogonal factorization of A.  The factorization is computed as a thin
-    SVD rather than QR plus a Cholesky of the squared core: the squared
-    matrix can be conditioned like s_max^2/mu (past 1/eps when high-order
-    derivative rows are present) while the singular values themselves carry
-    only ~eps s_max absolute error, so every spectral direction is inverted
-    accurately.  Coefficient recovery (ridge_coefficients) works entirely
-    inside the factored basis, where A^T annihilates the 1/mu complement
-    term exactly.
+    orthogonal factorization of A.  The factorization is a thin SVD (a
+    Householder QR and an SVD of its triangular factor) rather than QR plus
+    a Cholesky of the squared core: the squared matrix can be conditioned
+    like s_max^2/mu (past 1/eps when high-order derivative rows are
+    present) while the singular values themselves carry only ~eps s_max
+    absolute error, so every spectral direction is inverted accurately.
+    Coefficient recovery (ridge_coefficients) works entirely inside the
+    factored basis, where A^T annihilates the 1/mu complement term exactly.
     """
 
     A: np.ndarray
@@ -194,6 +186,13 @@ class FeatureFactor:
     def features(self) -> np.ndarray:
         """The feature matrix A: P^{-1} = A A^T + mu I."""
         return self.A
+
+    @cached_property
+    def regularized(self) -> np.ndarray:
+        """P^{-1} = A A^T + mu I as a rows x rows matrix, formed on first use."""
+        P = self.A @ self.A.T
+        P[np.diag_indices_from(P)] += self.mu
+        return P
 
     def solve(self, v):
         """(A A^T + mu I)^{-1} v, the quadratic-form matrix applied to v."""
@@ -217,27 +216,31 @@ def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:
     if mu <= 0:
         raise ValueError("mu must be positive")
     A = np.asarray(A, dtype=float)
+    (h, tau), q_r, sing, zt, (t_qr, t_svd) = _qr_svd(A)
     t0 = time.perf_counter()
-    U, s, Vt = np.linalg.svd(A, full_matrices=False)
-    t_fact = time.perf_counter() - t0
-
-    def build_core():
-        return (Vt.T * ((s * s) + mu)) @ Vt
-
-    build_core()  # warm pass: the large factorization above evicts the caches,
-    # which would otherwise dominate this microsecond-scale stage
-    t0 = time.perf_counter()
-    core = build_core()  # noqa: F841 - feature-count sized, M-independent
-    t_core = time.perf_counter() - t0
+    pad = np.zeros((A.shape[0] - q_r.shape[0], q_r.shape[1]))
+    q1 = _reflect(h, tau, np.vstack([q_r, pad]), "N")  # H [q_r; 0]
+    t_qr += time.perf_counter() - t0
     return FeatureFactor(
-        A=A,
-        mu=mu,
-        q1=U,
-        sing=s,
-        v1=Vt.T,
-        qr_seconds=t_fact,
-        cholesky_seconds=t_core,
+        A=A, mu=mu, q1=q1, sing=sing, v1=zt.T, qr_seconds=t_qr, cholesky_seconds=t_svd
     )
+
+
+def _qr_svd(V):
+    """Thin SVD of V as a Householder QR V = H R plus an SVD R = q_r diag(s) z^T.
+
+    H is kept as its reflectors (h, tau), applied by ``_reflect``.  Returns
+    (h, tau), q_r, s, z^T and the seconds of the two stages; for a tall V
+    only the QR grows with its rows.
+    """
+    t0 = time.perf_counter()
+    (h, tau), R = scipy.linalg.qr(V, mode="raw", check_finite=False)
+    # the QR of a tall V evicts LAPACK's SVD code from the caches; reloading it
+    # on a 2 x 2 charges that to the QR, so the SVD's time follows R's size
+    np.linalg.svd(np.eye(2))
+    t1 = time.perf_counter()
+    q_r, s, zt = np.linalg.svd(R, full_matrices=False)
+    return (h, tau), q_r, s, zt, (t1 - t0, time.perf_counter() - t1)
 
 
 def apply_qr_inverse(f: FeatureFactor, v):
@@ -329,8 +332,7 @@ def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(x))):
         raise FloatingPointError("the whitened inner system is not finite")
     k = V.shape[1]
-    (h, tau), R = scipy.linalg.qr(V, mode="raw", check_finite=False)
-    q_r, s, zt = np.linalg.svd(R)
+    (h, tau), q_r, s, zt, _ = _qr_svd(V)
     hx = _reflect(h, tau, x, "T")  # H^T x: its first k entries are x's coordinates in range(V)
     t = q_r.T @ hx[:k]
     s2 = s * s
@@ -341,9 +343,12 @@ def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
     return y, zt.T @ (t * s / (1.0 + s2))
 
 
-def _reflect(h, tau, v, trans: str):
-    """H^T v (trans "T") or H v (trans "N") for the reflectors of a raw QR."""
-    out, _, info = scipy.linalg.lapack.dormqr("L", trans, h, tau, v[:, None], lwork=1)
+def _reflect(h, tau, X, trans: str):
+    """H^T X (trans "T") or H X (trans "N") for the reflectors of a raw QR; X a vector or matrix."""
+    h, C = h[:, : tau.size], X.reshape(X.shape[0], -1)  # a wide QR has fewer reflectors
+    dormqr = scipy.linalg.lapack.dormqr
+    lwork = int(dormqr("L", trans, h, tau, C, lwork=-1)[1][0])
+    out, _, info = dormqr("L", trans, h, tau, C, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
-    return out[:, 0]
+    return out.reshape(X.shape)

@@ -18,14 +18,17 @@ form and F F^T + mu I, with F the feature matrix, for the ridge form.
 
 There is one linearization, point-major: each point's rows sit together
 (boundary points, then interior points, then the normalization rows), and A
-is never formed, only its per-point Jacobian stacks.  With the ridge form,
-B = W^{-1} + A P^{-1} A^T splits as S + U U^T: S = W^{-1} + mu A A^T couples
-only the rows of one point (plus the dense normalization rows) and
+is never formed, only its per-point Jacobian stacks.  There are two inner
+steps.  The residual side forms B = W^{-1} + A P^{-1} A^T from P^{-1} as a
+matrix (the factor's ``regularized``) and factors it by Cholesky.  With the
+ridge form, B also splits as S + U U^T: S = W^{-1} + mu A A^T couples only
+the rows of one point (plus the dense normalization rows) and
 U = [A_z F_u, A_rho F_m, a_lam] has one column per feature.  When those k
-columns are fewer than the r kept rows, the inner step factors S point by
-point and takes a thin SVD of the whitened r x k matrix instead of a
-Cholesky factor of the r x r matrix B (``linsys.low_rank_update_solve``);
-every other system factors B densely.
+columns are fewer than the r kept rows, the inner step instead factors S
+point by point and takes a thin SVD of the whitened r x k matrix
+(``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
+A feature system with k >= r gains nothing there and takes the residual
+side on F F^T + mu I, like a gram.
 """
 
 from __future__ import annotations
@@ -150,28 +153,21 @@ def _point_rows(blocks, tail):
 
 
 def _cholesky_solve(B, c):
-    """B^{-1} c through a Cholesky factor of the symmetric part of B."""
+    """B^{-1} c for a symmetric B, which is overwritten by its Cholesky factor.
+
+    LAPACK factors the Fortran-ordered view B^T (that is, B) in place from
+    its lower triangle, so no r x r copy is made.  A non-finite entry there
+    fails the factorization or leaves a non-finite diagonal in the factor,
+    which is checked instead of B.
+    """
     try:
-        cf = scipy.linalg.cho_factor(0.5 * (B + B.T), lower=True)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:  # ValueError: inf or NaN in B
+        cf = scipy.linalg.cho_factor(B.T, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
         raise SingularNormalEquations(f"inner Cholesky failed: {exc}") from exc
-    y = scipy.linalg.cho_solve(cf, c)
-    if not np.all(np.isfinite(y)):
+    y = scipy.linalg.cho_solve(cf, c, check_finite=False)
+    if not (np.all(np.isfinite(np.diagonal(cf[0]))) and np.all(np.isfinite(y))):
         raise SingularNormalEquations("inner solve is not finite")
     return y
-
-
-def _add_arrow(B, groups, C, E):
-    """B += [[D, C], [C^T, E]], the matrix ``ArrowCholesky`` factors, written densely."""
-    n_d, lo = C.shape[0], 0
-    for g in groups:
-        n, p, _ = g.shape
-        idx = np.arange(n)
-        B[lo : lo + n * p, lo : lo + n * p].reshape(n, p, n, p)[idx, :, idx, :] += g
-        lo += n * p
-    B[:n_d, n_d:] += C
-    B[n_d:, :n_d] += C.T
-    B[n_d:, n_d:] += E
 
 
 class MfgSystem:
@@ -224,21 +220,21 @@ class MfgSystem:
         self._norm_t = (Nz, Nm)
         self._norm_c = np.array([target for _, _, target in norm])
         F_u, F_m = quad_u.features, quad_m.features
-        if (F_u is None) != (F_m is None):
-            raise TypeError("the u and m factors must both be gram or both be feature factors")
-        if F_u is None:
-            # N Theta: the normalization rows of A Theta, constant
+        # the feature side pays off when U has fewer columns k than kept rows r
+        self.feature_side = (
+            F_u is not None
+            and F_m is not None
+            and F_u.shape[1] + F_m.shape[1] + self.has_lam < self.n_rows
+        )
+        if not self.feature_side:
+            # N P^{-1}: the normalization rows of A P^{-1}, constant
             self._norm_y = (Nz.T @ quad_u.regularized, Nm.T @ quad_m.regularized)
-            self.feature_side = False
             return
         mu_u, mu_m = quad_u.mu, quad_m.mu
         lam_col = [np.zeros((self._n_norm, 1))] if self.has_lam else []
         self._norm_U = np.hstack([Nz.T @ F_u, Nm.T @ F_m] + lam_col)
         self._norm_S = np.diag(np.full(self._n_norm, 1.0 / self.beta)) if norm else np.zeros((0, 0))
         self._norm_S += mu_u * (Nz.T @ Nz) + mu_m * (Nm.T @ Nm)
-        # the feature side pays off when B = S + U U^T has fewer columns in U
-        # than kept rows: k < r
-        self.feature_side = self._norm_U.shape[1] < self.n_rows
 
     # -- state block bookkeeping ------------------------------------------
 
@@ -349,13 +345,15 @@ class MfgSystem:
             return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None)
         lin = self._linearize_by_point(state)
         c = self._targets(lin, state)
-        if self.quad_u.features is None:
-            return self._gram_inner_solve(lin, c)
-        return self._feature_inner_solve(lin, c)
+        if self.feature_side:
+            return self._feature_inner_solve(lin, c)
+        return self._gram_inner_solve(lin, c)
 
     def _gram_inner_solve(self, lin, c) -> SolverState:
-        """The inner step with P^{-1} = Theta: B = W^{-1} + A Theta A^T + a_lam a_lam^T.
+        """The residual-side step: B = W^{-1} + A Theta A^T + a_lam a_lam^T, factored.
 
+        Theta is P^{-1} as a matrix, the factor's ``regularized``: the
+        nugget-regularized gram, or F F^T + mu I for a feature factor.
         Theta A^T is one batched product per point group, of a view of
         Theta's block rows (its columns: Theta is symmetric) with the group's
         Jacobians, plus the constant (N Theta)^T for the normalization rows.
@@ -390,14 +388,14 @@ class MfgSystem:
         return SolverState(z=z_hat, rho=rho_hat, lam=float(a_lam @ y) if self.has_lam else None)
 
     def _feature_inner_solve(self, lin, c) -> SolverState:
-        """The inner step with P^{-1} = F F^T + mu I: B = S + U U^T.
+        """The feature-side step, for P^{-1} = F F^T + mu I and k < r: B = S + U U^T.
 
         U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + mu_u A_z A_z^T +
         mu_m A_rho A_rho^T, which is a 2 x 2 block per interior point, a
-        scalar per boundary row and the dense normalization rows.  With fewer
-        columns k in U than rows r, ``linsys.low_rank_update_solve`` works in
-        O(r k^2) on the feature side; otherwise B is formed and factored
-        densely.  Returns F g + mu A^T y with g = U^T y.
+        scalar per boundary row and the dense normalization rows.
+        ``linsys.low_rank_update_solve`` works in O(r k^2) on the feature
+        side, so neither F F^T nor B is formed.  Returns F g + mu A^T y with
+        g = U^T y.
         """
         F_u, F_m = self.quad_u.features, self.quad_m.features
         mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
@@ -411,16 +409,10 @@ class MfgSystem:
             coupling.append(mu_u * (Jz @ _by_point(Nz, z_sl, n)) + mu_m * (Jm @ _by_point(Nm, m_sl, n)))
         U = _point_rows(rows, self._norm_U)
         C = _point_rows(coupling, np.zeros((0, self._n_norm)))
-        if self.feature_side:
-            try:
-                y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
-            except (np.linalg.LinAlgError, FloatingPointError) as exc:
-                raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
-        else:
-            B = U @ U.T
-            _add_arrow(B, blocks, C, self._norm_S)
-            y = _cholesky_solve(B, c)
-            g = U.T @ y
+        try:
+            y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
         at_z, at_rho, _ = self._transpose_apply(lin, y)
         k_u, k_m = F_u.shape[1], F_m.shape[1]
         z_hat = F_u @ g[:k_u] + mu_u * at_z

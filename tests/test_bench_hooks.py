@@ -47,7 +47,8 @@ CONFIGS = {
 }
 
 # FF runs whose inner step takes the feature side (k = 13 + 13 + 1 = 27 feature
-# columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and stays dense
+# columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and takes the
+# residual-side Cholesky step on F F^T + mu I, as a GP run does
 FEATURE_SIDE = {"mfg1d_ff"}
 
 

@@ -324,6 +324,42 @@ def test_ff_inner_solve_matches_dense_solve_of_B(case, feature_side):
             assert abs(hat.lam - lam) <= 1e-8 * max(abs(lam), 1e-12)
 
 
+def _bundled_overrides(name):
+    """The bundled config's fields but its method, as keyword overrides for _system."""
+    path = Path(PL.__file__).parent / "configs" / f"{name}.json"
+    cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    return {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
+
+
+@pytest.mark.parametrize(
+    "case", [_bundled_overrides("mfg1d_ff"), dict(_TORUS_2D, gamma=1.0, beta=100.0)],
+    ids=["mfg1d_ff", "nonlocal2d"],
+)
+def test_feature_side_never_forms_the_regularized_matrix(case, monkeypatch):
+    """A feature-side system builds, steps and evaluates its loss without F F^T + mu I."""
+
+    def never(self):
+        raise AssertionError("the feature side read FeatureFactor.regularized")
+
+    monkeypatch.setattr(L.FeatureFactor, "regularized", property(never))
+    system, phi, psi = _system("ff", **case)
+    assert system.feature_side
+    state = _random_state(phi, psi, seed=3)
+    assert np.isfinite(system.loss(system.inner_solve(state))[0])
+
+
+@pytest.mark.parametrize("entry", [(2, 2, np.inf), (1, 4, np.inf), (4, 1, -np.inf), (3, 3, np.nan)])
+def test_non_finite_inner_matrix_raises_singular_normal_equations(entry):
+    """A non-finite entry of the symmetric B fails the in-place Cholesky solve cleanly."""
+    rng = np.random.default_rng(0)
+    G = rng.standard_normal((6, 6))
+    B = G @ G.T + 6.0 * np.eye(6)
+    i, j, value = entry
+    B[i, j] = B[j, i] = value
+    with pytest.raises(SingularNormalEquations):
+        O._cholesky_solve(B, rng.standard_normal(6))
+
+
 @pytest.mark.parametrize("name", ["nonlocal2d_ff_nu1", "mfg1d_ff", "nonlocal2d_gp_nu1", "mfg1d_gp"])
 def test_debug_gauss_newton_on_bundled_configs(name):
     """A debug run of the bundled config completes; every inner solve is within

@@ -38,9 +38,8 @@ def test_gp_reconstruction_interpolates_up_to_the_nugget():
     assert lam == 0.3
     # exact identity: values = z - eta * R * coeffs
     vals = np.concatenate([u.eval_op(tag, pts.interior) for tag in phi.operator_tags])
-    nugget = fu.eta * np.concatenate(
-        [np.full(pts.m_interior, mult) for mult in fu.block_multipliers]
-    )
+    eta = 1e-5  # _gp_setup's nugget
+    nugget = eta * L.build_nugget(L.assemble_gram(kernel, phi), phi, eta)
     scale = np.max(np.abs(state.z)) + np.max(np.abs(nugget * u.coeffs))
     np.testing.assert_allclose(vals, state.z - nugget * u.coeffs, atol=1e-7 * scale)
 
