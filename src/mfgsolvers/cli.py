@@ -6,9 +6,13 @@ timing.csv; ``bench-precompute`` times the factorizations over a range of
 sample counts; ``compare`` runs two configs on the same problem and
 reports their cross-agreement.
 
-The environment variable MFG_THREADS caps the BLAS/OpenMP worker count; it
-must be applied before the numeric libraries load, so the heavy imports
-happen inside main().
+The environment variable MFG_THREADS caps the BLAS/OpenMP worker count: it
+sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS where they
+are unset.  That works only before numpy and its BLAS load, so the heavy
+imports happen inside main(), after the cap, and importing this module (or
+the package, whose public names load ``pipeline`` on first use) loads no
+numpy.  This holds for ``python -m mfgsolvers`` and the ``mfgsolvers``
+script alike.
 
 Exit codes: 0 success; 2 a bad config or flag (output paths, and whether the
 two ``compare`` configs name one problem, are checked before anything runs),

@@ -8,9 +8,9 @@ Householder QR, whose cost grows with the functional count, plus an SVD of
 the small triangular factor, whose cost does not (``_qr_svd``).  Each factor
 applies its quadratic form; the inner step of ``optimizer`` reads the inverse
 of the quadratic-form matrix from the factor itself: ``regularized``, the
-regularized gram or A A^T + mu I (formed only on first use, by systems with
-at least as many features as residual rows), or the feature matrix with its
-ridge mu.
+regularized gram or A A^T + mu I (formed on each access, only by systems
+with at least as many features as residual rows, which hold it for one
+solve), or the feature matrix with its ridge mu.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
@@ -28,7 +28,6 @@ from __future__ import annotations
 import re
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -187,9 +186,13 @@ class FeatureFactor:
         """The feature matrix A: P^{-1} = A A^T + mu I."""
         return self.A
 
-    @cached_property
+    @property
     def regularized(self) -> np.ndarray:
-        """P^{-1} = A A^T + mu I as a rows x rows matrix, formed on first use."""
+        """P^{-1} = A A^T + mu I as a rows x rows matrix, formed anew on each access.
+
+        Nothing keeps it: the optimizer's residual-side step holds it for one
+        solve, and the feature side never forms it.
+        """
         P = self.A @ self.A.T
         P[np.diag_indices_from(P)] += self.mu
         return P

@@ -29,6 +29,13 @@ point by point and takes a thin SVD of the whitened r x k matrix
 (``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
 A feature system with k >= r gains nothing there and takes the residual
 side on F F^T + mu I, like a gram.
+
+The residual side allocates nothing of size r x r or n x r per step.  Its
+buffers (B, Theta A^T of each side, one point chunk of A Theta, and
+F F^T + mu I for a feature factor) belong to the system: the first step
+allocates them, every later step overwrites them in place, and
+``gauss_newton_run`` releases them when it returns, so they never overlap
+the post-solve field evaluation.
 """
 
 from __future__ import annotations
@@ -47,6 +54,9 @@ from .problems import ProblemSpec, boundary_residual_batch, interior_residual_ba
 
 INIT_ZEROS = "zeros-with-unit-density"
 INIT_GAUSSIAN = "gaussian"
+# points per chunk of the residual-side step: A Theta and the second side's
+# rows of B are formed this many points at a time in one small buffer
+POINT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -213,6 +223,7 @@ class MfgSystem:
         self._w = np.concatenate(
             [np.full(self.n_rows - self._n_norm, self.gamma), np.full(self._n_norm, self.beta)]
         )
+        self._workspace = None  # the residual side's, from its first step to release_workspace
         # normalization rows N as dense vectors over z and rho, one column each
         Nz, Nm = np.zeros((self.n_z, self._n_norm)), np.zeros((self.n_rho, self._n_norm))
         for j, (is_u, sl, _) in enumerate(norm):
@@ -227,8 +238,6 @@ class MfgSystem:
             and F_u.shape[1] + F_m.shape[1] + self.has_lam < self.n_rows
         )
         if not self.feature_side:
-            # N P^{-1}: the normalization rows of A P^{-1}, constant
-            self._norm_y = (Nz.T @ quad_u.regularized, Nm.T @ quad_m.regularized)
             return
         mu_u, mu_m = quad_u.mu, quad_m.mu
         lam_col = [np.zeros((self._n_norm, 1))] if self.has_lam else []
@@ -349,40 +358,83 @@ class MfgSystem:
             return self._feature_inner_solve(lin, c)
         return self._gram_inner_solve(lin, c)
 
+    def _residual_workspace(self):
+        """The residual side's buffers (thetas, B, yts, buf): the ones held, or new ones.
+
+        ``thetas`` is P^{-1} of each side as a matrix, ``B`` the r x r inner
+        matrix, ``yts`` Theta A^T of each side (n x r; its normalization
+        columns, (N Theta)^T, are written here once) and ``buf`` one point
+        chunk of A Theta or of a side's rows of B.
+        """
+        if self._workspace is None:
+            r, lo = self.n_rows, self.n_rows - self._n_norm
+            # a feature factor forms F F^T + mu I anew here; it lives as long as the buffers
+            thetas = (self.quad_u.regularized, self.quad_m.regularized)
+            n_u, n_m = (theta.shape[0] for theta in thetas)
+            # B, Theta A^T of each side and the chunk buffer (a point has at most
+            # two rows) are views of one block, freed in one piece on release;
+            # freeing them as separate arrays raised the post-solve peak RSS
+            sizes = [r * r, n_u * r, n_m * r, POINT_CHUNK * 2 * max(r, n_u, n_m)]
+            B, Yu, Ym, buf = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+            yts = (Yu.reshape(n_u, r), Ym.reshape(n_m, r))
+            for Yt, theta, Nt in zip(yts, thetas, self._norm_t):
+                Yt[:, lo:] = (Nt.T @ theta).T  # (N Theta)^T, constant
+            self._workspace = thetas, B.reshape(r, r), yts, buf
+        return self._workspace
+
+    def release_workspace(self) -> None:
+        """Drop the residual side's buffers; the next step allocates them again."""
+        self._workspace = None
+
     def _gram_inner_solve(self, lin, c) -> SolverState:
         """The residual-side step: B = W^{-1} + A Theta A^T + a_lam a_lam^T, factored.
 
         Theta is P^{-1} as a matrix, the factor's ``regularized``: the
-        nugget-regularized gram, or F F^T + mu I for a feature factor.
-        Theta A^T is one batched product per point group, of a view of
-        Theta's block rows (its columns: Theta is symmetric) with the group's
-        Jacobians, plus the constant (N Theta)^T for the normalization rows.
-        B's rows follow the same way, point group by point group, from
-        A (Theta A^T); theta_hat = Theta A^T y.
+        nugget-regularized gram, or F F^T + mu I for a feature factor.  Every
+        product is written into the system's workspace, so a step allocates
+        nothing of size r x r or n x r.  Theta A^T is formed POINT_CHUNK
+        points at a time: the chunk's A Theta is a batched product of its
+        Jacobians with a view of Theta's block rows, contiguous in the small
+        buffer, and is then written transposed into the chunk's columns; the
+        normalization columns (N Theta)^T are constant.  B's rows follow by
+        the same chunks, from A (Theta A^T): the first side's product is
+        written into B, the second side's and a_lam a_lam^T are added from
+        the buffer.  The Cholesky factor overwrites B; theta_hat =
+        Theta A^T y.
         """
+        thetas, B, yts, buf = self._residual_workspace()
         r = self.n_rows
-        B = np.zeros((r, r))
-        yts = []
-        for side, quad in enumerate((self.quad_u, self.quad_m)):
-            theta = quad.regularized
-            Yt = np.empty((theta.shape[0], r))  # Theta A^T
+        for side, (theta, Yt) in enumerate(zip(thetas, yts)):
             lo = 0
             for (n, *slices), (R, *J) in zip(self._groups, lin):
-                out = Yt[:, lo : lo + R.size].reshape(-1, n, R.shape[1]).transpose(1, 0, 2)
-                view = _by_point(theta, slices[side], n).transpose(0, 2, 1)
-                np.matmul(view, J[side].transpose(0, 2, 1), out=out)
+                p, theta_rows = R.shape[1], _by_point(theta, slices[side], n)
+                for i in range(0, n, POINT_CHUNK):
+                    j = min(i + POINT_CHUNK, n)
+                    at = buf[: (j - i) * p * theta.shape[0]].reshape(j - i, p, -1)
+                    np.matmul(J[side][i:j], theta_rows[i:j], out=at)  # the chunk's A Theta
+                    Yt[:, lo + i * p : lo + j * p] = at.reshape((j - i) * p, -1).T
                 lo += R.size
-            Yt[:, lo:] = self._norm_y[side].T
-            lo = 0
-            for (n, *slices), (R, *J) in zip(self._groups, lin):
-                B[lo : lo + R.size] += (J[side] @ _by_point(Yt, slices[side], n)).reshape(R.size, r)
-                lo += R.size
-            B[lo:] += self._norm_t[side].T @ Yt
-            yts.append(Yt)
         a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
+        lo = 0
+        for (n, *slices), (R, *J) in zip(self._groups, lin):
+            p = R.shape[1]
+            yt_u, yt_m = (_by_point(Yt, sl, n) for Yt, sl in zip(yts, slices))
+            for i in range(0, n, POINT_CHUNK):
+                j = min(i + POINT_CHUNK, n)
+                rows, tmp = B[lo + i * p : lo + j * p], buf[: (j - i) * p * r].reshape(-1, r)
+                np.matmul(J[0][i:j], yt_u[i:j], out=rows.reshape(j - i, p, r))
+                np.matmul(J[1][i:j], yt_m[i:j], out=tmp.reshape(j - i, p, r))
+                rows += tmp
+                if self.has_lam:  # as a matmul: a broadcast np.multiply allocates buffers
+                    rows += np.matmul(a_lam[lo + i * p : lo + j * p, None], a_lam[None], out=tmp)
+            lo += R.size
+        Nz, Nm = self._norm_t
+        rows, tmp = B[lo:], buf[: (r - lo) * r].reshape(-1, r)
+        np.matmul(Nz.T, yts[0], out=rows)
+        rows += np.matmul(Nm.T, yts[1], out=tmp)
         if self.has_lam:
-            B += np.outer(a_lam, a_lam)
-        B[np.diag_indices_from(B)] += 1.0 / self._w
+            rows += np.matmul(a_lam[lo:, None], a_lam[None], out=tmp)
+        B.reshape(-1)[:: r + 1] += 1.0 / self._w
         y = _cholesky_solve(B, c)
         z_hat, rho_hat = (Yt @ y for Yt in yts)
         return SolverState(z=z_hat, rho=rho_hat, lam=float(a_lam @ y) if self.has_lam else None)
@@ -439,7 +491,18 @@ class MfgSystem:
 
 
 def gauss_newton_run(system, init: SolverState, cfg: SolverConfig):
-    """Relaxed Gauss-Newton: theta <- theta + alpha (theta_hat - theta)."""
+    """Relaxed Gauss-Newton: theta <- theta + alpha (theta_hat - theta).
+
+    The system's inner-step workspace is released when the run returns or
+    raises.
+    """
+    try:
+        return _relaxed_iterations(system, init, cfg)
+    finally:
+        system.release_workspace()
+
+
+def _relaxed_iterations(system, init: SolverState, cfg: SolverConfig):
     state = SolverState(
         z=np.array(init.z, dtype=float), rho=np.array(init.rho, dtype=float), lam=init.lam
     )

@@ -1,6 +1,10 @@
 """Command line interface: artifacts, exit codes, thread cap handling."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -150,6 +154,27 @@ def test_thread_cap_applied(monkeypatch):
     import os
 
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+def test_importing_cli_loads_no_numpy():
+    """MFG_THREADS must be set before OpenBLAS loads, so importing the CLI loads no numpy.
+
+    The package's public names still import; they load ``pipeline`` on first use.
+    """
+    script = (
+        "import sys, mfgsolvers.cli\n"
+        "assert 'numpy' not in sys.modules, 'importing mfgsolvers.cli loaded numpy'\n"
+        "from mfgsolvers import ExperimentConfig, RunResult, run_experiment\n"
+        "from mfgsolvers import pipeline\n"
+        "assert run_experiment is pipeline.run_experiment\n"
+        "assert ExperimentConfig is pipeline.ExperimentConfig and RunResult is pipeline.RunResult\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_thread_cap_rejects_garbage(monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -346,6 +347,11 @@ def test_feature_side_never_forms_the_regularized_matrix(case, monkeypatch):
     assert system.feature_side
     state = _random_state(phi, psi, seed=3)
     assert np.isfinite(system.loss(system.inner_solve(state))[0])
+    # the residual side (k >= r) does read it, at its first step, so the patch is live
+    dense, phi, psi = _system("ff", **dict(_TORUS_1D, M=8))
+    assert not dense.feature_side
+    with pytest.raises(AssertionError, match="read FeatureFactor.regularized"):
+        dense.inner_solve(_random_state(phi, psi, seed=3))
 
 
 @pytest.mark.parametrize("entry", [(2, 2, np.inf), (1, 4, np.inf), (4, 1, -np.inf), (3, 3, np.nan)])
@@ -404,3 +410,58 @@ def test_infinite_jacobian_raises_singular_normal_equations(case, feature_side, 
     monkeypatch.setattr(system, "spec", replace(system.spec, interior=inf_jacobian))
     with pytest.raises(SingularNormalEquations):
         system.inner_solve(_random_state(phi, psi, seed=0))
+
+
+# -- the residual side's workspace -------------------------------------------
+
+@pytest.mark.parametrize(
+    "method, case",
+    [
+        ("gp", _bundled_overrides("mfg1d_gp")),  # r = 514
+        ("gp", dict(_TORUS_2D_GP, M=144)),  # r = 290
+        ("ff", dict(_TORUS_1D, M=64, N=40)),  # k = 163 >= r = 130
+    ],
+    ids=["mfg1d_gp", "nonlocal2d-gp", "mfg1d-ff-dense"],
+)
+def test_residual_side_step_allocates_less_than_one_r_by_r_matrix(method, case):
+    """After a warm-up step, a step's tracemalloc peak is below one r x r float64 matrix."""
+    system, phi, psi = _system(method, **case)
+    assert not system.feature_side
+    state = _random_state(phi, psi, seed=6)
+    system.inner_solve(state)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system.inner_solve(state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    r_by_r = 8 * system.n_rows**2
+    assert peak < r_by_r, f"step peak {peak} B, r x r is {r_by_r} B"
+
+
+@pytest.mark.parametrize(
+    "method, case",
+    [("gp", _TORUS_1D_GP), ("gp", _PLANNING_GP), ("ff", dict(_TORUS_1D, M=8, gamma=1.0, beta=100.0))],
+    ids=["mfg1d-gp", "planning-gp", "mfg1d-ff-dense"],
+)
+def test_residual_workspace_reuse_is_exact_and_released(method, case):
+    """Steps on one system equal steps on fresh systems bit for bit and leave
+    earlier results alone; gauss_newton_run releases the workspace."""
+    system, phi, psi = _system(method, **case)
+    assert not system.feature_side
+    states = [_random_state(phi, psi, seed) for seed in (4, 5)]
+    if not system.has_lam:
+        for state in states:
+            state.lam = None
+    first = system.inner_solve(states[0])
+    kept = first.pack().copy()
+    second = system.inner_solve(states[1])
+    np.testing.assert_array_equal(first.pack(), kept)
+    for state, got in zip(states, (first, second)):
+        fresh, _, _ = _system(method, **case)
+        np.testing.assert_array_equal(got.pack(), fresh.inner_solve(state).pack())
+    assert system._workspace is not None
+    cfg = O.SolverConfig(gamma=system.gamma, beta=system.beta, alpha=0.4, max_iters=2)
+    O.gauss_newton_run(system, O.init_state(phi, psi, system.has_lam, cfg), cfg)
+    assert system._workspace is None
