@@ -14,7 +14,10 @@ the torus K(x, y) = sum_a c_a exp(2 pi i a.(x - y)) up to a truncation that
 
 - a representer-form field on the 1D or 2D torus collapses once into one
   weight per mode (``mode_weights``), and every operator applied to it is
-  one small spectral sum (``eval_mode_weights``);
+  one small spectral sum (``eval_mode_weights``).  Both build their
+  exponentials exp(2 pi i a x_d) once per distinct coordinate of each axis
+  (``_axis_exponentials``), so a tensor grid of n x n points costs n rows
+  per axis, and every operator of one call shares them;
 - a gram block with J5 on either side is one real GEMM over the mode
   features [cos, sin](2 pi a.x) of the two point sets, with the modes
   a and -a folded into one (``nonlocal_cross_matrix``);
@@ -476,10 +479,27 @@ def eval_nonlocal(
 # ---------------------------------------------------------------------------
 # torus fields as per-mode weights of the truncated kernel spectrum
 
+# points per chunk of the last-axis reduction in ``eval_mode_weights``.  A
+# chunk's buffer is _MODE_CHUNK x ops x n_modes complex, 1.3 MB for the five
+# nonlocal2d m operators at 64 modes, small enough to stay in a core's L2
+# cache: on 2000 held-out points (2-vCPU Xeon VM, one BLAS thread) 128 and
+# 256 were fastest, 1024 about 1.4x slower
+_MODE_CHUNK = 256
+
+
 def _axis_exponentials(X, n_modes: int):
-    """exp(2 pi i x_d a) for each axis d, each (n_points, n_modes) in fftfreq order."""
+    """Per axis d: exp(2 pi i u a) over the distinct coordinates u of X[:, d], and the gather index.
+
+    Each pair is (table, index), the table (n_distinct, n_modes) in fftfreq
+    order and table[index] the point-by-point table; a tensor grid of
+    n x n points has n rows per axis, not n^2.
+    """
     a = _mode_axis(n_modes)
-    return [np.exp(2.0j * np.pi * np.outer(X[:, d], a)) for d in range(X.shape[1])]
+    out = []
+    for d in range(X.shape[1]):
+        u, index = np.unique(X[:, d], return_inverse=True)
+        out.append((np.exp(2.0j * np.pi * np.outer(u, a)), index.reshape(-1)))
+    return out
 
 
 def _mode_symbol(k: KernelSpec, op: str, side: str, n_modes: int):
@@ -498,8 +518,8 @@ def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
     W[a] = c_a sum_blocks sum_i coeff_i mult_R(tag, a) exp(-2 pi i a.y_i) over
     the n_modes (1D) or n_modes x n_modes (2D) mode grid, with the exact c_a
     of ``_profile_coeffs_1d``, so J5 is one more symbol.  ``funcs`` is a
-    FunctionalSet and ``coeffs`` follows its block layout.  Cost:
-    n_functionals * n_modes^dim.
+    FunctionalSet and ``coeffs`` follows its block layout; the blocks on one
+    point set share its exponential tables.  Cost: n_functionals * n_modes^dim.
     """
     if not k.periodic:
         raise UnsupportedOperator("mode weights require a periodic kernel")
@@ -507,33 +527,61 @@ def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
     spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
     c = spectrum(k.lengthscales[0], n_modes)
     acc = np.zeros(c.shape, dtype=complex)
+    tables = {}  # conjugate point-by-point exponentials per point set, keyed by identity
     for (tag, pts, _), sl in zip(funcs.blocks, funcs.slices):
         if pts.shape[0] == 0:
             continue
-        e = _axis_exponentials(_as_points(k, pts), n_modes)
+        if id(pts) not in tables:
+            axes = _axis_exponentials(_as_points(k, pts), n_modes)
+            tables[id(pts)] = [t.conj()[index] for t, index in axes]
+        e = tables[id(pts)]
         if k.dim == 1:
-            summed = e[0].conj().T @ coeffs[sl]
+            summed = e[0].T @ coeffs[sl]
         else:
             # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
-            summed = e[0].conj().T @ (coeffs[sl][:, None] * e[1].conj())
+            summed = e[0].T @ (coeffs[sl][:, None] * e[1])
         acc += _mode_symbol(k, tag, "right", n_modes) * summed
     return c * acc
+
+
+def mode_table_bytes(dim: int, n_points: int, n_ops: int, n_modes: int) -> int:
+    """Bytes of the largest array ``mode_weights`` or ``eval_mode_weights`` allocates.
+
+    For ``n_points`` points and ``n_ops`` operators that is an exponential
+    table (at most n_points x n_modes), the stacked-operator product (at
+    most n_points x n_ops x n_modes^(dim-1), which also bounds a reduction
+    chunk), its operand or the weights (n_ops x n_modes^dim), all complex128.
+    """
+    return 16 * max(
+        n_points * n_modes, n_points * n_ops * n_modes ** (dim - 1), n_ops * n_modes**dim
+    )
 
 
 def eval_mode_weights(k: KernelSpec, weights: np.ndarray, ops, X) -> np.ndarray:
     """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
 
-    Returns one column per operator in ``ops``.  With per-axis exponentials
-    E1 (and E2), computed once for all of them, a column is E1 @ W_op on the
-    1D torus and rowsum((E1 @ W_op) * E2) on the 2D torus, at a cost of
-    n_points * n_modes^dim.
+    Returns one column per operator in ``ops``.  The symbols act on the
+    distinct first-axis coordinates only: on the 1D torus a column is
+    E1 @ (mult_L W) gathered to the points; on the 2D torus every operator
+    goes through one product E1 @ [mult_L W ...] over the stacked symbols,
+    and each point's rows of it are reduced against its second-axis
+    exponentials, in chunks of ``_MODE_CHUNK`` points.  Cost: n_distinct *
+    n_ops * n_modes^dim plus, in 2D, n_points * n_ops * n_modes.
     """
-    e = _axis_exponentials(_as_points(k, X), weights.shape[0])
-    cols = []
-    for op in ops:
-        f = e[0] @ (_mode_symbol(k, op, "left", weights.shape[0]) * weights)
-        cols.append(np.real(f if k.dim == 1 else np.sum(f * e[1], axis=1)))
-    return np.stack(cols, axis=1)
+    n_modes = weights.shape[0]
+    (e0, i0), *rest = _axis_exponentials(_as_points(k, X), n_modes)
+    sym = [_mode_symbol(k, op, "left", n_modes) * weights for op in ops]
+    if k.dim == 1:
+        return np.real(np.stack([e0 @ s for s in sym], axis=1))[i0]
+    (e1, i1), = rest
+    g = (e0 @ np.hstack(sym)).reshape(e0.shape[0], len(ops), n_modes)
+    out = np.empty((i0.size, len(ops)))
+    for lo in range(0, i0.size, _MODE_CHUNK):
+        sl = slice(lo, lo + _MODE_CHUNK)
+        f = g[i0[sl]]
+        f *= e1[i1[sl]][:, None, :]
+        out[sl] = np.real(f.sum(axis=2))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -330,13 +330,20 @@ class ExperimentConfig:
 def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     """Bytes of the largest array of a torus GP run that grows with nonlocal_modes.
 
-    That is the mode exponentials (complex128) of the collocation, held-out
-    or grid points, or, with J5, the gram's mode features (float64).
+    That is, with J5, the gram's mode features (float64), or an array of the
+    field weights or of their evaluation (``kernels.mode_table_bytes``): at
+    the collocation and held-out points with every operator of a field, and
+    on the grid with the field's values alone.
     """
-    n = cfg.nonlocal_modes
-    points = max(cfg.M, problem.n_held_out, math.prod(map(len, problem.grid_axes)))
-    features = 8 * cfg.M * n * n if K.J5 in problem.spec(cfg).m_operators else 0
-    return max(features, 16 * points * n)
+    n, spec = cfg.nonlocal_modes, problem.spec(cfg)
+    n_ops = max(len(spec.u_operators), len(spec.m_operators))
+    grid_points = math.prod(map(len, problem.grid_axes))
+    features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
+    return max(
+        features,
+        K.mode_table_bytes(spec.dim, max(cfg.M, problem.n_held_out), n_ops, n),
+        K.mode_table_bytes(spec.dim, grid_points, 1, n),
+    )
 
 
 @dataclass
@@ -414,8 +421,7 @@ def export_solution_grid(result: RunResult, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow([f"x{i}" for i in range(grid.shape[1])] + ["u", "m"])
-        for i in range(grid.shape[0]):
-            w.writerow([repr(float(v)) for v in grid[i]] + [repr(float(uv[i])), repr(float(mv[i]))])
+        w.writerows(map(repr, row) for row in np.column_stack((grid, uv, mv)).tolist())
 
 
 def export_timing(rows, path) -> None:

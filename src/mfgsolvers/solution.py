@@ -7,10 +7,14 @@ held-out PDE residuals use analytic derivatives rather than stencils.
 
 A GP field on the 1D or 2D torus is stored as the per-mode weights of the
 kernel's exact, truncated Fourier spectrum, computed once when the field is
-built; applying an operator at n points then costs n * n_modes^dim,
-independent of the number of functionals.  GP fields of the anisotropic
-space-time kernel (planning) sum the closed-form representer terms at every
-call.
+built; applying operators at n points then costs about n * n_modes^dim
+(less on a tensor grid, whose exponentials are built per distinct
+coordinate), independent of the number of functionals.  GP fields of the
+anisotropic space-time kernel (planning) sum the closed-form representer
+terms at every call, in chunks of points, with one table per chunk and
+point set that every block on that set shares.  FF fields fold each
+operator into per-frequency sin and cos weights and evaluate in chunks, so
+no points x features matrix is formed.
 """
 
 from __future__ import annotations
@@ -29,13 +33,24 @@ from .optimizer import SolverState
 from .problems import ProblemSpec, interior_residual_batch
 
 
+# evaluation points per chunk of a GP field off the torus.  A chunk's kernel
+# tables are _CROSS_CHUNK x (points in the set) per derivative order and
+# axis, 79 MB for planning's 1200 interior points and the 8 orders of u's
+# operators.  On planning's 32768-point grid (2-vCPU Xeon VM, one BLAS
+# thread) 256, 512, 1024 and 2048 took 10.2, 9.1, 8.6 and 8.0 s at peaks of
+# 85, 111, 162 and 260 MB.  A multiple of 4, because a BLAS matrix-vector
+# kernel that takes rows four at a time may sum the last (rows mod 4)
+# another way; so the values do not depend on the chunking.
+_CROSS_CHUNK = 1024
+
+
 @dataclass(frozen=True)
 class GpField:
     """Representer-form field: sum_i c_i (R_i K)(x, y_i).
 
     On the torus the sum is collapsed into per-mode weights once, when the
     field is built; the anisotropic kernel evaluates the sum in closed form
-    on every call.
+    on every call, ``_CROSS_CHUNK`` points at a time.
     """
 
     coeffs: np.ndarray
@@ -50,17 +65,26 @@ class GpField:
             object.__setattr__(self, "weights", w)
 
     def eval_ops(self, ops, X) -> np.ndarray:
-        """One column per operator in ``ops``, from one table per point set."""
+        """One column per operator in ``ops``, from one table per chunk of X and point set."""
         if self.weights is not None:
             return K.eval_mode_weights(self.kernel, self.weights, ops, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], len(ops)))
-        for (tag, pts, _), sl in zip(self.funcs.blocks, self.funcs.slices):
-            if pts.shape[0] == 0:
-                continue
-            tables = K.CrossTables(self.kernel, X, pts, ops, (tag,), self.nonlocal_modes)
-            for j, op in enumerate(ops):
-                out[:, j] += tables.op_matrix(op, tag) @ self.coeffs[sl]
+        tags_on = {}  # operator tags per point set, keyed by the array's identity
+        for tag, pts, _ in self.funcs.blocks:
+            tags_on.setdefault(id(pts), []).append(tag)
+        for lo in range(0, X.shape[0], _CROSS_CHUNK):
+            rows = slice(lo, lo + _CROSS_CHUNK)
+            tables = {}
+            for (tag, pts, _), sl in zip(self.funcs.blocks, self.funcs.slices):
+                if pts.shape[0] == 0:
+                    continue
+                if id(pts) not in tables:
+                    tables[id(pts)] = K.CrossTables(
+                        self.kernel, X[rows], pts, ops, tags_on[id(pts)], self.nonlocal_modes
+                    )
+                for j, op in enumerate(ops):
+                    out[rows, j] += tables[id(pts)].op_matrix(op, tag) @ self.coeffs[sl]
         return out
 
     def eval_op(self, op: str, X) -> np.ndarray:
@@ -78,9 +102,8 @@ class FfField:
     basis: F.FeatureBasis
 
     def eval_ops(self, ops, X) -> np.ndarray:
-        """One column per operator in ``ops``, from one sin/cos table of X."""
-        mats = F.eval_feature_ops(self.basis, ops, X)
-        return np.stack([a @ self.coeffs for a in mats], axis=1)
+        """One column per operator in ``ops``, one GEMM per chunk of X."""
+        return F.eval_feature_sum(self.basis, self.coeffs, ops, X)
 
     def eval_op(self, op: str, X) -> np.ndarray:
         return self.eval_ops((op,), X)[:, 0]

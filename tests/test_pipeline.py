@@ -2,6 +2,7 @@
 
 import csv
 import json
+import types
 
 import numpy as np
 import pytest
@@ -167,6 +168,23 @@ def test_small_end_to_end_run(method, tmp_path):
         trows = list(csv.reader(fh))
     assert trows[0] == ["method", "M", "qr_seconds", "cholesky_seconds"]
     assert trows[1][0] == method
+
+
+def test_solution_grid_is_written_with_the_repr_of_each_value(tmp_path):
+    grid = np.array([[-0.0, 1e-17], [1.0, 2.0], [0.1, -3.5e300]])
+    result = types.SimpleNamespace(
+        grid=grid, u_grid=np.array([0.0, -0.0, 5.0]), m_grid=np.array([1e-17, 1 / 3, 2.0**60])
+    )
+    PL.export_solution_grid(result, tmp_path / "grid.csv")
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x0", "x1", "u", "m"])
+        for i in range(grid.shape[0]):
+            row = [*grid[i], result.u_grid[i], result.m_grid[i]]
+            w.writerow([repr(float(v)) for v in row])
+    assert (tmp_path / "grid.csv").read_bytes() == expected.read_bytes()
+    assert b"-0.0,1e-17," in expected.read_bytes()
 
 
 def test_runs_are_deterministic():

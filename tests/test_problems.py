@@ -49,6 +49,36 @@ def test_explicit_solution_normalizations():
     assert float(np.mean(exact.u_x_star(grid))) == pytest.approx(0.0, abs=1e-12)
 
 
+def _full_mode_u_star(b, x, quad_nodes=4096):
+    """u* summed over every mode of the drift's sampled series, round-off modes included."""
+    bh = np.fft.rfft(b(np.arange(quad_nodes) / quad_nodes)) / quad_nodes
+    ks = np.arange(1, quad_nodes // 2)
+    anti = bh[1 : quad_nodes // 2] / (2.0j * np.pi * ks)
+    return -2.0 * np.real(np.exp(2.0j * np.pi * np.multiply.outer(x, ks)) @ anti)
+
+
+def test_explicit_u_star_drops_only_round_off_modes():
+    x = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    exact = P.explicit_solution_1d(default_potential, default_drift)
+    np.testing.assert_allclose(
+        exact.u_star(x), _full_mode_u_star(default_drift, x), rtol=0, atol=1e-15
+    )
+
+    def drift(s):  # three modes with mean zero, the last one far below the first
+        s = np.asarray(s, dtype=float)
+        return np.cos(2 * np.pi * s) + 0.5 * np.sin(6 * np.pi * s) + 1e-9 * np.cos(10 * np.pi * s)
+
+    # -int_0^x drift, shifted to mean zero
+    closed = (
+        -np.sin(2 * np.pi * x) / (2 * np.pi)
+        + 0.5 * np.cos(6 * np.pi * x) / (6 * np.pi)
+        - 1e-9 * np.sin(10 * np.pi * x) / (10 * np.pi)
+    )
+    u = P.explicit_solution_1d(default_potential, drift).u_star(x)
+    np.testing.assert_allclose(u, _full_mode_u_star(drift, x), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(u, closed, rtol=0, atol=1e-15)
+
+
 def test_nonzero_mean_drift_rejected():
     with pytest.raises(NonZeroMeanDrift):
         P.explicit_solution_1d(default_potential, lambda x: np.cos(2 * np.pi * x) + 0.5)

@@ -1,6 +1,7 @@
 """Field reconstruction, error metrics, and report serialization."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from mfgsolvers import linsys as L
 from mfgsolvers import optimizer as O
 from mfgsolvers import problems as P
 from mfgsolvers import solution as S
-from mfgsolvers.errors import EmptyGrid
+from mfgsolvers.errors import EmptyGrid, UnsupportedOperator
 from mfgsolvers.pipeline import default_drift, default_drift_dx, default_potential
 
 SPEC_1D = P.make_1d_stationary(default_potential, default_drift, default_drift_dx)
@@ -159,6 +160,18 @@ def test_error_report_json_shape():
     assert text == S.ErrorReport(None, None, 0.5, 1.25, 0.0, "g").to_json()
 
 
+def _torus_eval_points(dim, rng):
+    """Random points plus a tensor grid whose coordinates repeat, more points than a chunk."""
+    nodes = np.arange(17) / 17.0
+    if dim == 1:
+        grid = np.tile(nodes, 16)[:, None]
+    else:
+        grid = np.stack([a.ravel() for a in np.meshgrid(nodes, nodes, indexing="ij")], axis=1)
+    X = np.vstack([rng.random((25, dim)), grid])
+    assert X.shape[0] > K._MODE_CHUNK
+    return X
+
+
 @pytest.mark.parametrize(
     "spec, kernel, pts, dim",
     [
@@ -168,18 +181,111 @@ def test_error_report_json_shape():
     ids=["nonlocal2d", "mfg1d"],
 )
 def test_torus_gp_field_matches_direct_representer_sum(spec, kernel, pts, dim):
-    """Spectral-weight evaluation of a torus field equals the representer sum."""
+    """Spectral-weight evaluation of a torus field equals the representer sum.
+
+    The points repeat coordinates, so the distinct-coordinate tables gather,
+    and outnumber a reduction chunk.  Two parts of them evaluate to the same
+    bits as the whole (a part with a single distinct first coordinate would
+    not: numpy sends a one-row product to a matrix-vector kernel).
+    """
     rng = np.random.default_rng(11)
-    X = rng.random((25, dim))
+    X = _torus_eval_points(dim, rng)
     for funcs, ops in zip(C.build_functionals(spec, pts), (spec.u_operators, spec.m_operators)):
         coeffs = rng.standard_normal(funcs.size)
         f = S.GpField(coeffs, funcs, kernel, nonlocal_modes=64)
         assert f.weights is not None
-        for op in ops:
+        values = f.eval_ops(ops, X)
+        for j, op in enumerate(ops):
             direct = sum(
                 K.pairwise_op_matrix(kernel, op, tag, X, y, 64) @ coeffs[sl]
                 for (tag, y, _), sl in zip(funcs.blocks, funcs.slices)
             )
             np.testing.assert_allclose(
-                f.eval_op(op, X), direct, rtol=0, atol=1e-10 * np.max(np.abs(direct)), err_msg=op
+                values[:, j], direct, rtol=0, atol=1e-10 * np.max(np.abs(direct)), err_msg=op
+            )
+            np.testing.assert_array_equal(f.eval_op(op, X), values[:, j])
+        for h in (150, X.shape[0] // 2):
+            np.testing.assert_array_equal(
+                np.vstack([f.eval_ops(ops, X[:h]), f.eval_ops(ops, X[h:])]), values
+            )
+
+
+def _supported_ops(basis):
+    out = []
+    for op in sorted(K.ALL_OPS):
+        try:
+            F.eval_feature_op(basis, op, np.zeros((1, basis.dim)))
+        except UnsupportedOperator:
+            continue
+        out.append(op)
+    return out
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        F.build_periodic_1d(10),
+        F.build_periodic_2d(5, full=True),
+        F.sample_orthogonal_features(F.RandomFeatureSampler(2, 0.2, 3), 150),
+    ],
+    ids=["periodic1d", "periodic2d_full", "random_tx"],
+)
+def test_ff_field_evaluation_matches_the_feature_matrices(basis):
+    """Each column of FfField.eval_ops is the explicit feature matrix times the coefficients."""
+    ops = _supported_ops(basis)
+    assert K.ID in ops and (K.J5 in ops) == basis.periodic
+    rng = np.random.default_rng(12)
+    X = rng.random((3 * F._SUM_CHUNK + 17, basis.dim)) * 4.0 - 2.0
+    f = S.FfField(rng.standard_normal(basis.count), basis)
+    values = f.eval_ops(ops, X)
+    for j, (op, A) in enumerate(zip(ops, F.eval_feature_ops(basis, ops, X))):
+        # relative to the size of the summed terms, which sets the round-off of either sum
+        atol = 1e-13 * np.max(np.abs(A) @ np.abs(f.coeffs))
+        for got in (values[:, j], f.eval_op(op, X)):
+            np.testing.assert_allclose(got, A @ f.coeffs, rtol=0, atol=atol, err_msg=op)
+
+
+def test_ff_field_evaluation_forms_no_points_by_features_matrix():
+    """The evaluation's memory peak stays below one points x features float64 matrix."""
+    basis = F.sample_orthogonal_features(F.RandomFeatureSampler(2, 0.2, 0), 200)
+    f = S.FfField(np.random.default_rng(13).standard_normal(basis.count), basis)
+    X = S.held_out_points(P.make_planning(), n=8 * F._SUM_CHUNK)
+    ops = P.make_planning().u_operators
+    tracemalloc.start()
+    try:
+        f.eval_ops(ops, X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * X.shape[0] * basis.count
+
+
+def test_anisotropic_gp_field_evaluates_in_chunks():
+    """Off the torus a field sums the closed-form blocks in chunks of points.
+
+    The chunks share one table per point set; the values match the sum of
+    per-block matrices, and two parts of X evaluate to the same bits as the
+    whole.  The parts split at multiples of 4 rows, as the chunks do: a BLAS
+    matrix-vector kernel may sum a row of the last (n mod 4) another way.
+    """
+    spec = P.make_planning()
+    kernel = K.anisotropic_kernel(0.3, 0.4)
+    phi, psi = C.build_functionals(spec, C.sample_planning(5, 60, 10, 10))
+    rng = np.random.default_rng(14)
+    X = S.held_out_points(spec, n=S._CROSS_CHUNK + 304)
+    for funcs, ops in ((phi, spec.u_operators), (psi, spec.m_operators)):
+        f = S.GpField(rng.standard_normal(funcs.size), funcs, kernel)
+        assert f.weights is None
+        values = f.eval_ops(ops, X)
+        for j, op in enumerate(ops):
+            direct = sum(
+                K.pairwise_op_matrix(kernel, op, tag, X, y) @ f.coeffs[sl]
+                for (tag, y, _), sl in zip(funcs.blocks, funcs.slices)
+            )
+            np.testing.assert_allclose(
+                values[:, j], direct, rtol=0, atol=1e-13 * np.max(np.abs(direct)), err_msg=op
+            )
+        for h in (S._CROSS_CHUNK, X.shape[0] // 2):
+            np.testing.assert_array_equal(
+                np.vstack([f.eval_ops(ops, X[:h]), f.eval_ops(ops, X[h:])]), values
             )
