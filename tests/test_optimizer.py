@@ -48,6 +48,10 @@ def test_solver_config_validation():
         O.SolverConfig(gamma=-1.0)
     with pytest.raises(ValueError):
         O.SolverConfig(max_iters=0)
+    with pytest.raises(ValueError):
+        O.SolverConfig(step_tol=-1e-10)
+    with pytest.raises(ValueError):
+        O.SolverConfig(step_tol=float("nan"))
 
 
 def test_init_state_unit_density_on_identity_blocks():
@@ -224,7 +228,8 @@ def test_loss_terms_are_consistent():
 
 def test_gauss_newton_descends_on_the_1d_problem():
     system, phi, psi = _gp_system(M=24, gamma=1.0, beta=1e4, eta=1e-6)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=8)
+    # step_tol 0: no stop before max_iters; the default stops this run after 6 steps
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=8, step_tol=0.0)
     state0 = O.init_state(phi, psi, True, cfg)
     state, hist = O.gauss_newton_run(system, state0, cfg)
     assert len(hist.total) == 9
@@ -238,12 +243,130 @@ def test_gauss_newton_debug_mode_checks_inner_solve():
     O.gauss_newton_run(system, state0, cfg)  # must not raise
 
 
-def test_loss_tol_stops_early():
+def _relative_step(state, hat):
+    theta, theta_hat = state.pack(), hat.pack()
+    return np.linalg.norm(theta_hat - theta) / np.linalg.norm(theta_hat)
+
+
+def _recording_inner_solve(system):
+    """Wraps system.inner_solve; returns the list of (state, theta_hat) it is called with."""
+    calls, solve = [], system.inner_solve
+
+    def recorded(state):
+        hat = solve(state)
+        calls.append((O.SolverState(state.z.copy(), state.rho.copy(), state.lam), hat))
+        return hat
+
+    system.inner_solve = recorded
+    return calls
+
+
+def test_step_tol_stops_at_the_first_vanishing_step():
+    """The run stops at the first theta_hat within step_tol of theta, solves no
+    further inner problem, and its history ends at the last accepted state."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=50, loss_tol=1e-3)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=50, step_tol=1e-6)
+    calls = _recording_inner_solve(system)
+    state, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    steps = [_relative_step(s, h) for s, h in calls]
+    assert steps[-1] <= cfg.step_tol
+    assert all(v > cfg.step_tol for v in steps[:-1])
+    # one inner solve per accepted step, plus the one that stopped the run
+    assert len(calls) == len(hist.total) < cfg.max_iters + 1
+    np.testing.assert_array_equal(state.pack(), calls[-1][0].pack())
+    assert hist.total[-1] == system.loss(state)[0]
+    np.testing.assert_allclose(hist.step_norm[1:], steps[:-1], rtol=1e-12)
+
+
+# -- the step search ---------------------------------------------------------
+
+def _counting_loss(system, replace_at=()):
+    """Wraps system.loss; call i (0 is the starting state) returns all-inf parts
+    when i is in replace_at.  Returns the list of totals it handed out."""
+    totals, loss = [], system.loss
+
+    def counted(state):
+        parts = (np.inf,) * 4 if len(totals) in replace_at else loss(state)
+        totals.append(parts[0])
+        return parts
+
+    system.loss = counted
+    return totals
+
+
+def _overshooting(system, factor):
+    """Makes the inner step return theta + factor (theta_hat - theta)."""
+    solve = system.inner_solve
+
+    def overshoot(state):
+        return O._moved(state, solve(state), factor)
+
+    system.inner_solve = overshoot
+
+
+def test_step_search_accepts_the_first_halving_that_lowers_the_loss():
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.01, max_iters=1)
     state0 = O.init_state(phi, psi, True, cfg)
+    _overshooting(system, 16.0)
+    hat = system.inner_solve(state0)
+    loss0 = system.loss(state0)[0]
+    want = next(t for t in O._step_lengths(cfg.alpha) if system.loss(O._moved(state0, hat, t))[0] < loss0)
+    assert cfg.alpha < want < 1.0  # the full step raises the loss
     _, hist = O.gauss_newton_run(system, state0, cfg)
-    assert len(hist.total) < 51
+    assert hist.step == [0.0, want]
+    assert hist.total[1] < hist.total[0]
+
+
+def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss():
+    """Along the reversed Gauss-Newton direction no step lowers the loss: the
+    relaxed step alpha is taken anyway and the run goes on."""
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.2, max_iters=2, step_tol=0.0)
+    _overshooting(system, -1.0)
+    totals = _counting_loss(system)
+    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    trials = len(O._step_lengths(cfg.alpha))
+    assert trials == 4  # 1, 1/2, 1/4, then alpha
+    assert len(totals) == 1 + 2 * trials
+    assert min(totals[1 : trials + 1]) >= totals[0]  # no trial lowered the loss
+    assert hist.step == [0.0, 0.2, 0.2]
+    assert hist.total[1:] == [totals[trials], totals[2 * trials]]
+
+
+def test_full_steps_make_one_loss_call_per_iteration():
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=1.0, max_iters=4, step_tol=0.0)
+    totals = _counting_loss(system)
+    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    assert len(hist.total) == 5
+    assert totals == hist.total
+    assert hist.step == [0.0] + [1.0] * 4
+
+
+def test_non_finite_trial_loss_backtracks():
+    """An infinite objective at the full step is no decrease: the step halves."""
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=1)
+    state0 = O.init_state(phi, psi, True, cfg)
+    half = O._moved(state0, system.inner_solve(state0), 0.5)
+    assert system.loss(half)[0] < system.loss(state0)[0]
+    totals = _counting_loss(system, replace_at={1})
+    _, hist = O.gauss_newton_run(system, state0, cfg)
+    assert totals[1] == np.inf
+    assert hist.step == [0.0, 0.5]
+    assert hist.total[1] == system.loss(half)[0]
+
+
+def test_non_finite_relaxed_step_raises_with_its_iteration():
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=3, step_tol=0.0)
+    # iteration 1 makes one trial (the full step lowers the loss); iteration 2 has
+    # every trial infinite, so its relaxed step is non-finite
+    _counting_loss(system, replace_at={2, 3, 4})
+    with pytest.raises(NonFiniteObjective) as err:
+        O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    assert err.value.iteration == 2
 
 
 def test_non_finite_objective_reports_iteration():
@@ -259,13 +382,30 @@ def test_non_finite_objective_reports_iteration():
 def test_loss_history_csv(tmp_path):
     h = O.LossHistory()
     h.append(3.0, 1.0, 1.5, 0.5)
-    h.append(2.0, 1.0, 0.75, 0.25)
+    h.append(2.0, 1.0, 0.75, 0.25, 0.5, 0.125)
     path = tmp_path / "loss.csv"
     h.export_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iteration", "total", "quadratic", "pde_penalty", "norm_penalty"]
-    assert [float(v) for v in rows[2][1:]] == [2.0, 1.0, 0.75, 0.25]
+    assert rows[0] == [
+        "iteration", "total", "quadratic", "pde_penalty", "norm_penalty", "step", "step_norm"
+    ]
+    assert [float(v) for v in rows[1]] == [0, 3.0, 1.0, 1.5, 0.5, 0.0, 0.0]
+    assert [float(v) for v in rows[2]] == [1, 2.0, 1.0, 0.75, 0.25, 0.5, 0.125]
+
+
+def test_run_history_csv_cells_are_finite(tmp_path):
+    """Every cell of a real run's loss_history.csv parses as a finite float."""
+    system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
+    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=10)
+    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    hist.export_csv(tmp_path / "loss.csv")
+    with open(tmp_path / "loss.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == len(hist.total) > 2
+    assert all(np.isfinite(float(v)) for row in rows for v in row)
+    assert [float(v) for v in rows[0][5:]] == [0.0, 0.0]
+    assert all(0.0 < float(row[6]) for row in rows[1:])
 
 
 # -- the feature side: B = S + U U^T factored through the feature rows -------
@@ -368,8 +508,9 @@ def test_non_finite_inner_matrix_raises_singular_normal_equations(entry):
 
 @pytest.mark.parametrize("name", ["nonlocal2d_ff_nu1", "mfg1d_ff", "nonlocal2d_gp_nu1", "mfg1d_gp"])
 def test_debug_gauss_newton_on_bundled_configs(name):
-    """A debug run of the bundled config completes; every inner solve is within
-    1e-10 (ff) or the solver's own debug bound 1e-8 (gp)."""
+    """A debug run of the bundled config stops by the step rule before
+    max_iters; every inner solve is within 1e-10 (ff) or the solver's own
+    debug bound 1e-8 (gp)."""
     path = Path(PL.__file__).parent / "configs" / f"{name}.json"
     cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
@@ -378,19 +519,15 @@ def test_debug_gauss_newton_on_bundled_configs(name):
     solver_cfg = O.SolverConfig(
         gamma=cfg.gamma, beta=cfg.beta, alpha=cfg.alpha, max_iters=cfg.max_iters, debug=True
     )
-    residuals, solve = [], system.inner_solve
-
-    def recorded(state):
-        hat = solve(state)
-        residuals.append(system.normal_equation_residual(state, hat))
-        return hat
-
-    system.inner_solve = recorded
+    calls = _recording_inner_solve(system)
     state0 = O.init_state(phi, psi, True, solver_cfg)
     _, hist = O.gauss_newton_run(system, state0, solver_cfg)
-    assert len(hist.total) == cfg.max_iters + 1
+    # the last inner solve found a vanishing step and took none
+    assert len(calls) == len(hist.total) < cfg.max_iters + 1
+    assert _relative_step(*calls[-1]) <= solver_cfg.step_tol
+    residuals = [system.normal_equation_residual(state, hat) for state, hat in calls]
     bound = 1e-10 if cfg.method == "ff" else 1e-8
-    assert len(residuals) == cfg.max_iters and max(residuals) <= bound
+    assert max(residuals) <= bound
 
 
 @pytest.mark.parametrize(
