@@ -8,7 +8,6 @@ interior operator blocks, points fastest within a block.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,15 +29,6 @@ class CollocationSet:
     @property
     def m_total(self) -> int:
         return self.interior.shape[0] + self.boundary.shape[0]
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(["role"] + [f"x{i}" for i in range(self.interior.shape[1])])
-            for p in self.interior:
-                w.writerow(["interior"] + [repr(float(v)) for v in p])
-            for p in self.boundary:
-                w.writerow(["boundary"] + [repr(float(v)) for v in p])
 
 
 def sample_uniform_grid(dim: int, M: int) -> CollocationSet:
@@ -138,9 +128,6 @@ class FunctionalSet:
             out.append(slice(lo, lo + pts.shape[0]))
             lo += pts.shape[0]
         return tuple(out)
-
-    def block_slice(self, index: int) -> slice:
-        return self.slices[index]
 
     @property
     def operator_tags(self) -> tuple:

@@ -10,7 +10,10 @@ on the periodic kernel; it is evaluated through the kernel's spectrum.
 The periodic profile's Fourier coefficients are known exactly,
 c_a = exp(-q) I_|a|(q) with q = 1/sigma^2 (``_profile_coeffs_1d``), so on
 the torus K(x, y) = sum_a c_a exp(2 pi i a.(x - y)) up to a truncation that
-``spectral_tail_ratio`` measures.  Three things are built on it:
+``spectral_tail_ratio`` measures.  A periodic kernel keeps the modes its
+sigma needs: ``KernelSpec.n_modes`` is the smallest even count whose weighted
+tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
+0.6, 0.5 and 0.35).  Three things are built on the spectrum:
 
 - a representer-form field on the 1D or 2D torus collapses once into one
   weight per mode (``mode_weights``), and every operator applied to it is
@@ -20,7 +23,7 @@ the torus K(x, y) = sum_a c_a exp(2 pi i a.(x - y)) up to a truncation that
   per axis, and every operator of one call shares them;
 - a gram block with J5 on either side is one real GEMM over the mode
   features [cos, sin](2 pi a.x) of the two point sets, with the modes
-  a and -a folded into one (``nonlocal_cross_matrix``);
+  a and -a folded into one (``_mode_cross``);
 - ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
 
 ``CrossTables`` holds what the blocks on one pair of point sets share: the
@@ -47,6 +50,14 @@ LAP = "lap"
 J5 = "j5"
 
 ALL_OPS = frozenset({ID, DX, DY, DT, DXX, LAP, J5})
+
+# largest Nyquist-to-peak ratio of the weighted spectrum (spectral_tail_ratio)
+# that a periodic kernel's mode count leaves; every torus GP field is
+# evaluated through the truncated spectrum
+SPECTRAL_TAIL_TOL = 1e-12
+# most modes per axis a periodic kernel takes: the count near sigma 5e-4, at
+# which a 1D run's mode tables on its 2000 held-out points reach about 1 GiB
+MAX_MODES = 2**15
 
 PERIODIC_1D = "periodic1d"
 PERIODIC_2D = "periodic2d"
@@ -104,6 +115,13 @@ class KernelSpec:
     def axis_profiles(self):
         """Per-axis (profile kind, sigma) pairs."""
         return tuple((kind, self.lengthscales[i]) for _, kind, i in FAMILY_AXES[self.family])
+
+    @property
+    def n_modes(self) -> int:
+        """Modes per axis of a periodic kernel's truncated spectrum (``_mode_count``)."""
+        if not self.periodic:
+            raise UnsupportedOperator("only a periodic kernel has a Fourier spectrum")
+        return _mode_count(self.lengthscales[0])
 
 
 def periodic_kernel_1d(sigma: float) -> KernelSpec:
@@ -190,9 +208,14 @@ def pairwise_matrix(k: KernelSpec, X, Y) -> np.ndarray:
     return pairwise_op_matrix(k, ID, ID, X, Y)
 
 
-def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y, n_modes: int = 64):
-    """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y."""
-    return CrossTables(k, X, Y, (left,), (right,), n_modes).op_matrix(left, right)
+def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y):
+    """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y.
+
+    J5 on either side needs the 2D periodic kernel: the block is then one
+    real GEMM over the mode features of X and Y (``_mode_cross``), and
+    ``nonlocal_from_coeffs`` is the direct sum it replaces.
+    """
+    return CrossTables(k, X, Y, (left,), (right,)).op_matrix(left, right)
 
 
 class CrossTables:
@@ -206,14 +229,13 @@ class CrossTables:
     tables per operator pair.
     """
 
-    def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops, n_modes: int = 64):
+    def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops):
         self.kernel = k
         self.same = X is Y
         self.X = _as_points(k, X)
         self.Y = self.X if self.same else _as_points(k, Y)
         self.left_ops = tuple(left_ops)
         self.right_ops = tuple(right_ops)
-        self.n_modes = n_modes
         self._derivs = None
         self._features = None
 
@@ -251,18 +273,19 @@ class CrossTables:
         return self._derivs
 
     def _nonlocal(self, left: str, right: str) -> np.ndarray:
-        _check_nonlocal(self.kernel, left, right, self.n_modes)
+        k = self.kernel
+        if k.family != PERIODIC_2D:
+            raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
         if self._features is None:
-            fx = _mode_features(self.X, self.n_modes)
-            self._features = (fx, fx if self.same else _mode_features(self.Y, self.n_modes))
-        fx, fy = self._features
-        return _mode_cross(self.kernel, left, right, fx, fy, self.n_modes)
+            fx = _mode_features(k, self.X)
+            self._features = (fx, fx if self.same else _mode_features(k, self.Y))
+        return _mode_cross(k, left, right, *self._features)
 
 
 def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
     """Closed-form (L_x (x) R_y) K(x, y) for the supported derivative tags."""
     if J5 in (left, right):
-        raise UnsupportedOperatorPair("nonlocal tag must go through eval_nonlocal")
+        raise UnsupportedOperatorPair("nonlocal tag must go through pairwise_op_matrix")
     return float(pairwise_op_matrix(k, left, right, _as_points(k, x), _as_points(k, y))[0, 0])
 
 
@@ -332,6 +355,35 @@ def spectral_tail_ratio(sigma: float, n_modes: int) -> float:
     return float(w[half] / peak) if peak > 0 else 0.0
 
 
+@lru_cache(maxsize=16)
+def _mode_count(sigma: float) -> int:
+    """The smallest even n >= 16 with spectral_tail_ratio(sigma, n) <= SPECTRAL_TAIL_TOL.
+
+    The ratio is 1 below n = 2/sigma and falls as n grows past it, so the
+    search doubles n from 2/sigma and then bisects.  A sigma that needs more
+    than ``MAX_MODES`` is rejected before any ratio is computed past it.
+    """
+    top = MAX_MODES // 2
+
+    def resolved(half):
+        return spectral_tail_ratio(sigma, 2 * half) <= SPECTRAL_TAIL_TOL
+
+    if not 1.0 / sigma <= top:
+        raise BadGrid(f"sigma: {sigma} needs more than {MAX_MODES} modes")
+    lo = hi = max(8, math.ceil(1.0 / sigma))  # in half counts
+    while not resolved(hi):
+        if hi == top:
+            raise BadGrid(f"sigma: {sigma} needs more than {MAX_MODES} modes")
+        lo, hi = hi + 1, min(2 * hi, top)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if resolved(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return 2 * hi
+
+
 def _mode_axis(n_modes: int):
     return np.fft.fftfreq(n_modes, d=1.0 / n_modes)
 
@@ -384,14 +436,6 @@ def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
     return out
 
 
-def _check_nonlocal(k: KernelSpec, left: str, right: str, n_modes: int):
-    if k.family != PERIODIC_2D:
-        raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
-    if J5 not in (left, right):
-        raise UnsupportedOperator("no nonlocal tag present; use the closed-form path")
-    _check_modes(n_modes)
-
-
 @lru_cache(maxsize=4)
 def _half_modes(n_modes: int):
     """One mode of each pair {a, -a} of the n x n grid: (flat index, a1, a2, weight).
@@ -409,14 +453,14 @@ def _half_modes(n_modes: int):
     return keep, a1[keep], a2[keep], weight
 
 
-def _mode_features(X, n_modes: int) -> np.ndarray:
+def _mode_features(k: KernelSpec, X) -> np.ndarray:
     """Real mode features [cos, sin] of 2 pi a.x over ``_half_modes``: (n_points, 2 n_half)."""
-    _, a1, a2, _ = _half_modes(n_modes)
+    _, a1, a2, _ = _half_modes(k.n_modes)
     phase = (2.0 * np.pi) * (X @ np.stack([a1, a2]))
     return np.hstack([np.cos(phase), np.sin(phase)])
 
 
-def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy, n_modes: int):
+def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
     """(L_x (x) R_y) K from the mode features of X and Y, as one real GEMM.
 
     With d_a = w_a c_a mult_L(a) mult_R(a) and exp(2 pi i a.x) = C + i S,
@@ -424,8 +468,8 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy, n_modes: int):
     + S_x (Re d S_y - Im d C_y); both symbols fold into the right-hand
     table, and the left one serves every operator on its point set.
     """
-    keep, a1, a2, weight = _half_modes(n_modes)
-    d = weight * _profile_coeff_grid(k.lengthscales[0], n_modes).ravel()[keep]
+    keep, a1, a2, weight = _half_modes(k.n_modes)
+    d = weight * _profile_coeff_grid(k.lengthscales[0], k.n_modes).ravel()[keep]
     d = d * _op_mode_multiplier(left, a1, a2, "left") * _op_mode_multiplier(right, a1, a2, "right")
     g = np.concatenate([d.real, d.real]) * fy
     if np.any(d.imag):
@@ -434,67 +478,25 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy, n_modes: int):
     return fx @ g.T
 
 
-def nonlocal_cross_matrix(k: KernelSpec, left: str, right: str, X, Y, n_modes: int = 64):
-    """(L_x (x) R_y) K with the smoothing J5 on at least one side.
-
-    One real GEMM of n_x x n_y x about n_modes^2 over the mode features of X
-    and Y; ``nonlocal_from_coeffs`` is the direct sum it replaces.
-    """
-    _check_nonlocal(k, left, right, n_modes)
-    return CrossTables(k, X, Y, (left,), (right,), n_modes).op_matrix(left, right)
-
-
-def eval_nonlocal(
-    k: KernelSpec,
-    left_j5: bool,
-    right_j5: bool,
-    x,
-    y,
-    n_modes: int = 64,
-    left_op: str = ID,
-    right_op: str = ID,
-) -> float:
-    """Kernel value with the smoothing operator applied on the flagged sides.
-
-    ``left_op``/``right_op`` let a differential tag ride along on the side
-    opposite to (or together with) the smoothing, as needed for gram rows.
-    """
-    if not (left_j5 or right_j5):
-        raise UnsupportedOperator("at least one nonlocal flag must be set")
-    _check_modes(n_modes)
-    coeffs = _profile_coeff_grid(k.lengthscales[0], n_modes)
-    a1, a2 = _mode_grid(n_modes)
-    j5 = _op_mode_multiplier(J5, a1, a2, "left")
-    if left_j5:
-        coeffs = coeffs * j5
-    if right_j5:
-        coeffs = coeffs * j5
-    return float(
-        nonlocal_from_coeffs(coeffs, left_op, right_op, _as_points(k, x), _as_points(k, y), n_modes)[
-            0, 0
-        ]
-    )
-
-
 # ---------------------------------------------------------------------------
 # torus fields as per-mode weights of the truncated kernel spectrum
 
 # points per chunk of the last-axis reduction in ``eval_mode_weights``.  A
 # chunk's buffer is _MODE_CHUNK x ops x n_modes complex, 1.3 MB for the five
 # nonlocal2d m operators at 64 modes, small enough to stay in a core's L2
-# cache: on 2000 held-out points (2-vCPU Xeon VM, one BLAS thread) 128 and
-# 256 were fastest, 1024 about 1.4x slower
+# cache: on 2000 held-out points (2-vCPU Xeon VM, one BLAS thread, 64 modes)
+# 128 and 256 were fastest, 1024 about 1.4x slower
 _MODE_CHUNK = 256
 
 
-def _axis_exponentials(X, n_modes: int):
+def _axis_exponentials(k: KernelSpec, X):
     """Per axis d: exp(2 pi i u a) over the distinct coordinates u of X[:, d], and the gather index.
 
     Each pair is (table, index), the table (n_distinct, n_modes) in fftfreq
     order and table[index] the point-by-point table; a tensor grid of
     n x n points has n rows per axis, not n^2.
     """
-    a = _mode_axis(n_modes)
+    a = _mode_axis(k.n_modes)
     out = []
     for d in range(X.shape[1]):
         u, index = np.unique(X[:, d], return_inverse=True)
@@ -502,37 +504,37 @@ def _axis_exponentials(X, n_modes: int):
     return out
 
 
-def _mode_symbol(k: KernelSpec, op: str, side: str, n_modes: int):
+def _mode_symbol(k: KernelSpec, op: str, side: str):
     """Per-mode symbol of ``op`` on the mode grid of a periodic kernel."""
     if not (op == J5 and k.family == PERIODIC_2D):
         op_terms(k.axes, op)  # rejects an operator the kernel family does not support
     if k.family == PERIODIC_1D:
-        a = _mode_axis(n_modes)
+        a = _mode_axis(k.n_modes)
         return _op_mode_multiplier(op, a, np.zeros_like(a), side)
-    return _op_mode_multiplier(op, *_mode_grid(n_modes), side)
+    return _op_mode_multiplier(op, *_mode_grid(k.n_modes), side)
 
 
-def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
+def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
     """Per-mode weights of the field sum_i coeff_i (R_i K)(., y_i) on the torus.
 
     W[a] = c_a sum_blocks sum_i coeff_i mult_R(tag, a) exp(-2 pi i a.y_i) over
-    the n_modes (1D) or n_modes x n_modes (2D) mode grid, with the exact c_a
-    of ``_profile_coeffs_1d``, so J5 is one more symbol.  ``funcs`` is a
-    FunctionalSet and ``coeffs`` follows its block layout; the blocks on one
-    point set share its exponential tables.  Cost: n_functionals * n_modes^dim.
+    the kernel's n_modes (1D) or n_modes x n_modes (2D) mode grid, with the
+    exact c_a of ``_profile_coeffs_1d``, so J5 is one more symbol.  ``funcs``
+    is a FunctionalSet and ``coeffs`` follows its block layout; the blocks on
+    one point set share its exponential tables.  Cost: n_functionals *
+    n_modes^dim.
     """
     if not k.periodic:
         raise UnsupportedOperator("mode weights require a periodic kernel")
-    _check_modes(n_modes)
     spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
-    c = spectrum(k.lengthscales[0], n_modes)
+    c = spectrum(k.lengthscales[0], k.n_modes)
     acc = np.zeros(c.shape, dtype=complex)
     tables = {}  # conjugate point-by-point exponentials per point set, keyed by identity
     for (tag, pts, _), sl in zip(funcs.blocks, funcs.slices):
         if pts.shape[0] == 0:
             continue
         if id(pts) not in tables:
-            axes = _axis_exponentials(_as_points(k, pts), n_modes)
+            axes = _axis_exponentials(k, _as_points(k, pts))
             tables[id(pts)] = [t.conj()[index] for t, index in axes]
         e = tables[id(pts)]
         if k.dim == 1:
@@ -540,11 +542,11 @@ def mode_weights(k: KernelSpec, funcs, coeffs, n_modes: int = 64) -> np.ndarray:
         else:
             # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
             summed = e[0].T @ (coeffs[sl][:, None] * e[1])
-        acc += _mode_symbol(k, tag, "right", n_modes) * summed
+        acc += _mode_symbol(k, tag, "right") * summed
     return c * acc
 
 
-def mode_table_bytes(dim: int, n_points: int, n_ops: int, n_modes: int) -> int:
+def mode_table_bytes(k: KernelSpec, n_points: int, n_ops: int) -> int:
     """Bytes of the largest array ``mode_weights`` or ``eval_mode_weights`` allocates.
 
     For ``n_points`` points and ``n_ops`` operators that is an exponential
@@ -552,35 +554,34 @@ def mode_table_bytes(dim: int, n_points: int, n_ops: int, n_modes: int) -> int:
     most n_points x n_ops x n_modes^(dim-1), which also bounds a reduction
     chunk), its operand or the weights (n_ops x n_modes^dim), all complex128.
     """
-    return 16 * max(
-        n_points * n_modes, n_points * n_ops * n_modes ** (dim - 1), n_ops * n_modes**dim
-    )
+    n, dim = k.n_modes, k.dim
+    return 16 * max(n_points * n, n_points * n_ops * n ** (dim - 1), n_ops * n**dim)
 
 
 def eval_mode_weights(k: KernelSpec, weights: np.ndarray, ops, X) -> np.ndarray:
     """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
 
     Returns one column per operator in ``ops``.  The symbols act on the
-    distinct first-axis coordinates only: on the 1D torus a column is
-    E1 @ (mult_L W) gathered to the points; on the 2D torus every operator
-    goes through one product E1 @ [mult_L W ...] over the stacked symbols,
-    and each point's rows of it are reduced against its second-axis
-    exponentials, in chunks of ``_MODE_CHUNK`` points.  Cost: n_distinct *
-    n_ops * n_modes^dim plus, in 2D, n_points * n_ops * n_modes.
+    distinct first-axis coordinates only: a column is the product
+    E1 @ (mult_L W), one per operator, so its bits do not depend on the
+    other operators of the call.  On the 1D torus it is gathered to the
+    points; on the 2D torus each point's rows of it are reduced against its
+    second-axis exponentials, in chunks of ``_MODE_CHUNK`` points.  Cost:
+    n_distinct * n_ops * n_modes^dim plus, in 2D, n_points * n_ops * n_modes.
     """
-    n_modes = weights.shape[0]
-    (e0, i0), *rest = _axis_exponentials(_as_points(k, X), n_modes)
-    sym = [_mode_symbol(k, op, "left", n_modes) * weights for op in ops]
+    (e0, i0), *rest = _axis_exponentials(k, _as_points(k, X))
+    g = np.empty((len(ops), e0.shape[0]) + weights.shape[1:], dtype=complex)
+    for j, op in enumerate(ops):
+        np.matmul(e0, _mode_symbol(k, op, "left") * weights, out=g[j])
     if k.dim == 1:
-        return np.real(np.stack([e0 @ s for s in sym], axis=1))[i0]
+        return np.real(g).T[i0]
     (e1, i1), = rest
-    g = (e0 @ np.hstack(sym)).reshape(e0.shape[0], len(ops), n_modes)
     out = np.empty((i0.size, len(ops)))
     for lo in range(0, i0.size, _MODE_CHUNK):
         sl = slice(lo, lo + _MODE_CHUNK)
-        f = g[i0[sl]]
-        f *= e1[i1[sl]][:, None, :]
-        out[sl] = np.real(f.sum(axis=2))
+        f = g[:, i0[sl]]
+        f *= e1[i1[sl]]
+        out[sl] = np.real(f.sum(axis=2)).T
     return out
 
 

@@ -38,15 +38,15 @@ from .collocation import FunctionalSet
 from .errors import LengthMismatch, NotPositiveDefinite, UnsupportedOperator
 
 
-def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, nonlocal_modes: int = 64):
+def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
     """Symmetric bi-operator gram matrix over a functional set.
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
     result is exactly symmetric.  Blocks on the same pair of point sets share
     one ``kernels.CrossTables``: the profile-derivative tables and the J5
     mode features are computed once per pair, not once per block.  On the
-    2D torus each J5 block is then one real GEMM over about nonlocal_modes^2
-    mode features.
+    2D torus each J5 block is then one real GEMM over about n_modes^2 mode
+    features, n_modes being the kernel's own count.
     """
     n = funcs.size
     out = np.empty((n, n))
@@ -61,9 +61,7 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, nonlocal_modes: in
             op_j, pts_j, _ = blocks[j]
             key = (id(pts_i), id(pts_j))
             if key not in tables:
-                tables[key] = K.CrossTables(
-                    kernel, pts_i, pts_j, ops_on[key[0]], ops_on[key[1]], nonlocal_modes
-                )
+                tables[key] = K.CrossTables(kernel, pts_i, pts_j, ops_on[key[0]], ops_on[key[1]])
             B = tables[key].op_matrix(op_i, op_j)
             if i == j:
                 B = 0.5 * (B + B.T)
@@ -128,12 +126,10 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFa
     )
 
 
-def build_gram_factor(
-    kernel: K.KernelSpec, funcs: FunctionalSet, eta: float, nonlocal_modes: int = 64
-) -> GramFactor:
+def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float) -> GramFactor:
     """Assemble, nugget-regularize and factor in one step."""
     t0 = time.perf_counter()
-    gram = assemble_gram(kernel, funcs, nonlocal_modes)
+    gram = assemble_gram(kernel, funcs)
     r = build_nugget(gram, funcs, eta)
     assembly = time.perf_counter() - t0
     return cholesky_factor(gram + np.diag(eta * r), assembly_seconds=assembly)

@@ -70,8 +70,6 @@ POINT_CHUNK = 64
 
 @dataclass(frozen=True)
 class SolverConfig:
-    gamma: float = 1.0
-    beta: float = 0.0
     alpha: float = 1.0
     max_iters: int = 50
     seed: int = 0
@@ -86,8 +84,6 @@ class SolverConfig:
     debug: bool = False
 
     def __post_init__(self):
-        if self.gamma < 0 or self.beta < 0:
-            raise ValueError("penalty weights must be nonnegative")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("alpha must lie in (0, 1]")
         if self.max_iters < 1:

@@ -23,26 +23,20 @@ from . import linsys as L
 from . import optimizer as O
 from . import problems as P
 from . import solution as S
-from .errors import ConfigError
+from .errors import BadGrid, ConfigError
 
 GP = "gp"
 FF = "ff"
 
-_INT_FIELDS = (
-    "M", "n_interior", "n_initial", "n_terminal", "N", "max_iters", "seed", "nonlocal_modes",
-)
+_INT_FIELDS = ("M", "n_interior", "n_initial", "n_terminal", "N", "max_iters", "seed")
 _FLOAT_FIELDS = (
     "sigma", "sigma_space", "sigma_time", "varsigma", "nu",
     "gamma", "beta", "eta", "mu", "alpha", "init_scale",
 )
 _BOOL_FIELDS = ("grid_sampling", "shared_features", "full_basis_2d")
 _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
-# largest Nyquist-to-peak ratio of the weighted kernel spectrum
-# (kernels.spectral_tail_ratio) a torus GP run accepts; every torus GP field
-# is evaluated through the truncated spectrum
-SPECTRAL_TAIL_TOL = 1e-12
 # cap on the largest array a torus GP run allocates, in bytes; see
-# _largest_mode_table_bytes for the arrays that grow with nonlocal_modes
+# _largest_mode_table_bytes for the arrays that grow with the kernel's mode count
 MAX_MODE_TABLE_BYTES = 2**30
 
 
@@ -166,34 +160,30 @@ class GpMethod:
 
     @staticmethod
     def validate(cfg, problem: Problem) -> None:
-        """A torus kernel's fields go through its truncated spectrum: check its tail and tables."""
-        if not problem.kernel(cfg).periodic:
+        """A torus kernel's fields go through its truncated spectrum: check its tables' size."""
+        kernel = problem.kernel(cfg)
+        if not kernel.periodic:
             return
-        size = _largest_mode_table_bytes(cfg, problem)
+        try:
+            size = _largest_mode_table_bytes(cfg, problem)
+        except BadGrid as exc:  # sigma needs more than kernels.MAX_MODES modes
+            raise ConfigError(str(exc)) from exc
         if size > MAX_MODE_TABLE_BYTES:
             raise ConfigError(
-                f"nonlocal_modes: {cfg.nonlocal_modes} modes need a {size / 2**30:.1f} GiB "
-                f"mode table (M={cfg.M}), above the {MAX_MODE_TABLE_BYTES / 2**30:g} GiB cap"
-            )
-        tail = K.spectral_tail_ratio(cfg.sigma, cfg.nonlocal_modes)
-        if not tail <= SPECTRAL_TAIL_TOL:
-            raise ConfigError(
-                f"nonlocal_modes: {cfg.nonlocal_modes} modes leave the weighted kernel "
-                f"spectrum at {tail:.1e} of its peak (sigma={cfg.sigma}); raise "
-                f"nonlocal_modes or sigma until it is below {SPECTRAL_TAIL_TOL:g}"
+                f"sigma: {cfg.sigma} needs {kernel.n_modes} modes, whose largest table takes "
+                f"{size / 2**30:.2f} GiB (M={cfg.M}), above the "
+                f"{MAX_MODE_TABLE_BYTES / 2**30:g} GiB cap"
             )
 
     def factor(self, funcs):
         """Gram factors of the (u, m) functional sets."""
-        c, self.funcs = self.cfg, funcs
-        self.factors = [L.build_gram_factor(self.kernel, f, c.eta, c.nonlocal_modes) for f in funcs]
+        self.funcs = funcs
+        self.factors = [L.build_gram_factor(self.kernel, f, self.cfg.eta) for f in funcs]
         return self.factors
 
     def reconstruct(self, state: O.SolverState):
         """(u, m, lambda) of a solver state on the last factors."""
-        return S.gp_reconstruct(
-            state, *self.factors, self.kernel, *self.funcs, self.cfg.nonlocal_modes
-        )
+        return S.gp_reconstruct(state, *self.factors, self.kernel, *self.funcs)
 
 
 class FfMethod:
@@ -250,7 +240,6 @@ class ExperimentConfig:
     seed: int = 0
     init_mode: str = O.INIT_ZEROS
     init_scale: float = 1.0
-    nonlocal_modes: int = 64
     grid_sampling: bool = True
     shared_features: bool = False
     full_basis_2d: bool = False
@@ -304,8 +293,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: must be nonnegative")
         if not (0.0 < self.alpha <= 1.0):
             raise ConfigError("alpha: must lie in (0, 1]")
-        if self.nonlocal_modes < 16 or self.nonlocal_modes % 2:
-            raise ConfigError("nonlocal_modes: must be even and >= 16")
         METHODS[self.method].validate(self, problem)
         if self.init_mode not in (O.INIT_ZEROS, O.INIT_GAUSSIAN):
             raise ConfigError(f"init_mode: unknown value {self.init_mode!r}")
@@ -315,7 +302,7 @@ class ExperimentConfig:
         known = set(ExperimentConfig.__dataclass_fields__)
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"{', '.join(sorted(unknown))}: unknown config key")
         try:
             cfg = ExperimentConfig(**data)
         except TypeError as exc:
@@ -328,21 +315,23 @@ class ExperimentConfig:
 
 
 def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
-    """Bytes of the largest array of a torus GP run that grows with nonlocal_modes.
+    """Bytes of the largest array of a torus GP run that grows with the kernel's mode count.
 
     That is, with J5, the gram's mode features (float64), or an array of the
     field weights or of their evaluation (``kernels.mode_table_bytes``): at
     the collocation and held-out points with every operator of a field, and
-    on the grid with the field's values alone.
+    on the grid with the field's values alone.  Raises ``BadGrid`` when
+    sigma needs more than ``kernels.MAX_MODES`` modes.
     """
-    n, spec = cfg.nonlocal_modes, problem.spec(cfg)
+    kernel, spec = problem.kernel(cfg), problem.spec(cfg)
+    n = kernel.n_modes
     n_ops = max(len(spec.u_operators), len(spec.m_operators))
     grid_points = math.prod(map(len, problem.grid_axes))
     features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
     return max(
         features,
-        K.mode_table_bytes(spec.dim, max(cfg.M, problem.n_held_out), n_ops, n),
-        K.mode_table_bytes(spec.dim, grid_points, 1, n),
+        K.mode_table_bytes(kernel, max(cfg.M, problem.n_held_out), n_ops),
+        K.mode_table_bytes(kernel, grid_points, 1),
     )
 
 
@@ -375,8 +364,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     timing_rows = [(cfg.method, pts.m_total, *_factor_seconds((fac_u, fac_m)))]
 
     solver_cfg = O.SolverConfig(
-        gamma=cfg.gamma,
-        beta=cfg.beta,
         alpha=cfg.alpha,
         max_iters=cfg.max_iters,
         seed=cfg.seed,

@@ -7,9 +7,10 @@ held-out PDE residuals use analytic derivatives rather than stencils.
 
 A GP field on the 1D or 2D torus is stored as the per-mode weights of the
 kernel's exact, truncated Fourier spectrum, computed once when the field is
-built; applying operators at n points then costs about n * n_modes^dim
-(less on a tensor grid, whose exponentials are built per distinct
-coordinate), independent of the number of functionals.  GP fields of the
+built; applying operators at n points then costs about n * n_modes^dim,
+n_modes being the count the kernel derives from its sigma (less on a tensor
+grid, whose exponentials are built per distinct coordinate), independent of
+the number of functionals.  GP fields of the
 anisotropic space-time kernel (planning) sum the closed-form representer
 terms at every call, in chunks of points, with one table per chunk and
 point set that every block on that set shares.  FF fields fold each
@@ -56,12 +57,11 @@ class GpField:
     coeffs: np.ndarray
     funcs: FunctionalSet
     kernel: K.KernelSpec
-    nonlocal_modes: int = 64
     weights: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kernel.periodic:
-            w = K.mode_weights(self.kernel, self.funcs, self.coeffs, self.nonlocal_modes)
+            w = K.mode_weights(self.kernel, self.funcs, self.coeffs)
             object.__setattr__(self, "weights", w)
 
     def eval_ops(self, ops, X) -> np.ndarray:
@@ -80,9 +80,7 @@ class GpField:
                 if pts.shape[0] == 0:
                     continue
                 if id(pts) not in tables:
-                    tables[id(pts)] = K.CrossTables(
-                        self.kernel, X[rows], pts, ops, tags_on[id(pts)], self.nonlocal_modes
-                    )
+                    tables[id(pts)] = K.CrossTables(self.kernel, X[rows], pts, ops, tags_on[id(pts)])
                 for j, op in enumerate(ops):
                     out[rows, j] += tables[id(pts)].op_matrix(op, tag) @ self.coeffs[sl]
         return out
@@ -119,10 +117,9 @@ def gp_reconstruct(
     kernel: K.KernelSpec,
     phi: FunctionalSet,
     psi: FunctionalSet,
-    nonlocal_modes: int = 64,
 ):
-    u = GpField(factor_u.solve(state.z), phi, kernel, nonlocal_modes)
-    m = GpField(factor_m.solve(state.rho), psi, kernel, nonlocal_modes)
+    u = GpField(factor_u.solve(state.z), phi, kernel)
+    m = GpField(factor_m.solve(state.rho), psi, kernel)
     return u, m, state.lam
 
 

@@ -68,6 +68,15 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+def test_config_naming_the_mode_count_exits_2(tmp_path, capsys):
+    """The periodic kernel derives its mode count from sigma; the old key is rejected by name."""
+    cfg = _write_config(tmp_path, {**TINY, "method": "gp", "nonlocal_modes": 64})
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert "nonlocal_modes: unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_square_torus_lattice_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"problem": "nonlocal2d", "method": "gp", "M": 401})
     assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_CONFIG

@@ -1,7 +1,5 @@
 """Point sampling and functional-vector layout."""
 
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,18 +56,6 @@ def test_planning_sampler_counts_and_slices():
         C.sample_planning(seed=0, n_interior=0)
 
 
-def test_collocation_csv_round_trip(tmp_path):
-    pts = C.sample_planning(seed=1, n_interior=5, n_initial=2, n_terminal=2)
-    path = tmp_path / "points.csv"
-    pts.export_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["role", "x0", "x1"]
-    assert sum(r[0] == "interior" for r in rows[1:]) == 5
-    back = np.array([[float(v) for v in r[1:]] for r in rows[1:6]])
-    np.testing.assert_array_equal(back, pts.interior)
-
-
 # -- functional layout -------------------------------------------------------
 
 def test_functionals_interior_only():
@@ -78,9 +64,7 @@ def test_functionals_interior_only():
     assert phi.operator_tags == SPEC_1D.u_operators
     assert psi.operator_tags == SPEC_1D.m_operators
     assert phi.size == 30 and psi.size == 20
-    sls = phi.slices
-    assert sls[0] == slice(0, 10) and sls[2] == slice(20, 30)
-    assert phi.block_slice(1) == slice(10, 20)
+    assert phi.slices == (slice(0, 10), slice(10, 20), slice(20, 30))
 
 
 def test_functionals_boundary_blocks_come_first():

@@ -135,16 +135,16 @@ def test_nonlocal_identity_matches_closed_form():
     k = KERNELS["p2"]
     X = _rand_pts(k, 5)
     Y = _rand_pts(k, 5)
-    coeffs = K._profile_coeff_grid(k.lengthscales[0], 64)
-    spectral = K.nonlocal_from_coeffs(coeffs, K.ID, K.ID, X, Y, 64)
+    coeffs = K._profile_coeff_grid(k.lengthscales[0], k.n_modes)
+    spectral = K.nonlocal_from_coeffs(coeffs, K.ID, K.ID, X, Y, k.n_modes)
     direct = K.pairwise_matrix(k, X, Y)
     np.testing.assert_allclose(spectral, direct, atol=1e-12)
 
 
 def test_nonlocal_brute_force_oracle():
-    """Spectral J5 columns against an explicit mode-by-mode double sum."""
+    """J5 blocks of the run path against an explicit mode-by-mode double sum."""
     k = K.periodic_kernel_2d(0.5)
-    n = 32
+    n = k.n_modes
     x = np.array([0.37, 0.81])
     y = np.array([0.12, 0.55])
     a = np.fft.fftfreq(n, 1.0 / n)
@@ -155,7 +155,7 @@ def test_nonlocal_brute_force_oracle():
             mult = 1.0 / (1.0 + 4.0 * np.pi**2 * (a[i] ** 2 + a[j] ** 2)) ** 2
             phase = np.exp(2.0j * np.pi * (a[i] * (x[0] - y[0]) + a[j] * (x[1] - y[1])))
             total += np.real(coeffs[i, j] * mult * phase)
-    mine = K.nonlocal_cross_matrix(k, K.ID, K.J5, x[None, :], y[None, :], n)[0, 0]
+    mine = K.pairwise_op_matrix(k, K.ID, K.J5, x[None, :], y[None, :])[0, 0]
     assert mine == pytest.approx(total, abs=1e-12)
 
 
@@ -164,37 +164,56 @@ def test_nonlocal_smoothing_fixed_point_of_constant():
     k = K.periodic_kernel_2d(0.5)
     X = _rand_pts(k, 3)
     # J5 twice on the profile: mean value over the torus is preserved
-    v1 = K.eval_nonlocal(k, True, False, X[0], X[1])
-    v2 = K.eval_nonlocal(k, True, True, X[0], X[1])
-    coeffs = K._profile_coeff_grid(0.5, 64)
+    v1 = K.pairwise_op_matrix(k, K.J5, K.ID, X[:1], X[1:2])[0, 0]
+    v2 = K.pairwise_op_matrix(k, K.J5, K.J5, X[:1], X[1:2])[0, 0]
+    coeffs = K._profile_coeff_grid(0.5, k.n_modes)
     mean = float(np.real(coeffs[0, 0]))
     # smoothing contracts everything except the mean toward it
     assert abs(v2 - mean) <= abs(v1 - mean) + 1e-12
 
 
-def test_eval_nonlocal_requires_flag_and_valid_modes():
-    k = KERNELS["p2"]
+def test_j5_requires_the_2d_kernel_and_valid_modes():
     with pytest.raises(UnsupportedOperator):
-        K.eval_nonlocal(k, False, False, [0.1, 0.2], [0.3, 0.4])
+        K.pairwise_op_matrix(KERNELS["p1"], K.J5, K.ID, np.zeros((1, 1)), np.zeros((1, 1)))
+    with pytest.raises(UnsupportedOperator):
+        KERNELS["aniso"].n_modes
+    coeffs = np.ones((10, 10))
     with pytest.raises(BadGrid):
-        K.eval_nonlocal(k, True, False, [0.1, 0.2], [0.3, 0.4], n_modes=10)
-    with pytest.raises(UnsupportedOperator):
-        K.nonlocal_cross_matrix(KERNELS["p1"], K.J5, K.ID, np.zeros((1, 1)), np.zeros((1, 1)))
+        K.nonlocal_from_coeffs(coeffs, K.J5, K.ID, [0.1, 0.2], [0.3, 0.4], 10)
 
 
 def test_nonlocal_cross_consistent_with_derivative_riding_along():
     """d/dx1 of the smoothed kernel via modes matches a central difference."""
     k = K.periodic_kernel_2d(0.5)
-    x = np.array([0.3, 0.7])
-    y = np.array([0.6, 0.2])
+    x = np.array([[0.3, 0.7]])
+    y = np.array([[0.6, 0.2]])
     h = 1e-5
-    xp = x + np.array([h, 0.0])
-    xm = x - np.array([h, 0.0])
-    fd = (K.eval_nonlocal(k, False, True, xp, y) - K.eval_nonlocal(k, False, True, xm, y)) / (
-        2.0 * h
-    )
-    exact = K.eval_nonlocal(k, False, True, x, y, left_op=K.DX)
+    step = np.array([[h, 0.0]])
+    smoothed = K.pairwise_op_matrix(k, K.ID, K.J5, np.vstack([x + step, x - step]), y)[:, 0]
+    fd = (smoothed[0] - smoothed[1]) / (2.0 * h)
+    exact = K.pairwise_op_matrix(k, K.DX, K.J5, x, y)[0, 0]
     assert exact == pytest.approx(fd, abs=1e-8)
+
+
+# -- the mode count a periodic kernel derives from sigma ----------------------
+
+@pytest.mark.parametrize("sigma, n", [(0.6, 40), (0.5, 46), (0.35, 60), (10.0, 16)])
+def test_mode_count_is_the_smallest_that_passes_the_tail_bound(sigma, n):
+    """The bundled sigmas derive 40, 46 and 60 modes: each passes the tail
+    bound and n - 2 does not.  A wide kernel takes the least count, 16."""
+    assert K.periodic_kernel_1d(sigma).n_modes == K.periodic_kernel_2d(sigma).n_modes == n
+    assert K.spectral_tail_ratio(sigma, n) <= K.SPECTRAL_TAIL_TOL
+    if n > 16:
+        assert K.spectral_tail_ratio(sigma, n - 2) > K.SPECTRAL_TAIL_TOL
+
+
+def test_mode_count_past_the_limit_is_rejected_naming_sigma():
+    """A sigma whose count passes MAX_MODES is rejected: at once when 2/sigma
+    does, after a bounded search when only the count does."""
+    for sigma in (1e-5, 1e-150, 4e-4):
+        with pytest.raises(BadGrid, match="^sigma: "):
+            K.periodic_kernel_2d(sigma).n_modes
+    assert K.spectral_tail_ratio(4e-4, K.MAX_MODES) > K.SPECTRAL_TAIL_TOL
 
 
 # -- exact spectrum and the mode-feature J5 blocks ----------------------------
@@ -236,7 +255,8 @@ def test_spectral_tail_ratio_weights_the_fourth_derivative_symbol():
 
 @pytest.mark.parametrize("points", ["lattice", "random"])
 def test_nonlocal_cross_matrix_matches_direct_sum(points):
-    """Mode-feature J5 blocks against the direct DFT, every (op, J5) and (J5, op)."""
+    """Mode-feature J5 blocks against the direct DFT at the kernel's own mode
+    count, every (op, J5) and (J5, op)."""
     k = K.periodic_kernel_2d(0.5)
     if points == "lattice":
         g = np.arange(6) / 6.0
@@ -245,11 +265,12 @@ def test_nonlocal_cross_matrix_matches_direct_sum(points):
     else:
         rng = np.random.default_rng(3)
         X, Y = rng.random((23, 2)), rng.random((17, 2))
-    coeffs = K._profile_coeff_grid(0.5, 64)
+    n = k.n_modes
+    coeffs = K._profile_coeff_grid(0.5, n)
     for op in (K.ID, K.DX, K.DY, K.LAP, K.J5):
         for left, right in ((op, K.J5), (K.J5, op)):
-            fast = K.nonlocal_cross_matrix(k, left, right, X, Y, 64)
-            direct = K.nonlocal_from_coeffs(coeffs, left, right, X, Y, 64)
+            fast = K.pairwise_op_matrix(k, left, right, X, Y)
+            direct = K.nonlocal_from_coeffs(coeffs, left, right, X, Y, n)
             np.testing.assert_allclose(
                 fast, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)), err_msg=(left, right)
             )

@@ -41,13 +41,13 @@ def test_gram_with_shared_tables_equals_per_block_assembly(problem):
         spec, kernel = P.make_planning(), K.anisotropic_kernel(0.45, 0.71)
         pts = C.sample_planning(3, 30, 8, 8)
     _, psi = C.build_functionals(spec, pts)
-    G = L.assemble_gram(kernel, psi, 64)
+    G = L.assemble_gram(kernel, psi)
     np.testing.assert_array_equal(G, G.T)
     for i, (op_i, pts_i, _) in enumerate(psi.blocks):
         for j, (op_j, pts_j, _) in enumerate(psi.blocks):
             if j < i:
                 continue
-            B = K.pairwise_op_matrix(kernel, op_i, op_j, pts_i, pts_j, 64)
+            B = K.pairwise_op_matrix(kernel, op_i, op_j, pts_i, pts_j)
             if i == j:
                 B = 0.5 * (B + B.T)
             np.testing.assert_array_equal(G[psi.slices[i], psi.slices[j]], B, err_msg=(op_i, op_j))

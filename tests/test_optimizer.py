@@ -45,8 +45,6 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         O.SolverConfig(alpha=1.5)
     with pytest.raises(ValueError):
-        O.SolverConfig(gamma=-1.0)
-    with pytest.raises(ValueError):
         O.SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         O.SolverConfig(step_tol=-1e-10)
@@ -229,7 +227,7 @@ def test_loss_terms_are_consistent():
 def test_gauss_newton_descends_on_the_1d_problem():
     system, phi, psi = _gp_system(M=24, gamma=1.0, beta=1e4, eta=1e-6)
     # step_tol 0: no stop before max_iters; the default stops this run after 6 steps
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=8, step_tol=0.0)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=8, step_tol=0.0)
     state0 = O.init_state(phi, psi, True, cfg)
     state, hist = O.gauss_newton_run(system, state0, cfg)
     assert len(hist.total) == 9
@@ -265,7 +263,7 @@ def test_step_tol_stops_at_the_first_vanishing_step():
     """The run stops at the first theta_hat within step_tol of theta, solves no
     further inner problem, and its history ends at the last accepted state."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=50, step_tol=1e-6)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=50, step_tol=1e-6)
     calls = _recording_inner_solve(system)
     state, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
     steps = [_relative_step(s, h) for s, h in calls]
@@ -306,7 +304,7 @@ def _overshooting(system, factor):
 
 def test_step_search_accepts_the_first_halving_that_lowers_the_loss():
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.01, max_iters=1)
+    cfg = O.SolverConfig(alpha=0.01, max_iters=1)
     state0 = O.init_state(phi, psi, True, cfg)
     _overshooting(system, 16.0)
     hat = system.inner_solve(state0)
@@ -322,7 +320,7 @@ def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss():
     """Along the reversed Gauss-Newton direction no step lowers the loss: the
     relaxed step alpha is taken anyway and the run goes on."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.2, max_iters=2, step_tol=0.0)
+    cfg = O.SolverConfig(alpha=0.2, max_iters=2, step_tol=0.0)
     _overshooting(system, -1.0)
     totals = _counting_loss(system)
     _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
@@ -336,7 +334,7 @@ def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss():
 
 def test_full_steps_make_one_loss_call_per_iteration():
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=1.0, max_iters=4, step_tol=0.0)
+    cfg = O.SolverConfig(alpha=1.0, max_iters=4, step_tol=0.0)
     totals = _counting_loss(system)
     _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
     assert len(hist.total) == 5
@@ -347,7 +345,7 @@ def test_full_steps_make_one_loss_call_per_iteration():
 def test_non_finite_trial_loss_backtracks():
     """An infinite objective at the full step is no decrease: the step halves."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=1)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=1)
     state0 = O.init_state(phi, psi, True, cfg)
     half = O._moved(state0, system.inner_solve(state0), 0.5)
     assert system.loss(half)[0] < system.loss(state0)[0]
@@ -360,7 +358,7 @@ def test_non_finite_trial_loss_backtracks():
 
 def test_non_finite_relaxed_step_raises_with_its_iteration():
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=3, step_tol=0.0)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=3, step_tol=0.0)
     # iteration 1 makes one trial (the full step lowers the loss); iteration 2 has
     # every trial infinite, so its relaxed step is non-finite
     _counting_loss(system, replace_at={2, 3, 4})
@@ -397,7 +395,7 @@ def test_loss_history_csv(tmp_path):
 def test_run_history_csv_cells_are_finite(tmp_path):
     """Every cell of a real run's loss_history.csv parses as a finite float."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(gamma=1.0, beta=1e4, alpha=0.4, max_iters=10)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=10)
     _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
     hist.export_csv(tmp_path / "loss.csv")
     with open(tmp_path / "loss.csv", newline="") as fh:
@@ -516,9 +514,7 @@ def test_debug_gauss_newton_on_bundled_configs(name):
     overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
     system, phi, psi = _system(cfg.method, **overrides)
     assert system.feature_side is (cfg.method == "ff")
-    solver_cfg = O.SolverConfig(
-        gamma=cfg.gamma, beta=cfg.beta, alpha=cfg.alpha, max_iters=cfg.max_iters, debug=True
-    )
+    solver_cfg = O.SolverConfig(alpha=cfg.alpha, max_iters=cfg.max_iters, debug=True)
     calls = _recording_inner_solve(system)
     state0 = O.init_state(phi, psi, True, solver_cfg)
     _, hist = O.gauss_newton_run(system, state0, solver_cfg)
@@ -599,6 +595,6 @@ def test_residual_workspace_reuse_is_exact_and_released(method, case):
         fresh, _, _ = _system(method, **case)
         np.testing.assert_array_equal(got.pack(), fresh.inner_solve(state).pack())
     assert system._workspace is not None
-    cfg = O.SolverConfig(gamma=system.gamma, beta=system.beta, alpha=0.4, max_iters=2)
+    cfg = O.SolverConfig(alpha=0.4, max_iters=2)
     O.gauss_newton_run(system, O.init_state(phi, psi, system.has_lam, cfg), cfg)
     assert system._workspace is None

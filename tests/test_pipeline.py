@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import types
 
 import numpy as np
@@ -31,14 +32,15 @@ def test_config_rejects_unknown_keys():
         ({"sigma": -1.0}, "sigma"),
         ({"gamma": -2.0}, "gamma"),
         ({"alpha": 0.0}, "alpha"),
-        ({"nonlocal_modes": 15}, "nonlocal_modes"),
+        # the mode count is derived from sigma; a config that still names it is rejected
+        ({"nonlocal_modes": 64}, "nonlocal_modes"),
         ({"init_mode": "warm"}, "init_mode"),
         ({"max_iters": 0}, "max_iters"),
         ({"M": 64.5}, "M"),
         ({"M": True}, "M"),
         ({"max_iters": 3.5}, "max_iters"),
         ({"seed": "0"}, "seed"),
-        ({"nonlocal_modes": 64.0}, "nonlocal_modes"),
+        ({"problem": "nonlocal2d", "method": "ff", "N": 4, "nonlocal_modes": 64}, "nonlocal_modes"),
         ({"sigma": float("nan")}, "sigma"),
         ({"beta": float("inf")}, "beta"),
         ({"nu": float("-inf")}, "nu"),
@@ -46,7 +48,7 @@ def test_config_rejects_unknown_keys():
         ({"grid_sampling": 1}, "grid_sampling"),
         ({"problem": "nonlocal2d", "M": 401}, "M"),
         (
-            {"problem": "nonlocal2d", "method": "gp", "sigma": 0.05, "nonlocal_modes": 16},
+            {"problem": "nonlocal2d", "method": "gp", "sigma": 0.5, "nonlocal_modes": 46},
             "nonlocal_modes",
         ),
         # lengthscales whose inverse square overflows
@@ -56,14 +58,16 @@ def test_config_rejects_unknown_keys():
         ({"problem": "planning", "method": "ff", "varsigma": 1e-200}, "varsigma"),
         ({"problem": "nonlocal2d", "method": "gp", "sigma": 1e-200}, "sigma"),
         ({"sigma": 1e200}, "sigma"),
-        # mode counts whose mode tables pass the byte cap; never run, they would allocate
         (
             {"problem": "nonlocal2d", "method": "gp", "M": 16, "nonlocal_modes": 100000},
             "nonlocal_modes",
         ),
-        ({"method": "gp", "nonlocal_modes": 100000}, "nonlocal_modes"),
-        # the 1D torus GP goes through the truncated spectrum as well
-        ({"method": "gp", "sigma": 0.2, "nonlocal_modes": 64}, "nonlocal_modes"),
+        ({"problem": "planning", "nonlocal_modes": 64}, "nonlocal_modes"),
+        ({"method": "gp", "sigma": 0.2, "nonlocal_modes": 15}, "nonlocal_modes"),
+        # sigmas whose derived mode tables pass the byte cap; never run, they would allocate
+        ({"problem": "nonlocal2d", "method": "gp", "sigma": 0.02}, "sigma"),
+        ({"method": "gp", "sigma": 1e-5}, "sigma"),
+        ({"beta": -1.0}, "beta"),
     ],
 )
 def test_config_validation_names_the_field(patch, field):
@@ -73,10 +77,26 @@ def test_config_validation_names_the_field(patch, field):
 
 
 def test_mode_table_cap_admits_more_modes_than_bundled():
-    PL.ExperimentConfig.from_dict(
-        {"problem": "nonlocal2d", "method": "gp", "M": 900, "sigma": 0.35, "nonlocal_modes": 128}
-    )
-    PL.ExperimentConfig.from_dict({"problem": "mfg1d", "method": "gp", "nonlocal_modes": 1024})
+    """The cap admits the counts derived down to sigma 0.05 on the 2D torus
+    at M=900 (340 modes) and down to sigma 0.001 on the 1D torus."""
+    cases = (({"problem": "nonlocal2d", "M": 900, "sigma": 0.05}, 340), ({"sigma": 0.001}, 16824))
+    for patch, n in cases:
+        cfg = PL.ExperimentConfig.from_dict({"method": "gp", **patch})
+        assert PL.PROBLEMS[cfg.problem].kernel(cfg).n_modes == n
+
+
+@pytest.mark.parametrize("patch", [{"problem": "nonlocal2d", "sigma": 0.02}, {"sigma": 1e-5}])
+def test_small_sigma_is_rejected_before_any_mode_table_is_allocated(patch):
+    """The mode tables of these sigmas pass 1 GiB; validation derives the
+    count and rejects the config with small arrays only."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="^sigma: "):
+            PL.ExperimentConfig.from_dict({"method": "gp", **patch})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_config_round_trips_through_dict():
