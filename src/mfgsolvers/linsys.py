@@ -21,21 +21,95 @@ nothing larger than r x k is formed.
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
 one lattice pays for its profile derivatives and J5 mode features once.
+
+The factorizations call LAPACK through scipy's compiled wrappers
+(``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
+loads once, at its import, without importing ``scipy.linalg``: that import
+loads some 300 modules the solver never uses (``numpy.f2py`` and
+``numpy.testing`` among them) and would double a small run's start-up.  Each
+call passes the arguments ``scipy.linalg``'s wrapper would and makes its
+checks on ``info``, so results are bit-identical to it.  The load happens
+after the CLI caps the thread count, so ``MFG_THREADS`` reaches scipy's
+OpenBLAS too.
 """
 
 from __future__ import annotations
 
-import re
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import features as F
 from . import kernels as K
 from .collocation import FunctionalSet
 from .errors import LengthMismatch, NotPositiveDefinite, UnsupportedOperator
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_path():
+    """File of scipy's f2py LAPACK module, or None when scipy ships none."""
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _load_lapack():
+    """scipy's LAPACK wrappers: the loaded module, else its file, else ``scipy.linalg.lapack``."""
+    if _FLAPACK in sys.modules:
+        return sys.modules[_FLAPACK]
+    path = _flapack_path()
+    if path is None:
+        from scipy.linalg import lapack as public
+
+        return public
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+    module = importlib.util.module_from_spec(importlib.util.spec_from_loader(_FLAPACK, loader))
+    loader.exec_module(module)
+    return module
+
+
+lapack = _load_lapack()
+
+
+def lapack_info(routine: str, info: int) -> int:
+    """Raise on LAPACK's illegal-argument report (info < 0); return info."""
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+    return info
+
+
+def cho_solve(chol: np.ndarray, b):
+    """(L L^T)^{-1} b for the lower Cholesky factor L in chol's lower triangle."""
+    x, info = lapack.dpotrs(chol, b, lower=1)
+    lapack_info("dpotrs", info)
+    return x
+
+
+def solve_triangular(a: np.ndarray, b, lower: int, trans: int = 0):
+    """a^{-1} b (trans 0) or a^{-T} b (trans 1) for a triangular a.
+
+    LAPACK reads Fortran order, so a C-ordered a is passed as a.T with
+    ``lower`` and ``trans`` flipped, which solves the same system.  A zero
+    on the diagonal raises ``numpy.linalg.LinAlgError``.
+    """
+    if a.flags.f_contiguous:
+        x, info = lapack.dtrtrs(a, b, lower=lower, trans=trans)
+    else:
+        x, info = lapack.dtrtrs(a.T, b, lower=1 - lower, trans=1 - trans)
+    if lapack_info("dtrtrs", info):
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    return x
 
 
 def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
@@ -105,21 +179,27 @@ class GramFactor:
         """(Theta + eta R)^{-1} v."""
         self._check(v)
         # the factor was checked once, by cholesky_factor
-        return scipy.linalg.cho_solve((self.chol, True), v, check_finite=False)
+        return cho_solve(self.chol, v)
 
     def quadratic_form(self, v) -> float:
         self._check(v)
-        y = scipy.linalg.solve_triangular(self.chol, v, lower=True, check_finite=False)
+        y = solve_triangular(self.chol, v, lower=1)
         return float(y @ y)
 
 
 def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFactor:
+    """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
+
+    A non-finite entry raises ``ValueError`` before LAPACK sees it; a matrix
+    that is not positive definite raises ``NotPositiveDefinite`` naming the
+    order of the first leading minor that is not.
+    """
     t0 = time.perf_counter()
-    try:
-        L = scipy.linalg.cholesky(matrix, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        m = re.search(r"\d+", str(exc))
-        raise NotPositiveDefinite(int(m.group()) if m else -1) from exc
+    if not np.isfinite(matrix).all():
+        raise ValueError("array must not contain infs or NaNs")
+    L, info = lapack.dpotrf(matrix, lower=1, clean=1)
+    if lapack_info("dpotrf", info):
+        raise NotPositiveDefinite(info)
     dt = time.perf_counter() - t0
     return GramFactor(
         regularized=matrix, chol=L, assembly_seconds=assembly_seconds, cholesky_seconds=dt
@@ -233,7 +313,11 @@ def _qr_svd(V):
     only the QR grows with its rows.
     """
     t0 = time.perf_counter()
-    (h, tau), R = scipy.linalg.qr(V, mode="raw", check_finite=False)
+    # geqrf's blocking depends on lwork, so take the size its query returns
+    lwork = int(lapack.dgeqrf(V, lwork=-1)[2][0])
+    h, tau, _, info = lapack.dgeqrf(V, lwork=lwork)
+    lapack_info("dgeqrf", info)
+    R = np.triu(h if V.shape[0] < V.shape[1] else h[: V.shape[1]])
     # the QR of a tall V evicts LAPACK's SVD code from the caches; reloading it
     # on a 2 x 2 charges that to the QR, so the SVD's time follows R's size
     np.linalg.svd(np.eye(2))
@@ -300,16 +384,14 @@ class ArrowCholesky:
         top = self._block_apply(X[: self.n_d], transpose=False)
         bottom = X[self.n_d :] - self.G.T @ top
         if bottom.shape[0]:
-            bottom = scipy.linalg.solve_triangular(self.L_e, bottom, lower=True, check_finite=False)
+            bottom = solve_triangular(self.L_e, bottom, lower=1)
         return np.concatenate([top, bottom])
 
     def solve_lt(self, X):
         """L^{-T} X for X with the rows of S (a vector or a matrix)."""
         bottom = X[self.n_d :]
         if bottom.shape[0]:
-            bottom = scipy.linalg.solve_triangular(
-                self.L_e, bottom, lower=True, trans="T", check_finite=False
-            )
+            bottom = solve_triangular(self.L_e, bottom, lower=1, trans=1)
         top = self._block_apply(X[: self.n_d] - self.G @ bottom, transpose=True)
         return np.concatenate([top, bottom])
 
@@ -345,9 +427,8 @@ def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
 def _reflect(h, tau, X, trans: str):
     """H^T X (trans "T") or H X (trans "N") for the reflectors of a raw QR; X a vector or matrix."""
     h, C = h[:, : tau.size], X.reshape(X.shape[0], -1)  # a wide QR has fewer reflectors
-    dormqr = scipy.linalg.lapack.dormqr
-    lwork = int(dormqr("L", trans, h, tau, C, lwork=-1)[1][0])
-    out, _, info = dormqr("L", trans, h, tau, C, lwork=lwork)
+    lwork = int(lapack.dormqr("L", trans, h, tau, C, lwork=-1)[1][0])
+    out, _, info = lapack.dormqr("L", trans, h, tau, C, lwork=lwork)
     if info:
         raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
     return out.reshape(X.shape)

@@ -53,12 +53,12 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import kernels as K
+from . import linsys
 from .collocation import CollocationSet, FunctionalSet
 from .errors import NonFiniteObjective, SingularNormalEquations
-from .linsys import ArrowCholesky, low_rank_update_solve
+from .linsys import ArrowCholesky, cho_solve, low_rank_update_solve
 from .problems import ProblemSpec, boundary_residual_batch, interior_residual_batch
 
 INIT_ZEROS = "zeros-with-unit-density"
@@ -183,12 +183,13 @@ def _cholesky_solve(B, c):
     fails the factorization or leaves a non-finite diagonal in the factor,
     which is checked instead of B.
     """
-    try:
-        cf = scipy.linalg.cho_factor(B.T, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularNormalEquations(f"inner Cholesky failed: {exc}") from exc
-    y = scipy.linalg.cho_solve(cf, c, check_finite=False)
-    if not (np.all(np.isfinite(np.diagonal(cf[0]))) and np.all(np.isfinite(y))):
+    chol, info = linsys.lapack.dpotrf(B.T, lower=1, overwrite_a=1, clean=0)
+    if linsys.lapack_info("dpotrf", info):
+        raise SingularNormalEquations(
+            f"inner Cholesky failed: {info}-th leading minor of the array is not positive definite"
+        )
+    y = cho_solve(chol, c)
+    if not (np.all(np.isfinite(np.diagonal(chol))) and np.all(np.isfinite(y))):
         raise SingularNormalEquations("inner solve is not finite")
     return y
 

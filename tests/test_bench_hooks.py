@@ -29,11 +29,14 @@ print(json.dumps({"code": code, "names": sorted({s["name"] for s in tracer.spans
 
 SPANS = {
     "problems.residual", "linsys.assemble", "linsys.factor", "optimizer.gauss_newton",
-    "optimizer.inner_solve", "optimizer.loss", "lapack.inner_cho", "solution.reconstruct",
+    "optimizer.inner_solve", "optimizer.loss", "solution.reconstruct",
     "solution.heldout_residual", "solution.eval", "pipeline.export_grid",
     "collocation.build_functionals",
 }
 
+# mfg1d_ff's inner step takes the feature side (k = 13 + 13 + 1 = 27 feature
+# columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and takes the
+# residual-side Cholesky step on F F^T + mu I, as a GP run does
 CONFIGS = {
     "mfg1d_gp": {"problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2},
     "mfg1d_ff": {"problem": "mfg1d", "method": "ff", "M": 32, "N": 6, "beta": 1e6, "max_iters": 2},
@@ -45,11 +48,6 @@ CONFIGS = {
         "n_terminal": 10, "gamma": 1e4, "beta": 1e6, "alpha": 0.2, "max_iters": 1,
     },
 }
-
-# FF runs whose inner step takes the feature side (k = 13 + 13 + 1 = 27 feature
-# columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and takes the
-# residual-side Cholesky step on F F^T + mu I, as a GP run does
-FEATURE_SIDE = {"mfg1d_ff"}
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -66,8 +64,7 @@ def test_layer_wrappers_record_every_span(name, tmp_path):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["code"] == 0
     want = SPANS | ({"features.eval"} if CONFIGS[name]["method"] == "ff" else set())
-    if name in FEATURE_SIDE:
-        # the inner step factors no r x r matrix, so no inner Cholesky runs
-        want = want - {"lapack.inner_cho"}
-        assert "lapack.inner_cho" not in result["names"]
+    # lapack.inner_cho wraps scipy.linalg.cho_factor, which no run calls: the
+    # residual-side step calls LAPACK's dpotrf directly, the feature side none
+    assert "lapack.inner_cho" not in result["names"]
     assert not want - set(result["names"]), f"missing spans: {sorted(want - set(result['names']))}"

@@ -165,11 +165,18 @@ def test_thread_cap_applied(monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
 
 
-def test_importing_cli_loads_no_numpy():
+def test_importing_cli_loads_no_numpy(tmp_path):
     """MFG_THREADS must be set before OpenBLAS loads, so importing the CLI loads no numpy.
 
     The package's public names still import; they load ``pipeline`` on first use.
+    A whole run then calls LAPACK without importing ``scipy.linalg``, whose
+    import would pull in ``numpy.f2py`` and most of scipy's startup cost.
     """
+    cfg = tmp_path / "config.json"
+    cfg.write_text(
+        json.dumps({"problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2}),
+        encoding="utf-8",
+    )
     script = (
         "import sys, mfgsolvers.cli\n"
         "assert 'numpy' not in sys.modules, 'importing mfgsolvers.cli loaded numpy'\n"
@@ -177,11 +184,15 @@ def test_importing_cli_loads_no_numpy():
         "from mfgsolvers import pipeline\n"
         "assert run_experiment is pipeline.run_experiment\n"
         "assert ExperimentConfig is pipeline.ExperimentConfig and RunResult is pipeline.RunResult\n"
+        "assert mfgsolvers.cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+        "loaded = {'scipy.linalg', 'numpy.f2py'} & set(sys.modules)\n"
+        "assert not loaded, f'a run loaded {sorted(loaded)}'\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
 

@@ -1,7 +1,10 @@
 """Gram assembly, nugget regularization, and the two factorization paths."""
 
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg as SL
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from mfgsolvers import collocation as C
 from mfgsolvers import features as F
 from mfgsolvers import kernels as K
 from mfgsolvers import linsys as L
+from mfgsolvers import optimizer as O
 from mfgsolvers import problems as P
 from mfgsolvers.errors import LengthMismatch, NotPositiveDefinite
 from mfgsolvers.pipeline import default_drift, default_drift_dx, default_potential
@@ -99,11 +103,17 @@ def test_quadratic_form_scales_quadratically(seed, c):
     assert fac.quadratic_form(c * v) == pytest.approx(c * c * fac.quadratic_form(v), rel=1e-9)
 
 
-def test_not_positive_definite_reports_pivot():
+def test_not_positive_definite_reports_pivot(monkeypatch):
     bad = np.diag([1.0, 1.0, -1.0, 1.0])
     with pytest.raises(NotPositiveDefinite) as exc:
         L.cholesky_factor(bad)
     assert "3" in str(exc.value)
+    assert exc.value.pivot == 3
+    # a non-finite matrix is rejected before LAPACK sees it
+    monkeypatch.setattr(L, "lapack", None)
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            L.cholesky_factor(np.diag([1.0, value, 1.0]))
 
 
 def test_length_mismatch_raises():
@@ -213,3 +223,102 @@ def test_low_rank_update_solve_rejects_a_non_finite_system():
     U[3, 1] = np.inf
     with pytest.raises(FloatingPointError):
         L.low_rank_update_solve(L.ArrowCholesky(groups, C, E), U, c)
+
+
+# -- LAPACK calls against scipy.linalg ---------------------------------------
+# scipy.linalg is the reference: each direct call passes the arguments its
+# wrapper passes, so the results are bit-identical, whichever way the loader
+# found the LAPACK module.
+
+
+@pytest.fixture(params=["loaded", "file", "fallback"])
+def lapack_source(request, monkeypatch):
+    """``linsys.lapack`` as each branch of its loader gives it."""
+    if request.param != "loaded":
+        monkeypatch.delitem(sys.modules, L._FLAPACK)
+        if request.param == "fallback":
+            monkeypatch.setattr(L, "_flapack_path", lambda: None)
+        monkeypatch.setattr(L, "lapack", L._load_lapack())
+    if request.param == "loaded":
+        assert L.lapack is sys.modules[L._FLAPACK]
+    elif request.param == "file":
+        assert L.lapack.__file__ == L._flapack_path()
+    else:
+        assert L.lapack is SL.lapack
+    return request.param
+
+
+def _spd(n, seed, order):
+    G = np.random.default_rng(seed).standard_normal((n, n))
+    return np.asarray(G @ G.T + n * np.eye(n), order=order)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_cholesky_factor_equals_scipy(lapack_source, order):
+    A = _spd(9, 0, order)
+    assert np.array_equal(L.cholesky_factor(A).chol, SL.cholesky(A, lower=True))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_inner_cholesky_solve_equals_cho_factor_and_cho_solve(lapack_source, order):
+    B = _spd(11, 1, order)
+    c = np.random.default_rng(2).standard_normal(11)
+    ref = B.copy(order="K")
+    cf = SL.cho_factor(ref.T, lower=True, overwrite_a=True, check_finite=False)
+    want = SL.cho_solve(cf, c, check_finite=False)
+    assert np.array_equal(O._cholesky_solve(B, c), want)
+    assert np.array_equal(B, ref)  # overwritten (or not) alike
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_gram_factor_solve_and_quadratic_form_equal_scipy(lapack_source, order):
+    fac = L.cholesky_factor(_spd(8, 3, order))
+    rng = np.random.default_rng(4)
+    v = rng.standard_normal(8)
+    V = np.asarray(rng.standard_normal((8, 3)), order=order)
+    for b in (v, V):
+        assert np.array_equal(fac.solve(b), SL.cho_solve((fac.chol, True), b, check_finite=False))
+    y = SL.solve_triangular(fac.chol, v, lower=True, check_finite=False)
+    assert fac.quadratic_form(v) == float(y @ y)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_solve_triangular_equals_scipy(lapack_source, order):
+    rng = np.random.default_rng(5)
+    T = np.asarray(np.tril(rng.standard_normal((7, 7))) + 4.0 * np.eye(7), order=order)
+    b = np.asarray(rng.standard_normal((7, 2)), order=order)
+    for lower, a in ((1, T), (0, T.T)):
+        for trans in (0, 1):
+            want = SL.solve_triangular(a, b, lower=bool(lower), trans=trans, check_finite=False)
+            assert np.array_equal(L.solve_triangular(a, b, lower=lower, trans=trans), want)
+    # a zero on the diagonal (dtrtrs info > 0) raises as scipy does
+    T[3, 3] = 0.0
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 3"):
+        SL.solve_triangular(T, b, lower=True, check_finite=False)
+    with pytest.raises(np.linalg.LinAlgError, match="diagonal 3"):
+        L.solve_triangular(T, b, lower=1)
+
+
+def test_arrow_cholesky_solves_equal_scipy(lapack_source, monkeypatch):
+    groups, C, E, S, U, c = _arrow_system(6)
+    chol = L.ArrowCholesky(groups, C, E)
+    assert chol.L_e.flags.c_contiguous and not chol.L_e.flags.f_contiguous
+    got = [f(X) for f in (chol.solve_l, chol.solve_lt) for X in (U, c)]
+
+    def scipy_solve(a, b, lower, trans=0):
+        return SL.solve_triangular(a, b, lower=bool(lower), trans=trans, check_finite=False)
+
+    monkeypatch.setattr(L, "solve_triangular", scipy_solve)
+    want = [f(X) for f in (chol.solve_l, chol.solve_lt) for X in (U, c)]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("shape", [(40, 6), (5, 9)])
+def test_raw_qr_equals_scipy(lapack_source, shape, order):
+    V = np.asarray(np.random.default_rng(7).standard_normal(shape), order=order)
+    (h, tau), q_r, s, zt, _ = L._qr_svd(V)
+    (h0, tau0), R0 = SL.qr(V, mode="raw", check_finite=False)
+    assert np.array_equal(h, h0) and np.array_equal(tau, tau0)
+    for got, want in zip((q_r, s, zt), np.linalg.svd(R0, full_matrices=False)):
+        assert np.array_equal(got, want)
