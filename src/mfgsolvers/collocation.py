@@ -3,7 +3,9 @@
 A FunctionalSet is the flattened list of point-evaluated linear operators
 delta_x o L feeding both the gram/feature matrices and the residual
 assembly.  The layout is blockwise: boundary operator blocks first, then
-interior operator blocks, points fastest within a block.
+interior operator blocks, points fastest within a block.  So each point
+group (the boundary points, then the interior points) owns consecutive
+blocks, in the order in which the optimizer stacks its residual rows.
 """
 
 from __future__ import annotations
@@ -110,11 +112,11 @@ def sample_planning_grid(
 class FunctionalSet:
     """Ordered blocks of (operator tag, points) pairs.
 
-    boundary blocks come first; ``blocks`` holds (tag, points, is_boundary)
-    in layout order and ``slices`` the matching index ranges.
+    boundary blocks come first; ``blocks`` holds (tag, points) in layout
+    order and ``slices`` the matching index ranges.
     """
 
-    blocks: tuple  # of (op tag, points array, is_boundary flag)
+    blocks: tuple  # of (op tag, points array)
 
     @property
     def size(self) -> int:
@@ -124,7 +126,7 @@ class FunctionalSet:
     def slices(self) -> tuple:
         out = []
         lo = 0
-        for _, pts, _ in self.blocks:
+        for _, pts in self.blocks:
             out.append(slice(lo, lo + pts.shape[0]))
             lo += pts.shape[0]
         return tuple(out)
@@ -138,9 +140,7 @@ def build_functionals(spec: ProblemSpec, pts: CollocationSet):
     """Functional vectors (phi for u, psi for m) in block layout."""
     if pts.interior.shape[1] != spec.dim:
         raise BadCount("point dimension does not match the problem")
-    phi_blocks = [(op, pts.interior, False) for op in spec.u_operators]
-    psi_blocks = [(op, pts.boundary, True) for op in spec.m_boundary_operators]
-    psi_blocks += [(op, pts.interior, False) for op in spec.m_operators]
-    if pts.boundary.shape[0] == 0:
-        psi_blocks = [b for b in psi_blocks if not b[2]]
+    phi_blocks = [(op, pts.interior) for op in spec.u_operators]
+    psi_blocks = [(op, pts.boundary) for op in spec.m_boundary_operators if len(pts.boundary)]
+    psi_blocks += [(op, pts.interior) for op in spec.m_operators]
     return FunctionalSet(blocks=tuple(phi_blocks)), FunctionalSet(blocks=tuple(psi_blocks))

@@ -530,7 +530,7 @@ def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
     c = spectrum(k.lengthscales[0], k.n_modes)
     acc = np.zeros(c.shape, dtype=complex)
     tables = {}  # conjugate point-by-point exponentials per point set, keyed by identity
-    for (tag, pts, _), sl in zip(funcs.blocks, funcs.slices):
+    for (tag, pts), sl in zip(funcs.blocks, funcs.slices):
         if pts.shape[0] == 0:
             continue
         if id(pts) not in tables:

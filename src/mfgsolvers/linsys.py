@@ -127,12 +127,12 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
     blocks = funcs.blocks
     sls = funcs.slices
     ops_on = {}  # operator tags per point set, keyed by the array's identity
-    for op, pts, _ in blocks:
+    for op, pts in blocks:
         ops_on.setdefault(id(pts), []).append(op)
     tables = {}
-    for i, (op_i, pts_i, _) in enumerate(blocks):
+    for i, (op_i, pts_i) in enumerate(blocks):
         for j in range(i, len(blocks)):
-            op_j, pts_j, _ = blocks[j]
+            op_j, pts_j = blocks[j]
             key = (id(pts_i), id(pts_j))
             if key not in tables:
                 tables[key] = K.CrossTables(kernel, pts_i, pts_j, ops_on[key[0]], ops_on[key[1]])
@@ -221,7 +221,7 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float) ->
 def assemble_feature_matrix(funcs: FunctionalSet, basis: F.FeatureBasis):
     """A[i, j] = functional i applied to feature j."""
     rows = []
-    for op, pts, _ in funcs.blocks:
+    for op, pts in funcs.blocks:
         if pts.shape[0]:
             rows.append(F.eval_feature_op(basis, op, pts))
     if not rows:

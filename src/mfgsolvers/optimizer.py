@@ -16,9 +16,11 @@ is the smaller of rows and features.  Crucially P^{-1} is cheap on both
 paths: it is the regularized gram matrix Theta itself for the GP quadratic
 form and F F^T + mu I, with F the feature matrix, for the ridge form.
 
-There is one linearization, point-major: each point's rows sit together
-(boundary points, then interior points, then the normalization rows), and A
-is never formed, only its per-point Jacobian stacks.  There are two inner
+There is one linearization, point-major.  Its rows come in point groups, one
+residual batch of ``problems`` each: the boundary points (one row each), then
+the interior points (two rows each), as in psi's block layout, then the
+normalization rows.  A is never formed, only its per-point Jacobian stacks,
+and ``loss`` sums the squares of these same rows.  There are two inner
 steps.  The residual side forms B = W^{-1} + A P^{-1} A^T from P^{-1} as a
 matrix (the factor's ``regularized``) and factors it by Cholesky.  With the
 ridge form, B also splits as S + U U^T: S = W^{-1} + mu A A^T couples only
@@ -59,7 +61,8 @@ from . import linsys
 from .collocation import CollocationSet, FunctionalSet
 from .errors import NonFiniteObjective, SingularNormalEquations
 from .linsys import ArrowCholesky, cho_solve, low_rank_update_solve
-from .problems import ProblemSpec, boundary_residual_batch, interior_residual_batch
+from .problems import BOUNDARY_ROWS, INTERIOR_ROWS, ProblemSpec
+from .problems import boundary_residual_batch, interior_residual_batch
 
 INIT_ZEROS = "zeros-with-unit-density"
 INIT_GAUSSIAN = "gaussian"
@@ -81,7 +84,6 @@ class SolverConfig:
     # 1e-8 is 1.9e-8 (mfg1d_gp); a 1e-8 relative change of theta moves no
     # reported metric beyond its printed digits
     step_tol: float = 1e-8
-    debug: bool = False
 
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
@@ -170,6 +172,11 @@ def _by_point(X, slices, n):
     return np.moveaxis(X[lo : lo + len(slices) * n].reshape(len(slices), n, *X.shape[1:]), 0, 1)
 
 
+def _columns(v, slices, n):
+    """The blocks of v on slices as the columns of an (n, blocks) array."""
+    return np.stack([v[sl] for sl in slices], axis=1) if slices else np.zeros((n, 0))
+
+
 def _point_rows(blocks, tail):
     """Stack per-point blocks (points, rows per point, ...) into rows, point by point, then tail."""
     return np.concatenate([b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]) for b in blocks] + [tail])
@@ -219,20 +226,15 @@ class MfgSystem:
         self.n_z = phi.size
         self.n_rho = psi.size
         self.has_lam = spec.has_ergodic_constant
-        self.m_int = pts.m_interior
-        self.n_b = pts.boundary.shape[0]
-        self.d_b = len(spec.m_boundary_operators) if self.n_b else 0
-        # interior psi blocks start after the boundary blocks
-        self._psi_int_slices = psi.slices[self.d_b :]
-        self._psi_b_slices = psi.slices[: self.d_b]
-        # point groups in row order: boundary points (one row, m-values only),
-        # as in psi, then interior points (two rows)
-        self._groups = [(self.m_int, self.phi.slices, self._psi_int_slices)]
-        if self.d_b:
-            self._groups.insert(0, (self.n_b, (), self._psi_b_slices))
+        # point groups in row order, boundary first as in psi: (points, rows
+        # per point, residual batch, u-block slices, m-block slices)
+        n_mb = len(spec.m_boundary_operators) if len(pts.boundary) else 0
+        boundary = (pts.boundary, BOUNDARY_ROWS, boundary_residual_batch, (), psi.slices[:n_mb])
+        interior = (pts.interior, INTERIOR_ROWS, interior_residual_batch, phi.slices, psi.slices[n_mb:])
+        self._groups = [boundary, interior] if n_mb else [interior]
         norm = self._norm_rows()
         self._n_norm = len(norm)
-        n_res = 2 * self.m_int + (self.n_b if self.d_b else 0)
+        n_res = sum(len(X) * p for X, p, *_ in self._groups)
         self.n_rows = (n_res if self.gamma > 0 else 0) + self._n_norm
         self._w = np.concatenate(
             [np.full(self.n_rows - self._n_norm, self.gamma), np.full(self._n_norm, self.beta)]
@@ -259,76 +261,62 @@ class MfgSystem:
         self._norm_S = np.diag(np.full(self._n_norm, 1.0 / self.beta)) if norm else np.zeros((0, 0))
         self._norm_S += mu_u * (Nz.T @ Nz) + mu_m * (Nm.T @ Nm)
 
-    # -- state block bookkeeping ------------------------------------------
-
-    def values(self, state: SolverState):
-        U = np.stack([state.z[sl] for sl in self.phi.slices], axis=1)
-        M = np.stack([state.rho[sl] for sl in self._psi_int_slices], axis=1)
-        if self.d_b:
-            Mb = np.stack([state.rho[sl] for sl in self._psi_b_slices], axis=1)
-        else:
-            Mb = np.zeros((0, 0))
-        return U, M, Mb
-
     def _norm_rows(self):
         """The linear normalization rows, each the mean over one identity block.
 
         One (is_u, block slice, target) per row, in row order; weight beta.
+        The identity blocks are the first u- and m-blocks of the interior group.
         """
+        *_, u_slices, m_slices = self._groups[-1]
         rows = []
         if self.spec.normalize_u and self.beta > 0:
-            rows.append((True, self.phi.slices[0], 0.0))
+            rows.append((True, u_slices[0], 0.0))
         if self.spec.normalize_m and self.beta > 0:
-            rows.append((False, self._psi_int_slices[0], self.spec.density_mean))
+            rows.append((False, m_slices[0], self.spec.density_mean))
         return rows
 
-    # -- loss --------------------------------------------------------------
-
-    def loss(self, state: SolverState):
-        U, M, Mb = self.values(state)
-        lam = state.lam or 0.0
-        R, _, _, _ = interior_residual_batch(self.spec, self.pts.interior, U, M, lam)
-        pde = float(np.sum(R**2))
-        if self.d_b:
-            Rb, _ = boundary_residual_batch(self.spec, self.pts.boundary, Mb)
-            pde += float(np.sum(Rb**2))
-        quad = self.quad_u.quadratic_form(state.z) + self.quad_m.quadratic_form(state.rho)
-        if self.has_lam:
-            quad += lam**2
-        norm = 0.0
-        if self.spec.normalize_u:
-            norm += float(np.mean(U[:, 0])) ** 2
-        if self.spec.normalize_m:
-            norm += (float(np.mean(M[:, 0])) - self.spec.density_mean) ** 2
-        total = quad + self.gamma * pde + self.beta * norm
-        return total, quad, self.gamma * pde, self.beta * norm
-
-    # -- the linearized rows, point by point ---------------------------------
+    # -- the residual rows, point group by point group -----------------------
 
     def _group_values(self, state: SolverState):
         """(u-values, m-values) of the state per point group, (points, operators) each."""
-        U, M, Mb = self.values(state)
-        groups = [(U, M)]
-        if self.d_b:
-            groups.insert(0, (np.zeros((self.n_b, 0)), Mb))
-        return groups
+        return [
+            (_columns(state.z, u_sl, len(X)), _columns(state.rho, m_sl, len(X)))
+            for X, _, _, u_sl, m_sl in self._groups
+        ]
+
+    def _group_residuals(self, state: SolverState):
+        """Per point group: its batch's residuals R and Jacobians J_z, J_rho, j_lam.
+
+        Row i of a group holds point i's residual rows.
+        """
+        lam = state.lam or 0.0
+        return [
+            batch(self.spec, X, U, M, lam)
+            for (X, _, batch, _, _), (U, M) in zip(self._groups, self._group_values(state))
+        ]
+
+    def loss(self, state: SolverState):
+        """(total, quadratic, gamma * PDE, beta * normalization) of the objective at state."""
+        pde = sum(float(np.sum(R**2)) for R, *_ in self._group_residuals(state))
+        quad = self.quad_u.quadratic_form(state.z) + self.quad_m.quadratic_form(state.rho)
+        if self.has_lam:
+            quad += state.lam**2
+        norm = sum(
+            (float(np.mean((state.z if is_u else state.rho)[sl])) - target) ** 2
+            for is_u, sl, target in self._norm_rows()
+        )
+        total = quad + self.gamma * pde + self.beta * norm
+        return total, quad, self.gamma * pde, self.beta * norm
 
     def _linearize_by_point(self, state: SolverState):
-        """Per point group: residuals R and Jacobians J_z, J_rho, j_lam, point-major.
+        """The group residuals, point-major, checked finite: the rows the step linearizes.
 
-        Row i of a group holds point i's residual rows; the normalization rows
-        follow all groups.  With gamma = 0 the residual rows carry no weight
-        and there are no groups.
+        The normalization rows follow all groups.  With gamma = 0 the residual
+        rows carry no weight and there are no groups.
         """
         if self.gamma == 0:
             return []
-        values = self._group_values(state)
-        U, M = values[-1]
-        groups = [interior_residual_batch(self.spec, self.pts.interior, U, M, state.lam or 0.0)]
-        if self.d_b:
-            Rb, dMb = boundary_residual_batch(self.spec, self.pts.boundary, values[0][1])
-            n = self.n_b
-            groups.insert(0, (Rb, np.zeros((n, 1, 0)), dMb, np.zeros((n, 1))))
+        groups = self._group_residuals(state)
         if not all(np.all(np.isfinite(a)) for group in groups for a in group):
             raise SingularNormalEquations("the linearized residual rows are not finite")
         return groups
@@ -351,7 +339,8 @@ class MfgSystem:
         Nz, Nm = self._norm_t
         y_norm = y[self.n_rows - self._n_norm :]
         at_z, at_rho, at_lam, lo = Nz @ y_norm, Nm @ y_norm, 0.0, 0
-        for (n, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
+        for (*_, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
+            n = R.shape[0]
             y_g = y[lo : lo + R.size].reshape(R.shape)
             lo += R.size
             _by_point(at_z, z_sl, n)[...] += np.einsum("icq,ic->iq", Jz, y_g)
@@ -420,8 +409,9 @@ class MfgSystem:
         r = self.n_rows
         for side, (theta, Yt) in enumerate(zip(thetas, yts)):
             lo = 0
-            for (n, *slices), (R, *J) in zip(self._groups, lin):
-                p, theta_rows = R.shape[1], _by_point(theta, slices[side], n)
+            for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
+                n, p = R.shape
+                theta_rows = _by_point(theta, slices[side], n)
                 for i in range(0, n, POINT_CHUNK):
                     j = min(i + POINT_CHUNK, n)
                     at = buf[: (j - i) * p * theta.shape[0]].reshape(j - i, p, -1)
@@ -430,8 +420,8 @@ class MfgSystem:
                 lo += R.size
         a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
         lo = 0
-        for (n, *slices), (R, *J) in zip(self._groups, lin):
-            p = R.shape[1]
+        for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
+            n, p = R.shape
             yt_u, yt_m = (_by_point(Yt, sl, n) for Yt, sl in zip(yts, slices))
             for i in range(0, n, POINT_CHUNK):
                 j = min(i + POINT_CHUNK, n)
@@ -467,7 +457,8 @@ class MfgSystem:
         mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
         Nz, Nm = self._norm_t
         blocks, rows, coupling = [], [], []
-        for (n, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
+        for (*_, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
+            n = R.shape[0]
             blocks.append(np.eye(R.shape[1]) / self.gamma + mu_u * _gram(Jz) + mu_m * _gram(Jm))
             lam_col = [jl[:, :, None]] if self.has_lam else []
             feats = [Jz @ _by_point(F_u, z_sl, n), Jm @ _by_point(F_m, m_sl, n)]
@@ -486,7 +477,7 @@ class MfgSystem:
         return SolverState(z=z_hat, rho=rho_hat, lam=float(g[-1]) if self.has_lam else None)
 
     def normal_equation_residual(self, state: SolverState, hat: SolverState) -> float:
-        """Relative residual of (P + A^T W A) theta_hat = A^T W c; debug only.
+        """Relative residual of (P + A^T W A) theta_hat = A^T W c, an oracle for tests.
 
         A and c are the inner step's own point-major rows at state; A theta_hat
         and A^T W (A theta_hat - c) are applied point by point, never formed.
@@ -552,12 +543,6 @@ def _line_search_iterations(system, init: SolverState, cfg: SolverConfig):
     steps = _step_lengths(cfg.alpha)
     for it in range(1, cfg.max_iters + 1):
         hat = system.inner_solve(state)
-        if cfg.debug:
-            rel = system.normal_equation_residual(state, hat)
-            if rel > 1e-8:
-                raise SingularNormalEquations(
-                    f"inner solve violates normal equations (rel {rel:.2e})"
-                )
         theta, theta_hat = state.pack(), hat.pack()
         d_norm, hat_norm = np.linalg.norm(theta_hat - theta), np.linalg.norm(theta_hat)
         # theta_hat = 0 moves all of theta: a relative step of 1

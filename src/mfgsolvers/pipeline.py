@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -28,12 +28,14 @@ from .errors import BadGrid, ConfigError
 GP = "gp"
 FF = "ff"
 
-_INT_FIELDS = ("M", "n_interior", "n_initial", "n_terminal", "N", "max_iters", "seed")
-_FLOAT_FIELDS = (
-    "sigma", "sigma_space", "sigma_time", "varsigma", "nu",
-    "gamma", "beta", "eta", "mu", "alpha", "init_scale",
-)
-_BOOL_FIELDS = ("grid_sampling", "shared_features", "full_basis_2d")
+# ExperimentConfig's type check of a field, by its annotation: (accepted types,
+# message).  A bool passes only a bool field, and a float field must be finite
+_FIELD_KINDS = {
+    "int": ((int, np.integer), "must be an integer"),
+    "float": ((int, float, np.integer, np.floating), "must be a finite number"),
+    "bool": (bool, "must be true or false"),
+    "str": (str, "must be a string"),
+}
 _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
 # cap on the largest array a torus GP run allocates, in bytes; see
 # _largest_mode_table_bytes for the arrays that grow with the kernel's mode count
@@ -251,23 +253,12 @@ class ExperimentConfig:
         if not isinstance(self.method, str) or self.method not in METHODS:
             raise ConfigError(f"method: unknown value {self.method!r}")
         problem = PROBLEMS[self.problem]
-        for name in _INT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigError(f"{name}: must be an integer, got {value!r}")
-        for name in _FLOAT_FIELDS:
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float, np.integer, np.floating))
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(f"{name}: must be a finite number, got {value!r}")
-        for name in _BOOL_FIELDS:
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigError(f"{name}: must be true or false, got {getattr(self, name)!r}")
-        if not isinstance(self.output_dir, str):
-            raise ConfigError(f"output_dir: must be a string, got {self.output_dir!r}")
+        for f in fields(self):
+            types, message = _FIELD_KINDS[f.type]
+            value = getattr(self, f.name)
+            ok = isinstance(value, types) and (f.type == "bool" or not isinstance(value, bool))
+            if not ok or (f.type == "float" and not math.isfinite(value)):
+                raise ConfigError(f"{f.name}: {message}, got {value!r}")
         for name in ("M", "n_interior", "n_initial", "n_terminal", "N", "max_iters"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be a positive integer")

@@ -6,6 +6,12 @@ coupling the operator values, which also give their Jacobians in the
 operator values for the Gauss-Newton linearization.  A new problem is one
 residual function and ``make_*`` constructor here plus one entry in
 ``pipeline.PROBLEMS``.
+
+Residuals come in point groups: interior points carry two rows each (HJB,
+Fokker-Planck) over ``u_operators`` and ``m_operators``, and boundary points,
+on the planning problem's time slices, one row each (the pinned density)
+over ``m_boundary_operators``.  Both kinds of residual function take
+``(spec, X, U, M, lam, out)``; the torus specs have no boundary function.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ GAUSSIAN_WIDTH = 0.1
 INITIAL_CENTER = 0.5
 TERMINAL_CENTER = -0.5
 SPACE_HALF_WIDTH = 2.0
+# residual rows per point of the interior and boundary point groups
+INTERIOR_ROWS, BOUNDARY_ROWS = 2, 1
 
 
 def gaussian_density(x, center, width=GAUSSIAN_WIDTH):
@@ -38,8 +46,8 @@ def gaussian_density(x, center, width=GAUSSIAN_WIDTH):
 
 
 # ---------------------------------------------------------------------------
-# interior residuals with analytic Jacobians, one function per problem; each
-# fills the zeroed arrays of interior_residual_batch
+# residuals with analytic Jacobians, one function per problem and point
+# group; each fills the zeroed arrays of its batch function
 
 def _mfg1d_residual(V, b, b_x, spec, X, U, M, lam, out):
     R, dU, dM, dlam = out
@@ -103,26 +111,17 @@ def _planning_residual(spec, X, U, M, lam, out):
     dM[:, 1, 2] = 1.0
 
 
-# boundary residuals; see boundary_residual_batch
-
-def _no_boundary(spec, X, Mb):
-    n = np.atleast_2d(X).shape[0]
-    return np.zeros((n, 0)), np.zeros((n, 0, 0))
-
-
-def _pinned_density_boundary(spec, X, Mb):
+def _pinned_density_boundary(spec, X, U, M, lam, out):
     """The density equals the initial and terminal Gaussians on t=0 and t=1."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Mb = np.atleast_2d(np.asarray(Mb, dtype=float))
+    R, _, dM, _ = out
     t, x = X[:, 0], X[:, 1]
     on0 = np.abs(t) < 1e-12
     on1 = np.abs(t - 1.0) < 1e-12
     if not np.all(on0 | on1):
         raise NotOnBoundary("points must lie on the t=0 or t=1 slice")
     target = np.where(on0, gaussian_density(x, INITIAL_CENTER), gaussian_density(x, TERMINAL_CENTER))
-    R = (Mb[:, 0] - target)[:, None]
-    dMb = np.ones((X.shape[0], 1, 1))
-    return R, dMb
+    R[:, 0] = M[:, 0] - target
+    dM[:, 0, 0] = 1.0
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ class ProblemSpec:
     u_operators: tuple
     m_operators: tuple
     interior: Callable  # residual function, called by interior_residual_batch
-    boundary: Callable = _no_boundary  # called by boundary_residual_batch
+    boundary: Callable | None = None  # called by boundary_residual_batch
     m_boundary_operators: tuple = ()
     has_ergodic_constant: bool = False
     normalize_u: bool = False
@@ -196,35 +195,40 @@ def make_planning() -> ProblemSpec:
 # ---------------------------------------------------------------------------
 # batched residuals
 
-def interior_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
-    """Residuals and Jacobians at a batch of interior points.
+def _residual_batch(spec, residual, rows, u_operators, m_operators, X, U, M, lam):
+    """Residuals and Jacobians of one point group, ``rows`` residual rows per point.
 
-    X is (n, dim), U is (n, Q), M is (n, D).  Returns (R, dU, dM, dlam)
-    with shapes (n, 2), (n, 2, Q), (n, 2, D), (n, 2).
+    X is (n, dim), U is (n, Q) and M is (n, D) with Q and D the operator
+    counts.  Returns (R, dU, dM, dlam) with shapes (n, rows), (n, rows, Q),
+    (n, rows, D), (n, rows).
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     U = np.atleast_2d(np.asarray(U, dtype=float))
     M = np.atleast_2d(np.asarray(M, dtype=float))
     n = X.shape[0]
-    if U.shape[1] != len(spec.u_operators) or M.shape[1] != len(spec.m_operators):
+    if U.shape[1] != len(u_operators) or M.shape[1] != len(m_operators):
         raise ArityMismatch(
             f"value shapes {U.shape[1]}/{M.shape[1]} do not match operator "
-            f"counts {len(spec.u_operators)}/{len(spec.m_operators)}"
+            f"counts {len(u_operators)}/{len(m_operators)}"
         )
     q, d = U.shape[1], M.shape[1]
-    out = np.zeros((n, 2)), np.zeros((n, 2, q)), np.zeros((n, 2, d)), np.zeros((n, 2))
-    spec.interior(spec, X, U, M, lam, out)
+    out = np.zeros((n, rows)), np.zeros((n, rows, q)), np.zeros((n, rows, d)), np.zeros((n, rows))
+    residual(spec, X, U, M, lam, out)
     return out
 
 
-def boundary_residual_batch(spec: ProblemSpec, X, Mb):
-    """Boundary residuals: linear in the density value, Jacobian is 1.
+def interior_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
+    """The HJB and Fokker-Planck rows, 2 per point, over u_operators and m_operators."""
+    return _residual_batch(
+        spec, spec.interior, INTERIOR_ROWS, spec.u_operators, spec.m_operators, X, U, M, lam
+    )
 
-    X is (n, 2) points on the t=0 or t=1 slice, Mb is (n, D_b) boundary
-    operator values.  Returns (R, dMb) of shapes (n, 1) and (n, 1, D_b);
-    both have no columns on the torus problems, which have no boundary.
-    """
-    return spec.boundary(spec, X, Mb)
+
+def boundary_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
+    """The boundary rows, 1 per point, over no u-operator and m_boundary_operators."""
+    return _residual_batch(
+        spec, spec.boundary, BOUNDARY_ROWS, (), spec.m_boundary_operators, X, U, M, lam
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -71,12 +71,12 @@ class GpField:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], len(ops)))
         tags_on = {}  # operator tags per point set, keyed by the array's identity
-        for tag, pts, _ in self.funcs.blocks:
+        for tag, pts in self.funcs.blocks:
             tags_on.setdefault(id(pts), []).append(tag)
         for lo in range(0, X.shape[0], _CROSS_CHUNK):
             rows = slice(lo, lo + _CROSS_CHUNK)
             tables = {}
-            for (tag, pts, _), sl in zip(self.funcs.blocks, self.funcs.slices):
+            for (tag, pts), sl in zip(self.funcs.blocks, self.funcs.slices):
                 if pts.shape[0] == 0:
                     continue
                 if id(pts) not in tables:

@@ -71,10 +71,11 @@ def test_functionals_boundary_blocks_come_first():
     pts = C.sample_planning(seed=2, n_interior=20, n_initial=4, n_terminal=4)
     phi, psi = C.build_functionals(SPEC_PL, pts)
     assert psi.operator_tags == ("id",) + SPEC_PL.m_operators
-    assert psi.blocks[0][2] is True  # boundary flag
+    assert psi.blocks[0][1] is pts.boundary
+    assert all(points is pts.interior for _, points in psi.blocks[1:])
     assert psi.slices[0] == slice(0, 8)
     assert psi.size == 8 + 3 * 20
-    assert all(not b[2] for b in phi.blocks)
+    assert all(points is pts.interior for _, points in phi.blocks)
 
 
 def test_functionals_dimension_check():

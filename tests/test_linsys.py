@@ -47,8 +47,8 @@ def test_gram_with_shared_tables_equals_per_block_assembly(problem):
     _, psi = C.build_functionals(spec, pts)
     G = L.assemble_gram(kernel, psi)
     np.testing.assert_array_equal(G, G.T)
-    for i, (op_i, pts_i, _) in enumerate(psi.blocks):
-        for j, (op_j, pts_j, _) in enumerate(psi.blocks):
+    for i, (op_i, pts_i) in enumerate(psi.blocks):
+        for j, (op_j, pts_j) in enumerate(psi.blocks):
             if j < i:
                 continue
             B = K.pairwise_op_matrix(kernel, op_i, op_j, pts_i, pts_j)

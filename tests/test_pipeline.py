@@ -1,6 +1,7 @@
 """Experiment configs, the end-to-end driver, and the benchmark helper."""
 
 import csv
+import dataclasses
 import json
 import tracemalloc
 import types
@@ -74,6 +75,14 @@ def test_config_validation_names_the_field(patch, field):
     with pytest.raises(ConfigError) as exc:
         PL.ExperimentConfig.from_dict(patch)
     assert str(exc.value).startswith(f"{field}:")
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PL.ExperimentConfig)])
+def test_config_type_check_covers_every_field(name):
+    """A value of the wrong kind is rejected, naming its field, whatever the field."""
+    with pytest.raises(ConfigError) as exc:
+        PL.ExperimentConfig.from_dict({name: []})
+    assert str(exc.value).startswith(f"{name}:")
 
 
 def test_mode_table_cap_admits_more_modes_than_bundled():

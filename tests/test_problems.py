@@ -139,24 +139,28 @@ def test_boundary_targets_are_the_pinned_gaussians():
     xs = np.linspace(-2.0, 2.0, 7)
     X0 = np.stack([np.zeros_like(xs), xs], axis=1)
     X1 = np.stack([np.ones_like(xs), xs], axis=1)
-    Mb = np.ones((7, 1))
-    R0, d0 = P.boundary_residual_batch(SPEC_PL, X0, Mb)
-    R1, _ = P.boundary_residual_batch(SPEC_PL, X1, Mb)
+    U, Mb = np.zeros((7, 0)), np.ones((7, 1))
+    R0, dU, d0, dlam = P.boundary_residual_batch(SPEC_PL, X0, U, Mb, 0.0)
+    R1, *_ = P.boundary_residual_batch(SPEC_PL, X1, U, Mb, 0.0)
     np.testing.assert_allclose(R0[:, 0], 1.0 - P.gaussian_density(xs, P.INITIAL_CENTER))
     np.testing.assert_allclose(R1[:, 0], 1.0 - P.gaussian_density(xs, P.TERMINAL_CENTER))
     np.testing.assert_array_equal(d0, np.ones((7, 1, 1)))
+    assert dU.shape == (7, 1, 0)
+    np.testing.assert_array_equal(dlam, np.zeros((7, 1)))
 
 
 def test_boundary_rejects_interior_points():
     with pytest.raises(NotOnBoundary):
-        P.boundary_residual_batch(SPEC_PL, np.array([[0.5, 0.0]]), np.ones((1, 1)))
+        P.boundary_residual_batch(SPEC_PL, np.array([[0.5, 0.0]]), np.zeros((1, 0)), np.ones((1, 1)), 0.0)
 
 
-def test_boundary_empty_for_torus_problems():
-    R, dMb = P.boundary_residual_batch(SPEC_1D, np.zeros((0, 2)), np.zeros((0, 1)))
-    assert R.size == 0
-    R, _ = P.boundary_residual_batch(SPEC_1D, [[0.1]], np.zeros((1, 0)))
-    assert R.size == 0
+def test_boundary_arity_mismatch_raises():
+    """The boundary batch checks its value shapes like the interior one."""
+    X = np.array([[0.0, 0.1], [1.0, -0.3]])
+    with pytest.raises(ArityMismatch):
+        P.boundary_residual_batch(SPEC_PL, X, np.zeros((2, 0)), np.ones((2, 2)), 0.0)
+    with pytest.raises(ArityMismatch):
+        P.boundary_residual_batch(SPEC_PL, X, np.zeros((2, 1)), np.ones((2, 1)), 0.0)
 
 
 def test_gaussian_density_normalization():

@@ -198,7 +198,7 @@ def test_torus_gp_field_matches_direct_representer_sum(spec, kernel, pts, dim):
         for j, op in enumerate(ops):
             direct = sum(
                 K.pairwise_op_matrix(kernel, op, tag, X, y) @ coeffs[sl]
-                for (tag, y, _), sl in zip(funcs.blocks, funcs.slices)
+                for (tag, y), sl in zip(funcs.blocks, funcs.slices)
             )
             np.testing.assert_allclose(
                 values[:, j], direct, rtol=0, atol=1e-10 * np.max(np.abs(direct)), err_msg=op
@@ -280,7 +280,7 @@ def test_anisotropic_gp_field_evaluates_in_chunks():
         for j, op in enumerate(ops):
             direct = sum(
                 K.pairwise_op_matrix(kernel, op, tag, X, y) @ f.coeffs[sl]
-                for (tag, y, _), sl in zip(funcs.blocks, funcs.slices)
+                for (tag, y), sl in zip(funcs.blocks, funcs.slices)
             )
             np.testing.assert_allclose(
                 values[:, j], direct, rtol=0, atol=1e-13 * np.max(np.abs(direct)), err_msg=op
