@@ -21,13 +21,20 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   exponentials exp(2 pi i a x_d) once per distinct coordinate of each axis
   (``_axis_exponentials``), so a tensor grid of n x n points costs n rows
   per axis, and every operator of one call shares them;
-- a gram block with J5 on either side is one real GEMM over the mode
-  features [cos, sin](2 pi a.x) of the two point sets, with the modes
-  a and -a folded into one (``_mode_cross``);
+- a gram block with J5 on either side, by one of two paths.  When the
+  distinct coordinate pairs of each axis are no more than the block's
+  entries, prod_a (distinct x_a)(distinct y_a) <= n_X n_Y (every lattice
+  against a lattice), it is gathered from the separable table
+  Re(E_1 D E_2^T) over those pairs, about 2 P_1 P_2 n real products for
+  P_a pairs on axis a and n modes per axis (``CrossTables._pair_block``).  Otherwise, as on
+  random points, it is one real GEMM of n_X n_Y n^2 over the mode features
+  [cos, sin](2 pi a.x) of the two point sets, with the modes a and -a
+  folded into one (``_mode_cross``);
 - ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
 
-``CrossTables`` holds what the blocks on one pair of point sets share: the
-profile-derivative tables and the mode features.
+``CrossTables`` holds what the blocks on one pair of point sets share: each
+axis indexed by its distinct coordinates, the profile-derivative tables
+built on those and gathered to the block, and the tables of the J5 path.
 """
 
 from __future__ import annotations
@@ -199,6 +206,15 @@ def _as_points(kernel: KernelSpec, x):
     return x
 
 
+def _distinct_axes(X):
+    """Per axis d: the distinct coordinates u of X[:, d] and the index with u[index] = X[:, d]."""
+    out = []
+    for d in range(X.shape[1]):
+        u, index = np.unique(X[:, d], return_inverse=True)
+        out.append((u, index.reshape(-1)))
+    return out
+
+
 def eval(k: KernelSpec, x, y) -> float:  # noqa: A001 - spec-level name
     """Kernel value K(x, y)."""
     return float(pairwise_matrix(k, _as_points(k, x), _as_points(k, y))[0, 0])
@@ -211,9 +227,9 @@ def pairwise_matrix(k: KernelSpec, X, Y) -> np.ndarray:
 def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y):
     """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y.
 
-    J5 on either side needs the 2D periodic kernel: the block is then one
-    real GEMM over the mode features of X and Y (``_mode_cross``), and
-    ``nonlocal_from_coeffs`` is the direct sum it replaces.
+    J5 on either side needs the 2D periodic kernel, whose two paths
+    ``CrossTables`` picks between; ``nonlocal_from_coeffs`` is the direct
+    sum both replace.
     """
     return CrossTables(k, X, Y, (left,), (right,)).op_matrix(left, right)
 
@@ -222,11 +238,27 @@ class CrossTables:
     """Tables shared by the bi-operator matrices of one pair of point sets.
 
     ``left_ops`` and ``right_ops`` list the operators that will be applied
-    on each side.  The per-axis profile-derivative tables are computed once,
-    on first use, up to the highest order any pair of them needs; the real
-    mode features of the J5 blocks (``_mode_features``) once per point set,
-    and once in all when X is Y.  ``op_matrix`` then costs one product of
-    tables per operator pair.
+    on each side.  Each axis of X and of Y is indexed by its distinct
+    coordinates (``_distinct_axes``, once in all when X is Y), and every
+    table is built on those and gathered to the block:
+
+    - the profile derivatives of each axis, on first use, on the differences
+      of its distinct coordinates, up to the highest order any pair of
+      operators needs, each gathered to n_X x n_Y once; its entries are the
+      floats the point-by-point differences give.  ``op_matrix`` then costs
+      one product of tables per term;
+    - the J5 blocks of the 2D periodic kernel, by one of two paths:
+
+      - when the tables over the distinct coordinate pairs of each axis are
+        no larger than the block, prod_a (distinct x_a)(distinct y_a) <=
+        n_X n_Y, as on a lattice: the separable spectral table
+        T = Re(E_1 D E_2^T) of those pairs, E_a = exp(2 pi i a delta_a) and
+        D the coefficient grid times both symbols, gathered to the block
+        (``_pair_block``).  It costs about 2 P_1 P_2 n real products for P_a
+        pairs on axis a and n modes per axis;
+      - otherwise, as for random points: one real GEMM of n_X x n_Y x n^2
+        over the mode features of X and of Y (``_mode_features``,
+        ``_mode_cross``).
     """
 
     def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops):
@@ -236,7 +268,10 @@ class CrossTables:
         self.Y = self.X if self.same else _as_points(k, Y)
         self.left_ops = tuple(left_ops)
         self.right_ops = tuple(right_ops)
+        self.axes_x = _distinct_axes(self.X)
+        self.axes_y = self.axes_x if self.same else _distinct_axes(self.Y)
         self._derivs = None
+        self._pairs = None
         self._features = None
 
     def op_matrix(self, left: str, right: str) -> np.ndarray:
@@ -249,9 +284,9 @@ class CrossTables:
         for ol in terms_l:
             for orr in terms_r:
                 sign = -1.0 if (sum(orr) % 2) else 1.0
-                acc = np.full_like(out, sign)
-                for a in range(self.kernel.dim):
-                    acc = acc * derivs[a][ol[a] + orr[a]]
+                acc = sign * derivs[0][ol[0] + orr[0]]
+                for a in range(1, self.kernel.dim):
+                    acc *= derivs[a][ol[a] + orr[a]]
                 out += acc
         return out
 
@@ -264,22 +299,52 @@ class CrossTables:
                 return [max((o[a] for o in orders), default=0) for a in range(k.dim)]
 
             top_l, top_r = top(self.left_ops), top(self.right_ops)
-            self._derivs = [
-                _PROFILE_DERIVS[kind](
-                    self.X[:, a][:, None] - self.Y[:, a][None, :], s, top_l[a] + top_r[a]
-                )
-                for a, (kind, s) in enumerate(k.axis_profiles())
-            ]
+            self._derivs = []
+            for a, ((kind, s), (ux, ix), (uy, iy)) in enumerate(
+                zip(k.axis_profiles(), self.axes_x, self.axes_y)
+            ):
+                tables = _PROFILE_DERIVS[kind](ux[:, None] - uy[None, :], s, top_l[a] + top_r[a])
+                self._derivs.append([t[ix][:, iy] for t in tables])
         return self._derivs
 
     def _nonlocal(self, left: str, right: str) -> np.ndarray:
         k = self.kernel
         if k.family != PERIODIC_2D:
             raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
+        pairs = math.prod(ux.size * uy.size for (ux, _), (uy, _) in zip(self.axes_x, self.axes_y))
+        if pairs <= self.X.shape[0] * self.Y.shape[0]:
+            return self._pair_block(left, right)
         if self._features is None:
             fx = _mode_features(k, self.X)
             self._features = (fx, fx if self.same else _mode_features(k, self.Y))
         return _mode_cross(k, left, right, *self._features)
+
+    def _pair_block(self, left: str, right: str) -> np.ndarray:
+        """A J5 block gathered from T = Re(E_1 D E_2^T) over the distinct coordinate pairs of each axis.
+
+        Pair (i, j) of axis a, the i-th distinct x_a and the j-th distinct
+        y_a, is row i * (distinct y_a) + j of E_a, whose columns are
+        exp(2 pi i a (x_a - y_a)) over the axis's modes.  Re(G E_2^T) for
+        G = E_1 D is one real GEMM over [Re E_2, Im E_2].
+        """
+        k = self.kernel
+        if self._pairs is None:
+            a = _mode_axis(k.n_modes)
+            e1, e2 = (
+                np.exp(2.0j * np.pi * np.outer((ux[:, None] - uy[None, :]).ravel(), a))
+                for (ux, _), (uy, _) in zip(self.axes_x, self.axes_y)
+            )
+            # flat index into T of each pair of points: row pair * P_2 + column pair
+            (_, ix1), (ux2, ix2) = self.axes_x
+            (uy1, iy1), (uy2, iy2) = self.axes_y
+            p2 = ux2.size * uy2.size
+            rows = ix1 * (uy1.size * p2) + ix2 * uy2.size
+            cols = iy1 * p2 + iy2
+            self._pairs = (e1, np.hstack([e2.real, e2.imag]), rows[:, None] + cols[None, :])
+        e1, f2, index = self._pairs
+        d = _profile_coeff_grid(k.lengthscales[0], k.n_modes)
+        g = e1 @ (d * _mode_symbol(k, left, "left") * _mode_symbol(k, right, "right"))
+        return (np.hstack([g.real, -g.imag]) @ f2.T).ravel()[index]
 
 
 def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
@@ -497,11 +562,7 @@ def _axis_exponentials(k: KernelSpec, X):
     n x n points has n rows per axis, not n^2.
     """
     a = _mode_axis(k.n_modes)
-    out = []
-    for d in range(X.shape[1]):
-        u, index = np.unique(X[:, d], return_inverse=True)
-        out.append((np.exp(2.0j * np.pi * np.outer(u, a)), index.reshape(-1)))
-    return out
+    return [(np.exp(2.0j * np.pi * np.outer(u, a)), index) for u, index in _distinct_axes(X)]
 
 
 def _mode_symbol(k: KernelSpec, op: str, side: str):

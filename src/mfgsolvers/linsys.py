@@ -20,7 +20,14 @@ nothing larger than r x k is formed.
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
-one lattice pays for its profile derivatives and J5 mode features once.
+one lattice pays for its tables once.  Those tables are built on the
+distinct coordinates of each axis and gathered to each block: a 20 x 20
+lattice evaluates its profile derivatives at 20 x 20 coordinate differences
+per axis, not at 400 x 400 pairs of points, and its J5 blocks come from
+tables over the 400 coordinate pairs of each axis (about 400 x 400 x 2n
+real products for n modes per axis) instead of a GEMM over n^2 mode
+features (400 x 400 x n^2).  Random points keep the GEMM.  The nugget is
+added to the gram's diagonal in place.
 
 The factorizations call LAPACK through scipy's compiled wrappers
 (``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
@@ -117,10 +124,11 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
     result is exactly symmetric.  Blocks on the same pair of point sets share
-    one ``kernels.CrossTables``: the profile-derivative tables and the J5
-    mode features are computed once per pair, not once per block.  On the
-    2D torus each J5 block is then one real GEMM over about n_modes^2 mode
-    features, n_modes being the kernel's own count.
+    one ``kernels.CrossTables``: its tables are computed once per pair, not
+    once per block.  On the 2D torus a J5 block is gathered from per-axis
+    tables over distinct coordinate pairs when those are no more than its
+    entries (a lattice), and is otherwise one real GEMM over about
+    n_modes^2 mode features, n_modes being the kernel's own count.
     """
     n = funcs.size
     out = np.empty((n, n))
@@ -212,7 +220,8 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float) ->
     gram = assemble_gram(kernel, funcs)
     r = build_nugget(gram, funcs, eta)
     assembly = time.perf_counter() - t0
-    return cholesky_factor(gram + np.diag(eta * r), assembly_seconds=assembly)
+    gram[np.diag_indices_from(gram)] += eta * r
+    return cholesky_factor(gram, assembly_seconds=assembly)
 
 
 # ---------------------------------------------------------------------------

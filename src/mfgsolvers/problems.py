@@ -225,7 +225,13 @@ def interior_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
 
 
 def boundary_residual_batch(spec: ProblemSpec, X, U, M, lam: float):
-    """The boundary rows, 1 per point, over no u-operator and m_boundary_operators."""
+    """The boundary rows, 1 per point, over no u-operator and m_boundary_operators.
+
+    A spec without a boundary function (every torus problem) raises
+    ``NotOnBoundary`` naming its kind.
+    """
+    if spec.boundary is None:
+        raise NotOnBoundary(f"problem {spec.kind!r} has no boundary residual")
     return _residual_batch(
         spec, spec.boundary, BOUNDARY_ROWS, (), spec.m_boundary_operators, X, U, M, lam
     )

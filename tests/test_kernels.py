@@ -253,15 +253,23 @@ def test_spectral_tail_ratio_weights_the_fourth_derivative_symbol():
         assert ive(half, float(half**2)) > 0.5 * ive(0, float(half**2))
 
 
-@pytest.mark.parametrize("points", ["lattice", "random"])
+def _lattice(t, x):
+    a, b = np.meshgrid(t, x, indexing="ij")
+    return np.stack([a.ravel(), b.ravel()], axis=1)
+
+
+@pytest.mark.parametrize("points", ["lattice", "two_lattices", "random"])
 def test_nonlocal_cross_matrix_matches_direct_sum(points):
-    """Mode-feature J5 blocks against the direct DFT at the kernel's own mode
-    count, every (op, J5) and (J5, op)."""
+    """J5 blocks against the direct DFT at the kernel's own mode count, every
+    (op, J5) and (J5, op): the lattices take the per-axis pair tables (one
+    lattice as both sets, and two different lattices), the random points
+    the mode-feature GEMM."""
     k = K.periodic_kernel_2d(0.5)
     if points == "lattice":
-        g = np.arange(6) / 6.0
-        a, b = np.meshgrid(g, g, indexing="ij")
-        X = Y = np.stack([a.ravel(), b.ravel()], axis=1)
+        X = Y = _lattice(np.arange(6) / 6.0, np.arange(6) / 6.0)
+    elif points == "two_lattices":
+        X = _lattice(np.arange(6) / 6.0, np.arange(6) / 6.0)
+        Y = _lattice(0.05 + np.arange(4) / 4.0, 0.3 + np.arange(5) / 5.0)
     else:
         rng = np.random.default_rng(3)
         X, Y = rng.random((23, 2)), rng.random((17, 2))
@@ -275,3 +283,38 @@ def test_nonlocal_cross_matrix_matches_direct_sum(points):
                 fast, direct, rtol=0, atol=1e-12 * np.max(np.abs(direct)), err_msg=(left, right)
             )
 
+
+# -- blocks gathered from tables over distinct coordinates --------------------
+
+def _planning_pair():
+    """Planning's lattice plus slices, and a chunk of its 64 x 512 export grid
+    that straddles two time rows."""
+    from mfgsolvers import collocation as C
+    from mfgsolvers.pipeline import PROBLEMS
+
+    pts = C.sample_planning_grid(24, 4, 4)
+    grid = PROBLEMS["planning"].grid()
+    return grid[500:524], np.vstack([pts.interior, pts.boundary])
+
+
+@pytest.mark.parametrize("case", ["torus", "planning"])
+def test_local_blocks_with_repeated_coordinates_equal_pointwise_values(case):
+    """Each entry of every local operator pair's block, gathered from per-axis
+    tables over distinct coordinates, is bit for bit the value of the pair
+    evaluated at that single pair of points; both sets of each pair repeat
+    coordinates on one side or both, so a wrong gather index shows."""
+    if case == "torus":
+        name = "p2"
+        lattice = _lattice(np.arange(4) / 4.0, np.arange(4) / 4.0)
+        pairs = ((lattice, RNG.random((7, 2))), (RNG.random((5, 2)), lattice))
+    else:
+        name = "aniso"
+        pairs = (_planning_pair(),)
+    k, ops = KERNELS[name], OP_TABLE[name]
+    for X, Y in pairs:
+        tables = K.CrossTables(k, X, Y, ops, ops)
+        for left in ops:
+            for right in ops:
+                block = tables.op_matrix(left, right)
+                pointwise = [[K.eval_with_ops(k, left, right, x, y) for y in Y] for x in X]
+                np.testing.assert_array_equal(block, pointwise, err_msg=(left, right))

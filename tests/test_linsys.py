@@ -57,7 +57,34 @@ def test_gram_with_shared_tables_equals_per_block_assembly(problem):
             np.testing.assert_array_equal(G[psi.slices[i], psi.slices[j]], B, err_msg=(op_i, op_j))
 
 
+def test_lattice_j5_blocks_skip_the_mode_feature_gemm(monkeypatch):
+    """psi's J5 blocks on a 20 x 20 lattice come from the per-axis pair tables
+    and build no mode features; on random points the GEMM builds them, once
+    for the one point set."""
+    spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
+    features = K._mode_features
+
+    def refuse(k, X):
+        raise AssertionError("mode features built for a lattice")
+
+    monkeypatch.setattr(K, "_mode_features", refuse)
+    _, psi = C.build_functionals(spec, C.sample_uniform_grid(2, 400))
+    L.assemble_gram(kernel, psi)
+
+    calls = []
+
+    def counted(k, X):
+        calls.append(X.shape[0])
+        return features(k, X)
+
+    monkeypatch.setattr(K, "_mode_features", counted)
+    _, psi = C.build_functionals(spec, C.sample_uniform_random(2, 30, 0))
+    L.assemble_gram(kernel, psi)
+    assert calls == [30]
+
+
 def test_nugget_is_blockwise_constant_mean_diagonal():
+    """The nugget is each block's mean gram diagonal, added to the diagonal alone."""
     kernel = K.periodic_kernel_1d(0.6)
     pts = C.sample_uniform_grid(1, 9)
     phi, _ = C.build_functionals(SPEC_1D, pts)
@@ -66,6 +93,8 @@ def test_nugget_is_blockwise_constant_mean_diagonal():
     d = np.diag(gram)
     for sl in phi.slices:
         np.testing.assert_allclose(r[sl], np.mean(d[sl]))
+    fac = L.build_gram_factor(kernel, phi, eta=1e-3)
+    np.testing.assert_array_equal(fac.regularized, gram + np.diag(1e-3 * r))
     with pytest.raises(ValueError):
         L.build_nugget(gram, phi, eta=0.0)
 

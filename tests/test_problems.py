@@ -163,6 +163,13 @@ def test_boundary_arity_mismatch_raises():
         P.boundary_residual_batch(SPEC_PL, X, np.zeros((2, 1)), np.ones((2, 1)), 0.0)
 
 
+def test_boundary_batch_on_a_torus_spec_names_the_problem():
+    """A spec with no boundary function raises the package's error, naming its kind."""
+    X = np.array([[0.1], [0.7]])
+    with pytest.raises(NotOnBoundary, match="'mfg1d'"):
+        P.boundary_residual_batch(SPEC_1D, X, np.zeros((2, 0)), np.zeros((2, 0)), 0.0)
+
+
 def test_gaussian_density_normalization():
     x = np.linspace(-3.0, 4.0, 20001)
     mass = np.trapezoid(P.gaussian_density(x, 0.5), x)
