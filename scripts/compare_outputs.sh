@@ -9,9 +9,10 @@
 # in both trees through `python -m mfgsolvers run`, each tree on its own
 # src/ and with one BLAS thread.  A bundled name runs each tree's own config
 # of that name.  Prints one identical/differs line per config and artifact;
-# under a differing error_report.json or loss_history.csv, one line per
-# numeric field with its largest relative difference |a - b| / max(|a|, |b|)
-# and its largest absolute one.  Exits 1 on any difference or failed run.
+# under a differing artifact, one line per numeric field (a column of
+# loss_history.csv or solution_grid.csv) with its largest relative
+# difference |a - b| / max(|a|, |b|) and its largest absolute one.  Exits 1
+# on any difference or failed run.
 set -euo pipefail
 if [ $# -lt 1 ]; then
   echo "usage: $0 REV [CONFIG...]" >&2
@@ -41,7 +42,8 @@ run() {
 }
 
 # field_diffs A B: the largest relative and absolute difference of each
-# numeric field of two error_report.json or two loss_history.csv files
+# numeric field of two error_report.json files, or of each column of two CSV
+# artifacts
 field_diffs() {
   python - "$1" "$2" <<'PY'
 import csv
@@ -100,11 +102,7 @@ for config in "${configs[@]}"; do
     else
       echo "$name $artifact differs"
       status=1
-      case $artifact in
-        error_report.json | loss_history.csv)
-          field_diffs "$tmp/base-$name/$artifact" "$tmp/head-$name/$artifact" || true
-          ;;
-      esac
+      field_diffs "$tmp/base-$name/$artifact" "$tmp/head-$name/$artifact" || true
     fi
   done
 done

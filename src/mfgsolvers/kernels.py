@@ -559,10 +559,21 @@ def _axis_exponentials(k: KernelSpec, X):
 
     Each pair is (table, index), the table (n_distinct, n_modes) in fftfreq
     order and table[index] the point-by-point table; a tensor grid of
-    n x n points has n rows per axis, not n^2.
+    n x n points has n rows per axis, not n^2.  ``np.exp`` builds the first
+    n // 2 + 1 columns, the modes 0, 1, ... and, for an even n, the Nyquist
+    mode -n/2; each later column, of a mode -a, is the conjugate of the
+    column of a, which reproduces ``np.exp``'s bits at half its cost.
     """
-    a = _mode_axis(k.n_modes)
-    return [(np.exp(2.0j * np.pi * np.outer(u, a)), index) for u, index in _distinct_axes(X)]
+    n = k.n_modes
+    h = n // 2 + 1
+    a = _mode_axis(n)[:h]
+    out = []
+    for u, index in _distinct_axes(X):
+        table = np.empty((u.size, n), dtype=complex)
+        np.exp(2.0j * np.pi * np.outer(u, a), out=table[:, :h])
+        np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
+        out.append((table, index))
+    return out
 
 
 def _mode_symbol(k: KernelSpec, op: str, side: str):

@@ -12,6 +12,16 @@ regularized gram or A A^T + mu I (formed on each access, only by systems
 with at least as many features as residual rows, which hold it for one
 solve), or the feature matrix with its ridge mu.
 
+When the blocks of one functional set are the first blocks of the other's,
+with the same operator tags on the same point arrays, its regularized gram
+is the leading block of the other's, and the Cholesky factor of a leading
+block is the leading block of the full factor.  ``build_gram_factors`` then
+assembles, regularizes and factors the larger set alone, and the smaller
+set's ``GramFactor`` reads that factor: its ``regularized`` is a view of the
+leading block.  On nonlocal2d phi's (id, dx, dy, lap) lead psi's (id, dx, dy,
+lap, j5), and on mfg1d psi's (id, dx) lead phi's (id, dx, dxx); planning's
+psi starts with its boundary blocks, so each of its sets keeps a factor.
+
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
 S in time linear in its rows and ``low_rank_update_solve`` takes a thin SVD
@@ -27,7 +37,9 @@ per axis, not at 400 x 400 pairs of points, and its J5 blocks come from
 tables over the 400 coordinate pairs of each axis (about 400 x 400 x 2n
 real products for n modes per axis) instead of a GEMM over n^2 mode
 features (400 x 400 x n^2).  Random points keep the GEMM.  The nugget is
-added to the gram's diagonal in place.
+added to the gram's diagonal in place, and LAPACK factors a C-ordered copy
+of the gram in place through its Fortran-ordered transpose, where f2py
+would make a slower transposing copy.
 
 The factorizations call LAPACK through scipy's compiled wrappers
 (``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
@@ -166,12 +178,21 @@ def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
 
 @dataclass
 class GramFactor:
-    """Cholesky factor of the nugget-regularized gram matrix."""
+    """Cholesky factor of the nugget-regularized gram matrix, or of a larger one it leads.
+
+    ``chol`` is the lower Cholesky factor of a matrix whose leading
+    ``size`` x ``size`` block is ``regularized``.  The factor of a leading
+    principal block is the leading block of the full factor, so a functional
+    set whose blocks lead another's reads the other's factor
+    (``build_gram_factors``): its ``regularized`` is a view of the leading
+    block, and its solves run on the whole factor with zeros below the
+    vector, cut to its first ``size`` entries.
+    """
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
-    features = None  # no feature matrix: P^{-1} is the n x n gram itself
+    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
     regularized: np.ndarray
-    chol: np.ndarray  # lower triangular
+    chol: np.ndarray  # lower triangular, of order size or more
     assembly_seconds: float
     cholesky_seconds: float
 
@@ -179,33 +200,57 @@ class GramFactor:
     def size(self) -> int:
         return self.regularized.shape[0]
 
+    def leading(self, n: int) -> "GramFactor":
+        """The factor of the leading n x n block, sharing this one's arrays; it reports no time."""
+        return GramFactor(
+            regularized=self.regularized[:n, :n],
+            chol=self.chol,
+            assembly_seconds=0.0,
+            cholesky_seconds=0.0,
+        )
+
     def _check(self, v):
         if np.shape(v)[0] != self.size:
             raise LengthMismatch(f"vector length {np.shape(v)[0]} vs factor size {self.size}")
 
+    def _forward(self, v):
+        """L^{-1} [v; 0] on the whole factor: its first ``size`` rows are the block's solve."""
+        pad = self.chol.shape[0] - self.size
+        if pad:
+            v = np.concatenate([v, np.zeros((pad, *np.shape(v)[1:]))])
+        return solve_triangular(self.chol, v, lower=1)
+
     def solve(self, v):
         """(Theta + eta R)^{-1} v."""
         self._check(v)
-        # the factor was checked once, by cholesky_factor
-        return cho_solve(self.chol, v)
+        if self.chol.shape[0] == self.size:
+            # the factor was checked once, by cholesky_factor
+            return cho_solve(self.chol, v)
+        y = self._forward(v)
+        y[self.size :] = 0.0
+        return solve_triangular(self.chol, y, lower=1, trans=1)[: self.size]
 
     def quadratic_form(self, v) -> float:
         self._check(v)
-        y = solve_triangular(self.chol, v, lower=1)
+        y = self._forward(v)[: self.size]
         return float(y @ y)
 
 
 def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFactor:
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
-    A non-finite entry raises ``ValueError`` before LAPACK sees it; a matrix
-    that is not positive definite raises ``NotPositiveDefinite`` naming the
-    order of the first leading minor that is not.
+    LAPACK factors a C-ordered copy in place, through its Fortran-ordered
+    transpose, so the caller's matrix is left as it was; f2py would
+    otherwise make a transposing copy.  A non-finite entry raises
+    ``ValueError`` before LAPACK sees it; a matrix that is not positive
+    definite raises ``NotPositiveDefinite`` naming the order of the first
+    leading minor that is not.
     """
     t0 = time.perf_counter()
     if not np.isfinite(matrix).all():
         raise ValueError("array must not contain infs or NaNs")
-    L, info = lapack.dpotrf(matrix, lower=1, clean=1)
+    copy = np.array(matrix, order="C")
+    L, info = lapack.dpotrf(copy.T, lower=1, overwrite_a=1, clean=1)
     if lapack_info("dpotrf", info):
         raise NotPositiveDefinite(info)
     dt = time.perf_counter() - t0
@@ -222,6 +267,32 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float) ->
     assembly = time.perf_counter() - t0
     gram[np.diag_indices_from(gram)] += eta * r
     return cholesky_factor(gram, assembly_seconds=assembly)
+
+
+def _leads(a: FunctionalSet, b: FunctionalSet) -> bool:
+    """Whether a's blocks are b's first blocks: the same operator tags on the same point arrays."""
+    return len(a.blocks) <= len(b.blocks) and all(
+        op_a == op_b and pts_a is pts_b
+        for (op_a, pts_a), (op_b, pts_b) in zip(a.blocks, b.blocks)
+    )
+
+
+def build_gram_factors(kernel: K.KernelSpec, funcs, eta: float) -> list:
+    """Gram factors of a pair of functional sets on one kernel and one eta.
+
+    When one set's blocks lead the other's (``_leads``), its regularized
+    gram is, entry for entry, the leading block of the other's: the block
+    nugget is each block's own mean diagonal.  Then only the larger set is
+    assembled and factored, and the smaller one reads the leading block of
+    that factor (``GramFactor.leading``).  Otherwise each set is factored
+    on its own.
+    """
+    for small, large in ((0, 1), (1, 0)):
+        if _leads(funcs[small], funcs[large]):
+            full = build_gram_factor(kernel, funcs[large], eta)
+            lead = full.leading(funcs[small].size)
+            return [lead, full] if small == 0 else [full, lead]
+    return [build_gram_factor(kernel, f, eta) for f in funcs]
 
 
 # ---------------------------------------------------------------------------

@@ -178,9 +178,9 @@ class GpMethod:
             )
 
     def factor(self, funcs):
-        """Gram factors of the (u, m) functional sets."""
+        """Gram factors of the (u, m) functional sets; a set that leads the other shares its factor."""
         self.funcs = funcs
-        self.factors = [L.build_gram_factor(self.kernel, f, self.cfg.eta) for f in funcs]
+        self.factors = L.build_gram_factors(self.kernel, funcs, self.cfg.eta)
         return self.factors
 
     def reconstruct(self, state: O.SolverState):

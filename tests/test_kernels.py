@@ -318,3 +318,20 @@ def test_local_blocks_with_repeated_coordinates_equal_pointwise_values(case):
                 block = tables.op_matrix(left, right)
                 pointwise = [[K.eval_with_ops(k, left, right, x, y) for y in Y] for x in X]
                 np.testing.assert_array_equal(block, pointwise, err_msg=(left, right))
+
+
+@pytest.mark.parametrize("sigma, n_modes", [(0.6, 40), (0.5, 46), (0.35, 60)])
+@pytest.mark.parametrize("points", ["random", "lattice"])
+def test_axis_exponentials_equal_numpy_exp(sigma, n_modes, points):
+    """The columns of modes -a, conjugates of those of a, and the 0 and
+    Nyquist columns give the table np.exp builds, bit for bit."""
+    k = K.periodic_kernel_2d(sigma)
+    assert k.n_modes == n_modes
+    if points == "random":
+        X = RNG.random((300, 2))
+    else:
+        X = _lattice(np.arange(20) / 20.0, np.arange(20) / 20.0)
+    for d, (table, index) in enumerate(K._axis_exponentials(k, X)):
+        u = np.unique(X[:, d])
+        assert np.array_equal(table, np.exp(2j * np.pi * np.outer(u, K._mode_axis(n_modes))))
+        assert np.array_equal(u[index], X[:, d])

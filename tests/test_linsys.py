@@ -1,6 +1,8 @@
 """Gram assembly, nugget regularization, and the two factorization paths."""
 
+import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from mfgsolvers import features as F
 from mfgsolvers import kernels as K
 from mfgsolvers import linsys as L
 from mfgsolvers import optimizer as O
+from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
 from mfgsolvers.errors import LengthMismatch, NotPositiveDefinite
 from mfgsolvers.pipeline import default_drift, default_drift_dx, default_potential
@@ -81,6 +84,76 @@ def test_lattice_j5_blocks_skip_the_mode_feature_gemm(monkeypatch):
     _, psi = C.build_functionals(spec, C.sample_uniform_random(2, 30, 0))
     L.assemble_gram(kernel, psi)
     assert calls == [30]
+
+
+# -- one factor for a pair of functional sets, one leading the other ---------
+
+CONFIGS = Path(__file__).resolve().parents[1] / "src" / "mfgsolvers" / "configs"
+
+
+def _gp_pair(name, **overrides):
+    """(kernel, (phi, psi), eta) of a bundled GP config, built as the pipeline builds them."""
+    data = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg = PL.ExperimentConfig.from_dict({**data, **overrides})
+    problem = PL.PROBLEMS[cfg.problem]
+    spec = problem.spec(cfg)
+    return problem.kernel(cfg), C.build_functionals(spec, problem.points(cfg, spec)), cfg.eta
+
+
+@pytest.mark.parametrize(
+    "name, overrides, builds",
+    [
+        ("mfg1d_gp", {}, 1),
+        ("nonlocal2d_gp_nu1", {}, 1),
+        ("planning_gp", {"n_interior": 60, "n_initial": 10, "n_terminal": 10}, 2),
+    ],
+)
+def test_nested_pair_assembles_and_factors_once(monkeypatch, name, overrides, builds):
+    """phi leads psi on nonlocal2d and psi leads phi on mfg1d, so one gram is
+    built and factored; planning's psi starts with boundary blocks, so each
+    set keeps its own."""
+    kernel, funcs, eta = _gp_pair(name, **overrides)
+    calls = {"assemble_gram": 0, "cholesky_factor": 0}
+    for fn in calls:
+        original = getattr(L, fn)
+
+        def counted(*args, _fn=fn, _original=original, **kwargs):
+            calls[_fn] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(L, fn, counted)
+    factors = L.build_gram_factors(kernel, funcs, eta)
+    assert calls == {"assemble_gram": builds, "cholesky_factor": builds}
+    assert [f.size for f in factors] == [f.size for f in funcs]
+    # timing.csv counts the one factorization once
+    assert sum(f.cholesky_seconds > 0.0 for f in factors) == builds
+
+
+@pytest.mark.parametrize("name", ["mfg1d_gp", "nonlocal2d_gp_nu1"])
+def test_lead_factor_equals_a_standalone_factor(name):
+    """The lead set's regularized gram is its standalone one bit for bit, a
+    view of the full factor's; its solves (vector and matrix right-hand
+    sides) and quadratic form agree to 1e-8 relative."""
+    kernel, funcs, eta = _gp_pair(name)
+    factors = L.build_gram_factors(kernel, funcs, eta)
+    i = int(np.argmin([f.size for f in factors]))
+    lead, full = factors[i], factors[1 - i]
+    alone = L.build_gram_factor(kernel, funcs[i], eta)
+    assert np.array_equal(lead.regularized, alone.regularized)
+    assert np.shares_memory(lead.regularized, full.regularized)
+    assert lead.chol is full.chol and lead.cholesky_seconds == 0.0
+    rng = np.random.default_rng(8)
+    v, V = rng.standard_normal(lead.size), rng.standard_normal((lead.size, 3))
+    for b in (v, V):
+        got, want = lead.solve(b), alone.solve(b)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * np.abs(want).max())
+    assert lead.quadratic_form(v) == pytest.approx(alone.quadratic_form(v), rel=1e-8)
+    for bad in (np.zeros(lead.size - 1), np.zeros(full.size)):
+        with pytest.raises(LengthMismatch):
+            lead.solve(bad)
+        with pytest.raises(LengthMismatch):
+            lead.quadratic_form(bad)
 
 
 def test_nugget_is_blockwise_constant_mean_diagonal():
@@ -285,7 +358,9 @@ def _spd(n, seed, order):
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_cholesky_factor_equals_scipy(lapack_source, order):
     A = _spd(9, 0, order)
+    ref = A.copy(order="K")
     assert np.array_equal(L.cholesky_factor(A).chol, SL.cholesky(A, lower=True))
+    assert np.array_equal(A, ref)  # factored in a copy
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
