@@ -1,23 +1,43 @@
 #!/usr/bin/env bash
 # Compare the run artifacts of the working tree with those of revision REV.
 #
-#   scripts/compare_outputs.sh REV [CONFIG...]
+#   scripts/compare_outputs.sh [--rtol R] [--atol A] REV [CONFIG...]
 #
 # The src/ of REV is extracted with `git archive` into a temporary
 # directory, removed on exit.  Each CONFIG, a bundled config name such as
 # mfg1d_gp or a path to a JSON config (default: every bundled config), runs
 # in both trees through `python -m mfgsolvers run`, each tree on its own
 # src/ and with one BLAS thread.  A bundled name runs each tree's own config
-# of that name.  Prints one identical/differs line per config and artifact;
-# under a differing artifact, one line per numeric field (a column of
-# loss_history.csv or solution_grid.csv) with its largest relative
-# difference |a - b| / max(|a|, |b|) and its largest absolute one.  Exits 1
-# on any difference or failed run.
+# of that name.  Prints one line per config and artifact: identical, within
+# tolerance, or differs; under an artifact that is not identical, one line
+# per numeric field (a column of loss_history.csv or solution_grid.csv)
+# with its largest relative difference |a - b| / max(|a|, |b|) and its
+# largest absolute one (scripts/artifact_diff.py).
+#
+# Without --rtol and --atol, exits 1 on any byte difference or failed run.
+# With either of them (the other defaults to 0), an artifact that differs
+# passes when its non-numeric content is equal and every numeric field
+# satisfies |a - b| <= A + R max(|a|, |b|); a field that does not is marked
+# "exceeds", and the script exits 1.
 set -euo pipefail
-if [ $# -lt 1 ]; then
-  echo "usage: $0 REV [CONFIG...]" >&2
+usage() {
+  echo "usage: $0 [--rtol R] [--atol A] REV [CONFIG...]" >&2
   exit 2
-fi
+}
+tolerance=()
+while [ $# -gt 0 ]; do
+  case $1 in
+    --rtol | --atol)
+      # a nonnegative decimal number, such as 0, 1e-9 or 2.5E-12
+      [[ $# -ge 2 && $2 =~ ^([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?$ ]] || usage
+      tolerance+=("$1" "$2")
+      shift 2
+      ;;
+    -*) usage ;;
+    *) break ;;
+  esac
+done
+[ $# -ge 1 ] || usage
 rev=$1
 shift
 here=$(cd "$(dirname "$0")/.." && pwd)
@@ -41,43 +61,6 @@ run() {
   (cd "$tmp" && PYTHONPATH="$1/src" python -m mfgsolvers run "$cfg" --output-dir "$3" >"$3.log" 2>&1)
 }
 
-# field_diffs A B: the largest relative and absolute difference of each
-# numeric field of two error_report.json files, or of each column of two CSV
-# artifacts
-field_diffs() {
-  python - "$1" "$2" <<'PY'
-import csv
-import json
-import sys
-
-
-def fields(path):
-    """Numeric fields of an artifact, each a list of values."""
-    if path.endswith(".json"):
-        with open(path) as f:
-            data = json.load(f)
-        return {k: [v] for k, v in data.items() if isinstance(v, (int, float))}
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    return {k: [float(r[k]) for r in rows] for k in (rows[0] if rows else {})}
-
-
-a, b = fields(sys.argv[1]), fields(sys.argv[2])
-for name, xs in a.items():
-    ys = b.get(name)
-    if ys is None or len(ys) != len(xs):
-        print(f"  {name}: not comparable (missing, or a different row count)")
-        continue
-    rel = ab = 0.0
-    for x, y in zip(xs, ys):
-        d = abs(x - y)
-        ab = max(ab, d)
-        if d:
-            rel = max(rel, d / max(abs(x), abs(y)))
-    print(f"  {name}: max rel diff {rel:.3g}, max abs diff {ab:.3g}")
-PY
-}
-
 status=0
 for config in "${configs[@]}"; do
   name=$(basename "$config" .json)
@@ -99,11 +82,18 @@ for config in "${configs[@]}"; do
   for artifact in error_report.json loss_history.csv solution_grid.csv; do
     if cmp -s "$tmp/base-$name/$artifact" "$tmp/head-$name/$artifact"; then
       echo "$name $artifact identical"
+      continue
+    fi
+    diffs=0
+    python "$here/scripts/artifact_diff.py" "$tmp/base-$name/$artifact" \
+      "$tmp/head-$name/$artifact" ${tolerance[@]+"${tolerance[@]}"} >"$tmp/diffs" || diffs=$?
+    if [ ${#tolerance[@]} -gt 0 ] && [ $diffs = 0 ]; then
+      echo "$name $artifact within tolerance"
     else
       echo "$name $artifact differs"
       status=1
-      field_diffs "$tmp/base-$name/$artifact" "$tmp/head-$name/$artifact" || true
     fi
+    cat "$tmp/diffs"
   done
 done
 exit $status

@@ -24,9 +24,13 @@ psi starts with its boundary blocks, so each of its sets keeps a factor.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
-S in time linear in its rows and ``low_rank_update_solve`` takes a thin SVD
-of the whitened r x k matrix L^{-1} U through the same QR/SVD split, so
-nothing larger than r x k is formed.
+S = L L^T in time linear in its rows, and ``low_rank_update_solve`` applies
+Woodbury's identity to the whitened r x k matrix V = L^{-1} U: it factors
+the k x k capacitance matrix I + V^T V, whose eigenvalues are all >= 1, by
+Cholesky, so nothing larger than r x k is formed and no orthogonal
+factorization runs per step.  Should that Cholesky still fail in rounding it
+raises ``numpy.linalg.LinAlgError``, which the optimizer reports as
+``SingularNormalEquations`` (exit status 3); there is no fallback route.
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
@@ -378,7 +382,7 @@ def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:
     (h, tau), q_r, sing, zt, (t_qr, t_svd) = _qr_svd(A)
     t0 = time.perf_counter()
     pad = np.zeros((A.shape[0] - q_r.shape[0], q_r.shape[1]))
-    q1 = _reflect(h, tau, np.vstack([q_r, pad]), "N")  # H [q_r; 0]
+    q1 = _reflect(h, tau, np.vstack([q_r, pad]))  # H [q_r; 0]
     t_qr += time.perf_counter() - t0
     return FeatureFactor(
         A=A, mu=mu, q1=q1, sing=sing, v1=zt.T, qr_seconds=t_qr, cholesky_seconds=t_svd
@@ -404,6 +408,16 @@ def _qr_svd(V):
     t1 = time.perf_counter()
     q_r, s, zt = np.linalg.svd(R, full_matrices=False)
     return (h, tau), q_r, s, zt, (t1 - t0, time.perf_counter() - t1)
+
+
+def _reflect(h, tau, X):
+    """H X for the reflectors (h, tau) of a raw QR and a matrix X."""
+    h = h[:, : tau.size]  # a wide QR has fewer reflectors
+    lwork = int(lapack.dormqr("L", "N", h, tau, X, lwork=-1)[1][0])
+    out, _, info = lapack.dormqr("L", "N", h, tau, X, lwork=lwork)
+    if info:
+        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
+    return out
 
 
 def apply_qr_inverse(f: FeatureFactor, v):
@@ -479,36 +493,29 @@ class ArrowCholesky:
 def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
     """y = (S + U U^T)^{-1} c and U^T y, with S = L L^T and U of size r x k, k < r.
 
-    With V = L^{-1} U = Q diag(s) Z^T (thin SVD) and x = L^{-1} c,
-    y = L^{-T} [(I - Q Q^T) x + Q (I + s^2)^{-1} Q^T x] and
-    U^T y = Z s (I + s^2)^{-1} Q^T x, read in the factored basis so the
-    complement term never enters it.  The SVD is taken as V = H R (Householder
-    QR, H kept as reflectors) and R = Q_R diag(s) Z^T, so Q = H Q_R is only
-    ever applied, never formed.  Costs O(r k^2).  A non-finite V, x or y
-    raises ``FloatingPointError``; an SVD that does not converge raises
-    ``numpy.linalg.LinAlgError``.
+    Woodbury's identity on the whitened rows V = L^{-1} U and x = L^{-1} c:
+    with t = (I + V^T V)^{-1} V^T x, y = L^{-T} (x - V t) and U^T y = t
+    exactly.  The k x k capacitance matrix I + V^T V has every eigenvalue
+    >= 1, so it is factored by Cholesky; nothing of size r x k is formed
+    beyond V.  Costs O(r k^2) for V^T V plus O(k^3).  A non-finite V, x or y
+    raises ``FloatingPointError``; a capacitance Cholesky that fails in
+    rounding (possible only when cond(I + V^T V) nears 1/eps) raises
+    ``numpy.linalg.LinAlgError``.  There is no fallback.
     """
     V = chol.solve_l(U)
     x = chol.solve_l(c)
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(x))):
         raise FloatingPointError("the whitened inner system is not finite")
-    k = V.shape[1]
-    (h, tau), q_r, s, zt, _ = _qr_svd(V)
-    hx = _reflect(h, tau, x, "T")  # H^T x: its first k entries are x's coordinates in range(V)
-    t = q_r.T @ hx[:k]
-    s2 = s * s
-    hx[:k] -= q_r @ (t * s2 / (1.0 + s2))
-    y = chol.solve_lt(_reflect(h, tau, hx, "N"))
+    cap = V.T @ V
+    cap.reshape(-1)[:: cap.shape[0] + 1] += 1.0
+    # cap is symmetric: its Fortran-ordered view cap.T is factored in place
+    factor, info = lapack.dpotrf(cap.T, lower=1, overwrite_a=1, clean=0)
+    if lapack_info("dpotrf", info):
+        raise np.linalg.LinAlgError(
+            f"capacitance matrix I + V^T V: leading minor {info} is not positive definite"
+        )
+    t = cho_solve(factor, V.T @ x)
+    y = chol.solve_lt(x - V @ t)
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("the inner solve is not finite")
-    return y, zt.T @ (t * s / (1.0 + s2))
-
-
-def _reflect(h, tau, X, trans: str):
-    """H^T X (trans "T") or H X (trans "N") for the reflectors of a raw QR; X a vector or matrix."""
-    h, C = h[:, : tau.size], X.reshape(X.shape[0], -1)  # a wide QR has fewer reflectors
-    lwork = int(lapack.dormqr("L", trans, h, tau, C, lwork=-1)[1][0])
-    out, _, info = lapack.dormqr("L", trans, h, tau, C, lwork=lwork)
-    if info:
-        raise np.linalg.LinAlgError(f"dormqr failed with info {info}")
-    return out.reshape(X.shape)
+    return y, t

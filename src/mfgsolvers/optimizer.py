@@ -27,10 +27,13 @@ ridge form, B also splits as S + U U^T: S = W^{-1} + mu A A^T couples only
 the rows of one point (plus the dense normalization rows) and
 U = [A_z F_u, A_rho F_m, a_lam] has one column per feature.  When those k
 columns are fewer than the r kept rows, the inner step instead factors S
-point by point and takes a thin SVD of the whitened r x k matrix
+point by point and solves by Woodbury's identity with the k x k capacitance
+matrix I + V^T V of the whitened rows V = L^{-1} U, factored by Cholesky
 (``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
-A feature system with k >= r gains nothing there and takes the residual
-side on F F^T + mu I, like a gram.
+Its eigenvalues are all >= 1; a Cholesky that still fails in rounding is a
+``SingularNormalEquations`` (exit status 3), with no fallback.  A feature
+system with k >= r gains nothing there and takes the residual side on
+F F^T + mu I, like a gram.
 
 The residual side allocates nothing of size r x r or n x r per step.  Its
 buffers (B, Theta A^T of each side, one point chunk of A Theta, and
@@ -450,8 +453,11 @@ class MfgSystem:
         mu_m A_rho A_rho^T, which is a 2 x 2 block per interior point, a
         scalar per boundary row and the dense normalization rows.
         ``linsys.low_rank_update_solve`` works in O(r k^2) on the feature
-        side, so neither F F^T nor B is formed.  Returns F g + mu A^T y with
-        g = U^T y.
+        side, by a Cholesky factor of the k x k capacitance matrix
+        I + V^T V with V = L_S^{-1} U, so neither F F^T nor B is formed.  A
+        failed factorization or a non-finite solve raises
+        ``SingularNormalEquations`` (exit status 3).  Returns F g + mu A^T y
+        with g = U^T y.
         """
         F_u, F_m = self.quad_u.features, self.quad_m.features
         mu_u, mu_m = self.quad_u.mu, self.quad_m.mu

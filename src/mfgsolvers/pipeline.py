@@ -400,11 +400,17 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 
 
 def export_solution_grid(result: RunResult, path) -> None:
+    """One row per grid point: its coordinates, u and m, each value as its repr.
+
+    The bytes are those of ``csv.writer``: a float's repr needs no quoting,
+    so each row is joined directly, which takes about half the time.
+    """
     grid, uv, mv = result.grid, result.u_grid, result.m_grid
+    header = [f"x{i}" for i in range(grid.shape[1])] + ["u", "m"]
+    rows = np.column_stack((grid, uv, mv)).tolist()
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{i}" for i in range(grid.shape[1])] + ["u", "m"])
-        w.writerows(map(repr, row) for row in np.column_stack((grid, uv, mv)).tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
 
 
 def export_timing(rows, path) -> None:

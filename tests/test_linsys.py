@@ -320,6 +320,46 @@ def test_low_rank_update_solve_matches_dense_solve(seed):
     np.testing.assert_allclose(uty, U.T @ want, rtol=1e-11, atol=1e-11 * np.abs(U.T @ want).max())
 
 
+def _svd_route(chol, U, c):
+    """The oracle: y and U^T y through a thin SVD of the whitened rows V = L^{-1} U."""
+    x, V = chol.solve_l(c), chol.solve_l(U)
+    q, s, zt = np.linalg.svd(V, full_matrices=False)
+    w = q.T @ x
+    return chol.solve_lt(x - q @ (w * s**2 / (1.0 + s**2))), zt.T @ (w * s / (1.0 + s**2))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_low_rank_update_solve_with_an_ill_conditioned_capacitance(seed):
+    """||V|| = 1e6 and cond(I + V^T V) ~ 1e12: the capacitance Cholesky still
+    succeeds, y has a small backward error and both outputs are within the
+    forward-error bound cond * eps of the SVD route."""
+    groups, C, E, S, U, c = _arrow_system(seed)
+    r, k = U.shape
+    rng = np.random.default_rng(10 + seed)
+    q = np.linalg.qr(rng.standard_normal((r, k)))[0]
+    z = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    s = np.logspace(6, -1, k)
+    U = np.linalg.cholesky(S) @ (q * s) @ z.T  # V = L^{-1} U has singular values s
+    assert 9e11 < (1 + s[0] ** 2) / (1 + s[-1] ** 2) < 1.1e12
+    chol = L.ArrowCholesky(groups, C, E)
+    y, uty = L.low_rank_update_solve(chol, U, c)
+    B = S + U @ U.T
+    backward = np.linalg.norm(B @ y - c) / (np.linalg.norm(B, 2) * np.linalg.norm(y) + np.linalg.norm(c))
+    assert backward <= 1e-10  # measured at most 1e-12
+    y_ref, uty_ref = _svd_route(chol, U, c)
+    # measured at most 4.4e-7 and 6.5e-5 relative to the largest entry
+    np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-5 * np.abs(y_ref).max())
+    np.testing.assert_allclose(uty, uty_ref, rtol=0, atol=1e-3 * np.abs(uty_ref).max())
+
+
+def test_failed_capacitance_cholesky_raises_linalg_error(monkeypatch):
+    """dpotrf's info > 0 on I + V^T V raises; there is no fallback route."""
+    groups, C, E, _, U, c = _arrow_system(0)
+    monkeypatch.setattr(L.lapack, "dpotrf", lambda a, **kw: (a, 2))
+    with pytest.raises(np.linalg.LinAlgError, match="capacitance.*leading minor 2"):
+        L.low_rank_update_solve(L.ArrowCholesky(groups, C, E), U, c)
+
+
 def test_low_rank_update_solve_rejects_a_non_finite_system():
     groups, C, E, _, U, c = _arrow_system(0)
     U[3, 1] = np.inf

@@ -516,10 +516,9 @@ def test_non_finite_inner_matrix_raises_singular_normal_equations(entry):
         O._cholesky_solve(B, rng.standard_normal(6))
 
 
-@pytest.mark.parametrize("name", ["nonlocal2d_ff_nu1", "mfg1d_ff", "nonlocal2d_gp_nu1", "mfg1d_gp"])
-def test_debug_gauss_newton_on_bundled_configs(name):
-    """A run of the bundled config stops by the step rule before max_iters;
-    every inner solve satisfies its normal equations to 1e-10 (ff) or 1e-8 (gp)."""
+def _bundled_normal_equation_residuals(name):
+    """Run the bundled config; check that it stops by the step rule before
+    max_iters and return the normal-equation residual of every inner solve."""
     path = Path(PL.__file__).parent / "configs" / f"{name}.json"
     cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
@@ -532,9 +531,50 @@ def test_debug_gauss_newton_on_bundled_configs(name):
     # the last inner solve found a vanishing step and took none
     assert len(calls) == len(hist.total) < cfg.max_iters + 1
     assert _relative_step(*calls[-1]) <= solver_cfg.step_tol
-    residuals = [system.normal_equation_residual(state, hat) for state, hat in calls]
-    bound = 1e-10 if cfg.method == "ff" else 1e-8
-    assert max(residuals) <= bound
+    return [system.normal_equation_residual(state, hat) for state, hat in calls]
+
+
+@pytest.mark.parametrize("name", ["nonlocal2d_ff_nu1", "mfg1d_ff", "nonlocal2d_gp_nu1", "mfg1d_gp"])
+def test_debug_gauss_newton_on_bundled_configs(name):
+    """A run of the bundled config stops by the step rule before max_iters;
+    every inner solve satisfies its normal equations to 1e-10 (ff) or 1e-8 (gp)."""
+    bound = 1e-10 if name.split("_")[1] == "ff" else 1e-8
+    assert max(_bundled_normal_equation_residuals(name)) <= bound
+
+
+def test_debug_gauss_newton_on_nonlocal2d_ff_nu01():
+    """The feature side's largest system (r = 5002 rows, k = 883 columns, 10
+    iterations): every inner solve satisfies its normal equations to 5e-10.
+    The capacitance Cholesky measures 2.6e-10 here, the SVD route it
+    replaced 2.7e-10; cond(I + V^T V) reaches about 3e14."""
+    assert max(_bundled_normal_equation_residuals("nonlocal2d_ff_nu01")) <= 5e-10
+
+
+def test_feature_side_step_runs_no_orthogonal_factorization(monkeypatch):
+    """Once the factors are set up, a feature-side run takes no QR and no SVD."""
+    system, phi, psi = _system("ff", **dict(_TORUS_2D, gamma=1.0, beta=100.0))
+    assert system.feature_side
+
+    def never(*args, **kwargs):
+        raise AssertionError("an orthogonal factorization ran in the Gauss-Newton loop")
+
+    for name in ("_qr_svd", "_reflect"):
+        monkeypatch.setattr(L, name, never)
+    monkeypatch.setattr(np.linalg, "svd", never)
+    monkeypatch.setattr(np.linalg, "qr", never)
+    cfg = O.SolverConfig(max_iters=3)
+    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    assert np.isfinite(hist.total[-1])
+
+
+def test_failed_capacitance_cholesky_raises_singular_normal_equations(monkeypatch):
+    """dpotrf reporting info > 0 on the feature side's k x k capacitance matrix
+    fails the inner step as SingularNormalEquations (exit status 3)."""
+    system, phi, psi = _system("ff", **dict(_TORUS_2D, gamma=1.0, beta=100.0))
+    assert system.feature_side
+    monkeypatch.setattr(L.lapack, "dpotrf", lambda a, **kw: (a, 5))
+    with pytest.raises(SingularNormalEquations, match="capacitance.*leading minor 5"):
+        system.inner_solve(_random_state(phi, psi, seed=0))
 
 
 @pytest.mark.parametrize(

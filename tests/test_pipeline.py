@@ -216,6 +216,23 @@ def test_solution_grid_is_written_with_the_repr_of_each_value(tmp_path):
     assert b"-0.0,1e-17," in expected.read_bytes()
 
 
+@pytest.mark.parametrize("n_points", [0, 1, 500])
+def test_solution_grid_bytes_equal_csv_writer_output(n_points, tmp_path):
+    """The rows joined directly are, byte for byte, csv.writer's rows of reprs."""
+    rng = np.random.default_rng(n_points)
+    values = rng.standard_normal((n_points, 4)) * 10.0 ** rng.integers(-20, 20, (n_points, 4))
+    special = [-0.0, 0.0, -3.0, 7.0, 2.0**53, 5e-324, -1e-300, 1e-17, -2.5e-8, 1e22]
+    mask = rng.random(values.shape) < 0.3
+    values[mask] = rng.choice(special, mask.sum())
+    result = types.SimpleNamespace(grid=values[:, :2], u_grid=values[:, 2], m_grid=values[:, 3])
+    PL.export_solution_grid(result, tmp_path / "grid.csv")
+    with open(tmp_path / "expected.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["x0", "x1", "u", "m"])
+        w.writerows(map(repr, row) for row in values.tolist())
+    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+
 def test_runs_are_deterministic():
     r1 = PL.run_experiment(_tiny_1d("ff"))
     r2 = PL.run_experiment(_tiny_1d("ff"))
