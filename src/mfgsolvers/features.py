@@ -1,11 +1,13 @@
 """Fourier feature bases and analytic operator action on features.
 
 Two flavours: deterministic integer-frequency trigonometric bases on the
-torus, and orthogonal random Fourier features for the space-time strip.
-Every feature is scale * trig(omega . x) with trig in {sin, cos}, so linear
-differential operators act by cycling the trig function and multiplying by
-frequency components, and the smoothing operator (1 - Lap)^{-2} acts
-diagonally since the features are its eigenfunctions.
+torus (``build_periodic``), and orthogonal random Fourier features for the
+space-time strip.  Every feature is scale * trig(omega . x) with trig in
+{sin, cos}, so linear differential operators act by cycling the trig
+function and multiplying by frequency components, and the smoothing
+operator (1 - Lap)^{-2} acts diagonally since the features are its
+eigenfunctions.  Both come from ``kernels.op_symbol``, the one description
+of what an operator does to a Fourier mode, which the GP spectrum reads too.
 
 The solve uses the feature matrices themselves (``eval_feature_ops``).  A
 field, a fixed combination of the features, never needs them: each operator
@@ -16,6 +18,7 @@ folds into one sin and one cos weight per distinct frequency, and
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,49 +53,25 @@ class FeatureBasis:
         return self.frequencies.shape[1]
 
 
-def build_periodic_1d(N: int) -> FeatureBasis:
-    """[1, sin(2 pi x) .. sin(2 pi N x), cos(2 pi x) .. cos(2 pi N x)]."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    ks = np.arange(1, N + 1, dtype=float)
-    freqs = np.concatenate([[0.0], ks, ks]) * 2.0 * np.pi
-    phases = np.concatenate([[COS], np.full(N, SIN), np.full(N, COS)]).astype(int)
-    return FeatureBasis(
-        axes=("x",),
-        frequencies=freqs[:, None],
-        phases=phases,
-        scales=np.ones(2 * N + 1),
-        periodic=True,
-    )
+def build_periodic(N: int, dim: int) -> FeatureBasis:
+    """Constant plus sin and cos of 2 pi a.x on the dim-torus, (2N+1)^dim features.
 
-
-def build_periodic_2d(N: int, full: bool = False) -> FeatureBasis:
-    """Constant plus sin/cos of 2 pi (i x1 + j x2).
-
-    The default index set is i, j in 1..N (2 N^2 + 1 features).  It omits
-    pure-axis and mixed-sign modes, which rules out many smooth functions;
-    ``full=True`` instead takes one representative of every mode pair with
-    |i|, |j| <= N, giving (2N+1)^2 features in total.
+    The modes a are one of each pair +-a with every |a_d| <= N, those whose
+    first nonzero entry is positive, in lexicographic order; all sin
+    features come first, then all cos.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    if full:
-        ij = np.array(
-            [
-                (i, j)
-                for i in range(0, N + 1)
-                for j in range(-N, N + 1)
-                if i > 0 or j > 0
-            ],
-            dtype=float,
-        )
-    else:
-        ij = np.array([(i, j) for i in range(1, N + 1) for j in range(1, N + 1)], dtype=float)
-    n = ij.shape[0]
-    freqs = np.vstack([np.zeros((1, 2)), ij, ij]) * 2.0 * np.pi
+    if dim not in (1, 2):
+        raise ValueError(f"dim must be 1 or 2, got {dim}")
+    grid = np.array(list(itertools.product(range(-N, N + 1), repeat=dim)), dtype=float)
+    first = grid[np.arange(grid.shape[0]), np.argmax(grid != 0, axis=1)]
+    modes = grid[first > 0]
+    n = modes.shape[0]
+    freqs = np.vstack([np.zeros((1, dim)), modes, modes]) * 2.0 * np.pi
     phases = np.concatenate([[COS], np.full(n, SIN), np.full(n, COS)]).astype(int)
     return FeatureBasis(
-        axes=("x", "y"),
+        axes=("x", "y")[:dim],
         frequencies=freqs,
         phases=phases,
         scales=np.ones(2 * n + 1),
@@ -163,20 +142,14 @@ def _as_points(basis: FeatureBasis, X) -> np.ndarray:
 def _op_action(basis: FeatureBasis, op: str):
     """``op`` on the features: (quarter turns, multiplier, divisor), per feature.
 
-    A derivative term of order k advances the trig pair k quarter turns
-    (sin -> cos -> -sin -> -cos) and scales by the frequency components it
-    differentiates; the smoothing operator is diagonal in the frequency, a
-    division by (1 + |omega|^2)^2.
+    ``kernels.op_symbol`` at each feature's frequency: the factor i^order
+    of a derivative advances the trig pair order quarter turns
+    (sin -> cos -> -sin -> -cos), and the smoothing operator, diagonal in
+    the frequency, needs a periodic basis.
     """
-    w = basis.frequencies
-    if op == K.J5:
-        if not basis.periodic:
-            raise UnsupportedOperator("smoothing operator requires a periodic basis")
-        return 0, 1.0, (1.0 + np.sum(w**2, axis=1)) ** 2
-    terms = K.op_terms(basis.axes, op)
-    mult = sum(np.prod([w[:, a] ** k for a, k in enumerate(t) if k], axis=0) for t in terms)
-    # every term of one operator has the same total order
-    return sum(terms[0]), mult, 1.0
+    if op == K.J5 and not basis.periodic:
+        raise UnsupportedOperator("smoothing operator requires a periodic basis")
+    return K.op_symbol(basis.axes, op, basis.frequencies)
 
 
 def eval_feature_ops(basis: FeatureBasis, ops, X) -> list:

@@ -32,6 +32,10 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   folded into one (``_mode_cross``);
 - ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
 
+All of them, and the Fourier-feature bases of ``features``, read what an
+operator does to a Fourier mode from ``op_symbol``, which derives it from
+``OP_ORDERS``.
+
 ``CrossTables`` holds what the blocks on one pair of point sets share: each
 axis indexed by its distinct coordinates, the profile-derivative tables
 built on those and gathered to the block, and the tables of the J5 path.
@@ -55,8 +59,6 @@ DT = "dt"
 DXX = "dxx"
 LAP = "lap"
 J5 = "j5"
-
-ALL_OPS = frozenset({ID, DX, DY, DT, DXX, LAP, J5})
 
 # largest Nyquist-to-peak ratio of the weighted spectrum (spectral_tail_ratio)
 # that a periodic kernel's mode count leaves; every torus GP field is
@@ -86,6 +88,9 @@ OP_ORDERS = {
     ID: ({},), DX: ({"x": 1},), DY: ({"y": 1},), DT: ({"t": 1},),
     DXX: ({"x": 2},), LAP: ({"x": 2}, {"y": 2}),
 }
+# J5, the smoothing operator (1 - Lap)^{-2}, has no terms: it acts on a
+# Fourier mode by a divisor alone (``op_symbol``)
+ALL_OPS = frozenset(OP_ORDERS) | {J5}
 
 
 @dataclass(frozen=True)
@@ -195,6 +200,25 @@ def op_terms(axes, op: str):
     if not terms:
         raise UnsupportedOperator(f"operator {op!r} unsupported on axes {axes}")
     return terms
+
+
+def op_symbol(axes, op: str, omega, scale=1.0):
+    """What ``op`` does to the Fourier mode exp(i w.x), w = scale * omega: (order, mult, div).
+
+    ``op`` multiplies the mode by i^order mult / div.  A derivative has the
+    total order of its ``OP_ORDERS`` terms (all of one operator share it),
+    mult = sum_terms prod_a w_a^k_a and div 1; J5 has order 0, mult 1 and
+    div (1 + |w|^2)^2.  ``omega`` is (..., len(axes)).  The monomials are
+    raised on omega before the scale multiplies them, so integer torus
+    modes with scale 2 pi give exact powers of the mode numbers.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if op == J5:
+        return 0, 1.0, (1.0 + scale**2 * np.sum(omega**2, axis=-1)) ** 2
+    terms = op_terms(axes, op)
+    order = sum(terms[0])
+    mult = sum(math.prod(omega[..., a] ** k for a, k in enumerate(t) if k) for t in terms)
+    return order, scale**order * mult, 1.0
 
 
 def _as_points(kernel: KernelSpec, x):
@@ -415,7 +439,7 @@ def spectral_tail_ratio(sigma: float, n_modes: int) -> float:
     if 1.0 / sigma**2 > half**2:
         return 1.0
     c = _profile_coeffs_1d(sigma, n_modes)[: half + 1]  # |a| = 0..n/2
-    w = c * (2.0 * np.pi * np.arange(half + 1)) ** 4
+    w = c * op_symbol(("x",), DXX, np.arange(half + 1)[:, None], 2.0 * np.pi)[1] ** 2
     peak = np.max(w)
     return float(w[half] / peak) if peak > 0 else 0.0
 
@@ -453,29 +477,19 @@ def _mode_axis(n_modes: int):
     return np.fft.fftfreq(n_modes, d=1.0 / n_modes)
 
 
-def _mode_grid(n_modes: int):
-    a = _mode_axis(n_modes)
-    a1, a2 = np.meshgrid(a, a, indexing="ij")
-    return a1, a2
+def _mode_grid(n_modes: int, dim: int = 2):
+    """The modes a of the n^dim grid, each axis in fftfreq order: shape (n,) * dim + (dim,)."""
+    return np.stack(np.meshgrid(*[_mode_axis(n_modes)] * dim, indexing="ij"), axis=-1)
 
 
-def _op_mode_multiplier(op: str, a1, a2, side: str):
-    """Per-mode symbol of an operator acting on exp(2 pi i a.(x - y))."""
-    sgn = 1.0 if side == "left" else -1.0
-    two_pi_i = 2.0j * np.pi
-    if op == ID:
-        return np.ones_like(a1, dtype=complex)
-    if op == DX:
-        return sgn * two_pi_i * a1
-    if op == DY:
-        return sgn * two_pi_i * a2
-    if op == DXX:
-        return -4.0 * np.pi**2 * a1**2 + 0.0j
-    if op == LAP:
-        return -4.0 * np.pi**2 * (a1**2 + a2**2) + 0.0j
-    if op == J5:
-        return 1.0 / (1.0 + 4.0 * np.pi**2 * (a1**2 + a2**2)) ** 2 + 0.0j
-    raise UnsupportedOperator(f"operator {op!r} not supported in Fourier space")
+def _symbol(axes, op: str, modes, side: str):
+    """Per-mode symbol of ``op`` acting on exp(2 pi i a.(x - y)), modes a of shape (..., len(axes)).
+
+    ``op_symbol`` at w = 2 pi a: (+-i)^order mult / div, + acting on x
+    (side "left") and - on y.
+    """
+    order, mult, div = op_symbol(axes, op, modes, 2.0 * np.pi)
+    return (1j if side == "left" else -1j) ** order * (mult / div)
 
 
 def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
@@ -485,11 +499,9 @@ def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
     summed directly over the n x n grid: the oracle for ``_mode_cross``.
     """
     _check_modes(n_modes)
-    a1, a2 = _mode_grid(n_modes)
-    d = coeffs * _op_mode_multiplier(left, a1, a2, "left")
-    d = d * _op_mode_multiplier(right, a1, a2, "right")
-    modes = np.stack([a1.ravel(), a2.ravel()], axis=1)
-    d = d.ravel()
+    modes = _mode_grid(n_modes).reshape(-1, 2)
+    axes = ("x", "y")
+    d = np.ravel(coeffs) * _symbol(axes, left, modes, "left") * _symbol(axes, right, modes, "right")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     ey = np.exp(2.0j * np.pi * (Y @ modes.T))  # (ny, n_modes^2)
@@ -510,7 +522,7 @@ def _half_modes(n_modes: int):
     so a pair is one mode of weight 2.  The zero mode, and the modes with a
     component at -n/2 (whose partner at +n/2 is off the grid), have weight 1.
     """
-    a1, a2 = (a.ravel() for a in _mode_grid(n_modes))
+    a1, a2 = _mode_grid(n_modes).reshape(-1, 2).T
     zero = (a1 == 0) & (a2 == 0)
     unpaired = (a1 == -(n_modes // 2)) | (a2 == -(n_modes // 2)) | zero
     keep = np.flatnonzero(unpaired | (a1 > 0) | ((a1 == 0) & (a2 > 0)))
@@ -534,8 +546,9 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
     table, and the left one serves every operator on its point set.
     """
     keep, a1, a2, weight = _half_modes(k.n_modes)
+    modes = np.stack([a1, a2], axis=1)
     d = weight * _profile_coeff_grid(k.lengthscales[0], k.n_modes).ravel()[keep]
-    d = d * _op_mode_multiplier(left, a1, a2, "left") * _op_mode_multiplier(right, a1, a2, "right")
+    d = d * _symbol(k.axes, left, modes, "left") * _symbol(k.axes, right, modes, "right")
     g = np.concatenate([d.real, d.real]) * fy
     if np.any(d.imag):
         h = keep.size
@@ -578,12 +591,9 @@ def _axis_exponentials(k: KernelSpec, X):
 
 def _mode_symbol(k: KernelSpec, op: str, side: str):
     """Per-mode symbol of ``op`` on the mode grid of a periodic kernel."""
-    if not (op == J5 and k.family == PERIODIC_2D):
-        op_terms(k.axes, op)  # rejects an operator the kernel family does not support
-    if k.family == PERIODIC_1D:
-        a = _mode_axis(k.n_modes)
-        return _op_mode_multiplier(op, a, np.zeros_like(a), side)
-    return _op_mode_multiplier(op, *_mode_grid(k.n_modes), side)
+    if op == J5 and k.family != PERIODIC_2D:
+        raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
+    return _symbol(k.axes, op, _mode_grid(k.n_modes, k.dim), side)
 
 
 def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:

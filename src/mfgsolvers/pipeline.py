@@ -68,13 +68,13 @@ def _planning_points(cfg, spec: P.ProblemSpec) -> C.CollocationSet:
 
 
 def _random_bases(cfg):
-    """Random feature bases for u and m, drawn independently unless shared."""
-    s_u = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed)
-    b_u = F.sample_orthogonal_features(s_u, cfg.N)
-    if cfg.shared_features:
-        return b_u, b_u
-    s_m = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=cfg.seed + 1)
-    return b_u, F.sample_orthogonal_features(s_m, cfg.N)
+    """Random feature bases for u and m, drawn independently: m's frequencies from seed + 1."""
+
+    def draw(seed):
+        sampler = F.RandomFeatureSampler(dimension=2, varsigma=cfg.varsigma, seed=seed)
+        return F.sample_orthogonal_features(sampler, cfg.N)
+
+    return draw(cfg.seed), draw(cfg.seed + 1)
 
 
 _NO_REFERENCE = {"linf_u": None, "linf_m": None, "err_hbar": None}
@@ -124,7 +124,7 @@ PROBLEMS = {
         spec=lambda cfg: P.make_1d_stationary(default_potential, default_drift, default_drift_dx),
         points=_torus_points,
         kernel=lambda cfg: K.periodic_kernel_1d(cfg.sigma),
-        bases=lambda cfg: (F.build_periodic_1d(cfg.N),) * 2,
+        bases=lambda cfg: (F.build_periodic(cfg.N, 1),) * 2,
         grid_axes=(np.linspace(0.0, 1.0, 1000, endpoint=False),),
         grid_desc="1000 uniform on [0,1)",
         metrics=_mfg1d_metrics,
@@ -133,7 +133,7 @@ PROBLEMS = {
         spec=lambda cfg: P.make_nonlocal_2d(cfg.nu),
         points=_torus_points,
         kernel=lambda cfg: K.periodic_kernel_2d(cfg.sigma),
-        bases=lambda cfg: (F.build_periodic_2d(cfg.N, full=cfg.full_basis_2d),) * 2,
+        bases=lambda cfg: (F.build_periodic(cfg.N, 2),) * 2,
         grid_axes=(np.arange(100) / 100.0,) * 2,
         grid_desc="100x100 uniform on the torus",
         metrics=_torus_metrics,
@@ -243,8 +243,6 @@ class ExperimentConfig:
     init_mode: str = O.INIT_ZEROS
     init_scale: float = 1.0
     grid_sampling: bool = True
-    shared_features: bool = False
-    full_basis_2d: bool = False
     output_dir: str = "."
 
     def validate(self) -> None:

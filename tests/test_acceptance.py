@@ -200,8 +200,8 @@ def test_criterion_6_derivative_consistency():
         "aniso": (K.anisotropic_kernel(0.45, 0.71), (K.ID, K.DT, K.DX, K.DXX)),
     }
     bases = {
-        "per1d": (F.build_periodic_1d(8), (K.DX, K.DXX)),
-        "per2d": (F.build_periodic_2d(3, full=True), (K.DX, K.DY, K.LAP)),
+        "per1d": (F.build_periodic(8, 1), (K.DX, K.DXX)),
+        "per2d": (F.build_periodic(3, 2), (K.DX, K.DY, K.LAP)),
         "random": (
             F.sample_orthogonal_features(
                 F.RandomFeatureSampler(dimension=2, varsigma=0.2, seed=5), 40

@@ -77,6 +77,23 @@ def test_config_naming_the_mode_count_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, patch",
+    [
+        ("full_basis_2d", {"problem": "nonlocal2d", "method": "ff", "M": 64, "N": 2}),
+        ("shared_features", {"problem": "planning", "method": "ff", "N": 4}),
+    ],
+)
+def test_config_naming_a_retired_basis_key_exits_2(tmp_path, capsys, key, patch):
+    """The torus basis is always the full mode set and the random bases are
+    always drawn apart; a config that still names either key is rejected by name."""
+    cfg = _write_config(tmp_path, {**TINY, **patch, key: True})
+    out = tmp_path / "o"
+    assert cli.main(["run", cfg, "--output-dir", str(out)]) == cli.EXIT_CONFIG
+    assert f"{key}: unknown config key" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_square_torus_lattice_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"problem": "nonlocal2d", "method": "gp", "M": 401})
     assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_CONFIG
@@ -274,7 +291,7 @@ def test_infinite_inner_system_exits_3(method, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(P, "_nonlocal2d_residual", inf_jacobian)
     cfg = _write_config(
         tmp_path,
-        {"problem": "nonlocal2d", "method": method, "M": 64, "N": 2, "full_basis_2d": True,
+        {"problem": "nonlocal2d", "method": method, "M": 64, "N": 2,
          "max_iters": 2, "beta": 1e4, "gamma": 10.0},
     )
     assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL

@@ -11,14 +11,17 @@ from mfgsolvers.errors import UnsupportedOperator
 
 
 def test_periodic_1d_counts_and_layout():
-    b = F.build_periodic_1d(5)
+    b = F.build_periodic(5, 1)
     assert b.count == 11
-    assert b.dim == 1
+    assert b.dim == 1 and b.axes == ("x",)
     assert b.phases[0] == F.COS and b.frequencies[0, 0] == 0.0
+    # [1, sin(2 pi x) .. sin(2 pi 5 x), cos(2 pi x) .. cos(2 pi 5 x)]
+    np.testing.assert_array_equal(b.frequencies[:, 0] / (2 * np.pi), [0] + [1, 2, 3, 4, 5] * 2)
+    np.testing.assert_array_equal(b.phases, [F.COS] + [F.SIN] * 5 + [F.COS] * 5)
 
 
 def test_periodic_1d_l2_orthogonality():
-    b = F.build_periodic_1d(8)
+    b = F.build_periodic(8, 1)
     grid = (np.arange(512) / 512.0)[:, None]
     Z = F.eval_feature_op(b, K.ID, grid)
     G = Z.T @ Z / grid.shape[0]
@@ -26,13 +29,29 @@ def test_periodic_1d_l2_orthogonality():
     np.testing.assert_allclose(G, expected, atol=1e-12)
 
 
-def test_periodic_2d_counts():
-    assert F.build_periodic_2d(3).count == 2 * 9 + 1
-    assert F.build_periodic_2d(3, full=True).count == 49  # (2N+1)^2
+@pytest.mark.parametrize("N, dim", [(1, 1), (3, 1), (1, 2), (3, 2)])
+def test_periodic_counts(N, dim):
+    b = F.build_periodic(N, dim)
+    assert b.count == (2 * N + 1) ** dim
+    assert b.dim == dim and b.periodic and np.all(b.scales == 1.0)
+
+
+def test_periodic_2d_modes_are_one_of_each_pair_in_lexicographic_order():
+    """Every a with |a_d| <= N and first nonzero entry positive, sin block then cos block."""
+    b = F.build_periodic(2, 2)
+    want = [(0, 1), (0, 2)] + [(i, j) for i in (1, 2) for j in range(-2, 3)]
+    modes = b.frequencies / (2 * np.pi)
+    np.testing.assert_array_equal(modes[0], [0, 0])
+    np.testing.assert_array_equal(modes[1:13], want)
+    np.testing.assert_array_equal(modes[13:], want)
+    np.testing.assert_array_equal(b.phases, [F.COS] + [F.SIN] * 12 + [F.COS] * 12)
+    # the pure-axis modes of nonlocal2d's potential are in the set
+    for a in ((1, 0), (0, 1), (2, 0)):
+        assert any(np.array_equal(m, a) for m in modes)
 
 
 def test_periodic_2d_full_mode_set_is_nonredundant():
-    b = F.build_periodic_2d(4, full=True)
+    b = F.build_periodic(4, 2)
     grid = np.stack(
         [g.ravel() for g in np.meshgrid(np.arange(32) / 32.0, np.arange(32) / 32.0)], axis=1
     )
@@ -47,7 +66,7 @@ def test_periodic_2d_full_mode_set_is_nonredundant():
 @given(st.sampled_from([K.DX, K.DXX]), st.integers(1, 6))
 @settings(max_examples=20, deadline=None)
 def test_1d_derivatives_match_finite_differences(op, N):
-    b = F.build_periodic_1d(N)
+    b = F.build_periodic(N, 1)
     x = np.array([[0.123], [0.789]])
     h = 1e-5
     if op == K.DX:
@@ -64,7 +83,7 @@ def test_1d_derivatives_match_finite_differences(op, N):
 
 
 def test_2d_laplacian_is_sum_of_second_derivatives():
-    b = F.build_periodic_2d(3, full=True)
+    b = F.build_periodic(3, 2)
     X = np.random.default_rng(1).random((5, 2))
     h = 1e-4
     e1, e2 = np.array([h, 0.0]), np.array([0.0, h])
@@ -80,7 +99,7 @@ def test_2d_laplacian_is_sum_of_second_derivatives():
 
 
 def test_smoothing_operator_is_diagonal_on_features():
-    b = F.build_periodic_2d(2, full=True)
+    b = F.build_periodic(2, 2)
     X = np.random.default_rng(2).random((4, 2))
     vals = F.eval_feature_op(b, K.ID, X)
     smoothed = F.eval_feature_op(b, K.J5, X)
@@ -145,14 +164,13 @@ def test_orthogonal_features_pairing_and_scale():
 
 
 def test_bad_arguments_raise():
-    with pytest.raises(ValueError):
-        F.build_periodic_1d(0)
-    with pytest.raises(ValueError):
-        F.build_periodic_2d(0)
+    for N, dim in ((0, 1), (0, 2), (2, 0), (2, 3)):
+        with pytest.raises(ValueError):
+            F.build_periodic(N, dim)
     s = F.RandomFeatureSampler(dimension=2, varsigma=0.2, seed=0)
     with pytest.raises(ValueError):
         F.sample_orthogonal_features(s, 0)
-    b = F.build_periodic_1d(2)
+    b = F.build_periodic(2, 1)
     with pytest.raises(UnsupportedOperator):
         F.eval_feature_op(b, K.DY, np.zeros((1, 1)))
     with pytest.raises(UnsupportedOperator):

@@ -335,3 +335,66 @@ def test_axis_exponentials_equal_numpy_exp(sigma, n_modes, points):
         u = np.unique(X[:, d])
         assert np.array_equal(table, np.exp(2j * np.pi * np.outer(u, K._mode_axis(n_modes))))
         assert np.array_equal(u[index], X[:, d])
+
+
+# -- one symbol per operator: op_symbol against hand-written formulas --------
+
+def _reference_symbol(op, a1, a2, side):
+    """Per-mode symbol of each tag on exp(2 pi i a.(x - y)), written out by hand: the oracle."""
+    sgn = 1.0 if side == "left" else -1.0
+    two_pi_i = 2.0j * np.pi
+    return {
+        K.ID: np.ones_like(a1, dtype=complex),
+        K.DX: sgn * two_pi_i * a1,
+        K.DY: sgn * two_pi_i * a2,
+        K.DXX: -4.0 * np.pi**2 * a1**2 + 0.0j,
+        K.LAP: -4.0 * np.pi**2 * (a1**2 + a2**2) + 0.0j,
+        K.J5: 1.0 / (1.0 + 4.0 * np.pi**2 * (a1**2 + a2**2)) ** 2 + 0.0j,
+    }[op]
+
+
+TORUS_OPS = (K.ID, K.DX, K.DY, K.DXX, K.LAP, K.J5)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_mode_symbols_equal_the_hand_written_formulas(side):
+    """The derived symbol of every torus tag equals the reference bit for bit,
+    on the 1D and 2D mode grids and on the half modes of the J5 GEMM."""
+    k1, k2 = KERNELS["p1"], KERNELS["p2"]
+    a = K._mode_axis(k1.n_modes)
+    for op in (K.ID, K.DX, K.DXX, K.LAP):  # LAP is DXX on one axis
+        want = _reference_symbol(op, a, np.zeros_like(a), side)
+        got = np.broadcast_to(K._mode_symbol(k1, op, side), a.shape)
+        np.testing.assert_array_equal(got, want, err_msg=op)
+    a1, a2 = np.moveaxis(K._mode_grid(k2.n_modes), -1, 0)
+    _, h1, h2, _ = K._half_modes(k2.n_modes)
+    for op in TORUS_OPS:
+        got = np.broadcast_to(K._mode_symbol(k2, op, side), a1.shape)
+        np.testing.assert_array_equal(got, _reference_symbol(op, a1, a2, side), err_msg=op)
+        half = np.broadcast_to(K._symbol(k2.axes, op, np.stack([h1, h2], axis=1), side), h1.shape)
+        np.testing.assert_array_equal(half, _reference_symbol(op, h1, h2, side), err_msg=op)
+    for k, op in ((k1, K.J5), (k1, K.DY), (k2, K.DT), (k2, "grad")):
+        with pytest.raises(UnsupportedOperator):
+            K._mode_symbol(k, op, side)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_feature_action_is_the_gp_symbol(dim):
+    """On a periodic basis, omega = 2 pi a: the feature action i^order mult / div
+    equals the GP symbol at a, and advancing each trig function order quarter
+    turns is multiplying exp(i omega.x) by i^order."""
+    from mfgsolvers import features as F
+
+    basis = F.build_periodic(4, dim)
+    modes = np.rint(basis.frequencies / (2.0 * np.pi))
+    X = RNG.random((6, dim))
+    phase = np.exp(1j * (X @ basis.frequencies.T))
+    sin = basis.phases == F.SIN
+    for op in TORUS_OPS if dim == 2 else (K.ID, K.DX, K.DXX, K.LAP, K.J5):
+        order, mult, div = F._op_action(basis, op)
+        gp = K._symbol(basis.axes, op, modes, "left")
+        np.testing.assert_allclose(1j**order * mult / div, gp, rtol=1e-14, atol=0, err_msg=op)
+        wave = gp * phase  # op applied to exp(i omega.x)
+        want = np.where(sin, wave.imag, wave.real)
+        got = F.eval_feature_op(basis, op, X)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=op)

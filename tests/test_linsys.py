@@ -258,7 +258,7 @@ def test_qr_ridge_identity_random_cases():
 def test_feature_matrix_blocks_stack_in_layout_order():
     pts = C.sample_uniform_grid(1, 6)
     phi, _ = C.build_functionals(SPEC_1D, pts)
-    basis = F.build_periodic_1d(3)
+    basis = F.build_periodic(3, 1)
     A = L.assemble_feature_matrix(phi, basis)
     assert A.shape == (18, basis.count)
     np.testing.assert_allclose(A[:6], F.eval_feature_op(basis, K.ID, pts.interior))
@@ -270,7 +270,7 @@ def test_gram_and_feature_quadratic_forms_agree_in_the_limit():
     """With many features the ridge form approximates an RKHS form; sanity only."""
     pts = C.sample_uniform_grid(1, 8)
     phi, _ = C.build_functionals(SPEC_1D, pts)
-    basis = F.build_periodic_1d(20)
+    basis = F.build_periodic(20, 1)
     A = L.assemble_feature_matrix(phi, basis)
     fac = L.qr_ridge_factor(A, 1e-10)
     v = np.random.default_rng(3).standard_normal(24)
@@ -281,19 +281,23 @@ def test_gram_and_feature_quadratic_forms_agree_in_the_limit():
 # -- point-local matrix plus a low-rank term ---------------------------------
 
 def _arrow_system(seed, n_pairs=7, n_single=4, n_dense=2, k=5):
-    """Random S = [[D, C], [C^T, E]] (2x2 and 1x1 point blocks), U and c."""
+    """Random S = [[D, C], [C^T, E]] (2x2 and 1x1 point blocks), U and c.
+
+    E = 2 I + C^T D^{-1} C, so the Schur complement E - C^T D^{-1} C is 2 I
+    and S is positive definite for every seed.
+    """
     rng = np.random.default_rng(seed)
     J2 = rng.standard_normal((n_pairs, 2, 3))
     J1 = rng.standard_normal((n_single, 1, 2))
     groups = [np.eye(2) * 0.1 + J2 @ J2.transpose(0, 2, 1), 0.1 + J1 @ J1.transpose(0, 2, 1)]
     n_d = 2 * n_pairs + n_single
     C = 0.3 * rng.standard_normal((n_d, n_dense))
-    E = 2.0 * np.eye(n_dense) + C.T @ C  # keeps the Schur complement positive
     S = np.zeros((n_d + n_dense,) * 2)
     for i in range(n_pairs):
         S[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = groups[0][i]
     for j in range(n_single):
         S[2 * n_pairs + j, 2 * n_pairs + j] = groups[1][j, 0, 0]
+    E = 2.0 * np.eye(n_dense) + C.T @ np.linalg.solve(S[:n_d, :n_d], C)
     S[:n_d, n_d:], S[n_d:, :n_d], S[n_d:, n_d:] = C, C.T, E
     U = rng.standard_normal((n_d + n_dense, k))
     c = rng.standard_normal(n_d + n_dense)
@@ -309,6 +313,21 @@ def test_arrow_cholesky_factors_the_dense_matrix(n_dense):
     np.testing.assert_allclose(chol.solve_lt(np.eye(S.shape[0])), Linv.T, atol=1e-12)
     with pytest.raises(np.linalg.LinAlgError):
         L.ArrowCholesky([-g for g in groups], C, E)
+
+
+def test_arrow_cholesky_solves_match_dense_triangular_solves_for_every_seed():
+    """Each of seeds 0-49 factors, and L^{-1} and L^{-T} match triangular
+    solves with the dense Cholesky factor of S."""
+    for seed in range(50):
+        _, _, _, S, U, c = system = _arrow_system(seed)
+        chol = L.ArrowCholesky(*system[:3])
+        Ld = np.linalg.cholesky(S)
+        for X in (U, c):
+            for got, trans in ((chol.solve_l(X), 0), (chol.solve_lt(X), 1)):
+                want = SL.solve_triangular(Ld, X, lower=True, trans=trans)
+                np.testing.assert_allclose(
+                    got, want, rtol=0, atol=1e-10 * np.abs(want).max(), err_msg=(seed, trans)
+                )
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -435,7 +435,7 @@ def _dense_inner_solve(system, state):
 
 
 _TORUS_1D = dict(problem="mfg1d", M=32, N=6, mu=1e-3)
-_TORUS_2D = dict(problem="nonlocal2d", M=64, N=2, full_basis_2d=True, nu=1.0, mu=1e-3)
+_TORUS_2D = dict(problem="nonlocal2d", M=64, N=2, nu=1.0, mu=1e-3)
 _PLANNING = dict(problem="planning", n_interior=60, n_initial=10, n_terminal=10, N=8, mu=1e-3)
 
 

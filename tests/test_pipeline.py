@@ -69,6 +69,11 @@ def test_config_rejects_unknown_keys():
         ({"problem": "nonlocal2d", "method": "gp", "sigma": 0.02}, "sigma"),
         ({"method": "gp", "sigma": 1e-5}, "sigma"),
         ({"beta": -1.0}, "beta"),
+        # retired with the restricted 2D mode set and the shared random bases
+        ({"problem": "nonlocal2d", "method": "ff", "N": 4, "full_basis_2d": True}, "full_basis_2d"),
+        ({"full_basis_2d": False}, "full_basis_2d"),
+        ({"problem": "planning", "method": "ff", "shared_features": True}, "shared_features"),
+        ({"shared_features": False}, "shared_features"),
     ],
 )
 def test_config_validation_names_the_field(patch, field):
@@ -153,15 +158,12 @@ def test_build_points_respects_sampling_mode():
     assert not np.allclose(g.interior, r.interior)
 
 
-def test_build_bases_random_pair_independent_unless_shared():
+def test_build_bases_random_pair_independent():
     cfg = PL.ExperimentConfig(problem="planning", N=6, seed=9)
     problem = PL.PROBLEMS["planning"]
     bu, bm = problem.bases(cfg)
     assert bu.count == 12 and bm.count == 12
     assert not np.array_equal(bu.frequencies, bm.frequencies)
-    cfg2 = PL.ExperimentConfig(problem="planning", N=6, seed=9, shared_features=True)
-    bu2, bm2 = problem.bases(cfg2)
-    np.testing.assert_array_equal(bu2.frequencies, bm2.frequencies)
 
 
 def _tiny_1d(method):

@@ -48,7 +48,7 @@ def test_gp_reconstruction_interpolates_up_to_the_nugget():
 def test_ff_reconstruction_ridge_identity():
     """A alpha + mu (A A^T + mu I)^{-1} z = z, the exact ridge split."""
     _, pts, phi, psi, _, _ = _gp_setup(M=8)
-    basis = F.build_periodic_1d(6)
+    basis = F.build_periodic(6, 1)
     A = L.assemble_feature_matrix(phi, basis)
     fu = L.qr_ridge_factor(A, 1e-4)
     fm = L.qr_ridge_factor(L.assemble_feature_matrix(psi, basis), 1e-4)
@@ -77,7 +77,7 @@ def test_field_operator_evaluation_matches_finite_differences():
 
 
 def test_ff_field_is_a_plain_feature_sum():
-    basis = F.build_periodic_1d(3)
+    basis = F.build_periodic(3, 1)
     coeffs = np.zeros(basis.count)
     coeffs[1] = 2.0  # sin(2 pi x)
     f = S.FfField(coeffs, basis)
@@ -89,7 +89,7 @@ def test_ff_field_is_a_plain_feature_sum():
 
 
 def test_linf_error_and_empty_grid():
-    basis = F.build_periodic_1d(2)
+    basis = F.build_periodic(2, 1)
     f = S.FfField(np.zeros(basis.count), basis)
     grid = np.linspace(0, 1, 50)[:, None]
     err = S.linf_error(f(grid), lambda X: np.sin(2 * np.pi * X[:, 0]), grid)
@@ -224,8 +224,8 @@ def _supported_ops(basis):
 @pytest.mark.parametrize(
     "basis",
     [
-        F.build_periodic_1d(10),
-        F.build_periodic_2d(5, full=True),
+        F.build_periodic(10, 1),
+        F.build_periodic(5, 2),
         F.sample_orthogonal_features(F.RandomFeatureSampler(2, 0.2, 3), 150),
     ],
     ids=["periodic1d", "periodic2d_full", "random_tx"],
