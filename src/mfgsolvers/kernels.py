@@ -21,15 +21,10 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   exponentials exp(2 pi i a x_d) once per distinct coordinate of each axis
   (``_axis_exponentials``), so a tensor grid of n x n points costs n rows
   per axis, and every operator of one call shares them;
-- a gram block with J5 on either side, by one of two paths.  When the
-  distinct coordinate pairs of each axis are no more than the block's
-  entries, prod_a (distinct x_a)(distinct y_a) <= n_X n_Y (every lattice
-  against a lattice), it is gathered from the separable table
-  Re(E_1 D E_2^T) over those pairs, about 2 P_1 P_2 n real products for
-  P_a pairs on axis a and n modes per axis (``CrossTables._pair_block``).  Otherwise, as on
-  random points, it is one real GEMM of n_X n_Y n^2 over the mode features
-  [cos, sin](2 pi a.x) of the two point sets, with the modes a and -a
-  folded into one (``_mode_cross``);
+- a gram block with J5 on either side: one real GEMM of n_X n_Y n^2 over
+  the mode features [cos, sin](2 pi a.x) of the two point sets, with the
+  modes a and -a folded into one (``_mode_cross``).  A lattice's gram takes
+  it for its generating columns alone, n_X x 1 (``linsys``);
 - ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
 
 All of them, and the Fourier-feature bases of ``features``, read what an
@@ -38,7 +33,7 @@ operator does to a Fourier mode from ``op_symbol``, which derives it from
 
 ``CrossTables`` holds what the blocks on one pair of point sets share: each
 axis indexed by its distinct coordinates, the profile-derivative tables
-built on those and gathered to the block, and the tables of the J5 path.
+built on those and gathered to the block, and the mode features of J5.
 """
 
 from __future__ import annotations
@@ -239,6 +234,23 @@ def _distinct_axes(X):
     return out
 
 
+def _differences(kind: str, ux, uy):
+    """The table ux[:, None] - uy[None, :] of one axis's distinct coordinates.
+
+    On a periodic axis whose distinct coordinates on both sides are the
+    lattice j/s, entry (i, j) is instead the coordinate ((i - j) mod s)/s:
+    the periodic profile takes the same value there up to round-off, and the
+    table is exactly circulant.  So a lattice's gram assembled block by
+    block is exactly block-circulant, entry for entry the gather of its
+    generating columns that ``linsys`` factors per Fourier frequency.
+    """
+    s = ux.size
+    if kind == "periodic" and np.array_equal(ux, uy) and np.array_equal(ux, np.arange(s) / s):
+        j = np.arange(s)
+        return ux[(j[:, None] - j[None, :]) % s]
+    return ux[:, None] - uy[None, :]
+
+
 def eval(k: KernelSpec, x, y) -> float:  # noqa: A001 - spec-level name
     """Kernel value K(x, y)."""
     return float(pairwise_matrix(k, _as_points(k, x), _as_points(k, y))[0, 0])
@@ -251,9 +263,9 @@ def pairwise_matrix(k: KernelSpec, X, Y) -> np.ndarray:
 def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y):
     """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y.
 
-    J5 on either side needs the 2D periodic kernel, whose two paths
-    ``CrossTables`` picks between; ``nonlocal_from_coeffs`` is the direct
-    sum both replace.
+    J5 on either side needs the 2D periodic kernel, whose blocks
+    ``CrossTables`` builds from mode features; ``nonlocal_from_coeffs`` is
+    the direct sum they replace.
     """
     return CrossTables(k, X, Y, (left,), (right,)).op_matrix(left, right)
 
@@ -269,20 +281,13 @@ class CrossTables:
     - the profile derivatives of each axis, on first use, on the differences
       of its distinct coordinates, up to the highest order any pair of
       operators needs, each gathered to n_X x n_Y once; its entries are the
-      floats the point-by-point differences give.  ``op_matrix`` then costs
-      one product of tables per term;
-    - the J5 blocks of the 2D periodic kernel, by one of two paths:
-
-      - when the tables over the distinct coordinate pairs of each axis are
-        no larger than the block, prod_a (distinct x_a)(distinct y_a) <=
-        n_X n_Y, as on a lattice: the separable spectral table
-        T = Re(E_1 D E_2^T) of those pairs, E_a = exp(2 pi i a delta_a) and
-        D the coefficient grid times both symbols, gathered to the block
-        (``_pair_block``).  It costs about 2 P_1 P_2 n real products for P_a
-        pairs on axis a and n modes per axis;
-      - otherwise, as for random points: one real GEMM of n_X x n_Y x n^2
-        over the mode features of X and of Y (``_mode_features``,
-        ``_mode_cross``).
+      floats the point-by-point differences give, except on a periodic axis
+      whose distinct coordinates on both sides are the lattice j/s
+      (``_differences``).  ``op_matrix`` then costs one product of tables
+      per term;
+    - the mode features of X and of Y for the J5 blocks of the 2D periodic
+      kernel, one real GEMM of n_X x n_Y x n^2 per block (``_mode_features``,
+      ``_mode_cross``).
     """
 
     def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops):
@@ -295,7 +300,6 @@ class CrossTables:
         self.axes_x = _distinct_axes(self.X)
         self.axes_y = self.axes_x if self.same else _distinct_axes(self.Y)
         self._derivs = None
-        self._pairs = None
         self._features = None
 
     def op_matrix(self, left: str, right: str) -> np.ndarray:
@@ -327,7 +331,7 @@ class CrossTables:
             for a, ((kind, s), (ux, ix), (uy, iy)) in enumerate(
                 zip(k.axis_profiles(), self.axes_x, self.axes_y)
             ):
-                tables = _PROFILE_DERIVS[kind](ux[:, None] - uy[None, :], s, top_l[a] + top_r[a])
+                tables = _PROFILE_DERIVS[kind](_differences(kind, ux, uy), s, top_l[a] + top_r[a])
                 self._derivs.append([t[ix][:, iy] for t in tables])
         return self._derivs
 
@@ -335,40 +339,10 @@ class CrossTables:
         k = self.kernel
         if k.family != PERIODIC_2D:
             raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
-        pairs = math.prod(ux.size * uy.size for (ux, _), (uy, _) in zip(self.axes_x, self.axes_y))
-        if pairs <= self.X.shape[0] * self.Y.shape[0]:
-            return self._pair_block(left, right)
         if self._features is None:
             fx = _mode_features(k, self.X)
             self._features = (fx, fx if self.same else _mode_features(k, self.Y))
         return _mode_cross(k, left, right, *self._features)
-
-    def _pair_block(self, left: str, right: str) -> np.ndarray:
-        """A J5 block gathered from T = Re(E_1 D E_2^T) over the distinct coordinate pairs of each axis.
-
-        Pair (i, j) of axis a, the i-th distinct x_a and the j-th distinct
-        y_a, is row i * (distinct y_a) + j of E_a, whose columns are
-        exp(2 pi i a (x_a - y_a)) over the axis's modes.  Re(G E_2^T) for
-        G = E_1 D is one real GEMM over [Re E_2, Im E_2].
-        """
-        k = self.kernel
-        if self._pairs is None:
-            a = _mode_axis(k.n_modes)
-            e1, e2 = (
-                np.exp(2.0j * np.pi * np.outer((ux[:, None] - uy[None, :]).ravel(), a))
-                for (ux, _), (uy, _) in zip(self.axes_x, self.axes_y)
-            )
-            # flat index into T of each pair of points: row pair * P_2 + column pair
-            (_, ix1), (ux2, ix2) = self.axes_x
-            (uy1, iy1), (uy2, iy2) = self.axes_y
-            p2 = ux2.size * uy2.size
-            rows = ix1 * (uy1.size * p2) + ix2 * uy2.size
-            cols = iy1 * p2 + iy2
-            self._pairs = (e1, np.hstack([e2.real, e2.imag]), rows[:, None] + cols[None, :])
-        e1, f2, index = self._pairs
-        d = _profile_coeff_grid(k.lengthscales[0], k.n_modes)
-        g = e1 @ (d * _mode_symbol(k, left, "left") * _mode_symbol(k, right, "right"))
-        return (np.hstack([g.real, -g.imag]) @ f2.T).ravel()[index]
 
 
 def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
@@ -531,10 +505,18 @@ def _half_modes(n_modes: int):
 
 
 def _mode_features(k: KernelSpec, X) -> np.ndarray:
-    """Real mode features [cos, sin] of 2 pi a.x over ``_half_modes``: (n_points, 2 n_half)."""
-    _, a1, a2, _ = _half_modes(k.n_modes)
-    phase = (2.0 * np.pi) * (X @ np.stack([a1, a2]))
-    return np.hstack([np.cos(phase), np.sin(phase)])
+    """Real mode features [cos, sin] of 2 pi a.x over ``_half_modes``: (n_points, 2 n_half).
+
+    exp(2 pi i a.x) is the product of the axis exponentials of a_1 and a_2
+    (``_axis_exponentials``), so no transcendental is evaluated per point
+    and mode: an s x s lattice evaluates 2 s n_modes exponentials, not a
+    sine and a cosine per point and folded mode.
+    """
+    keep = _half_modes(k.n_modes)[0]
+    (e1, i1), (e2, i2) = _axis_exponentials(k, X)
+    z = e1[i1][:, keep // k.n_modes]
+    z *= e2[i2][:, keep % k.n_modes]
+    return np.hstack([z.real, z.imag])
 
 
 def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):

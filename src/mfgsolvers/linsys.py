@@ -1,26 +1,42 @@
 """Gram/feature matrix assembly and the cached factorizations.
 
 The GP path regularizes the gram matrix with a block-diagonal nugget and
-keeps its Cholesky factor; the FF path keeps a thin SVD of the feature
-matrix, so that (A A^T + mu I)^{-1} is applied spectrally and no matrix the
-size of the functional count is factored.  The thin SVD is taken as a
-Householder QR, whose cost grows with the functional count, plus an SVD of
-the small triangular factor, whose cost does not (``_qr_svd``).  Each factor
-applies its quadratic form; the inner step of ``optimizer`` reads the inverse
-of the quadratic-form matrix from the factor itself: ``regularized``, the
+factors it; the FF path keeps a thin SVD of the feature matrix, so that
+(A A^T + mu I)^{-1} is applied spectrally and no matrix the size of the
+functional count is factored.  The thin SVD is taken as a Householder QR,
+whose cost grows with the functional count, plus an SVD of the small
+triangular factor, whose cost does not (``_qr_svd``).  Each factor applies
+its quadratic form; the inner step of ``optimizer`` reads the inverse of the
+quadratic-form matrix from the factor itself: ``regularized``, the
 regularized gram or A A^T + mu I (formed on each access, only by systems
 with at least as many features as residual rows, which hold it for one
 solve), or the feature matrix with its ridge mu.
+
+A gram is factored by one of two routes, chosen from the points alone
+(``lattice_shape``).  When the functional set lies wholly on one full torus
+lattice under a periodic kernel, as every bundled torus GP config does,
+each gram block depends on x_i - x_j alone and is circulant on the lattice
+(Davis, *Circulant Matrices*, 1979).  The gram is then gathered from the
+generating column of each block pair (``_lattice_gram``), and the DFT of
+those columns splits it into one Hermitian block per lattice frequency, of
+the order of the operator count, each factored by numpy's batched Cholesky
+(``LatticeFactor``): no n x n factor exists, and a solve is an FFT,
+per-frequency triangular solves and an inverse FFT.  Any other set, on
+random points or planning's space-time points, keeps the dense Cholesky
+factor (``GramFactor``).
 
 When the blocks of one functional set are the first blocks of the other's,
 with the same operator tags on the same point arrays, its regularized gram
 is the leading block of the other's, and the Cholesky factor of a leading
 block is the leading block of the full factor.  ``build_gram_factors`` then
 assembles, regularizes and factors the larger set alone, and the smaller
-set's ``GramFactor`` reads that factor: its ``regularized`` is a view of the
-leading block.  On nonlocal2d phi's (id, dx, dy, lap) lead psi's (id, dx, dy,
-lap, j5), and on mfg1d psi's (id, dx) lead phi's (id, dx, dxx); planning's
-psi starts with its boundary blocks, so each of its sets keeps a factor.
+set's factor reads that factor: its ``regularized`` is a view of the
+leading block.  On a lattice that is the leading operators of each
+frequency's factor; on the dense route it is the whole factor, solved at
+its full order.  On nonlocal2d phi's (id, dx, dy, lap) lead psi's (id, dx,
+dy, lap, j5), and on mfg1d psi's (id, dx) lead phi's (id, dx, dxx);
+planning's psi starts with its boundary blocks, so each of its sets keeps a
+factor.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
@@ -34,18 +50,15 @@ raises ``numpy.linalg.LinAlgError``, which the optimizer reports as
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
-one lattice pays for its tables once.  Those tables are built on the
-distinct coordinates of each axis and gathered to each block: a 20 x 20
-lattice evaluates its profile derivatives at 20 x 20 coordinate differences
-per axis, not at 400 x 400 pairs of points, and its J5 blocks come from
-tables over the 400 coordinate pairs of each axis (about 400 x 400 x 2n
-real products for n modes per axis) instead of a GEMM over n^2 mode
-features (400 x 400 x n^2).  Random points keep the GEMM.  The nugget is
-added to the gram's diagonal in place, and LAPACK factors a C-ordered copy
-of the gram in place through its Fortran-ordered transpose, where f2py
-would make a slower transposing copy.
+one point set pays for its tables once.  Those tables are built on the
+distinct coordinates of each axis and gathered to each block.  J5 blocks
+are one GEMM over the kernel's mode features; a lattice needs them for its
+n x 1 generating columns alone.  The nugget is added to the gram's diagonal
+in place, and LAPACK factors a C-ordered copy of a dense gram in place
+through its Fortran-ordered transpose, where f2py would make a slower
+transposing copy.
 
-The factorizations call LAPACK through scipy's compiled wrappers
+The dense factorizations call LAPACK through scipy's compiled wrappers
 (``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
 loads once, at its import, without importing ``scipy.linalg``: that import
 loads some 300 modules the solver never uses (``numpy.f2py`` and
@@ -60,6 +73,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 import time
@@ -69,7 +83,7 @@ import numpy as np
 
 from . import features as F
 from . import kernels as K
-from .collocation import FunctionalSet
+from .collocation import FunctionalSet, sample_uniform_grid
 from .errors import LengthMismatch, NotPositiveDefinite, UnsupportedOperator
 
 _FLAPACK = "scipy.linalg._flapack"
@@ -135,17 +149,22 @@ def solve_triangular(a: np.ndarray, b, lower: int, trans: int = 0):
     return x
 
 
-def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
+def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
     """Symmetric bi-operator gram matrix over a functional set.
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
     result is exactly symmetric.  Blocks on the same pair of point sets share
     one ``kernels.CrossTables``: its tables are computed once per pair, not
-    once per block.  On the 2D torus a J5 block is gathered from per-axis
-    tables over distinct coordinate pairs when those are no more than its
-    entries (a lattice), and is otherwise one real GEMM over about
+    once per block.  On the 2D torus a J5 block is one real GEMM over about
     n_modes^2 mode features, n_modes being the kernel's own count.
+
+    With ``lattice``, the shape ``lattice_shape`` gives for funcs, the gram
+    is gathered instead from each upper block pair's generating column
+    theta_ab(x_i - x_0), computed against the lattice's first point x_0 = 0
+    (``_lattice_gram``).
     """
+    if lattice is not None:
+        return _lattice_gram(kernel, funcs, lattice)
     n = funcs.size
     out = np.empty((n, n))
     blocks = funcs.blocks
@@ -169,6 +188,73 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet):
     return out
 
 
+def lattice_shape(kernel: K.KernelSpec, funcs: FunctionalSet):
+    """(side,) * dim when funcs lies wholly on one full torus lattice, else None.
+
+    Every block's points must be those of ``collocation.sample_uniform_grid``
+    for their count, in its order, and the kernel periodic.  Then each block
+    of the gram is block-circulant: entry (i, j) depends on x_i - x_j alone,
+    taken on the lattice.
+    """
+    if not kernel.periodic or not funcs.blocks:
+        return None
+    X = funcs.blocks[0][1]
+    if any(pts is not X and not np.array_equal(pts, X) for _, pts in funcs.blocks):
+        return None
+    n, dim = X.shape
+    side = n if dim == 1 else math.isqrt(n)
+    if n == 0 or dim != kernel.dim or side**dim != n:
+        return None
+    if not np.array_equal(X, sample_uniform_grid(dim, n).interior):
+        return None
+    return (side,) * dim
+
+
+def _circulant_index(shape):
+    """index[i, j]: the flat lattice index of x_i - x_j, wrapped to the lattice.
+
+    Points are flat in C order over ``shape``; index[0] maps each offset to
+    that of its negative.
+    """
+    side = shape[0]
+    j = np.arange(side)
+    d = (j[:, None] - j[None, :]) % side
+    if len(shape) == 1:
+        return d
+    n = side * side
+    return (d[:, None, :, None] * side + d[None, :, None, :]).reshape(n, n)
+
+
+def _lattice_gram(kernel: K.KernelSpec, funcs: FunctionalSet, shape):
+    """The gram of funcs on the lattice ``shape``, gathered from its generating columns.
+
+    The generating column of an upper block pair (a, b) is
+    theta_ab(x_i - x_0), one ``kernels.CrossTables`` against the first
+    point, so local entries stay closed form and J5 entries take the mode
+    features of n x 1 pairs.  Block (a, b) is the column gathered at the
+    offsets x_i - x_j; block (b, a) reads theta_ba(d) := theta_ab(-d) and a
+    diagonal block the even part of its column, so the result is exactly
+    symmetric.  Its local blocks equal ``assemble_gram``'s per-block
+    assembly entry for entry; its J5 blocks agree with it up to round-off.
+    """
+    X = funcs.blocks[0][1]
+    ops = funcs.operator_tags
+    tables = K.CrossTables(kernel, X, X[:1], ops, ops)
+    index = _circulant_index(shape)
+    neg = index[0]
+    sls = funcs.slices
+    out = np.empty((funcs.size, funcs.size))
+    for a, op_a in enumerate(ops):
+        for b in range(a, len(ops)):
+            col = tables.op_matrix(op_a, ops[b])[:, 0]
+            if a == b:
+                out[sls[a], sls[a]] = (0.5 * (col + col[neg]))[index]
+            else:
+                out[sls[a], sls[b]] = col[index]
+                out[sls[b], sls[a]] = col[neg][index]
+    return out
+
+
 def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
     """Diagonal of the block nugget R: each block scaled by its mean gram diagonal."""
     if eta <= 0:
@@ -182,15 +268,16 @@ def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
 
 @dataclass
 class GramFactor:
-    """Cholesky factor of the nugget-regularized gram matrix, or of a larger one it leads.
+    """Dense Cholesky factor of the nugget-regularized gram matrix, or of a larger one it leads.
 
-    ``chol`` is the lower Cholesky factor of a matrix whose leading
-    ``size`` x ``size`` block is ``regularized``.  The factor of a leading
-    principal block is the leading block of the full factor, so a functional
-    set whose blocks lead another's reads the other's factor
-    (``build_gram_factors``): its ``regularized`` is a view of the leading
-    block, and its solves run on the whole factor with zeros below the
-    vector, cut to its first ``size`` entries.
+    The route of a gram that is not on one full lattice (else
+    ``LatticeFactor``).  ``chol`` is the lower Cholesky factor of a matrix
+    whose leading ``size`` x ``size`` block is ``regularized``.  The factor
+    of a leading principal block is the leading block of the full factor,
+    so a functional set whose blocks lead another's reads the other's
+    factor (``build_gram_factors``): its ``regularized`` is a view of the
+    leading block, and its solves run on the whole factor with zeros below
+    the vector, cut to its first ``size`` entries.
     """
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
@@ -240,7 +327,96 @@ class GramFactor:
         return float(y @ y)
 
 
-def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFactor:
+@dataclass
+class LatticeFactor:
+    """Per-frequency Cholesky factors of a block-circulant regularized gram.
+
+    On a lattice of n points every block pair's gram block is circulant in
+    the lattice offset, so the DFT over the lattice splits the regularized
+    gram into one Hermitian block Lambda(q) per frequency q, of the order of
+    the operator count.  ``chol`` holds their lower Cholesky factors, each
+    of order ``ops`` or more (a lead factor reads the leading ``ops`` x
+    ``ops`` block of each, the factor of its leading block).  ``solve`` and
+    ``quadratic_form`` are an FFT over the lattice, per-frequency triangular
+    solves and, for ``solve``, an inverse FFT.  ``regularized`` is the
+    gram itself, which the residual-side inner step reads.
+    """
+
+    qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
+    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
+    regularized: np.ndarray
+    chol: np.ndarray  # (n, p, p) complex lower triangular, p >= ops
+    shape: tuple  # the lattice: (side,) or (side, side), n points
+    assembly_seconds: float
+    cholesky_seconds: float
+
+    @property
+    def size(self) -> int:
+        return self.regularized.shape[0]
+
+    @property
+    def ops(self) -> int:
+        return self.size // self.chol.shape[0]
+
+    def leading(self, n: int) -> "LatticeFactor":
+        """The factor of the leading n x n block, n whole blocks of the lattice; it reports no time."""
+        if n % self.chol.shape[0]:
+            raise LengthMismatch(f"{n} rows are not whole blocks of {self.chol.shape[0]} points")
+        return LatticeFactor(
+            regularized=self.regularized[:n, :n],
+            chol=self.chol,
+            shape=self.shape,
+            assembly_seconds=0.0,
+            cholesky_seconds=0.0,
+        )
+
+    def _lower_spectrum(self, v):
+        """L(q)^{-1} v^(q) per frequency q, (n, ops, columns), v^ the lattice DFT of v's blocks."""
+        if np.shape(v)[0] != self.size:
+            raise LengthMismatch(f"vector length {np.shape(v)[0]} vs factor size {self.size}")
+        p = self.ops
+        x = np.asarray(v, dtype=float).reshape(p, *self.shape, -1)
+        xh = np.fft.fftn(x, axes=_lattice_axes(self.shape))
+        xh = xh.reshape(p, -1, xh.shape[-1]).transpose(1, 0, 2)
+        return _lower_solve(self.chol[:, :p, :p], xh)
+
+    def solve(self, v):
+        """(Theta + eta R)^{-1} v, frequency by frequency."""
+        p = self.ops
+        x = _lower_solve(self.chol[:, :p, :p], self._lower_spectrum(v), adjoint=True)
+        x = x.transpose(1, 0, 2).reshape(p, *self.shape, -1)
+        out = np.fft.ifftn(x, axes=_lattice_axes(self.shape)).real
+        return np.ascontiguousarray(out).reshape(np.shape(v))
+
+    def quadratic_form(self, v) -> float:
+        """v^T (Theta + eta R)^{-1} v = sum_q |L(q)^{-1} v^(q)|^2 / n, by Parseval."""
+        y = self._lower_spectrum(v)
+        return float(np.vdot(y, y).real) / self.chol.shape[0]
+
+
+def _lattice_axes(shape) -> tuple:
+    """The lattice axes of an array (blocks, *shape, ...)."""
+    return tuple(range(1, 1 + len(shape)))
+
+
+def _lower_solve(chol, b, adjoint=False):
+    """L(q)^{-1} b(q), or L(q)^{-H} b(q), for every frequency q, by substitution.
+
+    ``chol`` is (n, p, p) lower triangular and b (n, p, columns); each step
+    solves one row for every frequency at once.
+    """
+    x = np.empty_like(b)
+    p = b.shape[1]
+    for j in reversed(range(p)) if adjoint else range(p):
+        if adjoint:
+            acc = b[:, j] - np.einsum("fk,fkc->fc", chol[:, j + 1 :, j].conj(), x[:, j + 1 :])
+        else:
+            acc = b[:, j] - np.einsum("fk,fkc->fc", chol[:, j, :j], x[:, :j])
+        x[:, j] = acc / chol[:, j, j, None]
+    return x
+
+
+def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None):
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
     LAPACK factors a C-ordered copy in place, through its Fortran-ordered
@@ -249,8 +425,24 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFa
     ``ValueError`` before LAPACK sees it; a matrix that is not positive
     definite raises ``NotPositiveDefinite`` naming the order of the first
     leading minor that is not.
+
+    With ``lattice`` (``lattice_shape``), matrix is a block-circulant gram
+    on that lattice, such as ``assemble_gram`` gathers, and only the first
+    column of each block is read: its DFT over the lattice gives the block
+    Lambda(q) of each frequency, which is factored instead
+    (``LatticeFactor``).  The order then counts in the frequency-major
+    block diagonal of those blocks.
     """
     t0 = time.perf_counter()
+    if lattice is not None:
+        chol = _frequency_cholesky(matrix, lattice)
+        return LatticeFactor(
+            regularized=matrix,
+            chol=chol,
+            shape=tuple(lattice),
+            assembly_seconds=assembly_seconds,
+            cholesky_seconds=time.perf_counter() - t0,
+        )
     if not np.isfinite(matrix).all():
         raise ValueError("array must not contain infs or NaNs")
     copy = np.array(matrix, order="C")
@@ -263,14 +455,50 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0) -> GramFa
     )
 
 
-def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float) -> GramFactor:
-    """Assemble, nugget-regularize and factor in one step."""
+def _frequency_cholesky(matrix: np.ndarray, lattice) -> np.ndarray:
+    """Lower Cholesky factors (n, p, p) of the DFT blocks Lambda(q) of a block-circulant matrix.
+
+    Entry (a, i, b) of the first columns of the p x p blocks is
+    theta_ab(x_i), and its DFT over the lattice axes is Lambda(q)[a, b].
+    """
+    n = math.prod(lattice)
+    p = matrix.shape[0] // n
+    columns = matrix[:, ::n].reshape(p, *lattice, p)
+    spectrum = np.fft.fftn(columns, axes=_lattice_axes(lattice))
+    spectrum = spectrum.reshape(p, n, p).transpose(1, 0, 2)
+    if not np.isfinite(spectrum).all():
+        raise ValueError("array must not contain infs or NaNs")
+    try:
+        return np.linalg.cholesky(spectrum)
+    except np.linalg.LinAlgError:
+        for q, block in enumerate(spectrum):
+            info = lapack_info("zpotrf", lapack.zpotrf(block, lower=1)[1])
+            if info:
+                raise NotPositiveDefinite(q * p + info) from None
+        raise
+
+
+def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float):
+    """Assemble, nugget-regularize and factor in one step; on a full lattice, per frequency.
+
+    ``lattice_shape`` picks the route from the points alone: a set on one
+    full lattice under a periodic kernel gets a ``LatticeFactor``, any other
+    a dense ``GramFactor``.  The nugget is constant along each block's
+    diagonal, so it keeps a lattice gram block-circulant.
+    """
     t0 = time.perf_counter()
-    gram = assemble_gram(kernel, funcs)
+    lattice = lattice_shape(kernel, funcs)
+    gram = assemble_gram(kernel, funcs, lattice)
     r = build_nugget(gram, funcs, eta)
+    if lattice is not None:
+        # the gather evicts pocketfft's and LAPACK's code from the caches;
+        # reloading it on a four-point lattice charges that to the assembly,
+        # so the factorization's time follows the lattice size (as ``_qr_svd``
+        # does for its SVD)
+        _frequency_cholesky(np.eye(4), (4,) if len(lattice) == 1 else (2, 2))
     assembly = time.perf_counter() - t0
     gram[np.diag_indices_from(gram)] += eta * r
-    return cholesky_factor(gram, assembly_seconds=assembly)
+    return cholesky_factor(gram, assembly_seconds=assembly, lattice=lattice)
 
 
 def _leads(a: FunctionalSet, b: FunctionalSet) -> bool:
@@ -288,8 +516,8 @@ def build_gram_factors(kernel: K.KernelSpec, funcs, eta: float) -> list:
     gram is, entry for entry, the leading block of the other's: the block
     nugget is each block's own mean diagonal.  Then only the larger set is
     assembled and factored, and the smaller one reads the leading block of
-    that factor (``GramFactor.leading``).  Otherwise each set is factored
-    on its own.
+    that factor (``GramFactor.leading``, ``LatticeFactor.leading``).
+    Otherwise each set is factored on its own.
     """
     for small, large in ((0, 1), (1, 0)):
         if _leads(funcs[small], funcs[large]):

@@ -310,12 +310,10 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     array of the field weights or of their evaluation
     (``kernels.mode_table_bytes``): at the collocation and held-out points
     with every operator of a field, and on the grid with the field's values
-    alone.  The mode features are built only on the J5 path of points that
-    are not a lattice (``grid_sampling: false``); a lattice's J5 path holds
-    about M x n complex entries per axis, plus a table and an index no
-    larger than a block.  The bound counts the features whichever path
-    runs, so a config passes or fails it alike with both samplers.  Raises
-    ``BadGrid`` when sigma needs more than ``kernels.MAX_MODES`` modes.
+    alone.  Every J5 gram block is built from the mode features of its
+    points, with either sampler: on a lattice they serve its generating
+    columns, on random points the whole blocks.  Raises ``BadGrid`` when
+    sigma needs more than ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
     n = kernel.n_modes

@@ -29,7 +29,7 @@ from . import features as F
 from . import kernels as K
 from .collocation import FunctionalSet
 from .errors import EmptyGrid
-from .linsys import FeatureFactor, GramFactor, ridge_coefficients
+from .linsys import FeatureFactor, GramFactor, LatticeFactor, ridge_coefficients
 from .optimizer import SolverState
 from .problems import ProblemSpec, interior_residual_batch
 
@@ -112,8 +112,8 @@ class FfField:
 
 def gp_reconstruct(
     state: SolverState,
-    factor_u: GramFactor,
-    factor_m: GramFactor,
+    factor_u: GramFactor | LatticeFactor,
+    factor_m: GramFactor | LatticeFactor,
     kernel: K.KernelSpec,
     phi: FunctionalSet,
     psi: FunctionalSet,

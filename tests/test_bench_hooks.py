@@ -36,9 +36,16 @@ SPANS = {
 
 # mfg1d_ff's inner step takes the feature side (k = 13 + 13 + 1 = 27 feature
 # columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and takes the
-# residual-side Cholesky step on F F^T + mu I, as a GP run does
+# residual-side Cholesky step on F F^T + mu I, as a GP run does.  The torus
+# GP runs on a lattice (mfg1d_gp, nonlocal2d_gp) factor their gram per
+# Fourier frequency; mfg1d_gp_random, on random points, by a dense Cholesky
 CONFIGS = {
     "mfg1d_gp": {"problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2},
+    "mfg1d_gp_random": {
+        "problem": "mfg1d", "method": "gp", "M": 32, "beta": 1e6, "max_iters": 2,
+        "grid_sampling": False,
+    },
+    "nonlocal2d_gp": {"problem": "nonlocal2d", "method": "gp", "M": 16, "max_iters": 1},
     "mfg1d_ff": {"problem": "mfg1d", "method": "ff", "M": 32, "N": 6, "beta": 1e6, "max_iters": 2},
     "mfg1d_ff_dense": {
         "problem": "mfg1d", "method": "ff", "M": 8, "N": 6, "beta": 1e6, "max_iters": 2,

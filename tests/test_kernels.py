@@ -261,9 +261,8 @@ def _lattice(t, x):
 @pytest.mark.parametrize("points", ["lattice", "two_lattices", "random"])
 def test_nonlocal_cross_matrix_matches_direct_sum(points):
     """J5 blocks against the direct DFT at the kernel's own mode count, every
-    (op, J5) and (J5, op): the lattices take the per-axis pair tables (one
-    lattice as both sets, and two different lattices), the random points
-    the mode-feature GEMM."""
+    (op, J5) and (J5, op), all by the mode-feature GEMM: one lattice as both
+    sets, two different lattices, and random points."""
     k = K.periodic_kernel_2d(0.5)
     if points == "lattice":
         X = Y = _lattice(np.arange(6) / 6.0, np.arange(6) / 6.0)

@@ -60,32 +60,6 @@ def test_gram_with_shared_tables_equals_per_block_assembly(problem):
             np.testing.assert_array_equal(G[psi.slices[i], psi.slices[j]], B, err_msg=(op_i, op_j))
 
 
-def test_lattice_j5_blocks_skip_the_mode_feature_gemm(monkeypatch):
-    """psi's J5 blocks on a 20 x 20 lattice come from the per-axis pair tables
-    and build no mode features; on random points the GEMM builds them, once
-    for the one point set."""
-    spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
-    features = K._mode_features
-
-    def refuse(k, X):
-        raise AssertionError("mode features built for a lattice")
-
-    monkeypatch.setattr(K, "_mode_features", refuse)
-    _, psi = C.build_functionals(spec, C.sample_uniform_grid(2, 400))
-    L.assemble_gram(kernel, psi)
-
-    calls = []
-
-    def counted(k, X):
-        calls.append(X.shape[0])
-        return features(k, X)
-
-    monkeypatch.setattr(K, "_mode_features", counted)
-    _, psi = C.build_functionals(spec, C.sample_uniform_random(2, 30, 0))
-    L.assemble_gram(kernel, psi)
-    assert calls == [30]
-
-
 # -- one factor for a pair of functional sets, one leading the other ---------
 
 CONFIGS = Path(__file__).resolve().parents[1] / "src" / "mfgsolvers" / "configs"
@@ -154,6 +128,126 @@ def test_lead_factor_equals_a_standalone_factor(name):
             lead.solve(bad)
         with pytest.raises(LengthMismatch):
             lead.quadratic_form(bad)
+
+
+# -- a functional set on one full lattice: the gram factored per frequency ----
+
+LATTICE_SETS = ["mfg1d_gp", "nonlocal2d_gp_nu1", "small2d"]
+
+
+def _lattice_set(name):
+    """(kernel, funcs, eta): the larger set of a bundled GP config, or nonlocal2d's
+    psi, whose five operators include J5, on a 6 x 6 lattice."""
+    if name == "small2d":
+        _, psi = C.build_functionals(P.make_nonlocal_2d(1.0), C.sample_uniform_grid(2, 36))
+        return K.periodic_kernel_2d(0.5), psi, 1e-6
+    kernel, funcs, eta = _gp_pair(name)
+    return kernel, max(funcs, key=lambda f: f.size), eta
+
+
+@pytest.mark.parametrize("name", LATTICE_SETS)
+def test_lattice_gram_is_symmetric_and_the_per_block_assembly(name):
+    """The lattice route's regularized gram is exactly symmetric.  Its local
+    blocks equal assemble_gram's per-block assembly entry for entry, and its
+    J5 blocks (GEMMs over n x 1 instead of n x n point pairs) are within
+    1e-14 of it, relative to the largest entry."""
+    kernel, funcs, eta = _lattice_set(name)
+    fac = L.build_gram_factor(kernel, funcs, eta)
+    assert isinstance(fac, L.LatticeFactor)
+    G = fac.regularized
+    assert np.array_equal(G, G.T)
+    dense = L.assemble_gram(kernel, funcs)
+    dense[np.diag_indices_from(dense)] += eta * L.build_nugget(dense, funcs, eta)
+    assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
+    for i, (op_i, _) in enumerate(funcs.blocks):
+        for j, (op_j, _) in enumerate(funcs.blocks):
+            if K.J5 not in (op_i, op_j):
+                block = (funcs.slices[i], funcs.slices[j])
+                np.testing.assert_array_equal(G[block], dense[block], err_msg=(op_i, op_j))
+
+
+@pytest.mark.parametrize("name", LATTICE_SETS)
+def test_lattice_factor_agrees_with_a_dense_cholesky_of_its_gram(name):
+    """solve (vector and matrix right-hand sides) and quadratic_form against
+    the dense route on the factor's own regularized gram Theta, to 1e-8.
+
+    For v = Theta w, the functional values of a field in the gram's span,
+    the solves agree in Theta's norm and the quadratic forms relatively.  A
+    random v agrees entry by entry, except on nonlocal2d_gp_nu1: there
+    cond(Theta) is about 2e15 (nugget 1e-8), and any two backward-stable
+    solves of a random v differ by up to cond(Theta) eps, 1.5e-6 as measured,
+    so there the lattice solve is held to its backward error alone."""
+    kernel, funcs, eta = _lattice_set(name)
+    fac = L.build_gram_factor(kernel, funcs, eta)
+    theta = fac.regularized
+    dense = L.cholesky_factor(theta)
+    assert isinstance(dense, L.GramFactor)
+    rng = np.random.default_rng(9)
+    W = rng.standard_normal((fac.size, 3))
+    for b in (theta @ W[:, 0], theta @ W):
+        got, want = fac.solve(b), dense.solve(b)
+        assert got.shape == want.shape
+        e, w = (x.reshape(fac.size, -1) for x in (got - want, want))
+        err, norm = (np.einsum("ic,ij,jc->c", x, theta, x) for x in (e, w))
+        assert np.all(err <= 1e-16 * norm)  # 1e-8 in the norm, squared
+    v = theta @ W[:, 0]
+    assert fac.quadratic_form(v) == pytest.approx(dense.quadratic_form(v), rel=1e-8)
+
+    v, V = W[:, 1], W[:, 1:]
+    x = fac.solve(v)
+    backward = np.linalg.norm(theta @ x - v) / (
+        np.linalg.norm(theta, 1) * np.linalg.norm(x) + np.linalg.norm(v)
+    )
+    assert backward <= 1e-15  # measured at most 2e-20
+    if name != "nonlocal2d_gp_nu1":
+        for b in (v, V):
+            got, want = fac.solve(b), dense.solve(b)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8 * np.abs(want).max())
+        assert fac.quadratic_form(v) == pytest.approx(dense.quadratic_form(v), rel=1e-8)
+
+
+def test_a_frequency_block_that_is_not_positive_definite_raises():
+    """Theta - c I on a 16-point lattice keeps the gram block-circulant and
+    moves every frequency block's eigenvalues down by c: with c the median of
+    their smallest eigenvalues, the first frequency below it fails, and the
+    pivot counts in the frequency-major block diagonal."""
+    _, psi = C.build_functionals(SPEC_1D, C.sample_uniform_grid(1, 16))
+    fac = L.build_gram_factor(K.periodic_kernel_1d(0.6), psi, 1e-6)
+    blocks = fac.chol @ fac.chol.conj().transpose(0, 2, 1)
+    smallest = np.linalg.eigvalsh(blocks)[:, 0]
+    c = float(np.median(smallest))
+    bad = fac.regularized - c * np.eye(fac.size)
+    with pytest.raises(NotPositiveDefinite) as exc:
+        L.cholesky_factor(bad, lattice=fac.shape)
+    first = int(np.flatnonzero(smallest < c)[0])
+    assert (exc.value.pivot - 1) // fac.ops == first
+    with pytest.raises(NotPositiveDefinite):
+        L.cholesky_factor(bad)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        L.cholesky_factor(np.full_like(bad, np.nan), lattice=fac.shape)
+
+
+def _off_lattice(case):
+    """(kernel, funcs) on points that are not one full torus lattice in the sampler's order."""
+    spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
+    lattice = C.sample_uniform_grid(2, 36).interior
+    if case == "planning":
+        _, psi = C.build_functionals(P.make_planning(), C.sample_planning_grid(24, 4, 4))
+        return K.anisotropic_kernel(0.45, 0.71), psi
+    pts = {
+        "random": C.sample_uniform_random(2, 36, 0).interior,
+        "shuffled": lattice[np.random.default_rng(1).permutation(36)],
+        "partial": lattice[:25],  # a square count, but not the 5 x 5 lattice
+    }[case]
+    _, psi = C.build_functionals(spec, C.CollocationSet(interior=pts, boundary=np.zeros((0, 2))))
+    return kernel, psi
+
+
+@pytest.mark.parametrize("case", ["random", "shuffled", "partial", "planning"])
+def test_sets_off_one_full_lattice_take_the_dense_route(case):
+    kernel, funcs = _off_lattice(case)
+    assert L.lattice_shape(kernel, funcs) is None
+    assert isinstance(L.build_gram_factor(kernel, funcs, 1e-6), L.GramFactor)
 
 
 def test_nugget_is_blockwise_constant_mean_diagonal():
