@@ -16,7 +16,7 @@ script alike.
 
 Exit codes: 0 success; 2 a bad config or flag (output paths, and whether the
 two ``compare`` configs name one problem, are checked before anything runs),
-naming it; 3 a numerical failure or any other ``MfgError``.
+naming it; 3 a numerical failure, any other ``MfgError`` or a refused allocation.
 """
 
 from __future__ import annotations
@@ -178,6 +178,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except MfgError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

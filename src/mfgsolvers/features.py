@@ -9,11 +9,14 @@ operator (1 - Lap)^{-2} acts diagonally since the features are its
 eigenfunctions.  Both come from ``kernels.op_symbol``, the one description
 of what an operator does to a Fourier mode, which the GP spectrum reads too.
 
-The solve uses the feature matrices themselves (``eval_feature_ops``).  A
-field, a fixed combination of the features, never needs them: each operator
-folds into one sin and one cos weight per distinct frequency, and
-``eval_feature_sum`` evaluates every operator as one product of a chunk's
-[sin | cos] table with those weights (the random-features identity).
+Both evaluators read one table, [sin | cos] of the points against the
+distinct frequency rows (the sin and cos features of a pair share a row),
+and one rule, ``_turned``: under an operator each feature is a signed
+multiple of one column of that table.  The solve gathers those columns into
+the feature matrices (``eval_feature_op``).  A field, a fixed combination
+of the features, never needs them: each operator folds into one weight per
+column, and ``eval_feature_sum`` evaluates every operator as one product of
+a chunk's table with those weights (the random-features identity).
 """
 
 from __future__ import annotations
@@ -152,33 +155,6 @@ def _op_action(basis: FeatureBasis, op: str):
     return K.op_symbol(basis.axes, op, basis.frequencies)
 
 
-def eval_feature_ops(basis: FeatureBasis, ops, X) -> list:
-    """(n_points, count) matrices of each of ``ops`` applied to the features at X."""
-    X = _as_points(basis, X)
-    theta = X @ basis.frequencies.T  # (n, count)
-    s, c = np.sin(theta), np.cos(theta)
-    sin_sel = basis.phases == SIN
-
-    def trig(shift):
-        # value of the feature's trig function advanced by `shift` quarter turns
-        out = np.empty_like(theta)
-        cyc = [(s, c), (c, -s), (-s, -c), (-c, s)][shift % 4]
-        out[:, sin_sel] = cyc[0][:, sin_sel]
-        out[:, ~sin_sel] = cyc[1][:, ~sin_sel]
-        return out
-
-    out = []
-    for op in ops:
-        shift, mult, div = _op_action(basis, op)
-        out.append(trig(shift) * mult / div * basis.scales[None, :])
-    return out
-
-
-def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
-    """(n_points, count) matrix of ``op`` applied to each feature at each point of X."""
-    return eval_feature_ops(basis, (op,), X)[0]
-
-
 # points per chunk of ``eval_feature_sum``: its buffers are 3 x _SUM_CHUNK x
 # (distinct frequencies) float64, 14.7 MB for planning's 1200 frequency rows.
 # On planning's 32768-point grid (2-vCPU Xeon VM, one BLAS thread) 128 to
@@ -190,35 +166,67 @@ _SIN_PART = np.array([1.0, 0.0, -1.0, 0.0])
 _COS_PART = np.array([0.0, 1.0, 0.0, -1.0])
 
 
+def _distinct_rows(basis: FeatureBasis):
+    """The distinct frequency rows Omega of the basis and the row of each feature."""
+    freqs, index = np.unique(basis.frequencies, axis=0, return_inverse=True)
+    return freqs, index.reshape(-1)
+
+
+def _turned(basis: FeatureBasis, op: str, index, k: int):
+    """``op`` on each feature: (column, sign, mult, div).
+
+    The sin or the cos part of each feature under ``op`` is zero, so it is
+    sign mult / div scale times one column of [sin | cos](X Omega^T).
+    """
+    shift, mult, div = _op_action(basis, op)
+    q = (basis.phases + shift) % 4
+    column = np.where(_COS_PART[q] == 0.0, index, index + k)
+    return column, _SIN_PART[q] + _COS_PART[q], mult, div
+
+
+def _trig_table(X, freqs, theta, out):
+    """[sin | cos](X Omega^T) into ``out``, through the scratch ``theta``."""
+    np.sin(np.matmul(X, freqs.T, out=theta), out=out[:, : freqs.shape[0]])
+    np.cos(theta, out=out[:, freqs.shape[0] :])
+    return out
+
+
+def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
+    """(n_points, count) matrix of ``op`` applied to each feature at each point of X.
+
+    sin and cos are taken once per distinct frequency row, and each feature
+    gathers its column of that table (``_turned``); the matrix is C-ordered.
+    """
+    X = _as_points(basis, X)
+    freqs, index = _distinct_rows(basis)
+    n, k = X.shape[0], freqs.shape[0]
+    trig = _trig_table(X, freqs, np.empty((n, k)), np.empty((n, 2 * k)))
+    column, sign, mult, div = _turned(basis, op, index, k)
+    return np.take(trig, column, axis=1) * (sign * mult) / div * basis.scales
+
+
 def eval_feature_sum(basis: FeatureBasis, coeffs, ops, X) -> np.ndarray:
     """(n_points, len(ops)): each of ``ops`` applied to sum_j coeffs_j zeta_j at X.
 
-    A feature is scale * sin(omega.x) advanced by its phase (SIN = 0 or
-    COS = 1 quarter turns), and ``op`` advances it further and multiplies it
-    by ``_op_action``.  So each operator folds into one sin and one cos weight
-    per distinct frequency row Omega, and all of them are one GEMM
-    [sin | cos](X Omega^T) @ weights per chunk of ``_SUM_CHUNK`` points; no
-    points x features matrix is formed.
+    Each feature under each operator is a signed multiple of one column of
+    the [sin | cos](X Omega^T) table (``_turned``), so each operator folds
+    into one weight per column, and all of them are one GEMM of the table
+    with the weights per chunk of ``_SUM_CHUNK`` points; no points x
+    features matrix is formed.
     """
     X = _as_points(basis, X)
-    freqs, index = np.unique(basis.frequencies, axis=0, return_inverse=True)
-    index = index.reshape(-1)
+    freqs, index = _distinct_rows(basis)
     k = freqs.shape[0]
     weights = np.zeros((2 * k, len(ops)))
     for j, op in enumerate(ops):
-        shift, mult, div = _op_action(basis, op)
-        w = coeffs * basis.scales * mult / div
-        q = (basis.phases + shift) % 4
-        np.add.at(weights[:, j], index, w * _SIN_PART[q])
-        np.add.at(weights[:, j], index + k, w * _COS_PART[q])
+        column, sign, mult, div = _turned(basis, op, index, k)
+        np.add.at(weights[:, j], column, coeffs * basis.scales * mult / div * sign)
     n = X.shape[0]
     out = np.empty((n, len(ops)))
     theta = np.empty((min(n, _SUM_CHUNK), k))
     trig = np.empty((theta.shape[0], 2 * k))
     for lo in range(0, n, _SUM_CHUNK):
         c = min(_SUM_CHUNK, n - lo)
-        np.matmul(X[lo : lo + c], freqs.T, out=theta[:c])
-        np.sin(theta[:c], out=trig[:c, :k])
-        np.cos(theta[:c], out=trig[:c, k:])
+        _trig_table(X[lo : lo + c], freqs, theta[:c], trig[:c])
         np.matmul(trig[:c], weights, out=out[lo : lo + c])
     return out

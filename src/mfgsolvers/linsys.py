@@ -5,8 +5,10 @@ factors it; the FF path keeps a thin SVD of the feature matrix, so that
 (A A^T + mu I)^{-1} is applied spectrally and no matrix the size of the
 functional count is factored.  The thin SVD is taken as a Householder QR,
 whose cost grows with the functional count, plus an SVD of the small
-triangular factor, whose cost does not (``_qr_svd``).  Each factor applies
-its quadratic form; the inner step of ``optimizer`` reads the inverse of the
+triangular factor, whose cost does not (``_qr_svd``); its quadratic form,
+inverse and ridge coefficients share one projection onto the left singular
+vectors (``FeatureFactor._project``).  Each factor applies its quadratic
+form; the inner step of ``optimizer`` reads the inverse of the
 quadratic-form matrix from the factor itself: ``regularized``, the
 regularized gram or A A^T + mu I (formed on each access, only by systems
 with at least as many features as residual rows, which hold it for one
@@ -31,12 +33,12 @@ is the leading block of the other's, and the Cholesky factor of a leading
 block is the leading block of the full factor.  ``build_gram_factors`` then
 assembles, regularizes and factors the larger set alone, and the smaller
 set's factor reads that factor: its ``regularized`` is a view of the
-leading block.  On a lattice that is the leading operators of each
-frequency's factor; on the dense route it is the whole factor, solved at
-its full order.  On nonlocal2d phi's (id, dx, dy, lap) lead psi's (id, dx,
-dy, lap, j5), and on mfg1d psi's (id, dx) lead phi's (id, dx, dxx);
-planning's psi starts with its boundary blocks, so each of its sets keeps a
-factor.
+leading block.  On a lattice its factor is a copy of the leading operators'
+block of each frequency's factor; on the dense route it is the whole
+factor, solved at its full order.  On nonlocal2d phi's (id, dx, dy, lap)
+lead psi's (id, dx, dy, lap, j5), and on mfg1d psi's (id, dx) lead phi's
+(id, dx, dxx); planning's psi starts with its boundary blocks, so each of
+its sets keeps a factor.
 
 The feature-side inner step of ``optimizer`` solves (S + U U^T) y = c with
 S block diagonal per point up to a few dense rows: ``ArrowCholesky`` factors
@@ -77,7 +79,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -267,7 +269,27 @@ def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
 
 
 @dataclass
-class GramFactor:
+class _Factored:
+    """A factored nugget-regularized gram: the gram, its factor and their seconds."""
+
+    qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
+    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
+    regularized: np.ndarray
+    chol: np.ndarray
+    assembly_seconds: float
+    cholesky_seconds: float
+
+    @property
+    def size(self) -> int:
+        return self.regularized.shape[0]
+
+    def _check(self, v):
+        if np.shape(v)[0] != self.size:
+            raise LengthMismatch(f"vector length {np.shape(v)[0]} vs factor size {self.size}")
+
+
+@dataclass
+class GramFactor(_Factored):
     """Dense Cholesky factor of the nugget-regularized gram matrix, or of a larger one it leads.
 
     The route of a gram that is not on one full lattice (else
@@ -280,29 +302,11 @@ class GramFactor:
     the vector, cut to its first ``size`` entries.
     """
 
-    qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
-    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
-    regularized: np.ndarray
-    chol: np.ndarray  # lower triangular, of order size or more
-    assembly_seconds: float
-    cholesky_seconds: float
-
-    @property
-    def size(self) -> int:
-        return self.regularized.shape[0]
-
     def leading(self, n: int) -> "GramFactor":
         """The factor of the leading n x n block, sharing this one's arrays; it reports no time."""
-        return GramFactor(
-            regularized=self.regularized[:n, :n],
-            chol=self.chol,
-            assembly_seconds=0.0,
-            cholesky_seconds=0.0,
+        return replace(
+            self, regularized=self.regularized[:n, :n], assembly_seconds=0.0, cholesky_seconds=0.0
         )
-
-    def _check(self, v):
-        if np.shape(v)[0] != self.size:
-            raise LengthMismatch(f"vector length {np.shape(v)[0]} vs factor size {self.size}")
 
     def _forward(self, v):
         """L^{-1} [v; 0] on the whole factor: its first ``size`` rows are the block's solve."""
@@ -328,63 +332,49 @@ class GramFactor:
 
 
 @dataclass
-class LatticeFactor:
+class LatticeFactor(_Factored):
     """Per-frequency Cholesky factors of a block-circulant regularized gram.
 
     On a lattice of n points every block pair's gram block is circulant in
     the lattice offset, so the DFT over the lattice splits the regularized
-    gram into one Hermitian block Lambda(q) per frequency q, of the order of
-    the operator count.  ``chol`` holds their lower Cholesky factors, each
-    of order ``ops`` or more (a lead factor reads the leading ``ops`` x
-    ``ops`` block of each, the factor of its leading block).  ``solve`` and
-    ``quadratic_form`` are an FFT over the lattice, per-frequency triangular
-    solves and, for ``solve``, an inverse FFT.  ``regularized`` is the
-    gram itself, which the residual-side inner step reads.
+    gram into one Hermitian block Lambda(q) per frequency q, of the order p
+    of the operator count.  ``chol`` (n, p, p) holds their lower Cholesky
+    factors; a lead factor holds a copy of the leading block of each, the
+    factor of its leading block.  ``solve`` and ``quadratic_form`` are an FFT
+    over the lattice, per-frequency triangular solves and, for ``solve``, an
+    inverse FFT.  ``regularized`` is the gram itself, which the
+    residual-side inner step reads.
     """
 
-    qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
-    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
-    regularized: np.ndarray
-    chol: np.ndarray  # (n, p, p) complex lower triangular, p >= ops
     shape: tuple  # the lattice: (side,) or (side, side), n points
-    assembly_seconds: float
-    cholesky_seconds: float
-
-    @property
-    def size(self) -> int:
-        return self.regularized.shape[0]
-
-    @property
-    def ops(self) -> int:
-        return self.size // self.chol.shape[0]
 
     def leading(self, n: int) -> "LatticeFactor":
         """The factor of the leading n x n block, n whole blocks of the lattice; it reports no time."""
-        if n % self.chol.shape[0]:
-            raise LengthMismatch(f"{n} rows are not whole blocks of {self.chol.shape[0]} points")
-        return LatticeFactor(
+        points = self.chol.shape[0]
+        if n % points:
+            raise LengthMismatch(f"{n} rows are not whole blocks of {points} points")
+        p = n // points
+        return replace(
+            self,
             regularized=self.regularized[:n, :n],
-            chol=self.chol,
-            shape=self.shape,
+            chol=self.chol[:, :p, :p].copy(),
             assembly_seconds=0.0,
             cholesky_seconds=0.0,
         )
 
     def _lower_spectrum(self, v):
         """L(q)^{-1} v^(q) per frequency q, (n, ops, columns), v^ the lattice DFT of v's blocks."""
-        if np.shape(v)[0] != self.size:
-            raise LengthMismatch(f"vector length {np.shape(v)[0]} vs factor size {self.size}")
-        p = self.ops
+        self._check(v)
+        p = self.chol.shape[1]
         x = np.asarray(v, dtype=float).reshape(p, *self.shape, -1)
         xh = np.fft.fftn(x, axes=_lattice_axes(self.shape))
         xh = xh.reshape(p, -1, xh.shape[-1]).transpose(1, 0, 2)
-        return _lower_solve(self.chol[:, :p, :p], xh)
+        return _lower_solve(self.chol, xh)
 
     def solve(self, v):
         """(Theta + eta R)^{-1} v, frequency by frequency."""
-        p = self.ops
-        x = _lower_solve(self.chol[:, :p, :p], self._lower_spectrum(v), adjoint=True)
-        x = x.transpose(1, 0, 2).reshape(p, *self.shape, -1)
+        x = _lower_solve(self.chol, self._lower_spectrum(v), adjoint=True)
+        x = x.transpose(1, 0, 2).reshape(self.chol.shape[1], *self.shape, -1)
         out = np.fft.ifftn(x, axes=_lattice_axes(self.shape)).real
         return np.ascontiguousarray(out).reshape(np.shape(v))
 
@@ -566,10 +556,6 @@ class FeatureFactor:
     cholesky_seconds: float
 
     @property
-    def rows(self) -> int:
-        return self.A.shape[0]
-
-    @property
     def features(self) -> np.ndarray:
         """The feature matrix A: P^{-1} = A A^T + mu I."""
         return self.A
@@ -590,17 +576,24 @@ class FeatureFactor:
         return apply_qr_inverse(self, v)
 
     def quadratic_form(self, v) -> float:
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.rows:
-            raise LengthMismatch(f"vector length {v.shape[0]} vs {self.rows} rows")
-        w = self.q1.T @ v
+        w, perp = self._project(v)
         core = float(np.sum(w * w / (self.sing**2 + self.mu)))
-        if self.q1.shape[1] == self.rows:
-            # Q1 is square orthogonal: the complement subspace is empty, and
-            # forming (I - Q1 Q1^T) v numerically would amplify roundoff by 1/mu.
-            return core
-        perp = v - self.q1 @ w
-        return core + float(perp @ perp) / self.mu
+        return core if perp is None else core + float(perp @ perp) / self.mu
+
+    def _project(self, v, complement: bool = True):
+        """(Q1^T v, (I - Q1 Q1^T) v) for v of the factor's row count.
+
+        The complement is None unless asked for, and when Q1 is square
+        orthogonal: the complement subspace is then empty, and forming it
+        numerically would amplify roundoff by 1/mu.
+        """
+        v, rows = np.asarray(v, dtype=float), self.A.shape[0]
+        if v.shape[0] != rows:
+            raise LengthMismatch(f"vector length {v.shape[0]} vs {rows} rows")
+        w = self.q1.T @ v
+        if not complement or self.q1.shape[1] == rows:
+            return w, None
+        return w, v - self.q1 @ w
 
 
 def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:
@@ -650,22 +643,14 @@ def _reflect(h, tau, X):
 
 def apply_qr_inverse(f: FeatureFactor, v):
     """(A A^T + mu I)^{-1} v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != f.rows:
-        raise LengthMismatch(f"vector length {v.shape[0]} vs {f.rows} rows")
-    w = f.q1.T @ v
+    w, perp = f._project(v)
     core = f.q1 @ (w / (f.sing**2 + f.mu))
-    if f.q1.shape[1] == f.rows:
-        return core
-    return core + (v - f.q1 @ w) / f.mu
+    return core if perp is None else core + perp / f.mu
 
 
 def ridge_coefficients(f: FeatureFactor, v):
-    """A^T (A A^T + mu I)^{-1} v without the amplified complement term."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[0] != f.rows:
-        raise LengthMismatch(f"vector length {v.shape[0]} vs {f.rows} rows")
-    w = f.q1.T @ v
+    """A^T (A A^T + mu I)^{-1} v: A^T annihilates the complement, which is never formed."""
+    w, _ = f._project(v, complement=False)
     return f.v1 @ (w * f.sing / (f.sing**2 + f.mu))
 
 

@@ -302,10 +302,11 @@ class MfgSystem:
         """(total, quadratic, gamma * PDE, beta * normalization) of the objective at state."""
         pde = sum(float(np.sum(R**2)) for R, *_ in self._group_residuals(state))
         quad = self.quad_u.quadratic_form(state.z) + self.quad_m.quadratic_form(state.rho)
+        # squared as float64, which overflows to inf where a Python float raises
         if self.has_lam:
-            quad += state.lam**2
+            quad += np.float64(state.lam) ** 2
         norm = sum(
-            (float(np.mean((state.z if is_u else state.rho)[sl])) - target) ** 2
+            (np.mean((state.z if is_u else state.rho)[sl]) - target) ** 2
             for is_u, sl, target in self._norm_rows()
         )
         total = quad + self.gamma * pde + self.beta * norm

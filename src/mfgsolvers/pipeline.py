@@ -37,8 +37,8 @@ _FIELD_KINDS = {
     "str": (str, "must be a string"),
 }
 _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
-# cap on the largest array a torus GP run allocates, in bytes; see
-# _largest_mode_table_bytes for the arrays that grow with the kernel's mode count
+# cap in bytes on a torus GP run's mode tables (_largest_mode_table_bytes); its
+# n x n gram is not one and can be larger: 32 MB against 7 MB on nonlocal2d_gp_nu1
 MAX_MODE_TABLE_BYTES = 2**30
 
 
@@ -266,7 +266,7 @@ class ExperimentConfig:
         on_lattice = problem.sized_by_M and problem.spec(self).dim == 2 and self.grid_sampling
         if on_lattice and math.isqrt(self.M) ** 2 != self.M:
             raise ConfigError(f"M: the 2D torus lattice needs a perfect square, got {self.M}")
-        for name in ("sigma", "sigma_space", "sigma_time", "varsigma", "eta", "mu"):
+        for name in ("sigma", "sigma_space", "sigma_time", "varsigma", "nu", "eta", "mu"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
         for name in _LENGTHSCALE_FIELDS:

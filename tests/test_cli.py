@@ -138,6 +138,35 @@ def test_other_package_errors_exit_3_on_one_line(tmp_path, capsys, monkeypatch):
     assert err.count("\n") == 1 and "BadCount: odd" in err
 
 
+def test_memory_error_exits_3_on_one_line(tmp_path, capsys, monkeypatch):
+    """An allocation the machine refuses is reported, not raised as a traceback."""
+    import mfgsolvers.pipeline as PL
+
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 18.6 GiB for an array with shape (50000, 50000)")
+
+    monkeypatch.setattr(PL, "run_experiment", refuse)
+    cfg = _write_config(tmp_path, TINY)
+    assert cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")]) == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: out of memory: Unable to allocate")
+
+
+def test_overflowing_objective_exits_3(tmp_path, capsys):
+    """A start so large that its squared normalization terms overflow a float
+    is a non-finite objective, not an OverflowError."""
+    cfg = _write_config(
+        tmp_path,
+        {"problem": "mfg1d", "method": "gp", "M": 16, "init_mode": "gaussian",
+         "init_scale": 1e300, "max_iters": 2},
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["run", cfg, "--output-dir", str(tmp_path / "o")])
+    assert code == cli.EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.endswith("numerical failure: objective non-finite at iteration 0\n")
+
+
 def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, TINY)
     blocker = tmp_path / "blocker"

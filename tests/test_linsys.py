@@ -106,7 +106,8 @@ def test_nested_pair_assembles_and_factors_once(monkeypatch, name, overrides, bu
 @pytest.mark.parametrize("name", ["mfg1d_gp", "nonlocal2d_gp_nu1"])
 def test_lead_factor_equals_a_standalone_factor(name):
     """The lead set's regularized gram is its standalone one bit for bit, a
-    view of the full factor's; its solves (vector and matrix right-hand
+    view of the full factor's, and its frequency blocks are the leading
+    blocks of the full factor's; its solves (vector and matrix right-hand
     sides) and quadratic form agree to 1e-8 relative."""
     kernel, funcs, eta = _gp_pair(name)
     factors = L.build_gram_factors(kernel, funcs, eta)
@@ -115,7 +116,9 @@ def test_lead_factor_equals_a_standalone_factor(name):
     alone = L.build_gram_factor(kernel, funcs[i], eta)
     assert np.array_equal(lead.regularized, alone.regularized)
     assert np.shares_memory(lead.regularized, full.regularized)
-    assert lead.chol is full.chol and lead.cholesky_seconds == 0.0
+    p = len(funcs[i].blocks)
+    assert lead.chol.shape == (full.chol.shape[0], p, p)
+    assert np.array_equal(lead.chol, full.chol[:, :p, :p]) and lead.cholesky_seconds == 0.0
     rng = np.random.default_rng(8)
     v, V = rng.standard_normal(lead.size), rng.standard_normal((lead.size, 3))
     for b in (v, V):
@@ -220,7 +223,7 @@ def test_a_frequency_block_that_is_not_positive_definite_raises():
     with pytest.raises(NotPositiveDefinite) as exc:
         L.cholesky_factor(bad, lattice=fac.shape)
     first = int(np.flatnonzero(smallest < c)[0])
-    assert (exc.value.pivot - 1) // fac.ops == first
+    assert (exc.value.pivot - 1) // fac.chol.shape[1] == first
     with pytest.raises(NotPositiveDefinite):
         L.cholesky_factor(bad)
     with pytest.raises(ValueError, match="infs or NaNs"):
@@ -358,6 +361,22 @@ def test_feature_matrix_blocks_stack_in_layout_order():
     np.testing.assert_allclose(A[:6], F.eval_feature_op(basis, K.ID, pts.interior))
     np.testing.assert_allclose(A[6:12], F.eval_feature_op(basis, K.DX, pts.interior))
     np.testing.assert_allclose(A[12:], F.eval_feature_op(basis, K.DXX, pts.interior))
+
+
+@pytest.mark.parametrize("case", ["periodic1d", "periodic2d", "random_tx"])
+def test_feature_matrices_are_c_ordered(case):
+    """assemble_feature_matrix returns C-ordered matrices, which the
+    feature-side solve's products run faster on than Fortran-ordered ones."""
+    if case == "periodic1d":
+        spec, pts, basis = SPEC_1D, C.sample_uniform_grid(1, 8), F.build_periodic(3, 1)
+    elif case == "periodic2d":
+        spec, pts = P.make_nonlocal_2d(1.0), C.sample_uniform_grid(2, 16)
+        basis = F.build_periodic(2, 2)
+    else:
+        spec, pts = P.make_planning(), C.sample_planning(3, 30, 8, 8)
+        basis = F.sample_orthogonal_features(F.RandomFeatureSampler(2, 0.2, 0), 20)
+    for funcs in C.build_functionals(spec, pts):
+        assert L.assemble_feature_matrix(funcs, basis).flags.c_contiguous
 
 
 def test_gram_and_feature_quadratic_forms_agree_in_the_limit():

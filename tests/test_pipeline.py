@@ -74,6 +74,8 @@ def test_config_rejects_unknown_keys():
         ({"full_basis_2d": False}, "full_basis_2d"),
         ({"problem": "planning", "method": "ff", "shared_features": True}, "shared_features"),
         ({"shared_features": False}, "shared_features"),
+        ({"problem": "nonlocal2d", "method": "gp", "M": 16, "nu": 0.0}, "nu"),
+        ({"problem": "nonlocal2d", "method": "gp", "M": 16, "nu": -5}, "nu"),
     ],
 )
 def test_config_validation_names_the_field(patch, field):

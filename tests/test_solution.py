@@ -238,7 +238,8 @@ def test_ff_field_evaluation_matches_the_feature_matrices(basis):
     X = rng.random((3 * F._SUM_CHUNK + 17, basis.dim)) * 4.0 - 2.0
     f = S.FfField(rng.standard_normal(basis.count), basis)
     values = f.eval_ops(ops, X)
-    for j, (op, A) in enumerate(zip(ops, F.eval_feature_ops(basis, ops, X))):
+    for j, op in enumerate(ops):
+        A = F.eval_feature_op(basis, op, X)
         # relative to the size of the summed terms, which sets the round-off of either sum
         atol = 1e-13 * np.max(np.abs(A) @ np.abs(f.coeffs))
         for got in (values[:, j], f.eval_op(op, X)):
