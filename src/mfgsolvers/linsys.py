@@ -8,11 +8,14 @@ whose cost grows with the functional count, plus an SVD of the small
 triangular factor, whose cost does not (``_qr_svd``); its quadratic form,
 inverse and ridge coefficients share one projection onto the left singular
 vectors (``FeatureFactor._project``).  Each factor applies its quadratic
-form; the inner step of ``optimizer`` reads the inverse of the
-quadratic-form matrix from the factor itself: ``regularized``, the
-regularized gram or A A^T + mu I (formed on each access, only by systems
-with at least as many features as residual rows, which hold it for one
-solve), or the feature matrix with its ridge mu.
+form and, through ``apply_regularized``, the inverse of the quadratic-form
+matrix to vectors: the regularized gram (per lattice frequency on a
+lattice), or A A^T + mu I as A (A^T v) + mu v.  The residual-side inner
+step of ``optimizer`` also reads that inverse as a matrix, ``regularized``,
+for the block rows of its A Theta products (a feature factor forms it on
+each access, only for systems with at least as many features as residual
+rows, which hold it for their run); the feature side reads the feature
+matrix with its ridge mu.
 
 A gram is factored by one of two routes, chosen from the points alone
 (``lattice_shape``).  When the functional set lies wholly on one full torus
@@ -330,6 +333,11 @@ class GramFactor(_Factored):
         y = self._forward(v)[: self.size]
         return float(y @ y)
 
+    def apply_regularized(self, v):
+        """(Theta + eta R) v, the regularized gram applied to v."""
+        self._check(v)
+        return self.regularized @ v
+
 
 @dataclass
 class LatticeFactor(_Factored):
@@ -342,8 +350,9 @@ class LatticeFactor(_Factored):
     factors; a lead factor holds a copy of the leading block of each, the
     factor of its leading block.  ``solve`` and ``quadratic_form`` are an FFT
     over the lattice, per-frequency triangular solves and, for ``solve``, an
-    inverse FFT.  ``regularized`` is the gram itself, which the
-    residual-side inner step reads.
+    inverse FFT; ``apply_regularized`` multiplies each frequency by
+    L(q) L(q)^H instead.  ``regularized`` is the gram itself, whose block
+    rows the residual-side inner step reads.
     """
 
     shape: tuple  # the lattice: (side,) or (side, side), n points
@@ -362,25 +371,34 @@ class LatticeFactor(_Factored):
             cholesky_seconds=0.0,
         )
 
-    def _lower_spectrum(self, v):
-        """L(q)^{-1} v^(q) per frequency q, (n, ops, columns), v^ the lattice DFT of v's blocks."""
+    def _spectrum(self, v):
+        """v^(q) per frequency q, (n, ops, columns): the lattice DFT of v's blocks."""
         self._check(v)
-        p = self.chol.shape[1]
-        x = np.asarray(v, dtype=float).reshape(p, *self.shape, -1)
+        n, p = self.chol.shape[:2]
+        columns = np.shape(v)[1] if np.ndim(v) > 1 else 1
+        x = np.asarray(v, dtype=float).reshape(p, *self.shape, columns)
         xh = np.fft.fftn(x, axes=_lattice_axes(self.shape))
-        xh = xh.reshape(p, -1, xh.shape[-1]).transpose(1, 0, 2)
-        return _lower_solve(self.chol, xh)
+        return xh.reshape(p, n, columns).transpose(1, 0, 2)
 
-    def solve(self, v):
-        """(Theta + eta R)^{-1} v, frequency by frequency."""
-        x = _lower_solve(self.chol, self._lower_spectrum(v), adjoint=True)
-        x = x.transpose(1, 0, 2).reshape(self.chol.shape[1], *self.shape, -1)
+    def _from_spectrum(self, xh, v):
+        """The real vector, of v's shape, whose lattice DFT is xh (n, ops, columns)."""
+        x = xh.transpose(1, 0, 2).reshape(self.chol.shape[1], *self.shape, xh.shape[2])
         out = np.fft.ifftn(x, axes=_lattice_axes(self.shape)).real
         return np.ascontiguousarray(out).reshape(np.shape(v))
 
+    def solve(self, v):
+        """(Theta + eta R)^{-1} v, frequency by frequency."""
+        y = _lower_solve(self.chol, self._spectrum(v))
+        return self._from_spectrum(_lower_solve(self.chol, y, adjoint=True), v)
+
+    def apply_regularized(self, v):
+        """(Theta + eta R) v, frequency by frequency: Lambda(q) = L(q) L(q)^H."""
+        xh = self._spectrum(v)
+        return self._from_spectrum(self.chol @ (self.chol.conj().transpose(0, 2, 1) @ xh), v)
+
     def quadratic_form(self, v) -> float:
         """v^T (Theta + eta R)^{-1} v = sum_q |L(q)^{-1} v^(q)|^2 / n, by Parseval."""
-        y = self._lower_spectrum(v)
+        y = _lower_solve(self.chol, self._spectrum(v))
         return float(np.vdot(y, y).real) / self.chol.shape[0]
 
 
@@ -564,8 +582,8 @@ class FeatureFactor:
     def regularized(self) -> np.ndarray:
         """P^{-1} = A A^T + mu I as a rows x rows matrix, formed anew on each access.
 
-        Nothing keeps it: the optimizer's residual-side step holds it for one
-        solve, and the feature side never forms it.
+        Nothing keeps it: the optimizer's residual side holds it in its
+        workspace for one Gauss-Newton run, and the feature side never forms it.
         """
         P = self.A @ self.A.T
         P[np.diag_indices_from(P)] += self.mu
@@ -574,6 +592,11 @@ class FeatureFactor:
     def solve(self, v):
         """(A A^T + mu I)^{-1} v, the quadratic-form matrix applied to v."""
         return apply_qr_inverse(self, v)
+
+    def apply_regularized(self, v):
+        """(A A^T + mu I) v, without forming the matrix."""
+        v = self._checked(v)
+        return self.A @ (self.A.T @ v) + self.mu * v
 
     def quadratic_form(self, v) -> float:
         w, perp = self._project(v)
@@ -587,13 +610,18 @@ class FeatureFactor:
         orthogonal: the complement subspace is then empty, and forming it
         numerically would amplify roundoff by 1/mu.
         """
+        v = self._checked(v)
+        w = self.q1.T @ v
+        if not complement or self.q1.shape[1] == v.shape[0]:
+            return w, None
+        return w, v - self.q1 @ w
+
+    def _checked(self, v):
+        """v as a float array, checked to have the factor's row count."""
         v, rows = np.asarray(v, dtype=float), self.A.shape[0]
         if v.shape[0] != rows:
             raise LengthMismatch(f"vector length {v.shape[0]} vs {rows} rows")
-        w = self.q1.T @ v
-        if not complement or self.q1.shape[1] == rows:
-            return w, None
-        return w, v - self.q1 @ w
+        return v
 
 
 def qr_ridge_factor(A: np.ndarray, mu: float) -> FeatureFactor:

@@ -22,7 +22,10 @@ the interior points (two rows each), as in psi's block layout, then the
 normalization rows.  A is never formed, only its per-point Jacobian stacks,
 and ``loss`` sums the squares of these same rows.  There are two inner
 steps.  The residual side forms B = W^{-1} + A P^{-1} A^T from P^{-1} as a
-matrix (the factor's ``regularized``) and factors it by Cholesky.  With the
+matrix (the factor's ``regularized``) and factors it by Cholesky, which
+reads only B's upper triangle, so only that triangle is formed.  It then
+solves y = B^{-1} c and returns theta_hat = P^{-1} (A^T y): each factor
+applies P^{-1} to the one vector A^T y (``apply_regularized``).  With the
 ridge form, B also splits as S + U U^T: S = W^{-1} + mu A A^T couples only
 the rows of one point (plus the dense normalization rows) and
 U = [A_z F_u, A_rho F_m, a_lam] has one column per feature.  When those k
@@ -36,8 +39,9 @@ system with k >= r gains nothing there and takes the residual side on
 F F^T + mu I, like a gram.
 
 The residual side allocates nothing of size r x r or n x r per step.  Its
-buffers (B, Theta A^T of each side, one point chunk of A Theta, and
-F F^T + mu I for a feature factor) belong to the system: the first step
+buffers (B, Theta A^T of each side, of which a step writes the part the
+upper triangle of B reads, one point chunk of A Theta, and F F^T + mu I for
+a feature factor) belong to the system: the first step
 allocates them, every later step overwrites them in place, and
 ``gauss_newton_run`` releases them when it returns, so they never overlap
 the post-solve field evaluation.
@@ -183,6 +187,23 @@ def _columns(v, slices, n):
 def _point_rows(blocks, tail):
     """Stack per-point blocks (points, rows per point, ...) into rows, point by point, then tail."""
     return np.concatenate([b.reshape(b.shape[0] * b.shape[1], *b.shape[2:]) for b in blocks] + [tail])
+
+
+def _upper_columns(groups, side, bottom):
+    """(first, count) ranges of a side's functionals on points whose rows start before ``bottom``.
+
+    ``groups`` holds (first row, points, rows per point, (u, m) slices, ...)
+    per point group in row order; ranges that meet are merged.
+    """
+    ranges = []
+    for first, n, p, slices, *_ in groups:
+        k = min(n, -(-(bottom - first) // p))
+        for sl in slices[side] if k > 0 else ():
+            if ranges and sum(ranges[-1]) == sl.start:
+                ranges[-1][1] += k
+            else:
+                ranges.append([sl.start, k])
+    return ranges
 
 
 def _cholesky_solve(B, c):
@@ -369,9 +390,11 @@ class MfgSystem:
         """The residual side's buffers (thetas, B, yts, buf): the ones held, or new ones.
 
         ``thetas`` is P^{-1} of each side as a matrix, ``B`` the r x r inner
-        matrix, ``yts`` Theta A^T of each side (n x r; its normalization
-        columns, (N Theta)^T, are written here once) and ``buf`` one point
-        chunk of A Theta or of a side's rows of B.
+        matrix, ``yts`` Theta A^T of each side (n x r) and ``buf`` one point
+        chunk of A Theta or of a side's rows of B.  A step writes only the
+        parts of B and of Theta A^T that the upper triangle of B needs.  The
+        normalization columns of Theta A^T, Theta N, are constant: each
+        factor applies P^{-1} to N's columns once, here.
         """
         if self._workspace is None:
             r, lo = self.n_rows, self.n_rows - self._n_norm
@@ -384,8 +407,8 @@ class MfgSystem:
             sizes = [r * r, n_u * r, n_m * r, POINT_CHUNK * 2 * max(r, n_u, n_m)]
             B, Yu, Ym, buf = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
             yts = (Yu.reshape(n_u, r), Ym.reshape(n_m, r))
-            for Yt, theta, Nt in zip(yts, thetas, self._norm_t):
-                Yt[:, lo:] = (Nt.T @ theta).T  # (N Theta)^T, constant
+            for Yt, quad, Nt in zip(yts, (self.quad_u, self.quad_m), self._norm_t):
+                Yt[:, lo:] = quad.apply_regularized(Nt)  # Theta N, constant
             self._workspace = thetas, B.reshape(r, r), yts, buf
         return self._workspace
 
@@ -397,55 +420,67 @@ class MfgSystem:
         """The residual-side step: B = W^{-1} + A Theta A^T + a_lam a_lam^T, factored.
 
         Theta is P^{-1} as a matrix, the factor's ``regularized``: the
-        nugget-regularized gram, or F F^T + mu I for a feature factor.  Every
-        product is written into the system's workspace, so a step allocates
-        nothing of size r x r or n x r.  Theta A^T is formed POINT_CHUNK
-        points at a time: the chunk's A Theta is a batched product of its
-        Jacobians with a view of Theta's block rows, contiguous in the small
-        buffer, and is then written transposed into the chunk's columns; the
-        normalization columns (N Theta)^T are constant.  B's rows follow by
-        the same chunks, from A (Theta A^T): the first side's product is
-        written into B, the second side's and a_lam a_lam^T are added from
-        the buffer.  The Cholesky factor overwrites B; theta_hat =
-        Theta A^T y.
+        nugget-regularized gram, or F F^T + mu I for a feature factor.  The
+        Cholesky factorization reads only the upper triangle of B, so only
+        B[i, j] with j >= i is formed, POINT_CHUNK points of rows at a time.
+        Every product is written into the system's workspace, so a step
+        allocates nothing of size r x r or n x r.
+
+        First Theta A^T, by the columns [top, bottom) of a chunk.  Column j
+        is read only by B's rows i <= j, so a chunk needs it only on the
+        functionals of points whose rows start before bottom
+        (``_upper_columns``).  The chunk's A Theta on those functionals is a
+        batched product of its Jacobians with a view of Theta's block rows,
+        contiguous in the small buffer, written transposed into the chunk's
+        columns.  Then B's rows by the same chunks, from column top on, from
+        A (Theta A^T): the first side's product is written into B, the
+        second side's and a_lam a_lam^T are added from the buffer.  The
+        normalization rows keep their corner N^T Theta N alone.  The
+        Cholesky factor overwrites B, and theta_hat = P^{-1} (A^T y) is
+        applied through each factor (``apply_regularized``), not through
+        Theta A^T.
         """
         thetas, B, yts, buf = self._residual_workspace()
-        r = self.n_rows
+        r, lo = self.n_rows, 0
+        groups = []  # (first row, points, rows per point, (u, m) slices, Jacobians)
+        for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
+            groups.append((lo, *R.shape, slices, J))
+            lo += R.size
         for side, (theta, Yt) in enumerate(zip(thetas, yts)):
-            lo = 0
-            for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
-                n, p = R.shape
+            for first, n, p, slices, J in groups:
                 theta_rows = _by_point(theta, slices[side], n)
                 for i in range(0, n, POINT_CHUNK):
                     j = min(i + POINT_CHUNK, n)
-                    at = buf[: (j - i) * p * theta.shape[0]].reshape(j - i, p, -1)
-                    np.matmul(J[side][i:j], theta_rows[i:j], out=at)  # the chunk's A Theta
-                    Yt[:, lo + i * p : lo + j * p] = at.reshape((j - i) * p, -1).T
-                lo += R.size
+                    top, bottom = first + i * p, first + j * p
+                    for c0, k in _upper_columns(groups, side, bottom):
+                        at = buf[: (j - i) * p * k].reshape(j - i, p, k)
+                        np.matmul(J[side][i:j], theta_rows[i:j, :, c0 : c0 + k], out=at)
+                        Yt[c0 : c0 + k, top:bottom] = at.reshape(-1, k).T
         a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
-        lo = 0
-        for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
-            n, p = R.shape
+        for first, n, p, slices, J in groups:
             yt_u, yt_m = (_by_point(Yt, sl, n) for Yt, sl in zip(yts, slices))
             for i in range(0, n, POINT_CHUNK):
                 j = min(i + POINT_CHUNK, n)
-                rows, tmp = B[lo + i * p : lo + j * p], buf[: (j - i) * p * r].reshape(-1, r)
-                np.matmul(J[0][i:j], yt_u[i:j], out=rows.reshape(j - i, p, r))
-                np.matmul(J[1][i:j], yt_m[i:j], out=tmp.reshape(j - i, p, r))
+                top, bottom = first + i * p, first + j * p
+                rows = B[top:bottom, top:]
+                tmp = buf[: rows.size].reshape(rows.shape)
+                np.matmul(J[0][i:j], yt_u[i:j, :, top:], out=rows.reshape(j - i, p, r - top))
+                np.matmul(J[1][i:j], yt_m[i:j, :, top:], out=tmp.reshape(j - i, p, r - top))
                 rows += tmp
                 if self.has_lam:  # as a matmul: a broadcast np.multiply allocates buffers
-                    rows += np.matmul(a_lam[lo + i * p : lo + j * p, None], a_lam[None], out=tmp)
-            lo += R.size
-        Nz, Nm = self._norm_t
-        rows, tmp = B[lo:], buf[: (r - lo) * r].reshape(-1, r)
-        np.matmul(Nz.T, yts[0], out=rows)
-        rows += np.matmul(Nm.T, yts[1], out=tmp)
-        if self.has_lam:
-            rows += np.matmul(a_lam[lo:, None], a_lam[None], out=tmp)
+                    rows += np.matmul(a_lam[top:bottom, None], a_lam[None, top:], out=tmp)
+        # a_lam is zero on the normalization rows: their corner is N^T Theta N
+        (Nz, Nm), corner = self._norm_t, B[lo:, lo:]
+        np.matmul(Nz.T, yts[0][:, lo:], out=corner)
+        corner += Nm.T @ yts[1][:, lo:]
         B.reshape(-1)[:: r + 1] += 1.0 / self._w
         y = _cholesky_solve(B, c)
-        z_hat, rho_hat = (Yt @ y for Yt in yts)
-        return SolverState(z=z_hat, rho=rho_hat, lam=float(a_lam @ y) if self.has_lam else None)
+        at_z, at_rho, at_lam = self._transpose_apply(lin, y)
+        return SolverState(
+            z=self.quad_u.apply_regularized(at_z),
+            rho=self.quad_m.apply_regularized(at_rho),
+            lam=at_lam if self.has_lam else None,
+        )
 
     def _feature_inner_solve(self, lin, c) -> SolverState:
         """The feature-side step, for P^{-1} = F F^T + mu I and k < r: B = S + U U^T.
@@ -544,7 +579,8 @@ def _line_search_iterations(system, init: SolverState, cfg: SolverConfig):
         z=np.array(init.z, dtype=float), rho=np.array(init.rho, dtype=float), lam=init.lam
     )
     history = LossHistory()
-    history.append(*system.loss(state))
+    with np.errstate(over="ignore", invalid="ignore"):
+        history.append(*system.loss(state))
     if not np.isfinite(history.total[0]):
         raise NonFiniteObjective(0)
     steps = _step_lengths(cfg.alpha)

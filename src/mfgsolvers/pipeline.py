@@ -365,7 +365,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     system = O.MfgSystem(spec, pts, phi, psi, fac_u, fac_m, cfg.gamma, cfg.beta)
     state0 = O.init_state(phi, psi, spec.has_ergodic_constant, solver_cfg)
     held = S.held_out_points(spec, problem.n_held_out)
-    initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)
+    # a start that overflows is reported once, as the optimizer's non-finite objective
+    with np.errstate(over="ignore", invalid="ignore"):
+        initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)
     state, history = O.gauss_newton_run(system, state0, solver_cfg)
 
     u_field, m_field, lam = method.reconstruct(state)

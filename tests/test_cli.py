@@ -167,6 +167,25 @@ def test_overflowing_objective_exits_3(tmp_path, capsys):
     assert err.endswith("numerical failure: objective non-finite at iteration 0\n")
 
 
+def test_overflowing_start_prints_one_line_on_stderr(tmp_path):
+    """In a fresh process, with numpy's warnings at their defaults, an
+    overflowing start prints its numerical failure and nothing else: the
+    initial held-out residual and loss are evaluated with overflow ignored."""
+    cfg = _write_config(
+        tmp_path,
+        {"problem": "mfg1d", "method": "gp", "M": 16, "init_mode": "gaussian",
+         "init_scale": 1e300, "max_iters": 2},
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgsolvers", "run", cfg, "--output-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stderr == "numerical failure: objective non-finite at iteration 0\n"
+
+
 def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, TINY)
     blocker = tmp_path / "blocker"

@@ -253,6 +253,45 @@ def test_sets_off_one_full_lattice_take_the_dense_route(case):
     assert isinstance(L.build_gram_factor(kernel, funcs, 1e-6), L.GramFactor)
 
 
+def _apply_factors(case):
+    """(label, factor) pairs for the P^{-1} apply checks."""
+    if case == "feature":
+        A = np.random.default_rng(3).standard_normal((30, 12))
+        return [("feature", L.qr_ridge_factor(A, 1e-3))]
+    if case == "dense":  # nonlocal2d on random torus points: phi leads psi, off any lattice
+        pts = C.sample_uniform_random(2, 30, 0)
+        funcs = C.build_functionals(P.make_nonlocal_2d(1.0), pts)
+        kernel, eta = K.periodic_kernel_2d(0.5), 1e-6
+    elif case == "lattice1d":  # psi leads phi
+        funcs = C.build_functionals(SPEC_1D, C.sample_uniform_grid(1, 16))
+        kernel, eta = K.periodic_kernel_1d(0.6), 1e-6
+    else:  # phi leads psi, whose five operators include J5
+        funcs = C.build_functionals(P.make_nonlocal_2d(1.0), C.sample_uniform_grid(2, 36))
+        kernel, eta = K.periodic_kernel_2d(0.5), 1e-6
+    factors = L.build_gram_factors(kernel, funcs, eta)
+    i = int(np.argmin([f.size for f in factors]))
+    return [("lead", factors[i]), ("full", factors[1 - i])]
+
+
+@pytest.mark.parametrize("case", ["dense", "lattice1d", "lattice2d", "feature"])
+def test_apply_regularized_is_the_regularized_matrix_product(case):
+    """P^{-1} v through each factor equals regularized @ v to 1e-12 relative,
+    for vector, matrix and zero-column right-hand sides, standalone and lead."""
+    rng = np.random.default_rng(11)
+    kind = {"dense": L.GramFactor, "feature": L.FeatureFactor}.get(case, L.LatticeFactor)
+    for label, fac in _apply_factors(case):
+        assert isinstance(fac, kind), label
+        n = fac.regularized.shape[0]
+        if label == "lead":  # a view of the full factor's gram, the factor's leading block
+            assert fac.regularized.base is not None and not fac.regularized.flags.c_contiguous
+        for v in (rng.standard_normal(n), rng.standard_normal((n, 3)), np.zeros((n, 0))):
+            got, want = fac.apply_regularized(v), fac.regularized @ v
+            assert got.shape == want.shape, label
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), label
+        with pytest.raises(LengthMismatch):
+            fac.apply_regularized(np.zeros(n + 1))
+
+
 def test_nugget_is_blockwise_constant_mean_diagonal():
     """The nugget is each block's mean gram diagonal, added to the diagonal alone."""
     kernel = K.periodic_kernel_1d(0.6)

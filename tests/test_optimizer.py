@@ -179,6 +179,20 @@ def test_inner_solve_matches_dense_normal_equations(case):
     assert rel < 1e-10, f"dense-vs-residual-space mismatch {rel:.3e}"
 
 
+@pytest.mark.parametrize(
+    "case", [_TORUS_1D_GP, _TORUS_2D_GP, _PLANNING_GP], ids=["mfg1d", "nonlocal2d", "planning"]
+)
+def test_inner_solve_across_point_chunks_matches_dense_normal_equations(case, monkeypatch):
+    """With 7-point chunks the triangle of B that the residual side forms spans
+    several chunks of each point group, and on planning the boundary group's
+    rows before the interior's; the solve still meets the 1e-10 bound."""
+    monkeypatch.setattr(O, "POINT_CHUNK", 7)
+    system, _, _ = _system("gp", **case)
+    assert not system.feature_side
+    assert all(len(X) > O.POINT_CHUNK for X, *_ in system._groups)
+    test_inner_solve_matches_dense_normal_equations(case)
+
+
 def test_inner_solve_satisfies_normal_equation_residual():
     system, phi, psi = _gp_system(M=14, gamma=1.0, beta=100.0)
     for seed in range(3):
@@ -480,6 +494,16 @@ def _bundled_overrides(name):
     path = Path(PL.__file__).parent / "configs" / f"{name}.json"
     cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     return {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
+
+
+def test_ff_residual_side_across_point_chunks_matches_dense_solve_of_B(monkeypatch):
+    """The k >= r feature system with coupled normalization rows, in 7-point
+    chunks, agrees with a dense solve of B to 1e-8."""
+    monkeypatch.setattr(O, "POINT_CHUNK", 7)
+    case = dict(_TORUS_1D, M=8, gamma=1.0, beta=100.0)
+    system, _, _ = _system("ff", **case)
+    assert all(len(X) > O.POINT_CHUNK for X, *_ in system._groups)
+    test_ff_inner_solve_matches_dense_solve_of_B(case, feature_side=False)
 
 
 @pytest.mark.parametrize(
