@@ -49,9 +49,12 @@ S = L L^T in time linear in its rows, and ``low_rank_update_solve`` applies
 Woodbury's identity to the whitened r x k matrix V = L^{-1} U: it factors
 the k x k capacitance matrix I + V^T V, whose eigenvalues are all >= 1, by
 Cholesky, so nothing larger than r x k is formed and no orthogonal
-factorization runs per step.  Should that Cholesky still fail in rounding it
-raises ``numpy.linalg.LinAlgError``, which the optimizer reports as
-``SingularNormalEquations`` (exit status 3); there is no fallback route.
+factorization runs per step.  This module owns the one in-place Cholesky
+solve of both inner steps, ``cholesky_solve``, for the capacitance matrix
+and for the residual side's B in ``optimizer``.  It raises
+``numpy.linalg.LinAlgError`` when ``dpotrf`` fails or the factor's diagonal
+or the solution is not finite, as after an overflow; the optimizer reports
+that as ``SingularNormalEquations`` (exit status 3), with no fallback route.
 
 Gram blocks that sit on the same pair of point sets share their kernel
 tables (``kernels.CrossTables``), so a functional set with many operators on
@@ -67,11 +70,11 @@ The dense factorizations call LAPACK through scipy's compiled wrappers
 (``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
 loads once, at its import, without importing ``scipy.linalg``: that import
 loads some 300 modules the solver never uses (``numpy.f2py`` and
-``numpy.testing`` among them) and would double a small run's start-up.  Each
-call passes the arguments ``scipy.linalg``'s wrapper would and makes its
-checks on ``info``, so results are bit-identical to it.  The load happens
-after the CLI caps the thread count, so ``MFG_THREADS`` reaches scipy's
-OpenBLAS too.
+``numpy.testing`` among them) and would double a small run's start-up.
+No other module calls ``lapack``.  Each call passes the arguments
+``scipy.linalg``'s wrapper would and makes its checks on ``info``, so
+results are bit-identical to it.  The load happens after the CLI caps the
+thread count, so ``MFG_THREADS`` reaches scipy's OpenBLAS too.
 """
 
 from __future__ import annotations
@@ -136,6 +139,24 @@ def cho_solve(chol: np.ndarray, b):
     x, info = lapack.dpotrs(chol, b, lower=1)
     lapack_info("dpotrs", info)
     return x
+
+
+def cholesky_solve(B: np.ndarray, c, name: str):
+    """B^{-1} c for a symmetric B, which is overwritten by its Cholesky factor.
+
+    LAPACK factors the Fortran-ordered view B^T in place from its lower
+    triangle, B's upper triangle, so a C-ordered B is not copied.  A
+    non-finite entry there fails the factorization or leaves a non-finite
+    factor diagonal, which is checked instead of B, as is the solution; each
+    failure raises ``numpy.linalg.LinAlgError`` naming ``name``.
+    """
+    chol, info = lapack.dpotrf(B.T, lower=1, overwrite_a=1, clean=0)
+    if lapack_info("dpotrf", info):
+        raise np.linalg.LinAlgError(f"{name}: leading minor {info} is not positive definite")
+    y = cho_solve(chol, c)
+    if not (np.all(np.isfinite(np.diagonal(chol))) and np.all(np.isfinite(y))):
+        raise np.linalg.LinAlgError(f"{name}: its Cholesky factor or solution is not finite")
+    return y
 
 
 def solve_triangular(a: np.ndarray, b, lower: int, trans: int = 0):
@@ -737,25 +758,22 @@ def low_rank_update_solve(chol: ArrowCholesky, U: np.ndarray, c: np.ndarray):
     Woodbury's identity on the whitened rows V = L^{-1} U and x = L^{-1} c:
     with t = (I + V^T V)^{-1} V^T x, y = L^{-T} (x - V t) and U^T y = t
     exactly.  The k x k capacitance matrix I + V^T V has every eigenvalue
-    >= 1, so it is factored by Cholesky; nothing of size r x k is formed
-    beyond V.  Costs O(r k^2) for V^T V plus O(k^3).  A non-finite V, x or y
-    raises ``FloatingPointError``; a capacitance Cholesky that fails in
-    rounding (possible only when cond(I + V^T V) nears 1/eps) raises
-    ``numpy.linalg.LinAlgError``.  There is no fallback.
+    >= 1, so it is factored by Cholesky (``cholesky_solve``); nothing of
+    size r x k is formed beyond V.  Costs O(r k^2) for V^T V plus O(k^3).  A
+    non-finite V, x or y raises ``FloatingPointError``; a capacitance
+    Cholesky that fails in rounding (possible only when cond(I + V^T V)
+    nears 1/eps) or whose factor or solution is not finite, as when V^T V
+    overflows, raises ``numpy.linalg.LinAlgError``.  There is no fallback.
     """
     V = chol.solve_l(U)
     x = chol.solve_l(c)
     if not (np.all(np.isfinite(V)) and np.all(np.isfinite(x))):
         raise FloatingPointError("the whitened inner system is not finite")
-    cap = V.T @ V
+    # an overflow (and the inf - inf it leads to) is reported by cholesky_solve's checks
+    with np.errstate(over="ignore", invalid="ignore"):
+        cap = V.T @ V
     cap.reshape(-1)[:: cap.shape[0] + 1] += 1.0
-    # cap is symmetric: its Fortran-ordered view cap.T is factored in place
-    factor, info = lapack.dpotrf(cap.T, lower=1, overwrite_a=1, clean=0)
-    if lapack_info("dpotrf", info):
-        raise np.linalg.LinAlgError(
-            f"capacitance matrix I + V^T V: leading minor {info} is not positive definite"
-        )
-    t = cho_solve(factor, V.T @ x)
+    t = cholesky_solve(cap, V.T @ x, "capacitance matrix I + V^T V")
     y = chol.solve_lt(x - V @ t)
     if not np.all(np.isfinite(y)):
         raise FloatingPointError("the inner solve is not finite")

@@ -19,24 +19,28 @@ form and F F^T + mu I, with F the feature matrix, for the ridge form.
 There is one linearization, point-major.  Its rows come in point groups, one
 residual batch of ``problems`` each: the boundary points (one row each), then
 the interior points (two rows each), as in psi's block layout, then the
-normalization rows.  A is never formed, only its per-point Jacobian stacks,
-and ``loss`` sums the squares of these same rows.  There are two inner
-steps.  The residual side forms B = W^{-1} + A P^{-1} A^T from P^{-1} as a
-matrix (the factor's ``regularized``) and factors it by Cholesky, which
-reads only B's upper triangle, so only that triangle is formed.  It then
-solves y = B^{-1} c and returns theta_hat = P^{-1} (A^T y): each factor
-applies P^{-1} to the one vector A^T y (``apply_regularized``).  With the
-ridge form, B also splits as S + U U^T: S = W^{-1} + mu A A^T couples only
-the rows of one point (plus the dense normalization rows) and
-U = [A_z F_u, A_rho F_m, a_lam] has one column per feature.  When those k
-columns are fewer than the r kept rows, the inner step instead factors S
-point by point and solves by Woodbury's identity with the k x k capacitance
-matrix I + V^T V of the whitened rows V = L^{-1} U, factored by Cholesky
-(``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
-Its eigenvalues are all >= 1; a Cholesky that still fails in rounding is a
-``SingularNormalEquations`` (exit status 3), with no fallback.  A feature
+normalization rows.  A is never formed, only its per-point Jacobian stacks
+and the normalization rows as dense columns N over z and rho, and ``loss``
+sums the squares of these same rows.  There are two inner steps, and both
+factor and solve their one matrix through the same in-place Cholesky solve,
+``linsys.cholesky_solve``.  The residual side forms
+B = W^{-1} + A P^{-1} A^T from P^{-1} as a matrix (the factor's
+``regularized``); the Cholesky factorization reads only B's upper
+triangle, so only that triangle is formed.  It then solves y = B^{-1} c
+and returns theta_hat = P^{-1} (A^T y): each factor applies P^{-1} to the
+one vector A^T y (``apply_regularized``).  With the ridge form, B also
+splits as S + U U^T: S = W^{-1} + mu A A^T couples only the rows of one
+point (plus the dense normalization rows) and U = [A_z F_u, A_rho F_m,
+a_lam] has one column per feature.  When those k columns are fewer than the
+r kept rows, the inner step instead factors S point by point and solves by
+Woodbury's identity with the k x k capacitance matrix I + V^T V of the
+whitened rows V = L^{-1} U (``linsys.low_rank_update_solve``), never
+forming an r x r or n x n matrix.  Its eigenvalues are all >= 1.  A feature
 system with k >= r gains nothing there and takes the residual side on
-F F^T + mu I, like a gram.
+F F^T + mu I, like a gram.  Both steps fail alike: a Cholesky that fails in
+rounding, a non-finite factor diagonal (as from an overflowed matrix) or a
+non-finite solution is a ``SingularNormalEquations`` (exit status 3) naming
+the side, with no fallback.
 
 The residual side allocates nothing of size r x r or n x r per step.  Its
 buffers (B, Theta A^T of each side, of which a step writes the part the
@@ -53,7 +57,9 @@ objective decreases; once the step reaches the configured ``alpha``, the
 source paper's relaxed step theta + alpha (theta_hat - theta) is taken
 whatever its objective, so ``alpha`` is the smallest step.  The run stops
 when the Gauss-Newton step vanishes, ||theta_hat - theta|| <= tau
-||theta_hat|| with tau = ``step_tol``, or after ``max_iters`` steps.
+||theta_hat|| with tau = ``STEP_TOL``, or after ``max_iters`` steps.
+``alpha``, ``max_iters`` and the start's settings are plain arguments
+taken from ``pipeline.ExperimentConfig``, which alone checks them.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ from . import kernels as K
 from . import linsys
 from .collocation import CollocationSet, FunctionalSet
 from .errors import NonFiniteObjective, SingularNormalEquations
-from .linsys import ArrowCholesky, cho_solve, low_rank_update_solve
+from .linsys import ArrowCholesky, low_rank_update_solve
 from .problems import BOUNDARY_ROWS, INTERIOR_ROWS, ProblemSpec
 from .problems import boundary_residual_batch, interior_residual_batch
 
@@ -76,29 +82,12 @@ INIT_GAUSSIAN = "gaussian"
 # points per chunk of the residual-side step: A Theta and the second side's
 # rows of B are formed this many points at a time in one small buffer
 POINT_CHUNK = 64
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    alpha: float = 1.0
-    max_iters: int = 50
-    seed: int = 0
-    init_mode: str = INIT_ZEROS
-    init_scale: float = 1.0
-    # stop once ||theta_hat - theta|| <= step_tol ||theta_hat||.  On the bundled
-    # configs the relative step falls to a round-off floor of 2-5e-10
-    # (planning_ff), from which steps only add noise, and the last step above
-    # 1e-8 is 1.9e-8 (mfg1d_gp); a 1e-8 relative change of theta moves no
-    # reported metric beyond its printed digits
-    step_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ValueError("alpha must lie in (0, 1]")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if not self.step_tol >= 0:
-            raise ValueError("step_tol must be nonnegative")
+# stop once ||theta_hat - theta|| <= STEP_TOL ||theta_hat||.  On the bundled
+# configs the relative step falls to a round-off floor of 2-5e-10
+# (planning_ff), from which steps only add noise, and the last step above
+# 1e-8 is 1.9e-8 (mfg1d_gp); a 1e-8 relative change of theta moves no
+# reported metric beyond its printed digits
+STEP_TOL = 1e-8
 
 
 @dataclass
@@ -143,20 +132,19 @@ class LossHistory:
 
 
 def init_state(
-    phi: FunctionalSet, psi: FunctionalSet, has_lam: bool, cfg: SolverConfig
+    phi: FunctionalSet, psi: FunctionalSet, has_lam: bool, mode: str, scale: float, seed: int
 ) -> SolverState:
-    """Default start: z = 0, unit density on every identity block of m."""
+    """The start: unit density on every identity block of m, plus, with mode
+    INIT_GAUSSIAN, standard normal values times scale drawn from seed."""
     z = np.zeros(phi.size)
     rho = np.zeros(psi.size)
     lam = 0.0 if has_lam else None
-    if cfg.init_mode == INIT_GAUSSIAN:
-        rng = np.random.default_rng(cfg.seed)
-        z = cfg.init_scale * rng.standard_normal(phi.size)
-        rho = cfg.init_scale * rng.standard_normal(psi.size)
+    if mode == INIT_GAUSSIAN:
+        rng = np.random.default_rng(seed)
+        z = scale * rng.standard_normal(phi.size)
+        rho = scale * rng.standard_normal(psi.size)
         if has_lam:
-            lam = cfg.init_scale * float(rng.standard_normal())
-    elif cfg.init_mode != INIT_ZEROS:
-        raise ValueError(f"unknown init mode {cfg.init_mode!r}")
+            lam = scale * float(rng.standard_normal())
     for tag, sl in zip(psi.operator_tags, psi.slices):
         if tag == K.ID:
             rho[sl] += 1.0
@@ -204,25 +192,6 @@ def _upper_columns(groups, side, bottom):
             else:
                 ranges.append([sl.start, k])
     return ranges
-
-
-def _cholesky_solve(B, c):
-    """B^{-1} c for a symmetric B, which is overwritten by its Cholesky factor.
-
-    LAPACK factors the Fortran-ordered view B^T (that is, B) in place from
-    its lower triangle, so no r x r copy is made.  A non-finite entry there
-    fails the factorization or leaves a non-finite diagonal in the factor,
-    which is checked instead of B.
-    """
-    chol, info = linsys.lapack.dpotrf(B.T, lower=1, overwrite_a=1, clean=0)
-    if linsys.lapack_info("dpotrf", info):
-        raise SingularNormalEquations(
-            f"inner Cholesky failed: {info}-th leading minor of the array is not positive definite"
-        )
-    y = cho_solve(chol, c)
-    if not (np.all(np.isfinite(np.diagonal(chol))) and np.all(np.isfinite(y))):
-        raise SingularNormalEquations("inner solve is not finite")
-    return y
 
 
 class MfgSystem:
@@ -289,7 +258,8 @@ class MfgSystem:
         """The linear normalization rows, each the mean over one identity block.
 
         One (is_u, block slice, target) per row, in row order; weight beta.
-        The identity blocks are the first u- and m-blocks of the interior group.
+        The identity blocks are the first u- and m-blocks of the interior
+        group.  ``__init__`` builds N and the targets from them.
         """
         *_, u_slices, m_slices = self._groups[-1]
         rows = []
@@ -326,10 +296,9 @@ class MfgSystem:
         # squared as float64, which overflows to inf where a Python float raises
         if self.has_lam:
             quad += np.float64(state.lam) ** 2
-        norm = sum(
-            (np.mean((state.z if is_u else state.rho)[sl]) - target) ** 2
-            for is_u, sl, target in self._norm_rows()
-        )
+        Nz, Nm = self._norm_t
+        norm_res = state.z @ Nz + state.rho @ Nm - self._norm_c
+        norm = float(norm_res @ norm_res)
         total = quad + self.gamma * pde + self.beta * norm
         return total, quad, self.gamma * pde, self.beta * norm
 
@@ -382,9 +351,12 @@ class MfgSystem:
             return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None)
         lin = self._linearize_by_point(state)
         c = self._targets(lin, state)
-        if self.feature_side:
-            return self._feature_inner_solve(lin, c)
-        return self._gram_inner_solve(lin, c)
+        step = self._feature_inner_solve if self.feature_side else self._gram_inner_solve
+        try:
+            return step(lin, c)
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            side = "feature" if self.feature_side else "residual"
+            raise SingularNormalEquations(f"{side}-side inner solve failed: {exc}") from exc
 
     def _residual_workspace(self):
         """The residual side's buffers (thetas, B, yts, buf): the ones held, or new ones.
@@ -474,7 +446,7 @@ class MfgSystem:
         np.matmul(Nz.T, yts[0][:, lo:], out=corner)
         corner += Nm.T @ yts[1][:, lo:]
         B.reshape(-1)[:: r + 1] += 1.0 / self._w
-        y = _cholesky_solve(B, c)
+        y = linsys.cholesky_solve(B, c, "inner matrix B")
         at_z, at_rho, at_lam = self._transpose_apply(lin, y)
         return SolverState(
             z=self.quad_u.apply_regularized(at_z),
@@ -508,10 +480,7 @@ class MfgSystem:
             coupling.append(mu_u * (Jz @ _by_point(Nz, z_sl, n)) + mu_m * (Jm @ _by_point(Nm, m_sl, n)))
         U = _point_rows(rows, self._norm_U)
         C = _point_rows(coupling, np.zeros((0, self._n_norm)))
-        try:
-            y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
-        except (np.linalg.LinAlgError, FloatingPointError) as exc:
-            raise SingularNormalEquations(f"feature-side inner solve failed: {exc}") from exc
+        y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
         at_z, at_rho, _ = self._transpose_apply(lin, y)
         k_u, k_m = F_u.shape[1], F_m.shape[1]
         z_hat = F_u @ g[:k_u] + mu_u * at_z
@@ -537,21 +506,24 @@ class MfgSystem:
         return float(num / den)
 
 
-def gauss_newton_run(system, init: SolverState, cfg: SolverConfig):
+def gauss_newton_run(system, init: SolverState, alpha: float, max_iters: int):
     """Gauss-Newton with a backtracking step; returns the last state and its history.
 
     Each iteration computes theta_hat, the linearized objective's minimizer.
-    If ||theta_hat - theta|| <= cfg.step_tol ||theta_hat|| (theta packs z,
-    rho and lambda) the run stops without stepping.  Otherwise it takes
+    If ||theta_hat - theta|| <= STEP_TOL ||theta_hat|| (theta packs z, rho
+    and lambda) the run stops without stepping.  Otherwise it takes
     theta <- theta + t (theta_hat - theta) for the first t of 1, 1/2, 1/4,
-    ... above cfg.alpha whose objective is below the current one (a
-    non-finite objective is no decrease), else t = cfg.alpha whatever its
-    objective; only a non-finite objective there raises NonFiniteObjective.
-    cfg.max_iters caps the steps.  The system's inner-step workspace is
+    ... above alpha whose objective is below the current one (a non-finite
+    objective is no decrease), else t = alpha whatever its objective; only
+    a non-finite objective there raises NonFiniteObjective.  max_iters caps
+    the steps; alpha in (0, 1] and max_iters >= 1 are checked by
+    ``pipeline.ExperimentConfig``.  Each inner step solves through
+    ``linsys.cholesky_solve``, and a failed one raises
+    SingularNormalEquations.  The system's inner-step workspace is
     released when the run returns or raises.
     """
     try:
-        return _line_search_iterations(system, init, cfg)
+        return _line_search_iterations(system, init, alpha, max_iters)
     finally:
         system.release_workspace()
 
@@ -574,7 +546,7 @@ def _moved(state: SolverState, hat: SolverState, t: float) -> SolverState:
     )
 
 
-def _line_search_iterations(system, init: SolverState, cfg: SolverConfig):
+def _line_search_iterations(system, init: SolverState, alpha: float, max_iters: int):
     state = SolverState(
         z=np.array(init.z, dtype=float), rho=np.array(init.rho, dtype=float), lam=init.lam
     )
@@ -583,14 +555,14 @@ def _line_search_iterations(system, init: SolverState, cfg: SolverConfig):
         history.append(*system.loss(state))
     if not np.isfinite(history.total[0]):
         raise NonFiniteObjective(0)
-    steps = _step_lengths(cfg.alpha)
-    for it in range(1, cfg.max_iters + 1):
+    steps = _step_lengths(alpha)
+    for it in range(1, max_iters + 1):
         hat = system.inner_solve(state)
         theta, theta_hat = state.pack(), hat.pack()
         d_norm, hat_norm = np.linalg.norm(theta_hat - theta), np.linalg.norm(theta_hat)
         # theta_hat = 0 moves all of theta: a relative step of 1
         step_norm = float(d_norm / (hat_norm or d_norm or 1.0))
-        if step_norm <= cfg.step_tol:
+        if step_norm <= STEP_TOL:
             break
         for t in steps:
             trial = _moved(state, hat, t)

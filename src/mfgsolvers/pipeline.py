@@ -37,6 +37,12 @@ _FIELD_KINDS = {
     "str": (str, "must be a string"),
 }
 _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
+# a lengthscale s enters the kernel tables and the feature products up to its
+# fourth inverse power: the Gaussian profile's fourth derivative at 0 is
+# 12/s^4, and F F^T and V^T V reach |omega|^4 with |omega| ~ 1/varsigma.  Sums
+# over such entries (the gram's B + B^T, the nugget's block means, the inner
+# products) must stay finite too, so 2^20 times 12/s^4 must be finite
+_LENGTHSCALE_HEADROOM = 12.0 * 2.0**20
 # cap in bytes on a torus GP run's mode tables (_largest_mode_table_bytes); its
 # n x n gram is not one and can be larger: 32 MB against 7 MB on nonlocal2d_gp_nu1
 MAX_MODE_TABLE_BYTES = 2**30
@@ -270,12 +276,13 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name}: must be positive")
         for name in _LENGTHSCALE_FIELDS:
-            # the kernels and features divide by the squared lengthscale
             value = float(getattr(self, name))
             sq = value * value
-            if not (0.0 < sq < math.inf and 1.0 / sq < math.inf):
+            quartic = sq * sq
+            if not (0.0 < quartic < math.inf and _LENGTHSCALE_HEADROOM / quartic < math.inf):
                 raise ConfigError(
-                    f"{name}: {value!r} is out of range; {name}^2 and 1/{name}^2 must be finite"
+                    f"{name}: {value!r} is out of range; {name}^4 and 12 * 2^20/{name}^4 "
+                    "must be finite"
                 )
         for name in ("gamma", "beta"):
             if getattr(self, name) < 0:
@@ -355,20 +362,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     fac_u, fac_m = method.factor((phi, psi))
     timing_rows = [(cfg.method, pts.m_total, *_factor_seconds((fac_u, fac_m)))]
 
-    solver_cfg = O.SolverConfig(
-        alpha=cfg.alpha,
-        max_iters=cfg.max_iters,
-        seed=cfg.seed,
-        init_mode=cfg.init_mode,
-        init_scale=cfg.init_scale,
-    )
     system = O.MfgSystem(spec, pts, phi, psi, fac_u, fac_m, cfg.gamma, cfg.beta)
-    state0 = O.init_state(phi, psi, spec.has_ergodic_constant, solver_cfg)
+    state0 = O.init_state(
+        phi, psi, spec.has_ergodic_constant, cfg.init_mode, cfg.init_scale, cfg.seed
+    )
     held = S.held_out_points(spec, problem.n_held_out)
     # a start that overflows is reported once, as the optimizer's non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
         initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)
-    state, history = O.gauss_newton_run(system, state0, solver_cfg)
+    state, history = O.gauss_newton_run(system, state0, cfg.alpha, cfg.max_iters)
 
     u_field, m_field, lam = method.reconstruct(state)
     final_residual = S.pde_residual_norm(u_field, m_field, lam, spec, held)

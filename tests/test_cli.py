@@ -186,6 +186,35 @@ def test_overflowing_start_prints_one_line_on_stderr(tmp_path):
     assert proc.stderr == "numerical failure: objective non-finite at iteration 0\n"
 
 
+def test_overflowing_capacitance_prints_one_line_on_stderr(tmp_path):
+    """In a fresh process, with numpy's warnings at their defaults, feature
+    matrices so large that the feature side's V^T V overflows fail the inner
+    step as one numerical failure line, not a finite answer with exit 0."""
+    cfg = _write_config(
+        tmp_path,
+        {"problem": "planning", "method": "ff", "n_interior": 30, "n_initial": 5,
+         "n_terminal": 5, "N": 3, "max_iters": 1},
+    )
+    scaled = (
+        "import sys\n"
+        "from mfgsolvers import cli, linsys\n"
+        "assemble = linsys.assemble_feature_matrix\n"
+        "linsys.assemble_feature_matrix = lambda *a: 1e160 * assemble(*a)\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", scaled, "run", cfg, "--output-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stderr.startswith(
+        "numerical failure: feature-side inner solve failed: capacitance matrix I + V^T V: "
+    )
+    assert proc.stderr.count("\n") == 1
+
+
 def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, TINY)
     blocker = tmp_path / "blocker"

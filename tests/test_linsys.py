@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,6 @@ from mfgsolvers import collocation as C
 from mfgsolvers import features as F
 from mfgsolvers import kernels as K
 from mfgsolvers import linsys as L
-from mfgsolvers import optimizer as O
 from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
 from mfgsolvers.errors import LengthMismatch, NotPositiveDefinite
@@ -531,6 +531,19 @@ def test_failed_capacitance_cholesky_raises_linalg_error(monkeypatch):
         L.low_rank_update_solve(L.ArrowCholesky(groups, C, E), U, c)
 
 
+def test_low_rank_update_solve_rejects_an_overflowing_capacitance():
+    """A finite V whose V^T V overflows fails the capacitance Cholesky solve,
+    without a RuntimeWarning, instead of returning a finite y."""
+    groups, C, E, _, U, c = _arrow_system(0)
+    chol = L.ArrowCholesky(groups, C, E)
+    U = U * (1e160 / np.abs(chol.solve_l(U)).max())
+    assert np.all(np.isfinite(chol.solve_l(U)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match="^capacitance matrix I \\+ V\\^T V: "):
+            L.low_rank_update_solve(chol, U, c)
+
+
 def test_low_rank_update_solve_rejects_a_non_finite_system():
     groups, C, E, _, U, c = _arrow_system(0)
     U[3, 1] = np.inf
@@ -581,7 +594,7 @@ def test_inner_cholesky_solve_equals_cho_factor_and_cho_solve(lapack_source, ord
     ref = B.copy(order="K")
     cf = SL.cho_factor(ref.T, lower=True, overwrite_a=True, check_finite=False)
     want = SL.cho_solve(cf, c, check_finite=False)
-    assert np.array_equal(O._cholesky_solve(B, c), want)
+    assert np.array_equal(L.cholesky_solve(B, c, "B"), want)
     assert np.array_equal(B, ref)  # overwritten (or not) alike
 
 

@@ -39,37 +39,24 @@ def _random_state(phi, psi, seed, scale=0.3):
     )
 
 
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        O.SolverConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        O.SolverConfig(alpha=1.5)
-    with pytest.raises(ValueError):
-        O.SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        O.SolverConfig(step_tol=-1e-10)
-    with pytest.raises(ValueError):
-        O.SolverConfig(step_tol=float("nan"))
+def _zero_start(phi, psi, has_lam=True):
+    """The default start: z = 0, unit density on every identity block of m."""
+    return O.init_state(phi, psi, has_lam, O.INIT_ZEROS, 1.0, 0)
 
 
 def test_init_state_unit_density_on_identity_blocks():
     _, phi, psi = _gp_system()
-    cfg = O.SolverConfig()
-    s = O.init_state(phi, psi, True, cfg)
+    s = _zero_start(phi, psi)
     np.testing.assert_array_equal(s.z, 0.0)
     assert s.lam == 0.0
     id_slice = psi.slices[0]
     np.testing.assert_array_equal(s.rho[id_slice], 1.0)
     np.testing.assert_array_equal(s.rho[id_slice.stop :], 0.0)
-    with pytest.raises(ValueError):
-        O.init_state(phi, psi, True, O.SolverConfig(init_mode="fancy"))
 
 
 def test_gaussian_init_deterministic_per_seed():
     _, phi, psi = _gp_system()
-    a = O.init_state(phi, psi, True, O.SolverConfig(seed=4, init_mode=O.INIT_GAUSSIAN))
-    b = O.init_state(phi, psi, True, O.SolverConfig(seed=4, init_mode=O.INIT_GAUSSIAN))
-    c = O.init_state(phi, psi, True, O.SolverConfig(seed=5, init_mode=O.INIT_GAUSSIAN))
+    a, b, c = (O.init_state(phi, psi, True, O.INIT_GAUSSIAN, 1.0, seed) for seed in (4, 4, 5))
     np.testing.assert_array_equal(a.pack(), b.pack())
     assert not np.array_equal(a.pack(), c.pack())
 
@@ -257,12 +244,27 @@ def test_loss_terms_are_consistent():
         assert quad > 0.0
 
 
-def test_gauss_newton_descends_on_the_1d_problem():
+@pytest.mark.parametrize("case, n_norm", [(_TORUS_1D_GP, 2), (_PLANNING_GP, 1)], ids=["mfg1d", "planning"])
+def test_loss_normalization_term_is_that_of_the_steps_rows(case, n_norm):
+    """loss's beta term is beta ||N_z^T z + N_rho^T rho - c||^2 over the
+    normalization rows the inner step linearizes: the columns N and the
+    tail of its targets c."""
+    system, phi, psi = _system("gp", **case)
+    state = _random_state(phi, psi, seed=11)
+    if not system.has_lam:
+        state.lam = None
+    c = system._targets(system._linearize_by_point(state), state)[-n_norm:]
+    Nz, Nm = system._norm_t
+    assert Nz.shape[1] == Nm.shape[1] == n_norm
+    res = Nz.T @ state.z + Nm.T @ state.rho - c
+    assert system.loss(state)[3] == pytest.approx(system.beta * float(res @ res), rel=1e-14, abs=0)
+
+
+def test_gauss_newton_descends_on_the_1d_problem(monkeypatch):
     system, phi, psi = _gp_system(M=24, gamma=1.0, beta=1e4, eta=1e-6)
-    # step_tol 0: no stop before max_iters; the default stops this run after 6 steps
-    cfg = O.SolverConfig(alpha=0.4, max_iters=8, step_tol=0.0)
-    state0 = O.init_state(phi, psi, True, cfg)
-    state, hist = O.gauss_newton_run(system, state0, cfg)
+    # STEP_TOL 0: no stop before max_iters; the default stops this run after 6 steps
+    monkeypatch.setattr(O, "STEP_TOL", 0.0)
+    state, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 0.4, 8)
     assert len(hist.total) == 9
     assert hist.total[-1] < hist.total[0]
 
@@ -285,18 +287,18 @@ def _recording_inner_solve(system):
     return calls
 
 
-def test_step_tol_stops_at_the_first_vanishing_step():
-    """The run stops at the first theta_hat within step_tol of theta, solves no
+def test_step_tol_stops_at_the_first_vanishing_step(monkeypatch):
+    """The run stops at the first theta_hat within STEP_TOL of theta, solves no
     further inner problem, and its history ends at the last accepted state."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.4, max_iters=50, step_tol=1e-6)
+    monkeypatch.setattr(O, "STEP_TOL", 1e-6)
     calls = _recording_inner_solve(system)
-    state, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    state, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 0.4, 50)
     steps = [_relative_step(s, h) for s, h in calls]
-    assert steps[-1] <= cfg.step_tol
-    assert all(v > cfg.step_tol for v in steps[:-1])
+    assert steps[-1] <= O.STEP_TOL
+    assert all(v > O.STEP_TOL for v in steps[:-1])
     # one inner solve per accepted step, plus the one that stopped the run
-    assert len(calls) == len(hist.total) < cfg.max_iters + 1
+    assert len(calls) == len(hist.total) < 50 + 1
     np.testing.assert_array_equal(state.pack(), calls[-1][0].pack())
     assert hist.total[-1] == system.loss(state)[0]
     np.testing.assert_allclose(hist.step_norm[1:], steps[:-1], rtol=1e-12)
@@ -330,27 +332,26 @@ def _overshooting(system, factor):
 
 def test_step_search_accepts_the_first_halving_that_lowers_the_loss():
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.01, max_iters=1)
-    state0 = O.init_state(phi, psi, True, cfg)
+    alpha, state0 = 0.01, _zero_start(phi, psi)
     _overshooting(system, 16.0)
     hat = system.inner_solve(state0)
     loss0 = system.loss(state0)[0]
-    want = next(t for t in O._step_lengths(cfg.alpha) if system.loss(O._moved(state0, hat, t))[0] < loss0)
-    assert cfg.alpha < want < 1.0  # the full step raises the loss
-    _, hist = O.gauss_newton_run(system, state0, cfg)
+    want = next(t for t in O._step_lengths(alpha) if system.loss(O._moved(state0, hat, t))[0] < loss0)
+    assert alpha < want < 1.0  # the full step raises the loss
+    _, hist = O.gauss_newton_run(system, state0, alpha, 1)
     assert hist.step == [0.0, want]
     assert hist.total[1] < hist.total[0]
 
 
-def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss():
+def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss(monkeypatch):
     """Along the reversed Gauss-Newton direction no step lowers the loss: the
     relaxed step alpha is taken anyway and the run goes on."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.2, max_iters=2, step_tol=0.0)
+    monkeypatch.setattr(O, "STEP_TOL", 0.0)
     _overshooting(system, -1.0)
     totals = _counting_loss(system)
-    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
-    trials = len(O._step_lengths(cfg.alpha))
+    _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 0.2, 2)
+    trials = len(O._step_lengths(0.2))
     assert trials == 4  # 1, 1/2, 1/4, then alpha
     assert len(totals) == 1 + 2 * trials
     assert min(totals[1 : trials + 1]) >= totals[0]  # no trial lowered the loss
@@ -358,11 +359,11 @@ def test_step_search_takes_alpha_when_no_longer_step_lowers_the_loss():
     assert hist.total[1:] == [totals[trials], totals[2 * trials]]
 
 
-def test_full_steps_make_one_loss_call_per_iteration():
+def test_full_steps_make_one_loss_call_per_iteration(monkeypatch):
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=1.0, max_iters=4, step_tol=0.0)
+    monkeypatch.setattr(O, "STEP_TOL", 0.0)
     totals = _counting_loss(system)
-    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 1.0, 4)
     assert len(hist.total) == 5
     assert totals == hist.total
     assert hist.step == [0.0] + [1.0] * 4
@@ -371,25 +372,24 @@ def test_full_steps_make_one_loss_call_per_iteration():
 def test_non_finite_trial_loss_backtracks():
     """An infinite objective at the full step is no decrease: the step halves."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.4, max_iters=1)
-    state0 = O.init_state(phi, psi, True, cfg)
+    state0 = _zero_start(phi, psi)
     half = O._moved(state0, system.inner_solve(state0), 0.5)
     assert system.loss(half)[0] < system.loss(state0)[0]
     totals = _counting_loss(system, replace_at={1})
-    _, hist = O.gauss_newton_run(system, state0, cfg)
+    _, hist = O.gauss_newton_run(system, state0, 0.4, 1)
     assert totals[1] == np.inf
     assert hist.step == [0.0, 0.5]
     assert hist.total[1] == system.loss(half)[0]
 
 
-def test_non_finite_relaxed_step_raises_with_its_iteration():
+def test_non_finite_relaxed_step_raises_with_its_iteration(monkeypatch):
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.4, max_iters=3, step_tol=0.0)
+    monkeypatch.setattr(O, "STEP_TOL", 0.0)
     # iteration 1 makes one trial (the full step lowers the loss); iteration 2 has
     # every trial infinite, so its relaxed step is non-finite
     _counting_loss(system, replace_at={2, 3, 4})
     with pytest.raises(NonFiniteObjective) as err:
-        O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+        O.gauss_newton_run(system, _zero_start(phi, psi), 0.4, 3)
     assert err.value.iteration == 2
 
 
@@ -400,7 +400,7 @@ def test_non_finite_objective_reports_iteration():
         z=np.full(phi.size, 1e4), rho=np.ones(psi.size), lam=0.0
     )
     with pytest.raises(NonFiniteObjective):
-        O.gauss_newton_run(system, bad, O.SolverConfig())
+        O.gauss_newton_run(system, bad, 1.0, 50)
 
 
 def test_loss_history_csv(tmp_path):
@@ -421,8 +421,7 @@ def test_loss_history_csv(tmp_path):
 def test_run_history_csv_cells_are_finite(tmp_path):
     """Every cell of a real run's loss_history.csv parses as a finite float."""
     system, phi, psi = _gp_system(M=16, gamma=1.0, beta=1e4)
-    cfg = O.SolverConfig(alpha=0.4, max_iters=10)
-    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 0.4, 10)
     hist.export_csv(tmp_path / "loss.csv")
     with open(tmp_path / "loss.csv", newline="") as fh:
         rows = list(csv.reader(fh))[1:]
@@ -529,15 +528,20 @@ def test_feature_side_never_forms_the_regularized_matrix(case, monkeypatch):
 
 
 @pytest.mark.parametrize("entry", [(2, 2, np.inf), (1, 4, np.inf), (4, 1, -np.inf), (3, 3, np.nan)])
-def test_non_finite_inner_matrix_raises_singular_normal_equations(entry):
-    """A non-finite entry of the symmetric B fails the in-place Cholesky solve cleanly."""
-    rng = np.random.default_rng(0)
-    G = rng.standard_normal((6, 6))
-    B = G @ G.T + 6.0 * np.eye(6)
-    i, j, value = entry
-    B[i, j] = B[j, i] = value
-    with pytest.raises(SingularNormalEquations):
-        O._cholesky_solve(B, rng.standard_normal(6))
+def test_non_finite_inner_matrix_raises_singular_normal_equations(entry, monkeypatch):
+    """A non-finite entry of the symmetric B fails the in-place Cholesky solve
+    cleanly, as the residual side's SingularNormalEquations."""
+    system, phi, psi = _system("gp", **_TORUS_1D_GP)
+    assert not system.feature_side
+    solve, (i, j, value) = L.cholesky_solve, entry
+
+    def poisoned(B, c, name):
+        B[i, j] = B[j, i] = value
+        return solve(B, c, name)
+
+    monkeypatch.setattr(L, "cholesky_solve", poisoned)
+    with pytest.raises(SingularNormalEquations, match="^residual-side inner solve failed: inner matrix B"):
+        system.inner_solve(_random_state(phi, psi, seed=0))
 
 
 def _bundled_normal_equation_residuals(name):
@@ -548,13 +552,11 @@ def _bundled_normal_equation_residuals(name):
     overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
     system, phi, psi = _system(cfg.method, **overrides)
     assert system.feature_side is (cfg.method == "ff")
-    solver_cfg = O.SolverConfig(alpha=cfg.alpha, max_iters=cfg.max_iters)
     calls = _recording_inner_solve(system)
-    state0 = O.init_state(phi, psi, True, solver_cfg)
-    _, hist = O.gauss_newton_run(system, state0, solver_cfg)
+    _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), cfg.alpha, cfg.max_iters)
     # the last inner solve found a vanishing step and took none
     assert len(calls) == len(hist.total) < cfg.max_iters + 1
-    assert _relative_step(*calls[-1]) <= solver_cfg.step_tol
+    assert _relative_step(*calls[-1]) <= O.STEP_TOL
     return [system.normal_equation_residual(state, hat) for state, hat in calls]
 
 
@@ -586,8 +588,7 @@ def test_feature_side_step_runs_no_orthogonal_factorization(monkeypatch):
         monkeypatch.setattr(L, name, never)
     monkeypatch.setattr(np.linalg, "svd", never)
     monkeypatch.setattr(np.linalg, "qr", never)
-    cfg = O.SolverConfig(max_iters=3)
-    _, hist = O.gauss_newton_run(system, O.init_state(phi, psi, True, cfg), cfg)
+    _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), 1.0, 3)
     assert np.isfinite(hist.total[-1])
 
 
@@ -670,6 +671,5 @@ def test_residual_workspace_reuse_is_exact_and_released(method, case):
         fresh, _, _ = _system(method, **case)
         np.testing.assert_array_equal(got.pack(), fresh.inner_solve(state).pack())
     assert system._workspace is not None
-    cfg = O.SolverConfig(alpha=0.4, max_iters=2)
-    O.gauss_newton_run(system, O.init_state(phi, psi, system.has_lam, cfg), cfg)
+    O.gauss_newton_run(system, _zero_start(phi, psi, system.has_lam), 0.4, 2)
     assert system._workspace is None

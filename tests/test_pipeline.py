@@ -9,6 +9,7 @@ import types
 import numpy as np
 import pytest
 
+from mfgsolvers import cli
 from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
 from mfgsolvers.errors import ConfigError, GridMismatch
@@ -22,6 +23,9 @@ def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError) as exc:
         PL.ExperimentConfig.from_dict({"problem": "mfg1d", "spam": 1})
     assert "spam" in str(exc.value)
+
+
+_SMALL_PLANNING = {"problem": "planning", "n_interior": 30, "n_initial": 5, "n_terminal": 5, "max_iters": 1}
 
 
 @pytest.mark.parametrize(
@@ -76,6 +80,11 @@ def test_config_rejects_unknown_keys():
         ({"shared_features": False}, "shared_features"),
         ({"problem": "nonlocal2d", "method": "gp", "M": 16, "nu": 0.0}, "nu"),
         ({"problem": "nonlocal2d", "method": "gp", "M": 16, "nu": -5}, "nu"),
+        ({"alpha": 1.5}, "alpha"),
+        # lengthscales whose fourth inverse power overflows: the GP gram's fourth
+        # derivative (a traceback) and the feature products (a wrong answer)
+        ({**_SMALL_PLANNING, "method": "gp", "sigma_space": 1e-150}, "sigma_space"),
+        ({**_SMALL_PLANNING, "method": "ff", "N": 3, "varsigma": 1e-100}, "varsigma"),
     ],
 )
 def test_config_validation_names_the_field(patch, field):
@@ -90,6 +99,33 @@ def test_config_type_check_covers_every_field(name):
     with pytest.raises(ConfigError) as exc:
         PL.ExperimentConfig.from_dict({name: []})
     assert str(exc.value).startswith(f"{name}:")
+
+
+def _accepts(patch) -> bool:
+    try:
+        PL.ExperimentConfig.from_dict(patch)
+    except ConfigError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "method, field", [("gp", "sigma_space"), ("gp", "sigma_time"), ("ff", "varsigma")]
+)
+def test_smallest_accepted_lengthscale_runs_without_a_traceback(method, field, tmp_path, capsys):
+    """The smallest lengthscale the config check accepts (found by bisection)
+    finishes a small planning run or fails it as a numerical failure, never
+    with a traceback (exit status 1)."""
+    patch = {**_SMALL_PLANNING, "method": method, "N": 3, "max_iters": 2}
+    lo, hi = 1e-300, 1e-50
+    assert not _accepts({**patch, field: lo}) and _accepts({**patch, field: hi})
+    while 0.5 * (lo + hi) not in (lo, hi):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _accepts({**patch, field: mid}) else (mid, hi)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**patch, field: hi}), encoding="utf-8")
+    code = cli.main(["run", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERICAL), capsys.readouterr().err
 
 
 def test_mode_table_cap_admits_more_modes_than_bundled():
