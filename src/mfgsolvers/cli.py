@@ -163,6 +163,7 @@ def main(argv=None) -> int:
         ConfigError,
         GridMismatch,
         MfgError,
+        NonFiniteMatrix,
         NonFiniteObjective,
         NotPositiveDefinite,
         SingularNormalEquations,
@@ -173,7 +174,9 @@ def main(argv=None) -> int:
     except (ConfigError, GridMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NotPositiveDefinite, NonFiniteObjective, SingularNormalEquations) as exc:
+    except (
+        NonFiniteMatrix, NotPositiveDefinite, NonFiniteObjective, SingularNormalEquations
+    ) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except MfgError as exc:

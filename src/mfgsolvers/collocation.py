@@ -135,6 +135,14 @@ class FunctionalSet:
     def operator_tags(self) -> tuple:
         return tuple(b[0] for b in self.blocks)
 
+    @property
+    def tags_on(self) -> dict:
+        """The operator tags of each point set, keyed by the points array's identity."""
+        out = {}
+        for tag, pts in self.blocks:
+            out.setdefault(id(pts), []).append(tag)
+        return out
+
 
 def build_functionals(spec: ProblemSpec, pts: CollocationSet):
     """Functional vectors (phi for u, psi for m) in block layout."""

@@ -45,6 +45,10 @@ class NotPositiveDefinite(MfgError):
         super().__init__(f"Cholesky failed at pivot {pivot}; increase the nugget")
 
 
+class NonFiniteMatrix(MfgError, ValueError):
+    """A matrix to factor has an infinite or NaN entry, as after an overflowing nugget."""
+
+
 class SingularNormalEquations(MfgError):
     """The linearized inner problem is singular (penalties too small) or not finite."""
 

@@ -15,8 +15,11 @@ and one rule, ``_turned``: under an operator each feature is a signed
 multiple of one column of that table.  The solve gathers those columns into
 the feature matrices (``eval_feature_op``).  A field, a fixed combination
 of the features, never needs them: each operator folds into one weight per
-column, and ``eval_feature_sum`` evaluates every operator as one product of
-a chunk's table with those weights (the random-features identity).
+column (``_sum_weights``), and ``eval_feature_sum`` evaluates every operator
+at scattered points as one product of a chunk's table with those weights
+(the random-features identity).  On a tensor grid, ``eval_feature_grid``
+takes the table per axis instead and joins the axes by angle addition, one
+GEMM per operator.
 """
 
 from __future__ import annotations
@@ -155,10 +158,12 @@ def _op_action(basis: FeatureBasis, op: str):
     return K.op_symbol(basis.axes, op, basis.frequencies)
 
 
-# points per chunk of ``eval_feature_sum``: its buffers are 3 x _SUM_CHUNK x
-# (distinct frequencies) float64, 14.7 MB for planning's 1200 frequency rows.
-# On planning's 32768-point grid (2-vCPU Xeon VM, one BLAS thread) 128 to
-# 512 took 4.6 s, 1024 4.9 s and 2048 5.4 s.
+# points per chunk of ``eval_feature_sum``, which serves scattered points
+# only (a tensor grid goes through ``eval_feature_grid``): its buffers are
+# 3 x _SUM_CHUNK x (distinct frequencies) float64, 14.7 MB for planning's
+# 1200 frequency rows.  On its 2000 held-out points with u's four operators
+# (2-vCPU Xeon VM, one BLAS thread, best of 5) 128 to 1024 took 117 to 123
+# ms, within noise, and 2048 took 138 ms.
 _SUM_CHUNK = 512
 
 # sin and cos parts of sin advanced by q quarter turns: sin, cos, -sin, -cos
@@ -205,22 +210,31 @@ def eval_feature_op(basis: FeatureBasis, op: str, X) -> np.ndarray:
     return np.take(trig, column, axis=1) * (sign * mult) / div * basis.scales
 
 
-def eval_feature_sum(basis: FeatureBasis, coeffs, ops, X) -> np.ndarray:
-    """(n_points, len(ops)): each of ``ops`` applied to sum_j coeffs_j zeta_j at X.
+def _sum_weights(basis: FeatureBasis, coeffs, ops, index, k: int) -> np.ndarray:
+    """(2k, len(ops)): each of ``ops`` on sum_j coeffs_j zeta_j, as [sin | cos] column weights.
 
-    Each feature under each operator is a signed multiple of one column of
-    the [sin | cos](X Omega^T) table (``_turned``), so each operator folds
-    into one weight per column, and all of them are one GEMM of the table
-    with the weights per chunk of ``_SUM_CHUNK`` points; no points x
-    features matrix is formed.
+    Each feature under an operator is a signed multiple of one column of
+    the table (``_turned``), so the features folded onto a column add up to
+    its weight.
     """
-    X = _as_points(basis, X)
-    freqs, index = _distinct_rows(basis)
-    k = freqs.shape[0]
     weights = np.zeros((2 * k, len(ops)))
     for j, op in enumerate(ops):
         column, sign, mult, div = _turned(basis, op, index, k)
         np.add.at(weights[:, j], column, coeffs * basis.scales * mult / div * sign)
+    return weights
+
+
+def eval_feature_sum(basis: FeatureBasis, coeffs, ops, X) -> np.ndarray:
+    """(n_points, len(ops)): each of ``ops`` applied to sum_j coeffs_j zeta_j at X.
+
+    Every operator is one GEMM of the [sin | cos](X Omega^T) table with its
+    column weights (``_sum_weights``) per chunk of ``_SUM_CHUNK`` points; no
+    points x features matrix is formed.
+    """
+    X = _as_points(basis, X)
+    freqs, index = _distinct_rows(basis)
+    k = freqs.shape[0]
+    weights = _sum_weights(basis, coeffs, ops, index, k)
     n = X.shape[0]
     out = np.empty((n, len(ops)))
     theta = np.empty((min(n, _SUM_CHUNK), k))
@@ -230,3 +244,31 @@ def eval_feature_sum(basis: FeatureBasis, coeffs, ops, X) -> np.ndarray:
         _trig_table(X[lo : lo + c], freqs, theta[:c], trig[:c])
         np.matmul(trig[:c], weights, out=out[lo : lo + c])
     return out
+
+
+def eval_feature_grid(basis: FeatureBasis, coeffs, ops, nodes) -> np.ndarray:
+    """``eval_feature_sum`` on the tensor grid of ``nodes``, one float array per axis.
+
+    Rows follow ``np.meshgrid(*nodes, indexing="ij")`` raveled.  In 2D,
+    sin and cos are taken per axis, S_d and C_d of the axis's nodes against
+    each distinct frequency row's component d, and by angle addition the
+    weights ws, wc of the sin and cos columns give the grid as one GEMM per
+    operator: [S_1 C_1] [(ws C_2 - wc S_2)^T; (ws S_2 + wc C_2)^T].  In 1D
+    the grid is its nodes, evaluated as points.
+    """
+    if len(nodes) != basis.dim:
+        raise UnsupportedOperator(f"{len(nodes)} grid axes on a basis of dimension {basis.dim}")
+    if basis.dim == 1:
+        return eval_feature_sum(basis, coeffs, ops, nodes[0][:, None])
+    freqs, index = _distinct_rows(basis)
+    k = freqs.shape[0]
+    weights = _sum_weights(basis, coeffs, ops, index, k)
+    theta1, theta2 = (np.multiply.outer(x, w) for x, w in zip(nodes, freqs.T))
+    s1, c1, s2, c2 = np.sin(theta1), np.cos(theta1), np.sin(theta2), np.cos(theta2)
+    left = np.hstack([s1, c1])
+    out = np.empty((len(ops), s1.shape[0], s2.shape[0]))
+    for j in range(len(ops)):
+        ws, wc = weights[:k, j], weights[k:, j]
+        right = np.hstack([ws * c2 - wc * s2, ws * s2 + wc * c2])
+        np.matmul(left, right.T, out=out[j])
+    return out.reshape(len(ops), -1).T

@@ -19,8 +19,9 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   weight per mode (``mode_weights``), and every operator applied to it is
   one small spectral sum (``eval_mode_weights``).  Both build their
   exponentials exp(2 pi i a x_d) once per distinct coordinate of each axis
-  (``_axis_exponentials``), so a tensor grid of n x n points costs n rows
-  per axis, and every operator of one call shares them;
+  (``_axis_exponentials``), and every operator of one call shares them.
+  On a tensor grid given by its nodes per axis the sum is one real GEMM
+  per operator (``eval_mode_weights_grid``);
 - a gram block with J5 on either side: one real GEMM of n_X n_Y n^2 over
   the mode features [cos, sin](2 pi a.x) of the two point sets, with the
   modes a and -a folded into one (``_mode_cross``).  A lattice's gram takes
@@ -34,6 +35,9 @@ operator does to a Fourier mode from ``op_symbol``, which derives it from
 ``CrossTables`` holds what the blocks on one pair of point sets share: each
 axis indexed by its distinct coordinates, the profile-derivative tables
 built on those and gathered to the block, and the mode features of J5.
+``representer_grid`` builds the same per-axis tables between a tensor
+grid's nodes and a point set, and evaluates a field of a product kernel
+with one GEMM per operator term.
 """
 
 from __future__ import annotations
@@ -251,6 +255,24 @@ def _differences(kind: str, ux, uy):
     return ux[:, None] - uy[None, :]
 
 
+def _top_orders(k: KernelSpec, ops):
+    """The highest derivative order per axis among the terms of ``ops`` (J5 has none)."""
+    orders = [o for op in ops if op != J5 for o in op_terms(k.axes, op)]
+    return [max((o[a] for o in orders), default=0) for a in range(k.dim)]
+
+
+def _profile_tables(k: KernelSpec, xs, ys, top_l, top_r):
+    """Per axis a: the profile derivatives, orders 0..top_l[a] + top_r[a], on xs[a] - ys[a].
+
+    ``xs`` and ``ys`` hold one array of coordinates per axis, such as the
+    distinct ones of a point set; the differences are ``_differences``'.
+    """
+    return [
+        _PROFILE_DERIVS[kind](_differences(kind, ux, uy), s, tl + tr)
+        for (kind, s), ux, uy, tl, tr in zip(k.axis_profiles(), xs, ys, top_l, top_r)
+    ]
+
+
 def eval(k: KernelSpec, x, y) -> float:  # noqa: A001 - spec-level name
     """Kernel value K(x, y)."""
     return float(pairwise_matrix(k, _as_points(k, x), _as_points(k, y))[0, 0])
@@ -321,18 +343,17 @@ class CrossTables:
     def _derivatives(self):
         if self._derivs is None:
             k = self.kernel
-
-            def top(ops):  # highest derivative order per axis among ops
-                orders = [o for op in ops if op != J5 for o in op_terms(k.axes, op)]
-                return [max((o[a] for o in orders), default=0) for a in range(k.dim)]
-
-            top_l, top_r = top(self.left_ops), top(self.right_ops)
-            self._derivs = []
-            for a, ((kind, s), (ux, ix), (uy, iy)) in enumerate(
-                zip(k.axis_profiles(), self.axes_x, self.axes_y)
-            ):
-                tables = _PROFILE_DERIVS[kind](_differences(kind, ux, uy), s, top_l[a] + top_r[a])
-                self._derivs.append([t[ix][:, iy] for t in tables])
+            tables = _profile_tables(
+                k,
+                [u for u, _ in self.axes_x],
+                [u for u, _ in self.axes_y],
+                _top_orders(k, self.left_ops),
+                _top_orders(k, self.right_ops),
+            )
+            self._derivs = [
+                [t[ix][:, iy] for t in axis_tables]
+                for axis_tables, (_, ix), (_, iy) in zip(tables, self.axes_x, self.axes_y)
+            ]
         return self._derivs
 
     def _nonlocal(self, left: str, right: str) -> np.ndarray:
@@ -343,6 +364,44 @@ class CrossTables:
             fx = _mode_features(k, self.X)
             self._features = (fx, fx if self.same else _mode_features(k, self.Y))
         return _mode_cross(k, left, right, *self._features)
+
+
+def representer_grid(k: KernelSpec, funcs, coeffs, ops, nodes) -> np.ndarray:
+    """Each of ``ops`` on the field sum_i coeffs_i (R_i K)(., y_i) over a tensor grid of two axes.
+
+    ``nodes`` holds one float array of nodes per axis, and rows follow
+    ``np.meshgrid(*nodes, indexing="ij")`` raveled.  The kernel is the
+    product of its axes' profiles, so a term of ``op`` with orders
+    (o_1, o_2) and one of a block's operator with (i_1, i_2) add
+    sign D_1 diag(c) D_2^T to the grid: D_a is the profile derivative of
+    order o_a + i_a between axis a's nodes and the block's coordinates, and
+    sign is (-1)^(i_1 + i_2), as in ``CrossTables.op_matrix``.  That is one
+    GEMM per term.  A point set's tables are built once, over its distinct
+    coordinates (``_profile_tables``), and every block on it gathers them.
+    ``funcs`` is a FunctionalSet and ``coeffs`` follows its block layout.
+    """
+    if len(nodes) != 2 or k.dim != 2:
+        raise DimensionMismatch(f"a grid of {len(nodes)} axes on a kernel of dimension {k.dim}")
+    tags_on = funcs.tags_on
+    out = np.zeros((len(ops), nodes[0].size, nodes[1].size))
+    tables = {}
+    for (tag, pts), sl in zip(funcs.blocks, funcs.slices):
+        if pts.shape[0] == 0:
+            continue
+        if id(pts) not in tables:
+            axes = _distinct_axes(_as_points(k, pts))
+            top_grid, top_pts = _top_orders(k, ops), _top_orders(k, tags_on[id(pts)])
+            derivs = _profile_tables(k, nodes, [u for u, _ in axes], top_grid, top_pts)
+            tables[id(pts)] = (derivs, [index for _, index in axes])
+        (d1, d2), (i1, i2) = tables[id(pts)]
+        c = coeffs[sl]
+        for j, op in enumerate(ops):
+            for ol in op_terms(k.axes, op):
+                for orr in op_terms(k.axes, tag):
+                    sign = -1.0 if (sum(orr) % 2) else 1.0
+                    left = d1[ol[0] + orr[0]][:, i1] * (sign * c)
+                    out[j] += left @ d2[ol[1] + orr[1]][:, i2].T
+    return out.reshape(len(ops), -1).T
 
 
 def eval_with_ops(k: KernelSpec, left: str, right: str, x, y) -> float:
@@ -549,26 +608,30 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
 _MODE_CHUNK = 256
 
 
-def _axis_exponentials(k: KernelSpec, X):
-    """Per axis d: exp(2 pi i u a) over the distinct coordinates u of X[:, d], and the gather index.
+def _exponentials(k: KernelSpec, u) -> np.ndarray:
+    """exp(2 pi i u a) over one axis's coordinates u: (u.size, n_modes), modes in fftfreq order.
 
-    Each pair is (table, index), the table (n_distinct, n_modes) in fftfreq
-    order and table[index] the point-by-point table; a tensor grid of
-    n x n points has n rows per axis, not n^2.  ``np.exp`` builds the first
-    n // 2 + 1 columns, the modes 0, 1, ... and, for an even n, the Nyquist
-    mode -n/2; each later column, of a mode -a, is the conjugate of the
-    column of a, which reproduces ``np.exp``'s bits at half its cost.
+    ``np.exp`` builds the first n // 2 + 1 columns, the modes 0, 1, ...
+    and, for an even n, the Nyquist mode -n/2; each later column, of a mode
+    -a, is the conjugate of the column of a, which reproduces ``np.exp``'s
+    bits at half its cost.
     """
     n = k.n_modes
     h = n // 2 + 1
-    a = _mode_axis(n)[:h]
-    out = []
-    for u, index in _distinct_axes(X):
-        table = np.empty((u.size, n), dtype=complex)
-        np.exp(2.0j * np.pi * np.outer(u, a), out=table[:, :h])
-        np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
-        out.append((table, index))
-    return out
+    table = np.empty((u.size, n), dtype=complex)
+    np.exp(2.0j * np.pi * np.outer(u, _mode_axis(n)[:h]), out=table[:, :h])
+    np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
+    return table
+
+
+def _axis_exponentials(k: KernelSpec, X):
+    """Per axis d: the exponentials of the distinct coordinates u of X[:, d], and the gather index.
+
+    Each pair is (table, index), the table ``_exponentials(k, u)`` and
+    table[index] the point-by-point table; a tensor grid of n x n points
+    has n rows per axis, not n^2.
+    """
+    return [(_exponentials(k, u), index) for u, index in _distinct_axes(X)]
 
 
 def _mode_symbol(k: KernelSpec, op: str, side: str):
@@ -647,6 +710,29 @@ def eval_mode_weights(k: KernelSpec, weights: np.ndarray, ops, X) -> np.ndarray:
         f *= e1[i1[sl]]
         out[sl] = np.real(f.sum(axis=2)).T
     return out
+
+
+def eval_mode_weights_grid(k: KernelSpec, weights: np.ndarray, ops, nodes) -> np.ndarray:
+    """``eval_mode_weights`` on the tensor grid of ``nodes``, one float array per axis.
+
+    Rows follow ``np.meshgrid(*nodes, indexing="ij")`` raveled.  In 2D an
+    operator's grid is Re(E_1 (mult_L W) E_2^T), E_d the exponentials of
+    axis d's nodes (``_exponentials``): with G = E_1 (mult_L W), as in
+    ``eval_mode_weights``, one real GEMM [Re G, Im G] [Re E_2, -Im E_2]^T.
+    In 1D the grid is its nodes, evaluated as points.  Cost: n_1 * n_ops *
+    n_modes^2 plus n_1 * n_2 * n_ops * 2 n_modes.
+    """
+    if len(nodes) != k.dim:
+        raise DimensionMismatch(f"{len(nodes)} grid axes, kernel family expects {k.dim}")
+    if k.dim == 1:
+        return eval_mode_weights(k, weights, ops, nodes[0][:, None])
+    e1, e2 = (_exponentials(k, x) for x in nodes)
+    right = np.concatenate([e2.real, -e2.imag], axis=1).T
+    out = np.empty((len(ops), e1.shape[0], e2.shape[0]))
+    for j, op in enumerate(ops):
+        g = e1 @ (_mode_symbol(k, op, "left") * weights)
+        np.matmul(np.concatenate([g.real, g.imag], axis=1), right, out=out[j])
+    return out.reshape(len(ops), -1).T
 
 
 # ---------------------------------------------------------------------------

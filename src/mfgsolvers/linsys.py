@@ -92,7 +92,7 @@ import numpy as np
 from . import features as F
 from . import kernels as K
 from .collocation import FunctionalSet, sample_uniform_grid
-from .errors import LengthMismatch, NotPositiveDefinite, UnsupportedOperator
+from .errors import LengthMismatch, NonFiniteMatrix, NotPositiveDefinite, UnsupportedOperator
 
 _FLAPACK = "scipy.linalg._flapack"
 
@@ -195,16 +195,14 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
     out = np.empty((n, n))
     blocks = funcs.blocks
     sls = funcs.slices
-    ops_on = {}  # operator tags per point set, keyed by the array's identity
-    for op, pts in blocks:
-        ops_on.setdefault(id(pts), []).append(op)
+    tags_on = funcs.tags_on
     tables = {}
     for i, (op_i, pts_i) in enumerate(blocks):
         for j in range(i, len(blocks)):
             op_j, pts_j = blocks[j]
             key = (id(pts_i), id(pts_j))
             if key not in tables:
-                tables[key] = K.CrossTables(kernel, pts_i, pts_j, ops_on[key[0]], ops_on[key[1]])
+                tables[key] = K.CrossTables(kernel, pts_i, pts_j, tags_on[key[0]], tags_on[key[1]])
             B = tables[key].op_matrix(op_i, op_j)
             if i == j:
                 B = 0.5 * (B + B.T)
@@ -451,7 +449,7 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     LAPACK factors a C-ordered copy in place, through its Fortran-ordered
     transpose, so the caller's matrix is left as it was; f2py would
     otherwise make a transposing copy.  A non-finite entry raises
-    ``ValueError`` before LAPACK sees it; a matrix that is not positive
+    ``NonFiniteMatrix`` before LAPACK sees it; a matrix that is not positive
     definite raises ``NotPositiveDefinite`` naming the order of the first
     leading minor that is not.
 
@@ -473,7 +471,7 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
             cholesky_seconds=time.perf_counter() - t0,
         )
     if not np.isfinite(matrix).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteMatrix("the regularized gram must not contain infs or NaNs")
     copy = np.array(matrix, order="C")
     L, info = lapack.dpotrf(copy.T, lower=1, overwrite_a=1, clean=1)
     if lapack_info("dpotrf", info):
@@ -496,7 +494,7 @@ def _frequency_cholesky(matrix: np.ndarray, lattice) -> np.ndarray:
     spectrum = np.fft.fftn(columns, axes=_lattice_axes(lattice))
     spectrum = spectrum.reshape(p, n, p).transpose(1, 0, 2)
     if not np.isfinite(spectrum).all():
-        raise ValueError("array must not contain infs or NaNs")
+        raise NonFiniteMatrix("the regularized gram must not contain infs or NaNs")
     try:
         return np.linalg.cholesky(spectrum)
     except np.linalg.LinAlgError:
@@ -526,7 +524,9 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float):
         # does for its SVD)
         _frequency_cholesky(np.eye(4), (4,) if len(lattice) == 1 else (2, 2))
     assembly = time.perf_counter() - t0
-    gram[np.diag_indices_from(gram)] += eta * r
+    # a nugget that overflows is reported once, by the factorization
+    with np.errstate(over="ignore"):
+        gram[np.diag_indices_from(gram)] += eta * r
     return cholesky_factor(gram, assembly_seconds=assembly, lattice=lattice)
 
 

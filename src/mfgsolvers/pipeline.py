@@ -121,8 +121,7 @@ class Problem:
     n_held_out: int = 2000
 
     def grid(self) -> np.ndarray:
-        mesh = np.meshgrid(*self.grid_axes, indexing="ij")
-        return np.stack([a.ravel() for a in mesh], axis=1)
+        return S.TensorGrid(self.grid_axes).points()
 
 
 PROBLEMS = {
@@ -317,20 +316,21 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     array of the field weights or of their evaluation
     (``kernels.mode_table_bytes``): at the collocation and held-out points
     with every operator of a field, and on the grid with the field's values
-    alone.  Every J5 gram block is built from the mode features of its
-    points, with either sampler: on a lattice they serve its generating
-    columns, on random points the whole blocks.  Raises ``BadGrid`` when
-    sigma needs more than ``kernels.MAX_MODES`` modes.
+    alone, whose tables span one axis's nodes
+    (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points).
+    Every J5 gram block is built from the mode features of its points, with
+    either sampler: on a lattice they serve its generating columns, on
+    random points the whole blocks.  Raises ``BadGrid`` when sigma needs
+    more than ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
     n = kernel.n_modes
     n_ops = max(len(spec.u_operators), len(spec.m_operators))
-    grid_points = math.prod(map(len, problem.grid_axes))
     features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
     return max(
         features,
         K.mode_table_bytes(kernel, max(cfg.M, problem.n_held_out), n_ops),
-        K.mode_table_bytes(kernel, grid_points, 1),
+        K.mode_table_bytes(kernel, max(map(len, problem.grid_axes)), 1),
     )
 
 
@@ -346,6 +346,7 @@ class RunResult:
     report: S.ErrorReport
     timing_rows: list  # (method, M, qr_seconds, cholesky_seconds)
     grid: np.ndarray
+    grid_axes: tuple  # the grid's nodes along each axis; grid is their tensor product
     initial_residual: float
     final_residual: float
     u_grid: np.ndarray  # u and m on the evaluation grid
@@ -375,7 +376,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     u_field, m_field, lam = method.reconstruct(state)
     final_residual = S.pde_residual_norm(u_field, m_field, lam, spec, held)
     grid = problem.grid()
-    u_grid, m_grid = u_field(grid), m_field(grid)
+    tensor_grid = S.TensorGrid(problem.grid_axes)
+    u_grid, m_grid = u_field(tensor_grid), m_field(tensor_grid)
     report = S.ErrorReport(
         **problem.metrics(m_field, lam, grid, u_grid, m_grid),
         residual_l2=final_residual,
@@ -392,6 +394,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
         report=report,
         timing_rows=timing_rows,
         grid=grid,
+        grid_axes=problem.grid_axes,
         initial_residual=initial_residual,
         final_residual=final_residual,
         u_grid=u_grid,
@@ -402,15 +405,21 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
 def export_solution_grid(result: RunResult, path) -> None:
     """One row per grid point: its coordinates, u and m, each value as its repr.
 
-    The bytes are those of ``csv.writer``: a float's repr needs no quoting,
-    so each row is joined directly, which takes about half the time.
+    The grid is the tensor product of ``result.grid_axes``, so each node's
+    repr is formed once per axis, and a row's coordinates are the
+    concatenation of its nodes' strings; only u and m are formatted per
+    point.  The bytes are those of ``csv.writer``: a float's repr needs no
+    quoting, so each row is joined directly.
     """
-    grid, uv, mv = result.grid, result.u_grid, result.m_grid
-    header = [f"x{i}" for i in range(grid.shape[1])] + ["u", "m"]
-    rows = np.column_stack((grid, uv, mv)).tolist()
+    prefixes = [""]
+    for nodes in result.grid_axes:
+        strings = [f"{v!r}," for v in np.asarray(nodes, dtype=float).tolist()]
+        prefixes = [p + s for p in prefixes for s in strings]
+    header = [f"x{i}" for i in range(len(result.grid_axes))] + ["u", "m"]
+    rows = zip(prefixes, result.u_grid.tolist(), result.m_grid.tolist(), strict=True)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.write("".join(",".join(map(repr, row)) + "\r\n" for row in rows))
+        fh.write("".join([f"{p}{u!r},{m!r}\r\n" for p, u, m in rows]))
 
 
 def export_timing(rows, path) -> None:

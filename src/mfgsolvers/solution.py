@@ -5,17 +5,31 @@ FF fields are finite trigonometric sums with coefficients recovered through
 the ridge least-squares map.  Both expose exact operator application, so
 held-out PDE residuals use analytic derivatives rather than stencils.
 
-A GP field on the 1D or 2D torus is stored as the per-mode weights of the
-kernel's exact, truncated Fourier spectrum, computed once when the field is
-built; applying operators at n points then costs about n * n_modes^dim,
-n_modes being the count the kernel derives from its sigma (less on a tensor
-grid, whose exponentials are built per distinct coordinate), independent of
-the number of functionals.  GP fields of the
-anisotropic space-time kernel (planning) sum the closed-form representer
-terms at every call, in chunks of points, with one table per chunk and
-point set that every block on that set shares.  FF fields fold each
-operator into per-frequency sin and cos weights and evaluate in chunks, so
-no points x features matrix is formed.
+Every field evaluates operators (``eval_ops``, ``eval_op`` or a call) two
+ways: at scattered points, an (n, dim) array, as for the held-out residual,
+and on a ``TensorGrid`` of nodes per axis, as for the export grid and the
+planning mass slices.  Both field types are sums whose terms factor by
+axis, so the grid path forms per-axis tables on each axis's nodes and joins
+the axes with one matrix product per term:
+
+- a GP field on the 1D or 2D torus is stored as the per-mode weights of the
+  kernel's exact, truncated Fourier spectrum, computed once when the field
+  is built.  At n scattered points an operator costs about
+  n * n_modes^dim, n_modes being the count the kernel derives from its
+  sigma; on a 2D grid it is Re(E_1 (mult W) E_2^T) from the exponentials of
+  each axis's nodes (``kernels.eval_mode_weights_grid``);
+- a GP field of the anisotropic space-time kernel (planning) sums the
+  closed-form representer terms at every call.  At scattered points that
+  goes in chunks of points, with one table per chunk and point set that
+  every block on that set shares; on a grid, the kernel being a product of
+  per-axis profiles, each operator term is D_t diag(c) D_x^T
+  (``kernels.representer_grid``);
+- an FF field folds each operator into per-frequency sin and cos weights.
+  At scattered points it evaluates in chunks, so no points x features
+  matrix is formed; on a 2D grid angle addition joins the per-axis sin and
+  cos tables (``features.eval_feature_grid``).
+
+A 1D grid is its nodes, evaluated as points.
 """
 
 from __future__ import annotations
@@ -34,15 +48,36 @@ from .optimizer import SolverState
 from .problems import ProblemSpec, interior_residual_batch
 
 
-# evaluation points per chunk of a GP field off the torus.  A chunk's kernel
-# tables are _CROSS_CHUNK x (points in the set) per derivative order and
-# axis, 79 MB for planning's 1200 interior points and the 8 orders of u's
-# operators.  On planning's 32768-point grid (2-vCPU Xeon VM, one BLAS
-# thread) 256, 512, 1024 and 2048 took 10.2, 9.1, 8.6 and 8.0 s at peaks of
-# 85, 111, 162 and 260 MB.  A multiple of 4, because a BLAS matrix-vector
-# kernel that takes rows four at a time may sum the last (rows mod 4)
-# another way; so the values do not depend on the chunking.
+# scattered evaluation points per chunk of a GP field off the torus (a tensor
+# grid goes through ``kernels.representer_grid``).  A chunk's kernel tables
+# are _CROSS_CHUNK x (points in the set) per derivative order and axis, 79 MB
+# for planning's 1200 interior points and the 8 orders of u's operators.  On
+# its 2000 held-out points with u's four operators (2-vCPU Xeon VM, one BLAS
+# thread, best of 3) 256, 512, 1024 and 2048 took 0.85, 0.74, 0.67 and
+# 0.62 s; 2048 would double the tables for 8% less time.  A multiple of 4,
+# because a BLAS matrix-vector kernel that takes rows four at a time may sum
+# the last (rows mod 4) another way; so the values do not depend on the
+# chunking.
 _CROSS_CHUNK = 1024
+
+
+@dataclass(frozen=True)
+class TensorGrid:
+    """The tensor product of one array of nodes per axis.
+
+    Its points are ``np.meshgrid(*nodes, indexing="ij")`` raveled, the
+    first axis slowest; a field evaluated on it returns its values in that
+    order.
+    """
+
+    nodes: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "nodes", tuple(np.asarray(x, dtype=float) for x in self.nodes))
+
+    def points(self) -> np.ndarray:
+        mesh = np.meshgrid(*self.nodes, indexing="ij")
+        return np.stack([a.ravel() for a in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -51,7 +86,7 @@ class GpField:
 
     On the torus the sum is collapsed into per-mode weights once, when the
     field is built; the anisotropic kernel evaluates the sum in closed form
-    on every call, ``_CROSS_CHUNK`` points at a time.
+    on every call, at scattered points ``_CROSS_CHUNK`` points at a time.
     """
 
     coeffs: np.ndarray
@@ -65,14 +100,20 @@ class GpField:
             object.__setattr__(self, "weights", w)
 
     def eval_ops(self, ops, X) -> np.ndarray:
-        """One column per operator in ``ops``, from one table per chunk of X and point set."""
+        """One column per operator in ``ops``, at the points X or on a ``TensorGrid``.
+
+        Off the torus, points go in chunks, with one table per chunk and
+        point set.
+        """
+        if isinstance(X, TensorGrid):
+            if self.weights is not None:
+                return K.eval_mode_weights_grid(self.kernel, self.weights, ops, X.nodes)
+            return K.representer_grid(self.kernel, self.funcs, self.coeffs, ops, X.nodes)
         if self.weights is not None:
             return K.eval_mode_weights(self.kernel, self.weights, ops, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], len(ops)))
-        tags_on = {}  # operator tags per point set, keyed by the array's identity
-        for tag, pts in self.funcs.blocks:
-            tags_on.setdefault(id(pts), []).append(tag)
+        tags_on = self.funcs.tags_on
         for lo in range(0, X.shape[0], _CROSS_CHUNK):
             rows = slice(lo, lo + _CROSS_CHUNK)
             tables = {}
@@ -100,7 +141,10 @@ class FfField:
     basis: F.FeatureBasis
 
     def eval_ops(self, ops, X) -> np.ndarray:
-        """One column per operator in ``ops``, one GEMM per chunk of X."""
+        """One column per operator in ``ops``: one GEMM per chunk of the points X,
+        or per operator on a ``TensorGrid`` (angle addition in 2D)."""
+        if isinstance(X, TensorGrid):
+            return F.eval_feature_grid(self.basis, self.coeffs, ops, X.nodes)
         return F.eval_feature_sum(self.basis, self.coeffs, ops, X)
 
     def eval_op(self, op: str, X) -> np.ndarray:
@@ -161,13 +205,15 @@ def pde_residual_norm(u_field, m_field, lam, spec: ProblemSpec, test_points) -> 
 
 
 def mass_trace(m_field, t_values, x_nodes) -> list:
-    """Trapezoid integral of the density in x at each requested time."""
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    out = []
-    for t in t_values:
-        pts = np.stack([np.full_like(x_nodes, float(t)), x_nodes], axis=1)
-        out.append(float(np.trapezoid(m_field(pts), x_nodes)))
-    return out
+    """Trapezoid integral of the density in x at each requested time.
+
+    The slices are one ``TensorGrid`` of ``t_values`` and ``x_nodes``,
+    which the field evaluates at once.
+    """
+    grid = TensorGrid((t_values, x_nodes))
+    t_values, x_nodes = grid.nodes
+    m = np.reshape(m_field(grid), (t_values.size, x_nodes.size))
+    return [float(np.trapezoid(row, x_nodes)) for row in m]
 
 
 @dataclass

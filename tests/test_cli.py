@@ -215,6 +215,32 @@ def test_overflowing_capacitance_prints_one_line_on_stderr(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"problem": "mfg1d", "method": "gp", "M": 64, "max_iters": 2, "eta": 1e308},
+        {"problem": "planning", "method": "gp", "n_interior": 30, "n_initial": 5,
+         "n_terminal": 5, "max_iters": 2, "eta": 1e308},
+    ],
+    ids=["lattice", "dense"],
+)
+def test_overflowing_nugget_prints_one_line_on_stderr(config, tmp_path):
+    """In a fresh process, with numpy's warnings at their defaults, a nugget eta
+    that overflows the gram's diagonal is a numerical failure on one line, on
+    the lattice route (per-frequency factors) and on the dense one."""
+    cfg = _write_config(tmp_path, config)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfgsolvers", "run", cfg, "--output-dir", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == cli.EXIT_NUMERICAL
+    assert proc.stderr == (
+        "numerical failure: the regularized gram must not contain infs or NaNs\n"
+    )
+
+
 def test_output_dir_that_is_a_file_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, TINY)
     blocker = tmp_path / "blocker"
@@ -286,6 +312,28 @@ def test_importing_cli_loads_no_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("config", ["nonlocal2d_ff_nu1", "mfg1d_gp"])
+def test_bundled_run_loads_neither_numpy_ma_nor_scipy_linalg(config, tmp_path):
+    """A whole bundled run, its report included, imports neither ``numpy.ma`` nor
+    ``scipy.linalg``: each import costs a sub-second run tens of milliseconds.
+    ``np.unique`` without ``return_inverse`` (or the index and count flags)
+    imports ``numpy.ma`` to ask ``np.ma.is_masked``."""
+    path = Path(__file__).resolve().parents[1] / "src" / "mfgsolvers" / "configs" / f"{config}.json"
+    script = (
+        "import sys, mfgsolvers.cli\n"
+        "assert mfgsolvers.cli.main(['run', sys.argv[1], '--output-dir', sys.argv[2]]) == 0\n"
+        "loaded = {'numpy.ma', 'scipy.linalg'} & set(sys.modules)\n"
+        "assert not loaded, f'a run loaded {sorted(loaded)}'\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

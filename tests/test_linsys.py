@@ -17,7 +17,7 @@ from mfgsolvers import kernels as K
 from mfgsolvers import linsys as L
 from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
-from mfgsolvers.errors import LengthMismatch, NotPositiveDefinite
+from mfgsolvers.errors import LengthMismatch, NonFiniteMatrix, NotPositiveDefinite
 from mfgsolvers.pipeline import default_drift, default_drift_dx, default_potential
 
 SPEC_1D = P.make_1d_stationary(default_potential, default_drift, default_drift_dx)
@@ -352,6 +352,19 @@ def test_not_positive_definite_reports_pivot(monkeypatch):
     for value in (np.nan, np.inf):
         with pytest.raises(ValueError, match="infs or NaNs"):
             L.cholesky_factor(np.diag([1.0, value, 1.0]))
+
+
+@pytest.mark.parametrize("route", ["lattice", "dense"])
+def test_overflowing_nugget_raises_non_finite_matrix_without_a_warning(route):
+    """eta * (mean gram diagonal) = inf on the diagonal is reported once, by the factorization."""
+    spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
+    pts = C.sample_uniform_grid(2, 16) if route == "lattice" else C.sample_uniform_random(2, 16, 1)
+    phi, _ = C.build_functionals(spec, pts)
+    assert (L.lattice_shape(kernel, phi) is not None) == (route == "lattice")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteMatrix, match="infs or NaNs"):
+            L.build_gram_factor(kernel, phi, 1e308)
 
 
 def test_length_mismatch_raises():

@@ -239,38 +239,69 @@ def test_small_end_to_end_run(method, tmp_path):
     assert trows[1][0] == method
 
 
-def test_solution_grid_is_written_with_the_repr_of_each_value(tmp_path):
-    grid = np.array([[-0.0, 1e-17], [1.0, 2.0], [0.1, -3.5e300]])
-    result = types.SimpleNamespace(
-        grid=grid, u_grid=np.array([0.0, -0.0, 5.0]), m_grid=np.array([1e-17, 1 / 3, 2.0**60])
-    )
-    PL.export_solution_grid(result, tmp_path / "grid.csv")
-    expected = tmp_path / "expected.csv"
-    with open(expected, "w", newline="", encoding="utf-8") as fh:
+def _grid_result(axes, u, m):
+    """What ``export_solution_grid`` reads of a run: the grid's axes and u and m on it."""
+    return types.SimpleNamespace(grid_axes=tuple(axes), u_grid=np.asarray(u), m_grid=np.asarray(m))
+
+
+def _csv_writer_reference(path, axes, u, m):
+    """csv.writer's rows of the reprs of each grid point's coordinates, u and m."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["x0", "x1", "u", "m"])
-        for i in range(grid.shape[0]):
-            row = [*grid[i], result.u_grid[i], result.m_grid[i]]
-            w.writerow([repr(float(v)) for v in row])
-    assert (tmp_path / "grid.csv").read_bytes() == expected.read_bytes()
-    assert b"-0.0,1e-17," in expected.read_bytes()
+        w.writerow([f"x{i}" for i in range(len(axes))] + ["u", "m"])
+        for i, point in enumerate(zip(*(a.ravel().tolist() for a in mesh))):
+            w.writerow([repr(float(v)) for v in (*point, u[i], m[i])])
+    return path.read_bytes()
+
+
+def test_solution_grid_is_written_with_the_repr_of_each_value(tmp_path):
+    axes = (np.array([-0.0, 1.0, 0.1]), np.array([1e-17, 2.0, -3.5e300]))
+    u = np.array([0.0, -0.0, 5.0, 1e-300, -7.5, 2.0, 3.0, 1e22, -0.0])
+    m = np.array([1e-17, 1 / 3, 2.0**60, 0.0, 1.0, -1.0, 5e-324, 0.5, 9.0])
+    PL.export_solution_grid(_grid_result(axes, u, m), tmp_path / "grid.csv")
+    expected = _csv_writer_reference(tmp_path / "expected.csv", axes, u, m)
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+    assert b"-0.0,1e-17," in expected
 
 
 @pytest.mark.parametrize("n_points", [0, 1, 500])
 def test_solution_grid_bytes_equal_csv_writer_output(n_points, tmp_path):
-    """The rows joined directly are, byte for byte, csv.writer's rows of reprs."""
+    """The rows joined from per-axis strings are, byte for byte, csv.writer's rows of reprs."""
     rng = np.random.default_rng(n_points)
-    values = rng.standard_normal((n_points, 4)) * 10.0 ** rng.integers(-20, 20, (n_points, 4))
+    shape = {0: (0, 3), 1: (1, 1), 500: (20, 25)}[n_points]
     special = [-0.0, 0.0, -3.0, 7.0, 2.0**53, 5e-324, -1e-300, 1e-17, -2.5e-8, 1e22]
-    mask = rng.random(values.shape) < 0.3
-    values[mask] = rng.choice(special, mask.sum())
-    result = types.SimpleNamespace(grid=values[:, :2], u_grid=values[:, 2], m_grid=values[:, 3])
-    PL.export_solution_grid(result, tmp_path / "grid.csv")
-    with open(tmp_path / "expected.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["x0", "x1", "u", "m"])
-        w.writerows(map(repr, row) for row in values.tolist())
-    assert (tmp_path / "grid.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def awkward(n):
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        mask = rng.random(n) < 0.3
+        values[mask] = rng.choice(special, mask.sum())
+        return values
+
+    axes, u, m = [awkward(n) for n in shape], awkward(n_points), awkward(n_points)
+    PL.export_solution_grid(_grid_result(axes, u, m), tmp_path / "grid.csv")
+    expected = _csv_writer_reference(tmp_path / "expected.csv", axes, u, m)
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+
+
+def test_solution_grid_of_a_planning_sized_grid_equals_csv_writer_output(tmp_path):
+    """A 5 x 512 grid whose first axis holds -0.0, 1e-05, 1e16 and 5e-324, and u and m
+    with the same awkward values among random ones, written as csv.writer would."""
+    axes = (np.array([-0.0, 1e-05, 1e16, 5e-324, 0.25]), np.linspace(-2.0, 2.0, 512))
+    rng = np.random.default_rng(21)
+    u, m = rng.standard_normal((2, 5 * 512)) * 10.0 ** rng.integers(-8, 8, (2, 5 * 512))
+    u[:4], m[-4:] = [-0.0, 1e-05, 1e16, 5e-324], [5e-324, 1e16, 1e-05, -0.0]
+    PL.export_solution_grid(_grid_result(axes, u, m), tmp_path / "grid.csv")
+    expected = _csv_writer_reference(tmp_path / "expected.csv", axes, u, m)
+    assert (tmp_path / "grid.csv").read_bytes() == expected
+    assert b"\r\n1e+16,-2.0," in expected and b"\r\n5e-324,2.0," in expected
+
+
+def test_run_result_carries_the_problem_grid_axes():
+    """The export reads the grid's axes from the run; the grid is their tensor product."""
+    res = PL.run_experiment(_tiny_1d("ff"))
+    assert res.grid_axes is PL.PROBLEMS["mfg1d"].grid_axes
+    np.testing.assert_array_equal(res.grid, PL.PROBLEMS["mfg1d"].grid())
 
 
 def test_runs_are_deterministic():

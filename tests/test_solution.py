@@ -138,8 +138,8 @@ def test_residual_norm_of_flat_state_is_one_for_flat_potential():
 
 def test_mass_trace_integrates_slicewise():
     class GaussianField:
-        def __call__(self, pts):
-            return P.gaussian_density(pts[:, 1], 0.5)
+        def __call__(self, grid):
+            return P.gaussian_density(grid.points()[:, 1], 0.5)
 
     x = np.linspace(-2.0, 2.0, 2001)
     masses = S.mass_trace(GaussianField(), (0.1, 0.9), x)
@@ -290,3 +290,102 @@ def test_anisotropic_gp_field_evaluates_in_chunks():
             np.testing.assert_array_equal(
                 np.vstack([f.eval_ops(ops, X[:h]), f.eval_ops(ops, X[h:])]), values
             )
+
+
+# -- tensor-grid evaluation ---------------------------------------------------
+
+# grid nodes with distinct lengths per axis, so a transposed or misordered
+# grid shows; the planning ones span its strip
+TORUS_NODES = (np.arange(7) / 7.0, np.sort(np.random.default_rng(15).random(11)))
+PLANNING_NODES = (np.linspace(0.0, 1.0, 9), np.linspace(-2.0, 2.0, 13))
+
+
+def _assert_grid_equals_points(field, ops, nodes):
+    """A field on the TensorGrid of ``nodes`` equals the field at its points, which
+    follow meshgrid's 'ij' order: the first axis slowest."""
+    tensor = S.TensorGrid(nodes)
+    X = tensor.points()
+    assert X.shape == (nodes[0].size * nodes[1].size, 2)
+    np.testing.assert_array_equal(X[1], [nodes[0][0], nodes[1][1]])
+    grid, points = field.eval_ops(ops, tensor), field.eval_ops(ops, X)
+    assert grid.shape == points.shape == (X.shape[0], len(ops))
+    np.testing.assert_array_equal(field(tensor), grid[:, list(ops).index(K.ID)])
+    for j, op in enumerate(ops):
+        atol = 1e-12 * np.max(np.abs(points[:, j]))
+        np.testing.assert_allclose(grid[:, j], points[:, j], rtol=0, atol=atol, err_msg=op)
+
+
+@pytest.mark.parametrize("sampler", ["lattice", "random"])
+def test_torus_gp_grid_equals_point_evaluation(sampler):
+    """A 2D torus GP field on a grid, Re(E_1 (mult W) E_2^T), for every operator of
+    its functional sets, from a lattice factor or a dense one on random points."""
+    spec, kernel = P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5)
+    if sampler == "lattice":
+        pts = C.sample_uniform_grid(2, 36)
+    else:
+        pts = C.sample_uniform_random(2, 36, 4)
+    phi, psi = C.build_functionals(spec, pts)
+    factors = L.build_gram_factors(kernel, (phi, psi), 1e-6)
+    assert isinstance(factors[1], L.LatticeFactor) == (sampler == "lattice")
+    rng = np.random.default_rng(16)
+    state = O.SolverState(
+        z=rng.standard_normal(phi.size), rho=rng.standard_normal(psi.size), lam=0.0
+    )
+    u, m, _ = S.gp_reconstruct(state, *factors, kernel, phi, psi)
+    _assert_grid_equals_points(u, spec.u_operators, TORUS_NODES)
+    _assert_grid_equals_points(m, spec.m_operators, TORUS_NODES)
+
+
+@pytest.mark.parametrize(
+    "basis, nodes",
+    [
+        (F.build_periodic(5, 2), TORUS_NODES),
+        (F.sample_orthogonal_features(F.RandomFeatureSampler(2, 0.2, 3), 150), PLANNING_NODES),
+    ],
+    ids=["periodic2d", "random_tx"],
+)
+def test_ff_grid_equals_point_evaluation(basis, nodes):
+    """Angle addition on a grid equals the feature sum at its points, for every operator."""
+    f = S.FfField(np.random.default_rng(17).standard_normal(basis.count), basis)
+    _assert_grid_equals_points(f, _supported_ops(basis), nodes)
+
+
+def test_planning_gp_grid_equals_point_evaluation():
+    """The separable kernel's grid, one D_t diag(c) D_x^T per term, for every left
+    operator against every block of both functional sets: id, dt, dx and dxx on
+    the interior and the id blocks on the initial and terminal slices."""
+    spec, kernel = P.make_planning(), K.anisotropic_kernel(0.3, 0.4)
+    for pts in (C.sample_planning_grid(24, 4, 4), C.sample_planning(5, 60, 10, 10)):
+        phi, psi = C.build_functionals(spec, pts)
+        assert {tag for tag, _ in phi.blocks + psi.blocks} == {K.ID, K.DT, K.DX, K.DXX}
+        rng = np.random.default_rng(18)
+        for funcs in (phi, psi):
+            f = S.GpField(rng.standard_normal(funcs.size), funcs, kernel)
+            _assert_grid_equals_points(f, spec.u_operators, PLANNING_NODES)
+
+
+def test_planning_mass_trace_equals_point_evaluation():
+    """The masses from the grid of slices equal the trapezoid of pointwise values."""
+    spec, kernel = P.make_planning(), K.anisotropic_kernel(0.3, 0.4)
+    _, psi = C.build_functionals(spec, C.sample_planning_grid(24, 4, 4))
+    m = S.GpField(np.random.default_rng(19).standard_normal(psi.size), psi, kernel)
+    x = np.linspace(-2.0, 2.0, 512)
+    masses = S.mass_trace(m, (0.25, 0.5, 0.75), x)
+    for t, mass in zip((0.25, 0.5, 0.75), masses):
+        direct = float(np.trapezoid(m(np.stack([np.full_like(x, t), x], axis=1)), x))
+        assert mass == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("method", ["gp", "ff"])
+def test_1d_grid_is_the_point_evaluation_bit_for_bit(method):
+    """A 1D grid is its nodes, evaluated as points: mfg1d's artifacts keep their bits."""
+    kernel, pts, phi, psi, fu, fm = _gp_setup()
+    coeffs = np.random.default_rng(20).standard_normal(phi.size)
+    if method == "gp":
+        f = S.GpField(coeffs, phi, kernel)
+    else:
+        basis = F.build_periodic(6, 1)
+        f = S.FfField(coeffs[: basis.count], basis)
+    x = np.linspace(0.0, 1.0, 1000, endpoint=False)
+    ops = SPEC_1D.u_operators
+    np.testing.assert_array_equal(f.eval_ops(ops, S.TensorGrid((x,))), f.eval_ops(ops, x[:, None]))
