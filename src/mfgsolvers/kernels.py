@@ -16,12 +16,14 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
 0.6, 0.5 and 0.35).  Three things are built on the spectrum:
 
 - a representer-form field on the 1D or 2D torus collapses once into one
-  weight per mode (``mode_weights``), and every operator applied to it is
-  one small spectral sum (``eval_mode_weights``).  Both build their
-  exponentials exp(2 pi i a x_d) once per distinct coordinate of each axis
-  (``_axis_exponentials``), and every operator of one call shares them.
-  On a tensor grid given by its nodes per axis the sum is one real GEMM
-  per operator (``eval_mode_weights_grid``);
+  weight per mode (``mode_weights``, on the exponentials exp(2 pi i a x_d)
+  of each axis's distinct coordinates, ``_axis_exponentials``), and every
+  operator applied to it is one small spectral sum (``eval_mode_weights``).
+  At scattered points the sum reads the points' exponential tables, built
+  once (``mode_points``) and shared by every field, operator and call that
+  is given them; in 2D it runs over half the first-axis modes, a_1 folded
+  with -a_1 (``_fold_first_axis``).  On a tensor grid given by its nodes
+  per axis the sum is one real GEMM per operator (``eval_mode_weights_grid``);
 - a gram block with J5 on either side: one real GEMM of n_X n_Y n^2 over
   the mode features [cos, sin](2 pi a.x) of the two point sets, with the
   modes a and -a folded into one (``_mode_cross``).  A lattice's gram takes
@@ -600,45 +602,49 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
 # ---------------------------------------------------------------------------
 # torus fields as per-mode weights of the truncated kernel spectrum
 
-# points per chunk of the last-axis reduction in ``eval_mode_weights``.  A
-# chunk's buffer is _MODE_CHUNK x ops x n_modes complex, 1.3 MB for the five
-# nonlocal2d m operators at 64 modes, small enough to stay in a core's L2
-# cache: on 2000 held-out points (2-vCPU Xeon VM, one BLAS thread, 64 modes)
-# 128 and 256 were fastest, 1024 about 1.4x slower
+# points per chunk of ``eval_mode_weights`` on the 2D torus.  A chunk's
+# rows of the two point tables and its product with one operator's folded
+# weights take 2.5 x _MODE_CHUNK x n_modes complex, 0.7 MB at 64 modes, and
+# stay in a core's L2 cache while every operator of the call passes.  On
+# 2000 held-out points with the five nonlocal2d m operators at 46 modes
+# (2-vCPU Xeon VM, one BLAS thread, tables built, median of 40) 64, 128,
+# 256, 512, 1024 and 2000 took 4.9, 4.1, 3.7, 3.5, 3.6 and 3.8 ms
 _MODE_CHUNK = 256
 
 
-def _exponentials(k: KernelSpec, u) -> np.ndarray:
+def _exponentials(n_modes: int, u, half: bool = False) -> np.ndarray:
     """exp(2 pi i u a) over one axis's coordinates u: (u.size, n_modes), modes in fftfreq order.
 
     ``np.exp`` builds the first n // 2 + 1 columns, the modes 0, 1, ...
     and, for an even n, the Nyquist mode -n/2; each later column, of a mode
     -a, is the conjugate of the column of a, which reproduces ``np.exp``'s
-    bits at half its cost.
+    bits at half its cost.  With ``half`` the table is those first columns
+    alone.
     """
-    n = k.n_modes
+    n = n_modes
     h = n // 2 + 1
-    table = np.empty((u.size, n), dtype=complex)
+    table = np.empty((u.size, h if half else n), dtype=complex)
     np.exp(2.0j * np.pi * np.outer(u, _mode_axis(n)[:h]), out=table[:, :h])
-    np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
+    if not half:
+        np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
     return table
 
 
 def _axis_exponentials(k: KernelSpec, X):
     """Per axis d: the exponentials of the distinct coordinates u of X[:, d], and the gather index.
 
-    Each pair is (table, index), the table ``_exponentials(k, u)`` and
-    table[index] the point-by-point table; a tensor grid of n x n points
-    has n rows per axis, not n^2.
+    Each pair is (table, index), the table ``_exponentials(k.n_modes, u)``
+    and table[index] the point-by-point table; a tensor grid of n x n
+    points has n rows per axis, not n^2.
     """
-    return [(_exponentials(k, u), index) for u, index in _distinct_axes(X)]
+    return [(_exponentials(k.n_modes, u), index) for u, index in _distinct_axes(X)]
 
 
-def _mode_symbol(k: KernelSpec, op: str, side: str):
-    """Per-mode symbol of ``op`` on the mode grid of a periodic kernel."""
+def _mode_symbol(k: KernelSpec, op: str, side: str, n_modes: int | None = None):
+    """Per-mode symbol of ``op`` on a periodic kernel's mode grid, or on one of ``n_modes``."""
     if op == J5 and k.family != PERIODIC_2D:
         raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
-    return _symbol(k.axes, op, _mode_grid(k.n_modes, k.dim), side)
+    return _symbol(k.axes, op, _mode_grid(n_modes or k.n_modes, k.dim), side)
 
 
 def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
@@ -674,41 +680,126 @@ def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
 
 
 def mode_table_bytes(k: KernelSpec, n_points: int, n_ops: int) -> int:
-    """Bytes of the largest array ``mode_weights`` or ``eval_mode_weights`` allocates.
+    """Bytes of the largest array of ``mode_weights``, ``mode_points`` or ``eval_mode_weights``.
 
-    For ``n_points`` points and ``n_ops`` operators that is an exponential
-    table (at most n_points x n_modes), the stacked-operator product (at
-    most n_points x n_ops x n_modes^(dim-1), which also bounds a reduction
-    chunk), its operand or the weights (n_ops x n_modes^dim), all complex128.
+    For ``n_points`` points and ``n_ops`` operators that is, all complex128:
+    an exponential table, at most n_points x n_modes, or on the 2D torus the
+    second-axis table of ``ModePoints``, n_points x (n_modes + 1), which
+    also bounds a chunk's product; in 1D the product of the operators'
+    columns, n_ops x n_points; or the weights under the symbols of the
+    operators, n_ops x n_modes^dim, which bounds their folded halves.
     """
     n, dim = k.n_modes, k.dim
-    return 16 * max(n_points * n, n_points * n_ops * n ** (dim - 1), n_ops * n**dim)
+    return 16 * max(n_points * (n + 1), n_points * n_ops, n_ops * n**dim)
+
+
+@dataclass(frozen=True, eq=False)
+class ModePoints:
+    """Scattered points of the torus with the exponential tables ``eval_mode_weights`` reads.
+
+    Built once (``mode_points``) for a mode count, they serve every field
+    and operator evaluated at those points: a run's u and m, at its start
+    and at its end.  In 1D ``first`` holds the exponentials of the
+    distinct coordinates and ``index`` gathers them to the points.  In 2D
+    both tables are per point.  ``first`` holds the exponentials of the
+    first-axis modes 0, 1, ..., n/2 - 1 and -n/2, the half that
+    ``_fold_first_axis`` keeps.  ``second`` holds the second-axis ones and,
+    as column n, the conjugate of the Nyquist one, all conjugated and as
+    float pairs: for a row g of a product with folded weights, Re sum_c
+    g_c T_c, T that table unconjugated, is the real dot product of g's
+    float pairs with the point's row of ``second``.
+    """
+
+    n_modes: int
+    first: np.ndarray
+    index: np.ndarray | None = None
+    second: np.ndarray | None = None
+
+    @property
+    def dim(self) -> int:
+        return 1 if self.second is None else 2
+
+    @property
+    def size(self) -> int:
+        return self.first.shape[0] if self.index is None else self.index.size
+
+
+def mode_points(X, n_modes: int) -> ModePoints:
+    """The tables of ``ModePoints`` for the (n, dim) points X of the 1D or 2D torus."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] == 1:
+        ((u, index),) = _distinct_axes(X)
+        return ModePoints(n_modes, _exponentials(n_modes, u), index=index)
+    if X.shape[1] != 2:
+        raise DimensionMismatch(f"points have dimension {X.shape[1]}, the torus has 1 or 2")
+    e2 = _exponentials(n_modes, X[:, 1])
+    second = np.empty((X.shape[0], n_modes + 1), dtype=complex)
+    np.conjugate(e2, out=second[:, :n_modes])
+    second[:, n_modes] = e2[:, n_modes // 2]
+    first = _exponentials(n_modes, X[:, 0], half=True)
+    return ModePoints(n_modes, first, second=second.view(float))
+
+
+def _fold_first_axis(v: np.ndarray) -> np.ndarray:
+    """Weights on the first-axis half n/2 + 1 of an n x n mode grid that give the field of ``v``.
+
+    f(x) = Re sum_a v_a exp(2 pi i a.x), and Re z = Re conj(z), so the term
+    of a mode a = (-a_1, a_2) equals that of conj(v_a) at -a: each row a_1
+    of 1..n/2 - 1 takes v_(a_1, a_2) + conj(v_(-a_1, -a_2)) and stands for
+    the row -a_1 as well.  That needs no symmetry of v; a field's weights
+    have v_{-a} = conj(v_a) only up to round-off.  The Nyquist column
+    a_2 = -n/2 has no partner -a_2 on the grid, so there each of those rows
+    keeps its own term, and the term of -a_1, conjugated, goes into one more
+    column: the column n, which ``ModePoints.second`` pairs with the
+    conjugate Nyquist exponential.  The rows 0 and -n/2 are kept as they are.
+    """
+    n = v.shape[0]
+    h = n // 2
+    neg = v[n - 1 : h : -1]  # the rows -1, ..., -(h - 1)
+    out = np.zeros((h + 1, n + 1), dtype=complex)
+    out[:, :n] = v[: h + 1]
+    out[1:h, :n] += np.conjugate(neg[:, -np.arange(n) % n])
+    out[1:h, h] = v[1:h, h]
+    out[1:h, n] = np.conjugate(neg[:, h])
+    return out
 
 
 def eval_mode_weights(k: KernelSpec, weights: np.ndarray, ops, X) -> np.ndarray:
     """(op f)(x) = Re sum_a mult_L(op, a) W[a] exp(2 pi i a.x) for W from ``mode_weights``.
 
-    Returns one column per operator in ``ops``.  The symbols act on the
-    distinct first-axis coordinates only: a column is the product
-    E1 @ (mult_L W), one per operator, so its bits do not depend on the
-    other operators of the call.  On the 1D torus it is gathered to the
-    points; on the 2D torus each point's rows of it are reduced against its
-    second-axis exponentials, in chunks of ``_MODE_CHUNK`` points.  Cost:
-    n_distinct * n_ops * n_modes^dim plus, in 2D, n_points * n_ops * n_modes.
+    Returns one column per operator in ``ops``, at the points X or at
+    those of a ``ModePoints`` built for the weights' mode count, which
+    then serves as many calls as it is given to.  A column's bits do not
+    depend on the other operators of the call, nor on which other points
+    share it, except that a product of one row may round another way.  On
+    the 1D torus a column is the product E1 @ (mult_L W) on the distinct
+    coordinates, gathered to the points.  On the 2D torus the symbol-
+    weighted W is folded onto half the first-axis modes
+    (``_fold_first_axis``), and each chunk of ``_MODE_CHUNK`` points takes
+    one product of its first-axis rows with it and a real dot product of
+    each point's row of that with its second-axis table.  Cost: n_points *
+    n_ops * n_modes^2 / 2 in 2D, n_distinct * n_ops * n_modes in 1D.
     """
-    (e0, i0), *rest = _axis_exponentials(k, _as_points(k, X))
-    g = np.empty((len(ops), e0.shape[0]) + weights.shape[1:], dtype=complex)
-    for j, op in enumerate(ops):
-        np.matmul(e0, _mode_symbol(k, op, "left") * weights, out=g[j])
+    n = weights.shape[0]
+    pts = X if isinstance(X, ModePoints) else mode_points(_as_points(k, X), n)
+    if (pts.dim, pts.n_modes) != (k.dim, n):
+        raise DimensionMismatch(
+            f"tables of {pts.n_modes} modes in {pts.dim}D, weights of {n} modes in {k.dim}D"
+        )
     if k.dim == 1:
-        return np.real(g).T[i0]
-    (e1, i1), = rest
-    out = np.empty((i0.size, len(ops)))
-    for lo in range(0, i0.size, _MODE_CHUNK):
-        sl = slice(lo, lo + _MODE_CHUNK)
-        f = g[:, i0[sl]]
-        f *= e1[i1[sl]]
-        out[sl] = np.real(f.sum(axis=2)).T
+        g = np.empty((len(ops), pts.first.shape[0]), dtype=complex)
+        for j, op in enumerate(ops):
+            np.matmul(pts.first, _mode_symbol(k, op, "left", n) * weights, out=g[j])
+        return np.real(g).T[pts.index]
+    folded = [_fold_first_axis(_mode_symbol(k, op, "left", n) * weights) for op in ops]
+    out = np.empty((pts.size, len(ops)))
+    # a last chunk of one point joins the one before: numpy sends a one-row
+    # product to a matrix-vector kernel, whose sums may round another way
+    bounds = [*range(0, max(pts.size - 1, 1), _MODE_CHUNK), pts.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        e1, right = pts.first[lo:hi], pts.second[lo:hi]
+        for j, w in enumerate(folded):
+            out[lo:hi, j] = np.einsum("ij,ij->i", (e1 @ w).view(float), right)
     return out
 
 
@@ -717,8 +808,8 @@ def eval_mode_weights_grid(k: KernelSpec, weights: np.ndarray, ops, nodes) -> np
 
     Rows follow ``np.meshgrid(*nodes, indexing="ij")`` raveled.  In 2D an
     operator's grid is Re(E_1 (mult_L W) E_2^T), E_d the exponentials of
-    axis d's nodes (``_exponentials``): with G = E_1 (mult_L W), as in
-    ``eval_mode_weights``, one real GEMM [Re G, Im G] [Re E_2, -Im E_2]^T.
+    axis d's nodes (``_exponentials``): with G = E_1 (mult_L W), one real
+    GEMM [Re G, Im G] [Re E_2, -Im E_2]^T.
     In 1D the grid is its nodes, evaluated as points.  Cost: n_1 * n_ops *
     n_modes^2 plus n_1 * n_2 * n_ops * 2 n_modes.
     """
@@ -726,7 +817,7 @@ def eval_mode_weights_grid(k: KernelSpec, weights: np.ndarray, ops, nodes) -> np
         raise DimensionMismatch(f"{len(nodes)} grid axes, kernel family expects {k.dim}")
     if k.dim == 1:
         return eval_mode_weights(k, weights, ops, nodes[0][:, None])
-    e1, e2 = (_exponentials(k, x) for x in nodes)
+    e1, e2 = (_exponentials(k.n_modes, x) for x in nodes)
     right = np.concatenate([e2.real, -e2.imag], axis=1).T
     out = np.empty((len(ops), e1.shape[0], e2.shape[0]))
     for j, op in enumerate(ops):

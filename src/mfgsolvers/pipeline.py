@@ -44,7 +44,7 @@ _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
 # products) must stay finite too, so 2^20 times 12/s^4 must be finite
 _LENGTHSCALE_HEADROOM = 12.0 * 2.0**20
 # cap in bytes on a torus GP run's mode tables (_largest_mode_table_bytes); its
-# n x n gram is not one and can be larger: 32 MB against 7 MB on nonlocal2d_gp_nu1
+# n x n gram is not one and can be larger: 32 MB against 6.5 MB on nonlocal2d_gp_nu1
 MAX_MODE_TABLE_BYTES = 2**30
 
 
@@ -315,8 +315,9 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     That is, with J5, the gram's mode features (float64, M x n^2), or an
     array of the field weights or of their evaluation
     (``kernels.mode_table_bytes``): at the collocation and held-out points
-    with every operator of a field, and on the grid with the field's values
-    alone, whose tables span one axis's nodes
+    with every operator of a field (no product spans the operators of both
+    fields, so the larger count is the one that matters), and on the grid
+    with the field's values alone, whose tables span one axis's nodes
     (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points).
     Every J5 gram block is built from the mode features of its points, with
     either sampler: on a lattice they serve its generating columns, on
@@ -367,7 +368,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     state0 = O.init_state(
         phi, psi, spec.has_ergodic_constant, cfg.init_mode, cfg.init_scale, cfg.seed
     )
-    held = S.held_out_points(spec, problem.n_held_out)
+    held = S.PointSet(S.held_out_points(spec, problem.n_held_out))
     # a start that overflows is reported once, as the optimizer's non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
         initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)

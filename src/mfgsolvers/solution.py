@@ -6,18 +6,23 @@ the ridge least-squares map.  Both expose exact operator application, so
 held-out PDE residuals use analytic derivatives rather than stencils.
 
 Every field evaluates operators (``eval_ops``, ``eval_op`` or a call) two
-ways: at scattered points, an (n, dim) array, as for the held-out residual,
-and on a ``TensorGrid`` of nodes per axis, as for the export grid and the
-planning mass slices.  Both field types are sums whose terms factor by
+ways: at scattered points, an (n, dim) array or a ``PointSet`` that keeps
+the tables built on them, as for the held-out residual, and on a
+``TensorGrid`` of nodes per axis, as for the export grid and the planning
+mass slices.  Both field types are sums whose terms factor by
 axis, so the grid path forms per-axis tables on each axis's nodes and joins
 the axes with one matrix product per term:
 
 - a GP field on the 1D or 2D torus is stored as the per-mode weights of the
   kernel's exact, truncated Fourier spectrum, computed once when the field
-  is built.  At n scattered points an operator costs about
-  n * n_modes^dim, n_modes being the count the kernel derives from its
-  sigma; on a 2D grid it is Re(E_1 (mult W) E_2^T) from the exponentials of
-  each axis's nodes (``kernels.eval_mode_weights_grid``);
+  is built.  At n scattered points of the 2D torus an operator costs about
+  n * n_modes^2 / 2 over half the first-axis modes, n_modes being the count
+  the kernel derives from its sigma, once the points' exponential tables
+  (n * 1.5 n_modes) are built: a ``PointSet`` builds them on its first
+  call and keeps them, so a run's u and m, at its start and at its end,
+  share one set; in 1D an operator costs n_distinct * n_modes.  On a 2D
+  grid it is Re(E_1 (mult W) E_2^T) from the exponentials of each axis's
+  nodes (``kernels.eval_mode_weights_grid``);
 - a GP field of the anisotropic space-time kernel (planning) sums the
   closed-form representer terms at every call.  At scattered points that
   goes in chunks of points, with one table per chunk and point set that
@@ -61,6 +66,28 @@ from .problems import ProblemSpec, interior_residual_batch
 _CROSS_CHUNK = 1024
 
 
+class PointSet:
+    """Scattered evaluation points, an (n, dim) array, with the tables built on them.
+
+    numpy reads it as its points, so it goes wherever points do.  A torus
+    GP field evaluated at it reads its exponentials from ``mode_points``,
+    built on the first such call for a mode count and kept: the u and m of
+    a run, at its start and at its end, share one set of tables.
+    """
+
+    def __init__(self, points):
+        self.points = np.atleast_2d(np.asarray(points, dtype=float))
+        self._mode_points = {}
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.points, dtype=dtype, copy=copy)
+
+    def mode_points(self, n_modes: int) -> K.ModePoints:
+        if n_modes not in self._mode_points:
+            self._mode_points[n_modes] = K.mode_points(self.points, n_modes)
+        return self._mode_points[n_modes]
+
+
 @dataclass(frozen=True)
 class TensorGrid:
     """The tensor product of one array of nodes per axis.
@@ -102,14 +129,17 @@ class GpField:
     def eval_ops(self, ops, X) -> np.ndarray:
         """One column per operator in ``ops``, at the points X or on a ``TensorGrid``.
 
-        Off the torus, points go in chunks, with one table per chunk and
-        point set.
+        On the torus the exponential tables of a ``PointSet`` are built
+        once and reused.  Off the torus, points go in chunks, with one
+        table per chunk and point set.
         """
         if isinstance(X, TensorGrid):
             if self.weights is not None:
                 return K.eval_mode_weights_grid(self.kernel, self.weights, ops, X.nodes)
             return K.representer_grid(self.kernel, self.funcs, self.coeffs, ops, X.nodes)
         if self.weights is not None:
+            if isinstance(X, PointSet):
+                X = X.mode_points(self.kernel.n_modes)
             return K.eval_mode_weights(self.kernel, self.weights, ops, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], len(ops)))
@@ -196,11 +226,15 @@ def held_out_points(spec: ProblemSpec, n: int = 2000, seed: int = 987654321) -> 
 
 
 def pde_residual_norm(u_field, m_field, lam, spec: ProblemSpec, test_points) -> float:
-    """RMS over test points of the interior residual vector norm."""
-    X = np.atleast_2d(np.asarray(test_points, dtype=float))
+    """RMS over test points of the interior residual vector norm.
+
+    ``test_points`` is an array or a ``PointSet``, whose tables u and m
+    share, as do the calls given the same one.
+    """
+    X = test_points if isinstance(test_points, PointSet) else PointSet(test_points)
     U = u_field.eval_ops(spec.u_operators, X)
     M = m_field.eval_ops(spec.m_operators, X)
-    R, _, _, _ = interior_residual_batch(spec, X, U, M, lam or 0.0)
+    R, _, _, _ = interior_residual_batch(spec, X.points, U, M, lam or 0.0)
     return float(np.sqrt(np.mean(np.sum(R**2, axis=1))))
 
 

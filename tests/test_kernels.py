@@ -377,6 +377,58 @@ def test_mode_symbols_equal_the_hand_written_formulas(side):
             K._mode_symbol(k, op, side)
 
 
+def _direct_mode_sum(W, op, X):
+    """Re sum_a mult_op(a) W[a] exp(2 pi i a.x) over the full n x n grid, term by term."""
+    a1, a2 = np.moveaxis(K._mode_grid(W.shape[0]), -1, 0)
+    phase = np.exp(2j * np.pi * (X[:, 0, None, None] * a1 + X[:, 1, None, None] * a2))
+    return np.real(np.sum(_reference_symbol(op, a1, a2, "left") * W * phase, axis=(1, 2)))
+
+
+@pytest.mark.parametrize("n", [8, 46])
+@pytest.mark.parametrize("support", ["nyquist", "full"])
+def test_mode_weight_evaluation_folds_the_first_axis_exactly(n, support):
+    """The half-spectrum evaluation equals the direct sum over the whole grid.
+
+    "nyquist" weights live only on the row a_1 = -n/2 and the column
+    a_2 = -n/2, whose modes have no partner on the grid; a bundled kernel's
+    Nyquist coefficients are 1e-12 of its peak, so a field test cannot see
+    how they are weighted.  "full" weights are random everywhere and not
+    conjugate-symmetric, as a field's are only up to round-off.
+    """
+    rng = np.random.default_rng(n)
+    W = np.zeros((n, n), dtype=complex)
+    every = slice(None)
+    parts = [(every, every)] if support == "full" else [(n // 2, every), (every, n // 2)]
+    for sl in parts:
+        W[sl] = rng.standard_normal(W[sl].shape) + 1j * rng.standard_normal(W[sl].shape)
+    X = rng.random((300, 2))
+    got = K.eval_mode_weights(KERNELS["p2"], W, TORUS_OPS, X)
+    for j, op in enumerate(TORUS_OPS):
+        want = _direct_mode_sum(W, op, X)
+        np.testing.assert_allclose(
+            got[:, j], want, rtol=0, atol=1e-13 * np.max(np.abs(want)), err_msg=op
+        )
+
+
+def test_mode_points_serve_every_call_at_their_mode_count():
+    """Tables built once give the bits of tables built per call, and refuse
+    weights of another mode count or dimension."""
+    k = KERNELS["p2"]
+    n = k.n_modes
+    rng = np.random.default_rng(3)
+    W = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    X = rng.random((600, 2))
+    pts = K.mode_points(X, n)
+    assert pts.size == 600 and pts.dim == 2
+    np.testing.assert_array_equal(
+        K.eval_mode_weights(k, W, TORUS_OPS, pts), K.eval_mode_weights(k, W, TORUS_OPS, X)
+    )
+    with pytest.raises(DimensionMismatch):
+        K.eval_mode_weights(k, W[:-2, :-2], (K.ID,), pts)
+    with pytest.raises(DimensionMismatch):
+        K.eval_mode_weights(KERNELS["p1"], W[:, 0], (K.ID,), pts)
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_feature_action_is_the_gp_symbol(dim):
     """On a periodic basis, omega = 2 pi a: the feature action i^order mult / div

@@ -10,8 +10,11 @@ import numpy as np
 import pytest
 
 from mfgsolvers import cli
+from mfgsolvers import collocation as C
+from mfgsolvers import kernels as K
 from mfgsolvers import pipeline as PL
 from mfgsolvers import problems as P
+from mfgsolvers import solution as S
 from mfgsolvers.errors import ConfigError, GridMismatch
 
 
@@ -149,6 +152,55 @@ def test_small_sigma_is_rejected_before_any_mode_table_is_allocated(patch):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_held_out_tables_are_built_once_per_run(monkeypatch, tmp_path):
+    """The start-state and final residuals, u's and m's alike, share one set of
+    exponentials of the held-out points: one table per axis per run."""
+    calls = []
+    exponentials = K._exponentials
+
+    def counted(n_modes, u, half=False):
+        calls.append(np.size(u))
+        return exponentials(n_modes, u, half)
+
+    monkeypatch.setattr(K, "_exponentials", counted)
+    cfg = PL.ExperimentConfig.from_dict(
+        {"problem": "nonlocal2d", "method": "gp", "M": 16, "max_iters": 1,
+         "output_dir": str(tmp_path)}
+    )
+    n_held = PL.PROBLEMS[cfg.problem].n_held_out
+    result = PL.run_experiment(cfg)
+    assert result.initial_residual > 0 and result.final_residual > 0
+    assert calls.count(n_held) == 2
+
+
+def test_held_out_evaluation_peaks_below_the_mode_table_estimate():
+    """Both fields' held-out residual, tables included, allocates less at once
+    than the size the mode-table cap checks for the bundled nonlocal2d_gp_nu1."""
+    import importlib.resources as res
+
+    data = json.loads(
+        res.files("mfgsolvers").joinpath("configs", "nonlocal2d_gp_nu1.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    cfg = PL.ExperimentConfig.from_dict(data)
+    problem = PL.PROBLEMS[cfg.problem]
+    spec, kernel = problem.spec(cfg), problem.kernel(cfg)
+    phi, psi = C.build_functionals(spec, problem.points(cfg, spec))
+    rng = np.random.default_rng(5)
+    u = S.GpField(rng.standard_normal(phi.size), phi, kernel)
+    m = S.GpField(rng.standard_normal(psi.size), psi, kernel)
+    held = S.held_out_points(spec, problem.n_held_out)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        S.pde_residual_norm(u, m, 0.0, spec, S.PointSet(held))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < PL._largest_mode_table_bytes(cfg, problem)
 
 
 def test_config_round_trips_through_dict():

@@ -183,10 +183,11 @@ def _torus_eval_points(dim, rng):
 def test_torus_gp_field_matches_direct_representer_sum(spec, kernel, pts, dim):
     """Spectral-weight evaluation of a torus field equals the representer sum.
 
-    The points repeat coordinates, so the distinct-coordinate tables gather,
-    and outnumber a reduction chunk.  Two parts of them evaluate to the same
-    bits as the whole (a part with a single distinct first coordinate would
-    not: numpy sends a one-row product to a matrix-vector kernel).
+    The points repeat coordinates, so the 1D distinct-coordinate tables
+    gather, and outnumber a 2D chunk.  Two parts of them evaluate to the
+    same bits as the whole (a part whose product has one row would not:
+    numpy sends it to a matrix-vector kernel; that is a part of one point in
+    2D, of one distinct coordinate in 1D).
     """
     rng = np.random.default_rng(11)
     X = _torus_eval_points(dim, rng)
@@ -208,6 +209,34 @@ def test_torus_gp_field_matches_direct_representer_sum(spec, kernel, pts, dim):
             np.testing.assert_array_equal(
                 np.vstack([f.eval_ops(ops, X[:h]), f.eval_ops(ops, X[h:])]), values
             )
+
+
+@pytest.mark.parametrize(
+    "spec, kernel, pts",
+    [
+        (P.make_nonlocal_2d(1.0), K.periodic_kernel_2d(0.5), C.sample_uniform_grid(2, 36)),
+        (SPEC_1D, K.periodic_kernel_1d(0.6), C.sample_uniform_grid(1, 16)),
+    ],
+    ids=["nonlocal2d", "mfg1d"],
+)
+def test_point_set_keeps_its_tables_and_the_bits_of_plain_points(spec, kernel, pts):
+    """u and m of a torus GP run read one set of tables from a PointSet and
+    give the bits they give at the bare points; an FF field reads its points."""
+    rng = np.random.default_rng(16)
+    X = S.held_out_points(spec, n=700)
+    held = S.PointSet(X)
+    fields = []
+    for funcs, ops in zip(C.build_functionals(spec, pts), (spec.u_operators, spec.m_operators)):
+        f = S.GpField(1e-3 * rng.standard_normal(funcs.size), funcs, kernel)
+        np.testing.assert_array_equal(f.eval_ops(ops, held), f.eval_ops(ops, X))
+        fields.append(f)
+    assert held.mode_points(kernel.n_modes) is held.mode_points(kernel.n_modes)
+    residual = S.pde_residual_norm(*fields, 0.0, spec, held)
+    assert residual == S.pde_residual_norm(*fields, 0.0, spec, X)
+    basis = F.build_periodic(5, spec.dim)
+    ff = S.FfField(rng.standard_normal(basis.count), basis)
+    ops = spec.u_operators
+    np.testing.assert_array_equal(ff.eval_ops(ops, held), ff.eval_ops(ops, X))
 
 
 def _supported_ops(basis):
