@@ -12,7 +12,10 @@
 # tolerance, or differs; under an artifact that is not identical, one line
 # per numeric field (a column of loss_history.csv or solution_grid.csv)
 # with its largest relative difference |a - b| / max(|a|, |b|) and its
-# largest absolute one (scripts/artifact_diff.py).
+# largest absolute one (scripts/artifact_diff.py).  Before those, one line
+# per config gives each tree's peak RSS in MiB (the run's ru_maxrss, read
+# by a small Python parent through RUSAGE_CHILDREN) and wall seconds; these
+# are for information only and never change the exit status.
 #
 # Without --rtol and --atol, exits 1 on any byte difference or failed run.
 # With either of them (the other defaults to 0), an artifact that differs
@@ -54,11 +57,26 @@ if [ ${#configs[@]} -eq 0 ]; then
 fi
 export MFG_THREADS=1 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 
-# run TREE CONFIG OUTDIR: one `mfgsolvers run` on TREE's src, from a neutral directory
+# USAGE_FILE COMMAND...: run COMMAND, write "<peak RSS MiB> <wall s>" to
+# USAGE_FILE and exit with its status.  The child's ru_maxrss starts from
+# the parent's at the fork; the parent imports no numpy, so that floor is a
+# bare interpreter's.
+measure='import resource, subprocess, sys, time
+start = time.perf_counter()
+code = subprocess.call([sys.executable, *sys.argv[2:]])
+wall = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{rss:.1f} {wall:.2f}\n")
+sys.exit(code)'
+
+# run TREE CONFIG OUTDIR: one `mfgsolvers run` on TREE's src, from a neutral
+# directory; its peak RSS and wall time go to OUTDIR.usage
 run() {
   local cfg=$2
   [ -f "$cfg" ] || cfg=$1/src/mfgsolvers/configs/$2.json
-  (cd "$tmp" && PYTHONPATH="$1/src" python -m mfgsolvers run "$cfg" --output-dir "$3" >"$3.log" 2>&1)
+  (cd "$tmp" && PYTHONPATH="$1/src" python -c "$measure" "$3.usage" \
+    -m mfgsolvers run "$cfg" --output-dir "$3" >"$3.log" 2>&1)
 }
 
 status=0
@@ -75,6 +93,11 @@ for config in "${configs[@]}"; do
       ok=0
     fi
   done
+  if [ -f "$tmp/base-$name.usage" ] && [ -f "$tmp/head-$name.usage" ]; then
+    read -r base_rss base_wall <"$tmp/base-$name.usage"
+    read -r head_rss head_wall <"$tmp/head-$name.usage"
+    echo "$name peak RSS base $base_rss MiB, head $head_rss MiB; wall base $base_wall s, head $head_wall s"
+  fi
   if [ $ok = 0 ]; then
     status=1
     continue

@@ -619,14 +619,22 @@ def _exponentials(n_modes: int, u, half: bool = False) -> np.ndarray:
     and, for an even n, the Nyquist mode -n/2; each later column, of a mode
     -a, is the conjugate of the column of a, which reproduces ``np.exp``'s
     bits at half its cost.  With ``half`` the table is those first columns
-    alone.
+    alone.  The exponents are formed in the table itself, and the
+    conjugate columns _MODE_CHUNK rows at a time, so beside the table only
+    one chunk's copy and numpy's iterator buffers are allocated.
     """
     n = n_modes
     h = n // 2 + 1
     table = np.empty((u.size, h if half else n), dtype=complex)
-    np.exp(2.0j * np.pi * np.outer(u, _mode_axis(n)[:h]), out=table[:, :h])
-    if not half:
-        np.conjugate(table[:, n - h : 0 : -1], out=table[:, h:])
+    head = table[:, :h]
+    np.multiply.outer(u, _mode_axis(n)[:h], out=head.real)
+    head.imag = 0.0
+    np.multiply(2.0j * np.pi, head, out=head)
+    np.exp(head, out=head)
+    # numpy copies an input that overlaps its output, here one chunk's
+    for lo in range(0, 0 if half else u.size, _MODE_CHUNK):
+        rows = table[lo : lo + _MODE_CHUNK]
+        np.conjugate(rows[:, n - h : 0 : -1], out=rows[:, h:])
     return table
 
 
@@ -693,6 +701,27 @@ def mode_table_bytes(k: KernelSpec, n_points: int, n_ops: int) -> int:
     return 16 * max(n_points * (n + 1), n_points * n_ops, n_ops * n**dim)
 
 
+def mode_points_bytes(k: KernelSpec, n_points: int, n_ops: int) -> int:
+    """Bytes ``eval_mode_weights`` holds at once at the ``ModePoints`` of n_points points.
+
+    The tables stay while every field and operator is evaluated; one call
+    on n_ops operators adds its own arrays.  All are complex128 but the
+    float output and index.  In 1D: a table of at most n_points distinct
+    coordinates and its gather index, then the product, n_ops x n_points,
+    and its real part gathered.  In 2D: the first- and second-axis tables,
+    n_points x (n_modes/2 + 1) and n_points x (n_modes + 1), then the folded
+    weights of every operator, n_ops x (n_modes/2 + 1) x (n_modes + 1), one
+    operator's weights before folding, one chunk's product and the
+    n_points x n_ops output.
+    """
+    n, h = k.n_modes, k.n_modes // 2 + 1
+    if k.dim == 1:
+        return 16 * n_points * n + 8 * n_points + 24 * n_ops * n_points
+    tables = 16 * n_points * (n + 1 + h)
+    products = 16 * (n_ops * h * (n + 1) + n * n + _MODE_CHUNK * (n + 1))
+    return tables + products + 8 * n_points * n_ops
+
+
 @dataclass(frozen=True, eq=False)
 class ModePoints:
     """Scattered points of the torus with the exponential tables ``eval_mode_weights`` reads.
@@ -732,11 +761,16 @@ def mode_points(X, n_modes: int) -> ModePoints:
         return ModePoints(n_modes, _exponentials(n_modes, u), index=index)
     if X.shape[1] != 2:
         raise DimensionMismatch(f"points have dimension {X.shape[1]}, the torus has 1 or 2")
-    e2 = _exponentials(n_modes, X[:, 1])
-    second = np.empty((X.shape[0], n_modes + 1), dtype=complex)
-    np.conjugate(e2, out=second[:, :n_modes])
-    second[:, n_modes] = e2[:, n_modes // 2]
-    first = _exponentials(n_modes, X[:, 0], half=True)
+    # second from the half table: the conjugate of a mode -a's column is a's
+    # column, so no full table is held beside it
+    n, h = n_modes, n_modes // 2 + 1
+    e2 = _exponentials(n, X[:, 1], half=True)
+    second = np.empty((X.shape[0], n + 1), dtype=complex)
+    np.conjugate(e2, out=second[:, :h])
+    second[:, h:n] = e2[:, n - h : 0 : -1]
+    second[:, n] = e2[:, n // 2]
+    del e2
+    first = _exponentials(n, X[:, 0], half=True)
     return ModePoints(n_modes, first, second=second.view(float))
 
 

@@ -42,13 +42,14 @@ rounding, a non-finite factor diagonal (as from an overflowed matrix) or a
 non-finite solution is a ``SingularNormalEquations`` (exit status 3) naming
 the side, with no fallback.
 
-The residual side allocates nothing of size r x r or n x r per step.  Its
-buffers (B, Theta A^T of each side, of which a step writes the part the
-upper triangle of B reads, one point chunk of A Theta, and F F^T + mu I for
-a feature factor) belong to the system: the first step
-allocates them, every later step overwrites them in place, and
-``gauss_newton_run`` releases them when it returns, so they never overlap
-the post-solve field evaluation.
+The residual side builds B's upper triangle by column slabs of POINT_CHUNK
+points and allocates nothing of size r x r or n x r per step, nor holds
+anything of size n x r.  Its buffers (B, one column slab of Theta A^T of
+each side, n x the slab's width, two chunks of slab products, the constant
+Theta N of each side, and F F^T + mu I for a feature factor) belong to the
+system: the first step allocates them, every later step overwrites them in
+place, and ``gauss_newton_run`` releases them when it returns, so they
+never overlap the post-solve field evaluation.
 
 The outer iteration is globalized by a backtracking line search along the
 Gauss-Newton direction theta_hat - theta (Nocedal and Wright, Numerical
@@ -79,8 +80,8 @@ from .problems import boundary_residual_batch, interior_residual_batch
 
 INIT_ZEROS = "zeros-with-unit-density"
 INIT_GAUSSIAN = "gaussian"
-# points per chunk of the residual-side step: A Theta and the second side's
-# rows of B are formed this many points at a time in one small buffer
+# points per chunk of the residual-side step: B's column slabs, and the rows
+# of a slab's products, span this many points each
 POINT_CHUNK = 64
 # stop once ||theta_hat - theta|| <= STEP_TOL ||theta_hat||.  On the bundled
 # configs the relative step falls to a round-off floor of 2-5e-10
@@ -192,6 +193,29 @@ def _upper_columns(groups, side, bottom):
             else:
                 ranges.append([sl.start, k])
     return ranges
+
+
+def _product_rows(out, J, columns, lam, sums):
+    """out = J_z Y_z + J_rho Y_rho + j_lam lam^T on a point group's first points.
+
+    ``out`` is (points, rows per point, w), ``J`` the group's Jacobians,
+    ``columns`` each side's Y = Theta A^T on the group's functionals as
+    (points, operators, w), and ``lam`` a_lam on out's columns, or None for
+    none.  POINT_CHUNK points at a time, each side's product goes to one of
+    the two ``sums`` buffers and their sum, rounded as (J_z Y_z + J_rho
+    Y_rho) + j_lam lam^T, is written to out.  Nothing is added in place into
+    the strided out, which would make numpy copy through its iterator buffer.
+    """
+    k, p, w = out.shape
+    for a in range(0, k, POINT_CHUNK):
+        b = min(a + POINT_CHUNK, k)
+        parts = [buf[: (b - a) * p * w].reshape(b - a, p, w) for buf in sums]
+        for Js, Y, part in zip(J[:2], columns, parts):
+            np.matmul(Js[a:b], Y[a:b], out=part)
+        if lam is not None:
+            np.add(*parts, out=parts[0])
+            np.matmul(J[2][a:b].reshape(-1, 1), lam[None], out=parts[1].reshape(-1, w))
+        np.add(*parts, out=out[a:b])
 
 
 class MfgSystem:
@@ -359,29 +383,31 @@ class MfgSystem:
             raise SingularNormalEquations(f"{side}-side inner solve failed: {exc}") from exc
 
     def _residual_workspace(self):
-        """The residual side's buffers (thetas, B, yts, buf): the ones held, or new ones.
+        """The residual side's buffers (thetas, B, slabs, sums, theta_ns).
 
-        ``thetas`` is P^{-1} of each side as a matrix, ``B`` the r x r inner
-        matrix, ``yts`` Theta A^T of each side (n x r) and ``buf`` one point
-        chunk of A Theta or of a side's rows of B.  A step writes only the
-        parts of B and of Theta A^T that the upper triangle of B needs.  The
-        normalization columns of Theta A^T, Theta N, are constant: each
-        factor applies P^{-1} to N's columns once, here.
+        The ones held, or new ones.  ``thetas`` is P^{-1} of each side as a
+        matrix and ``B`` the r x r inner matrix.  ``slabs`` holds one column
+        slab of Theta A^T of each side, n x w with w at most POINT_CHUNK
+        points of rows plus the normalization columns, and ``sums`` two
+        products of a chunk of a point group's Jacobians with a slab.
+        ``theta_ns`` is Theta N of each side, which is constant, so each
+        factor applies P^{-1} to N's columns once, here.  No buffer has
+        n x r entries.
         """
         if self._workspace is None:
-            r, lo = self.n_rows, self.n_rows - self._n_norm
+            r, n_norm = self.n_rows, self._n_norm
             # a feature factor forms F F^T + mu I anew here; it lives as long as the buffers
             thetas = (self.quad_u.regularized, self.quad_m.regularized)
             n_u, n_m = (theta.shape[0] for theta in thetas)
-            # B, Theta A^T of each side and the chunk buffer (a point has at most
-            # two rows) are views of one block, freed in one piece on release;
-            # freeing them as separate arrays raised the post-solve peak RSS
-            sizes = [r * r, n_u * r, n_m * r, POINT_CHUNK * 2 * max(r, n_u, n_m)]
-            B, Yu, Ym, buf = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-            yts = (Yu.reshape(n_u, r), Ym.reshape(n_m, r))
-            for Yt, quad, Nt in zip(yts, (self.quad_u, self.quad_m), self._norm_t):
-                Yt[:, lo:] = quad.apply_regularized(Nt)  # Theta N, constant
-            self._workspace = thetas, B.reshape(r, r), yts, buf
+            width = POINT_CHUNK * max(p for _, p, *_ in self._groups)
+            columns = width + n_norm  # the last slab's, with the normalization columns
+            # views of one block, freed in one piece on release; freeing
+            # separate arrays raised the post-solve peak RSS
+            sizes = [r * r, n_u * columns, n_m * columns, 2 * width * columns]
+            B, S_u, S_m, sums = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+            quads = (self.quad_u, self.quad_m)
+            theta_ns = [quad.apply_regularized(N) for quad, N in zip(quads, self._norm_t)]
+            self._workspace = thetas, B.reshape(r, r), (S_u, S_m), np.split(sums, 2), theta_ns
         return self._workspace
 
     def release_workspace(self) -> None:
@@ -394,57 +420,65 @@ class MfgSystem:
         Theta is P^{-1} as a matrix, the factor's ``regularized``: the
         nugget-regularized gram, or F F^T + mu I for a feature factor.  The
         Cholesky factorization reads only the upper triangle of B, so only
-        B[i, j] with j >= i is formed, POINT_CHUNK points of rows at a time.
-        Every product is written into the system's workspace, so a step
-        allocates nothing of size r x r or n x r.
+        B[i, j] with j >= i is formed, by column slabs [top, bottom) of
+        POINT_CHUNK points: B[:bottom, top:bottom] = A[:bottom] Theta
+        A_slab^T.  Every product is written into the system's workspace, so
+        a step allocates nothing of size r x r or n x r, and no n x r
+        product is held.
 
-        First Theta A^T, by the columns [top, bottom) of a chunk.  Column j
-        is read only by B's rows i <= j, so a chunk needs it only on the
+        In a slab, Theta A_slab^T of each side is needed only on the
         functionals of points whose rows start before bottom
-        (``_upper_columns``).  The chunk's A Theta on those functionals is a
-        batched product of its Jacobians with a view of Theta's block rows,
-        contiguous in the small buffer, written transposed into the chunk's
-        columns.  Then B's rows by the same chunks, from column top on, from
-        A (Theta A^T): the first side's product is written into B, the
-        second side's and a_lam a_lam^T are added from the buffer.  The
+        (``_upper_columns``).  On each range of them, Theta A_slab^T is one
+        batched product over the slab's points: Theta's rows at a point's
+        functionals, transposed (Theta is symmetric), times the point's
+        transposed Jacobian, written straight into the side's slab buffer.
+        The last slab also carries the normalization columns, the held
+        Theta N, so they come from the same products.  Then, for each point
+        group's rows above bottom, ``_product_rows`` writes both sides'
+        products with the slab, plus a_lam a_lam^T, into B.  The
         normalization rows keep their corner N^T Theta N alone.  The
         Cholesky factor overwrites B, and theta_hat = P^{-1} (A^T y) is
-        applied through each factor (``apply_regularized``), not through
-        Theta A^T.
+        applied through each factor (``apply_regularized``).
         """
-        thetas, B, yts, buf = self._residual_workspace()
+        thetas, B, slabs, sums, theta_ns = self._residual_workspace()
         r, lo = self.n_rows, 0
         groups = []  # (first row, points, rows per point, (u, m) slices, Jacobians)
         for (_, _, _, *slices), (R, *J) in zip(self._groups, lin):
             groups.append((lo, *R.shape, slices, J))
             lo += R.size
-        for side, (theta, Yt) in enumerate(zip(thetas, yts)):
-            for first, n, p, slices, J in groups:
-                theta_rows = _by_point(theta, slices[side], n)
-                for i in range(0, n, POINT_CHUNK):
-                    j = min(i + POINT_CHUNK, n)
-                    top, bottom = first + i * p, first + j * p
-                    for c0, k in _upper_columns(groups, side, bottom):
-                        at = buf[: (j - i) * p * k].reshape(j - i, p, k)
-                        np.matmul(J[side][i:j], theta_rows[i:j, :, c0 : c0 + k], out=at)
-                        Yt[c0 : c0 + k, top:bottom] = at.reshape(-1, k).T
-        a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
-        for first, n, p, slices, J in groups:
-            yt_u, yt_m = (_by_point(Yt, sl, n) for Yt, sl in zip(yts, slices))
+        a_lam = None
+        if self.has_lam:  # zero on the normalization rows
+            a_lam = _point_rows([jl for *_, jl in lin], np.zeros(self._n_norm))
+        for g, (first, n, p, slices, J) in enumerate(groups):
+            theta_rows = [_by_point(theta, sl, n) for theta, sl in zip(thetas, slices)]
             for i in range(0, n, POINT_CHUNK):
                 j = min(i + POINT_CHUNK, n)
                 top, bottom = first + i * p, first + j * p
-                rows = B[top:bottom, top:]
-                tmp = buf[: rows.size].reshape(rows.shape)
-                np.matmul(J[0][i:j], yt_u[i:j, :, top:], out=rows.reshape(j - i, p, r - top))
-                np.matmul(J[1][i:j], yt_m[i:j, :, top:], out=tmp.reshape(j - i, p, r - top))
-                rows += tmp
-                if self.has_lam:  # as a matmul: a broadcast np.multiply allocates buffers
-                    rows += np.matmul(a_lam[top:bottom, None], a_lam[None, top:], out=tmp)
-        # a_lam is zero on the normalization rows: their corner is N^T Theta N
+                # the last slab also takes the normalization columns, Theta N
+                right = r if bottom == lo else bottom
+                w = right - top
+                slab = [S[: len(theta) * w].reshape(-1, w) for S, theta in zip(slabs, thetas)]
+                for side, Yt in enumerate(slab):
+                    for c0, k in _upper_columns(groups, side, bottom):
+                        rows = theta_rows[side][i:j, :, c0 : c0 + k].transpose(0, 2, 1)
+                        out = Yt[c0 : c0 + k, : bottom - top].reshape(k, j - i, p)
+                        np.matmul(rows, J[side][i:j].transpose(0, 2, 1), out=out.transpose(1, 0, 2))
+                    if right > bottom:
+                        Yt[:, bottom - top :] = theta_ns[side]
+                lam = None if a_lam is None else a_lam[top:right]
+                # the rows above the slab's bottom: every earlier group's, and this one's to j
+                for h, (first_h, n_h, p_h, slices_h, J_h) in enumerate(groups[: g + 1]):
+                    k = j if h == g else n_h
+                    columns = [_by_point(Yt, sl, n_h)[:k] for Yt, sl in zip(slab, slices_h)]
+                    out = B[first_h : first_h + k * p_h, top:right].reshape(k, p_h, w)
+                    _product_rows(out, J_h, columns, lam, sums)
+        # the corner N^T Theta N, from the last slab's strided Theta N columns:
+        # OpenBLAS rounds a one-column product with a strided operand the
+        # same whatever the stride, so the corner does not depend on the slab
         (Nz, Nm), corner = self._norm_t, B[lo:, lo:]
-        np.matmul(Nz.T, yts[0][:, lo:], out=corner)
-        corner += Nm.T @ yts[1][:, lo:]
+        theta_n = [Yt[:, w - self._n_norm :] for Yt in slab] if groups else theta_ns
+        np.matmul(Nz.T, theta_n[0], out=corner)
+        corner += Nm.T @ theta_n[1]
         B.reshape(-1)[:: r + 1] += 1.0 / self._w
         y = linsys.cholesky_solve(B, c, "inner matrix B")
         at_z, at_rho, at_lam = self._transpose_apply(lin, y)

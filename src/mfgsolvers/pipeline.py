@@ -310,28 +310,33 @@ class ExperimentConfig:
 
 
 def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
-    """Bytes of the largest array of a torus GP run that grows with the kernel's mode count.
+    """Bytes a torus GP run holds at once in arrays that grow with the kernel's mode count.
 
-    That is, with J5, the gram's mode features (float64, M x n^2), or an
-    array of the field weights or of their evaluation
-    (``kernels.mode_table_bytes``): at the collocation and held-out points
+    That is the largest of: with J5, the gram's mode features (float64,
+    M x n^2); an array of the field weights or of their evaluation
+    (``kernels.mode_table_bytes``) at the collocation and held-out points
     with every operator of a field (no product spans the operators of both
     fields, so the larger count is the one that matters), and on the grid
     with the field's values alone, whose tables span one axis's nodes
-    (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points).
-    Every J5 gram block is built from the mode features of its points, with
-    either sampler: on a lattice they serve its generating columns, on
-    random points the whole blocks.  Raises ``BadGrid`` when sigma needs
-    more than ``kernels.MAX_MODES`` modes.
+    (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points);
+    and the held-out residual, which keeps its points' tables while it
+    evaluates each field (``kernels.mode_points_bytes``) and then holds both
+    fields' values and the residual rows with their Jacobians.  Every J5
+    gram block is built from the mode features of its points, with either
+    sampler: on a lattice they serve its generating columns, on random
+    points the whole blocks.  Raises ``BadGrid`` when sigma needs more than
+    ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
-    n = kernel.n_modes
-    n_ops = max(len(spec.u_operators), len(spec.m_operators))
+    n, n_held = kernel.n_modes, problem.n_held_out
+    q_u, q_m = len(spec.u_operators), len(spec.m_operators)
     features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
+    residual_rows = 8 * n_held * (q_u + q_m + P.INTERIOR_ROWS * (q_u + q_m + 2))
     return max(
         features,
-        K.mode_table_bytes(kernel, max(cfg.M, problem.n_held_out), n_ops),
+        K.mode_table_bytes(kernel, max(cfg.M, n_held), max(q_u, q_m)),
         K.mode_table_bytes(kernel, max(map(len, problem.grid_axes)), 1),
+        K.mode_points_bytes(kernel, n_held, max(q_u, q_m)) + residual_rows,
     )
 
 

@@ -650,6 +650,32 @@ def test_residual_side_step_allocates_less_than_one_r_by_r_matrix(method, case):
 
 
 @pytest.mark.parametrize(
+    "case", [dict(_TORUS_2D_GP, M=144), _PLANNING_GP], ids=["nonlocal2d-gp", "planning-gp"]
+)
+def test_first_residual_side_step_holds_no_n_by_r_product(case, monkeypatch):
+    """The first step, which allocates the workspace, peaks below r x r plus
+    half of an n x r float64 matrix (n = n_u + n_m): B is built by column
+    slabs, so no Theta A^T of either side is held whole.  7-point chunks keep
+    the slab buffers far narrower than r."""
+    monkeypatch.setattr(O, "POINT_CHUNK", 7)
+    system, phi, psi = _system("gp", **case)
+    assert not system.feature_side
+    state = _random_state(phi, psi, seed=6)
+    if not system.has_lam:
+        state.lam = None
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        system.inner_solve(state)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    r, n = system.n_rows, phi.size + psi.size
+    bound = 8 * (r * r + n * r // 2)
+    assert peak < bound, f"first step peak {peak} B, bound {bound} B (r = {r}, n = {n})"
+
+
+@pytest.mark.parametrize(
     "method, case",
     [("gp", _TORUS_1D_GP), ("gp", _PLANNING_GP), ("ff", dict(_TORUS_1D, M=8, gamma=1.0, beta=100.0))],
     ids=["mfg1d-gp", "planning-gp", "mfg1d-ff-dense"],

@@ -175,17 +175,8 @@ def test_held_out_tables_are_built_once_per_run(monkeypatch, tmp_path):
     assert calls.count(n_held) == 2
 
 
-def test_held_out_evaluation_peaks_below_the_mode_table_estimate():
-    """Both fields' held-out residual, tables included, allocates less at once
-    than the size the mode-table cap checks for the bundled nonlocal2d_gp_nu1."""
-    import importlib.resources as res
-
-    data = json.loads(
-        res.files("mfgsolvers").joinpath("configs", "nonlocal2d_gp_nu1.json").read_text(
-            encoding="utf-8"
-        )
-    )
-    cfg = PL.ExperimentConfig.from_dict(data)
+def _held_out_peak(cfg):
+    """The tracemalloc peak of both fields' held-out residual on a fresh PointSet, tables included."""
     problem = PL.PROBLEMS[cfg.problem]
     spec, kernel = problem.spec(cfg), problem.kernel(cfg)
     phi, psi = C.build_functionals(spec, problem.points(cfg, spec))
@@ -197,9 +188,33 @@ def test_held_out_evaluation_peaks_below_the_mode_table_estimate():
     try:
         base = tracemalloc.get_traced_memory()[0]
         S.pde_residual_norm(u, m, 0.0, spec, S.PointSet(held))
-        peak = tracemalloc.get_traced_memory()[1] - base
+        return tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+def test_held_out_evaluation_peaks_below_the_mode_table_estimate():
+    """Both fields' held-out residual, tables included, allocates less at once
+    than the size the mode-table cap checks for the bundled nonlocal2d_gp_nu1."""
+    import importlib.resources as res
+
+    data = json.loads(
+        res.files("mfgsolvers").joinpath("configs", "nonlocal2d_gp_nu1.json").read_text(
+            encoding="utf-8"
+        )
+    )
+    cfg = PL.ExperimentConfig.from_dict(data)
+    assert _held_out_peak(cfg) < PL._largest_mode_table_bytes(cfg, PL.PROBLEMS[cfg.problem])
+
+
+@pytest.mark.parametrize("sigma", [0.5, 0.2])
+def test_held_out_evaluation_at_small_M_peaks_below_the_mode_table_estimate(sigma):
+    """At M=16 the J5 features no longer dominate the estimate: it must count
+    the held-out points' two 2D tables, kept at once, and what the residual
+    holds beside them (46 and 92 modes)."""
+    cfg = PL.ExperimentConfig(problem="nonlocal2d", method="gp", M=16, sigma=sigma, nu=1.0)
+    problem, peak = PL.PROBLEMS[cfg.problem], _held_out_peak(cfg)
+    assert 8 * cfg.M * problem.kernel(cfg).n_modes ** 2 < peak
     assert peak < PL._largest_mode_table_bytes(cfg, problem)
 
 
