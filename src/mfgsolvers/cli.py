@@ -14,9 +14,10 @@ the package, whose public names load ``pipeline`` on first use) loads no
 numpy.  This holds for ``python -m mfgsolvers`` and the ``mfgsolvers``
 script alike.
 
-Exit codes: 0 success; 2 a bad config or flag (output paths, and whether the
-two ``compare`` configs name one problem, are checked before anything runs),
-naming it; 3 a numerical failure, any other ``MfgError`` or a refused allocation.
+Exit codes: 0 success, also when the reader of stdout closed it early; 2 a
+bad config or flag (output paths, and whether the two ``compare`` configs
+name one problem, are checked before anything runs), naming it; 3 a
+numerical failure, any other ``MfgError`` or a refused allocation.
 """
 
 from __future__ import annotations
@@ -170,7 +171,15 @@ def main(argv=None) -> int:
     )
 
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (``| head``); every subcommand
+        # writes its files before it prints.  Python's documented recipe:
+        # stdout goes to devnull, so the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (ConfigError, GridMismatch) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

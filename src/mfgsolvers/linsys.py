@@ -14,8 +14,9 @@ lattice), or A A^T + mu I as A (A^T v) + mu v.  The residual-side inner
 step of ``optimizer`` also reads that inverse as a matrix, ``regularized``,
 for the block rows of its A Theta products (a feature factor forms it on
 each access, only for systems with at least as many features as residual
-rows, which hold it for their run); the feature side reads the feature
-matrix with its ridge mu.
+rows, which hold it for their run); the feature side reads the split
+P^{-1} = F F^T + D instead: the feature matrix with D = mu I, or a lattice
+gram's spectral features with D its nugget (``SpectralSplit``).
 
 A gram is factored by one of two routes, chosen from the points alone
 (``lattice_shape``).  When the functional set lies wholly on one full torus
@@ -26,7 +27,10 @@ generating column of each block pair (``_lattice_gram``), and the DFT of
 those columns splits it into one Hermitian block per lattice frequency, of
 the order of the operator count, each factored by numpy's batched Cholesky
 (``LatticeFactor``): no n x n factor exists, and a solve is an FFT,
-per-frequency triangular solves and an inverse FFT.  Any other set, on
+per-frequency triangular solves and an inverse FFT.  The eigenpairs of the
+same blocks, less the nugget, give the gram as F F^T with F real, the
+weighted Fourier-feature model of a periodic GP, counted at setup and
+formed only for an inner step that takes the feature side.  Any other set, on
 random points or planning's space-time points, keeps the dense Cholesky
 factor (``GramFactor``).
 
@@ -295,7 +299,9 @@ class _Factored:
     """A factored nugget-regularized gram: the gram, its factor and their seconds."""
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
-    features = None  # no feature matrix: P^{-1} is the gram itself, or its leading block
+    # no split P^{-1} = F F^T + D: P^{-1} is the gram itself, or its leading
+    # block; a LatticeFactor splits it by its spectrum
+    feature_count = None
     regularized: np.ndarray
     chol: np.ndarray
     assembly_seconds: float
@@ -372,9 +378,20 @@ class LatticeFactor(_Factored):
     inverse FFT; ``apply_regularized`` multiplies each frequency by
     L(q) L(q)^H instead.  ``regularized`` is the gram itself, whose block
     rows the residual-side inner step reads.
+
+    The same spectrum is a weighted Fourier-feature model of the gram
+    (``SpectralSplit``): P^{-1} = F F^T + D, with F the real spectral
+    features of the gram without its nugget and D = diag(``nugget``), the
+    nugget itself, constant on each operator block.  ``feature_count`` is
+    F's column count k, found from eigenvalues alone; ``features`` forms F
+    on first use, for an inner step that takes the feature side (k < r).
+    A lead factor shares the full factor's split: its F and D are their
+    leading rows, since its gram is the leading block of the full gram.
     """
 
     shape: tuple  # the lattice: (side,) or (side, side), n points
+    nugget: np.ndarray  # eta R: the nugget added to the gram's diagonal, one entry per row
+    split: "SpectralSplit"  # the full factor's
 
     def leading(self, n: int) -> "LatticeFactor":
         """The factor of the leading n x n block, n whole blocks of the lattice; it reports no time."""
@@ -386,9 +403,25 @@ class LatticeFactor(_Factored):
             self,
             regularized=self.regularized[:n, :n],
             chol=self.chol[:, :p, :p].copy(),
+            nugget=self.nugget[:n],
             assembly_seconds=0.0,
             cholesky_seconds=0.0,
         )
+
+    @property
+    def feature_count(self) -> int:
+        """k, the columns of F in P^{-1} = F F^T + D."""
+        return self.split.count
+
+    @property
+    def features(self) -> np.ndarray:
+        """F (size x k): the gram without its nugget is F F^T."""
+        return self.split.features[: self.size]
+
+    @property
+    def ridge(self) -> np.ndarray:
+        """D's diagonal in P^{-1} = F F^T + D: the nugget."""
+        return self.nugget
 
     def _spectrum(self, v):
         """v^(q) per frequency q, (n, ops, columns): the lattice DFT of v's blocks."""
@@ -421,6 +454,95 @@ class LatticeFactor(_Factored):
         return float(np.vdot(y, y).real) / self.chol.shape[0]
 
 
+# The spectral features keep the eigenpairs of the gram's frequency blocks
+# above SPECTRAL_CUTOFF times the largest eigenvalue.  Those blocks, L L^H
+# minus the nugget, carry round-off of a few eps times that eigenvalue: the
+# most negative of them, which is round-off alone, measures -3.7e-16 of it on
+# mfg1d_gp's 256-point lattice and -5.7e-16 on a 64-point one, and the
+# eigenvalues of mfg1d_gp fall from 5.5e-15 straight to that floor (4.7e-16).
+# With the eigenvalues below the cutoff dropped, F F^T + D differs from the
+# regularized gram by 1.0e-15 of it there (Frobenius norm), 45 columns for
+# 768 rows, and by 2.3e-15 on its 512-row lead.
+SPECTRAL_CUTOFF = 5 * np.finfo(float).eps
+
+
+class SpectralSplit:
+    """The gram of a lattice factor as F F^T, F real, from its frequency blocks' eigenpairs.
+
+    The DFT block of the gram at frequency q is Theta^(q) = Lambda(q) - D_p,
+    with Lambda(q) = L(q) L(q)^H and D_p the nugget of each operator block.
+    Each of its eigenpairs (lambda, v) gives the complex column
+    g(a, x) = sqrt(lambda / n) v_a exp(2 pi i q.x) over operator a and
+    lattice point x (in lattice units), and the gram is the sum of g g^H.
+    Theta^(-q) is the conjugate of Theta^(q), whose eigenpairs conjugate
+    g, so each pair q, -q gives the two real columns sqrt(2) Re g and
+    sqrt(2) Im g; the blocks at the frequencies equal to their own negative
+    (q = 0 and the Nyquist frequencies) are real, and so are their columns.
+    Only the eigenpairs above ``SPECTRAL_CUTOFF`` times the largest are kept.
+
+    ``count`` takes eigenvalues alone, one batched ``eigvalsh`` over half
+    the frequencies; ``features`` takes the eigenvectors of the same blocks,
+    keeping as many per frequency as ``count`` did, and forms F once.
+    """
+
+    def __init__(self, chol: np.ndarray, nugget: np.ndarray, shape: tuple):
+        self._chol, self._nugget, self._shape = chol, nugget, shape
+        # lattice points (and frequencies) as integer coordinates, (dim, n)
+        self._points = np.indices(shape).reshape(len(shape), -1)
+        neg = np.ravel_multi_index(tuple(-self._points % shape[0]), shape)
+        q = np.arange(neg.size)
+        # (frequencies, whether their blocks are real): those paired with
+        # their negative, then those that are their own
+        self._halves = ((np.flatnonzero(q < neg), False), (np.flatnonzero(q == neg), True))
+        self._kept = None  # eigenpairs kept per frequency, per half
+        self._features = None
+
+    def _blocks(self, q: np.ndarray, real: bool) -> np.ndarray:
+        """Theta^(q) for the frequencies q, as real blocks where they are real."""
+        chol = self._chol[q]
+        blocks = chol @ chol.conj().transpose(0, 2, 1)
+        blocks = blocks.real if real else blocks
+        idx = np.arange(blocks.shape[1])
+        blocks[:, idx, idx] -= self._nugget
+        return blocks
+
+    def _kept_per_frequency(self) -> list:
+        """How many eigenpairs each frequency of each half keeps, from its eigenvalues alone."""
+        if self._kept is None:
+            eig = [np.linalg.eigvalsh(self._blocks(q, real)) for q, real in self._halves]
+            top = max(e.max(initial=0.0) for e in eig)
+            self._kept = [np.count_nonzero(e > SPECTRAL_CUTOFF * top, axis=1) for e in eig]
+        return self._kept
+
+    @property
+    def count(self) -> int:
+        """k, the real columns of F."""
+        paired, own = self._kept_per_frequency()
+        return 2 * int(paired.sum()) + int(own.sum())
+
+    @property
+    def features(self) -> np.ndarray:
+        """F, (n p) x k: the real columns of the kept eigenpairs, rows as the gram's."""
+        if self._features is None:
+            n, p = self._chol.shape[:2]
+            side = self._shape[0]
+            columns = []
+            for (q, real), kept in zip(self._halves, self._kept_per_frequency()):
+                q, kept = q[kept > 0], kept[kept > 0]
+                w, v = np.linalg.eigh(self._blocks(q, real))
+                # eigh sorts ascending: keep each frequency's last ``kept``
+                keep = np.arange(p) >= p - kept[:, None]
+                weight = np.sqrt(w[keep] / n)
+                vectors = v.transpose(0, 2, 1)[keep] * weight[:, None]  # (columns, p)
+                freqs = self._points[:, np.repeat(q, kept)]
+                turns = (self._points.T @ freqs) % side  # q.x in lattice units, (n, columns)
+                phase = np.exp(2j * np.pi * np.arange(side) / side)[turns]
+                g = (vectors.T[:, None, :] * phase).reshape(n * p, -1)
+                columns += [g.real] if real else [math.sqrt(2) * g.real, math.sqrt(2) * g.imag]
+            self._features = np.hstack(columns)
+        return self._features
+
+
 def _lattice_axes(shape) -> tuple:
     """The lattice axes of an array (blocks, *shape, ...)."""
     return tuple(range(1, 1 + len(shape)))
@@ -443,7 +565,7 @@ def _lower_solve(chol, b, adjoint=False):
     return x
 
 
-def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None):
+def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None, nugget=None):
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
     LAPACK factors a C-ordered copy in place, through its Fortran-ordered
@@ -458,15 +580,21 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     column of each block is read: its DFT over the lattice gives the block
     Lambda(q) of each frequency, which is factored instead
     (``LatticeFactor``).  The order then counts in the frequency-major
-    block diagonal of those blocks.
+    block diagonal of those blocks.  ``nugget``, one entry per row and
+    constant on each block, is the part of matrix's diagonal that the
+    factor's spectral features leave out, the D of P^{-1} = F F^T + D; it
+    is zero when not given.
     """
     t0 = time.perf_counter()
     if lattice is not None:
         chol = _frequency_cholesky(matrix, lattice)
+        nugget = np.zeros(matrix.shape[0]) if nugget is None else nugget
         return LatticeFactor(
             regularized=matrix,
             chol=chol,
             shape=tuple(lattice),
+            nugget=nugget,
+            split=SpectralSplit(chol, nugget[:: math.prod(lattice)], tuple(lattice)),
             assembly_seconds=assembly_seconds,
             cholesky_seconds=time.perf_counter() - t0,
         )
@@ -526,8 +654,9 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float):
     assembly = time.perf_counter() - t0
     # a nugget that overflows is reported once, by the factorization
     with np.errstate(over="ignore"):
-        gram[np.diag_indices_from(gram)] += eta * r
-    return cholesky_factor(gram, assembly_seconds=assembly, lattice=lattice)
+        nugget = eta * r
+        gram[np.diag_indices_from(gram)] += nugget
+    return cholesky_factor(gram, assembly_seconds=assembly, lattice=lattice, nugget=nugget)
 
 
 def _leads(a: FunctionalSet, b: FunctionalSet) -> bool:
@@ -598,6 +727,15 @@ class FeatureFactor:
     def features(self) -> np.ndarray:
         """The feature matrix A: P^{-1} = A A^T + mu I."""
         return self.A
+
+    @property
+    def feature_count(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def ridge(self) -> float:
+        """D = mu I in P^{-1} = A A^T + D, as the scalar mu."""
+        return self.mu
 
     @property
     def regularized(self) -> np.ndarray:

@@ -14,7 +14,11 @@ which is algebraically the solution of the dense normal equations
 (P + A^T W A) theta_hat = A^T W c but only ever factors a matrix whose size
 is the smaller of rows and features.  Crucially P^{-1} is cheap on both
 paths: it is the regularized gram matrix Theta itself for the GP quadratic
-form and F F^T + mu I, with F the feature matrix, for the ridge form.
+form and F F^T + mu I, with F the feature matrix, for the ridge form.  A
+gram on a full torus lattice has the same shape, F F^T + D: F holds the
+real spectral features of the gram without its nugget, from the
+eigenpairs of its per-frequency blocks, and D is the nugget
+(``linsys.SpectralSplit``).
 
 There is one linearization, point-major.  Its rows come in point groups, one
 residual batch of ``problems`` each: the boundary points (one row each), then
@@ -28,16 +32,20 @@ B = W^{-1} + A P^{-1} A^T from P^{-1} as a matrix (the factor's
 ``regularized``); the Cholesky factorization reads only B's upper
 triangle, so only that triangle is formed.  It then solves y = B^{-1} c
 and returns theta_hat = P^{-1} (A^T y): each factor applies P^{-1} to the
-one vector A^T y (``apply_regularized``).  With the ridge form, B also
-splits as S + U U^T: S = W^{-1} + mu A A^T couples only the rows of one
-point (plus the dense normalization rows) and U = [A_z F_u, A_rho F_m,
-a_lam] has one column per feature.  When those k columns are fewer than the
-r kept rows, the inner step instead factors S point by point and solves by
-Woodbury's identity with the k x k capacitance matrix I + V^T V of the
-whitened rows V = L^{-1} U (``linsys.low_rank_update_solve``), never
-forming an r x r or n x n matrix.  Its eigenvalues are all >= 1.  A feature
-system with k >= r gains nothing there and takes the residual side on
-F F^T + mu I, like a gram.  Both steps fail alike: a Cholesky that fails in
+one vector A^T y (``apply_regularized``).  With a split P^{-1} = F F^T + D,
+D diagonal, B also splits as S + U U^T: S = W^{-1} + A D A^T couples only
+the rows of one point (plus the dense normalization rows) and U = [A_z F_u,
+A_rho F_m, a_lam] has one column per feature.  When those k columns are
+fewer than the r kept rows, the inner step instead factors S point by point
+and solves by Woodbury's identity with the k x k capacitance matrix
+I + V^T V of the whitened rows V = L^{-1} U
+(``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
+Its eigenvalues are all >= 1.  That is the rule for every factor with a
+split (``feature_count``): Fourier features, and a lattice gram, whose
+k counts its spectral features (45 per side against r = 514 on mfg1d_gp).
+A system with k >= r gains nothing there and takes the residual side on
+P^{-1} as a matrix, as does a dense gram, which has no split.  Both steps
+fail alike: a Cholesky that fails in
 rounding, a non-finite factor diagonal (as from an overflowed matrix) or a
 non-finite solution is a ``SingularNormalEquations`` (exit status 3) naming
 the side, with no fallback.
@@ -152,9 +160,22 @@ def init_state(
     return SolverState(z=z, rho=rho, lam=lam)
 
 
-def _gram(J):
-    """J J^T for each point of a (points, rows, cols) stack."""
-    return J @ J.transpose(0, 2, 1)
+def _point_ridge(d, slices, n):
+    """D's diagonal d on a point group's functionals, (points, operators); a scalar stays one."""
+    return d if np.ndim(d) == 0 else _columns(d, slices, n)
+
+
+def _ridge_rows(J, d, X):
+    """J D X for each point of a (points, rows, cols) stack and D = diag(d) over its columns.
+
+    d is (points, cols), or a scalar, the mu of D = mu I, taken as mu (J X).
+    """
+    return d * (J @ X) if np.ndim(d) == 0 else (J * d[:, None, :]) @ X
+
+
+def _ridge_gram(X, d):
+    """X^T D X for D = diag(d) over X's rows; a scalar d, the mu of D = mu I, as mu (X^T X)."""
+    return d * (X.T @ X) if np.ndim(d) == 0 else X.T @ (d[:, None] * X)
 
 
 def _apply(J, v):
@@ -263,20 +284,16 @@ class MfgSystem:
             (Nz if is_u else Nm)[sl, j] = 1.0 / (sl.stop - sl.start)
         self._norm_t = (Nz, Nm)
         self._norm_c = np.array([target for _, _, target in norm])
-        F_u, F_m = quad_u.features, quad_m.features
-        # the feature side pays off when U has fewer columns k than kept rows r
-        self.feature_side = (
-            F_u is not None
-            and F_m is not None
-            and F_u.shape[1] + F_m.shape[1] + self.has_lam < self.n_rows
-        )
+        # the feature side pays off when U has fewer columns k than kept rows r;
+        # a factor without a split P^{-1} = F F^T + D has no count
+        counts = quad_u.feature_count, quad_m.feature_count
+        self.feature_side = None not in counts and sum(counts) + self.has_lam < self.n_rows
         if not self.feature_side:
             return
-        mu_u, mu_m = quad_u.mu, quad_m.mu
         lam_col = [np.zeros((self._n_norm, 1))] if self.has_lam else []
-        self._norm_U = np.hstack([Nz.T @ F_u, Nm.T @ F_m] + lam_col)
+        self._norm_U = np.hstack([Nz.T @ quad_u.features, Nm.T @ quad_m.features] + lam_col)
         self._norm_S = np.diag(np.full(self._n_norm, 1.0 / self.beta)) if norm else np.zeros((0, 0))
-        self._norm_S += mu_u * (Nz.T @ Nz) + mu_m * (Nm.T @ Nm)
+        self._norm_S += _ridge_gram(Nz, quad_u.ridge) + _ridge_gram(Nm, quad_m.ridge)
 
     def _norm_rows(self):
         """The linear normalization rows, each the mean over one identity block.
@@ -489,36 +506,44 @@ class MfgSystem:
         )
 
     def _feature_inner_solve(self, lin, c) -> SolverState:
-        """The feature-side step, for P^{-1} = F F^T + mu I and k < r: B = S + U U^T.
+        """The feature-side step, for P^{-1} = F F^T + D and k < r: B = S + U U^T.
 
-        U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + mu_u A_z A_z^T +
-        mu_m A_rho A_rho^T, which is a 2 x 2 block per interior point, a
-        scalar per boundary row and the dense normalization rows.
+        U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + A_z D_u A_z^T +
+        A_rho D_m A_rho^T, which is a 2 x 2 block per interior point, a
+        scalar per boundary row and the dense normalization rows.  D is
+        diagonal: mu I for a feature factor, the nugget for a lattice gram.
         ``linsys.low_rank_update_solve`` works in O(r k^2) on the feature
         side, by a Cholesky factor of the k x k capacitance matrix
         I + V^T V with V = L_S^{-1} U, so neither F F^T nor B is formed.  A
         failed factorization or a non-finite solve raises
-        ``SingularNormalEquations`` (exit status 3).  Returns F g + mu A^T y
+        ``SingularNormalEquations`` (exit status 3).  Returns F g + D A^T y
         with g = U^T y.
         """
         F_u, F_m = self.quad_u.features, self.quad_m.features
-        mu_u, mu_m = self.quad_u.mu, self.quad_m.mu
+        d_u, d_m = self.quad_u.ridge, self.quad_m.ridge
         Nz, Nm = self._norm_t
         blocks, rows, coupling = [], [], []
         for (*_, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
             n = R.shape[0]
-            blocks.append(np.eye(R.shape[1]) / self.gamma + mu_u * _gram(Jz) + mu_m * _gram(Jm))
+            dz, dm = _point_ridge(d_u, z_sl, n), _point_ridge(d_m, m_sl, n)
+            blocks.append(
+                np.eye(R.shape[1]) / self.gamma
+                + _ridge_rows(Jz, dz, Jz.transpose(0, 2, 1))
+                + _ridge_rows(Jm, dm, Jm.transpose(0, 2, 1))
+            )
             lam_col = [jl[:, :, None]] if self.has_lam else []
             feats = [Jz @ _by_point(F_u, z_sl, n), Jm @ _by_point(F_m, m_sl, n)]
             rows.append(np.concatenate(feats + lam_col, axis=2))
-            coupling.append(mu_u * (Jz @ _by_point(Nz, z_sl, n)) + mu_m * (Jm @ _by_point(Nm, m_sl, n)))
+            coupling.append(
+                _ridge_rows(Jz, dz, _by_point(Nz, z_sl, n)) + _ridge_rows(Jm, dm, _by_point(Nm, m_sl, n))
+            )
         U = _point_rows(rows, self._norm_U)
         C = _point_rows(coupling, np.zeros((0, self._n_norm)))
         y, g = low_rank_update_solve(ArrowCholesky(blocks, C, self._norm_S), U, c)
         at_z, at_rho, _ = self._transpose_apply(lin, y)
         k_u, k_m = F_u.shape[1], F_m.shape[1]
-        z_hat = F_u @ g[:k_u] + mu_u * at_z
-        rho_hat = F_m @ g[k_u : k_u + k_m] + mu_m * at_rho
+        z_hat = F_u @ g[:k_u] + d_u * at_z
+        rho_hat = F_m @ g[k_u : k_u + k_m] + d_m * at_rho
         return SolverState(z=z_hat, rho=rho_hat, lam=float(g[-1]) if self.has_lam else None)
 
     def normal_equation_residual(self, state: SolverState, hat: SolverState) -> float:

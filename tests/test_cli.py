@@ -186,6 +186,29 @@ def test_overflowing_start_prints_one_line_on_stderr(tmp_path):
     assert proc.stderr == "numerical failure: objective non-finite at iteration 0\n"
 
 
+def test_closed_stdout_exits_0_with_the_reports_written(tmp_path):
+    """A run whose stdout reader is gone, as under ``| head -0``, writes its
+    reports and exits 0 with nothing on stderr: no BrokenPipeError traceback
+    and no "Exception ignored" line from the flush at exit."""
+    cfg = _write_config(tmp_path, TINY)
+    out = tmp_path / "o"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read, write = os.pipe()
+    os.close(read)  # closed before the run starts: its first write fails
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfgsolvers", "run", cfg, "--output-dir", str(out)],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write)
+    assert proc.stderr == ""
+    assert proc.returncode == cli.EXIT_OK
+    for name in ("loss_history.csv", "solution_grid.csv", "error_report.json", "timing.csv"):
+        assert (out / name).exists(), name
+
+
 def test_overflowing_capacitance_prints_one_line_on_stderr(tmp_path):
     """In a fresh process, with numpy's warnings at their defaults, feature
     matrices so large that the feature side's V^T V overflows fail the inner

@@ -180,6 +180,37 @@ def test_inner_solve_across_point_chunks_matches_dense_normal_equations(case, mo
     test_inner_solve_matches_dense_normal_equations(case)
 
 
+def test_lattice_feature_side_inner_solve_matches_dense_normal_equations():
+    """A 64-point 1D lattice splits its grams into k = 45 + 45 spectral
+    features plus lambda, fewer than its r = 130 rows: it takes the feature
+    side, which meets the residual side's 1e-10 bound.  The nugget 1e-4
+    keeps the dense oracle well conditioned: at 1e-6, cond(Theta) is 3.6e11
+    and the oracle misses the residual side's own step by 2.1e-9."""
+    case = dict(_TORUS_1D_GP, M=64, eta=1e-4)
+    system, _, _ = _system("gp", **case)
+    assert system.feature_side
+    assert isinstance(system.quad_u, L.LatticeFactor)
+    test_inner_solve_matches_dense_normal_equations(case)
+
+
+def test_bundled_lattice_configs_take_the_side_of_their_feature_count(monkeypatch):
+    """mfg1d_gp (k = 91 < r = 514) takes the feature side; nonlocal2d_gp_nu1
+    (k = 2 x 1143 + 1 >= r = 802) keeps the residual side and steps without
+    forming its spectral feature matrix."""
+    system, _, _ = _system("gp", **_bundled_overrides("mfg1d_gp"))
+    assert system.feature_side
+
+    def never(self):
+        raise AssertionError("a residual-side system formed SpectralSplit.features")
+
+    monkeypatch.setattr(L.SpectralSplit, "features", property(never))
+    system, phi, psi = _system("gp", **_bundled_overrides("nonlocal2d_gp_nu1"))
+    counts = system.quad_u.feature_count, system.quad_m.feature_count
+    assert not system.feature_side and sum(counts) + 1 >= system.n_rows
+    hat = system.inner_solve(_zero_start(phi, psi))
+    assert np.all(np.isfinite(hat.pack()))
+
+
 def test_inner_solve_satisfies_normal_equation_residual():
     system, phi, psi = _gp_system(M=14, gamma=1.0, beta=100.0)
     for seed in range(3):
@@ -551,7 +582,11 @@ def _bundled_normal_equation_residuals(name):
     cfg = PL.ExperimentConfig.from_dict(json.loads(path.read_text(encoding="utf-8")))
     overrides = {k: v for k, v in cfg.to_dict().items() if k not in ("method", "output_dir")}
     system, phi, psi = _system(cfg.method, **overrides)
-    assert system.feature_side is (cfg.method == "ff")
+    # a split P^{-1} = F F^T + D (features, or a lattice gram's spectrum)
+    # with fewer columns k than rows r takes the feature side
+    counts = system.quad_u.feature_count, system.quad_m.feature_count
+    k = None if None in counts else sum(counts) + system.has_lam
+    assert system.feature_side is (k is not None and k < system.n_rows)
     calls = _recording_inner_solve(system)
     _, hist = O.gauss_newton_run(system, _zero_start(phi, psi), cfg.alpha, cfg.max_iters)
     # the last inner solve found a vanishing step and took none
@@ -626,7 +661,8 @@ def test_infinite_jacobian_raises_singular_normal_equations(case, feature_side, 
 @pytest.mark.parametrize(
     "method, case",
     [
-        ("gp", _bundled_overrides("mfg1d_gp")),  # r = 514
+        # r = 514; on random points, as a lattice would take the feature side
+        ("gp", dict(_bundled_overrides("mfg1d_gp"), grid_sampling=False)),
         ("gp", dict(_TORUS_2D_GP, M=144)),  # r = 290
         ("ff", dict(_TORUS_1D, M=64, N=40)),  # k = 163 >= r = 130
     ],
