@@ -3,11 +3,13 @@
     python scripts/artifact_diff.py A B [--rtol R] [--atol T]
 
 A and B are two ``error_report.json`` files or two CSV artifacts
-(``loss_history.csv``, ``solution_grid.csv``).  Prints one line per numeric
-field (a JSON number, or a CSV column) with its largest relative difference
-|a - b| / max(|a|, |b|) and its largest absolute one.  Exits 0 when the
-non-numeric content (JSON strings and nulls, the CSV header and row count)
-is equal and every pair of values satisfies |a - b| <= T + R max(|a|, |b|);
+(``loss_history.csv``, ``solution_grid.csv``, ``timing.csv``).  Prints one
+line per numeric field (a JSON number, or a CSV column whose every cell is
+a number) with its largest relative difference |a - b| / max(|a|, |b|) and
+its largest absolute one.  Exits 0 when the non-numeric content (JSON
+strings and nulls, the CSV header, row count and the columns holding a cell
+that is not a number, such as timing.csv's ``method``) is equal and every
+pair of values satisfies |a - b| <= T + R max(|a|, |b|);
 otherwise the exit status is 1.  A field outside the tolerance is marked
 "exceeds".  Both tolerances default to 0, which asks for equal values.
 """
@@ -31,8 +33,14 @@ def read_fields(path: str):
         return numeric, {k: v for k, v in data.items() if k not in numeric}
     with open(path, newline="", encoding="utf-8") as f:
         header, *rows = list(csv.reader(f)) or [[]]
-    columns = {name: [float(row[i]) for row in rows] for i, name in enumerate(header)}
-    return columns, (header, len(rows))
+    columns, text = {}, {}
+    for i, name in enumerate(header):
+        cells = [row[i] for row in rows]
+        try:
+            columns[name] = [float(cell) for cell in cells]
+        except ValueError:
+            text[name] = cells
+    return columns, (header, len(rows), text)
 
 
 def field_diff(xs, ys, rtol: float, atol: float):

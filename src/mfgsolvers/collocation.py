@@ -22,11 +22,6 @@ from .problems import SPACE_HALF_WIDTH, ProblemSpec
 class CollocationSet:
     interior: np.ndarray  # (M_omega, dim)
     boundary: np.ndarray  # (M - M_omega, dim)
-    seed: int = 0
-
-    @property
-    def m_interior(self) -> int:
-        return self.interior.shape[0]
 
     @property
     def m_total(self) -> int:
@@ -57,7 +52,7 @@ def sample_uniform_random(dim: int, M: int, seed: int) -> CollocationSet:
         raise BadCount("M must be positive")
     rng = np.random.default_rng(seed)
     pts = rng.random((M, dim))
-    return CollocationSet(interior=pts, boundary=np.zeros((0, dim)), seed=seed)
+    return CollocationSet(interior=pts, boundary=np.zeros((0, dim)))
 
 
 def _time_slices(x0, x1) -> np.ndarray:
@@ -81,7 +76,7 @@ def sample_planning(
     interior = np.stack([t, x], axis=1)
     x0 = (rng.random(n_initial) * 2.0 - 1.0) * SPACE_HALF_WIDTH
     x1 = (rng.random(n_terminal) * 2.0 - 1.0) * SPACE_HALF_WIDTH
-    return CollocationSet(interior=interior, boundary=_time_slices(x0, x1), seed=seed)
+    return CollocationSet(interior=interior, boundary=_time_slices(x0, x1))
 
 
 def sample_planning_grid(
@@ -136,12 +131,16 @@ class FunctionalSet:
         return tuple(b[0] for b in self.blocks)
 
     @property
-    def tags_on(self) -> dict:
-        """The operator tags of each point set, keyed by the points array's identity."""
-        out = {}
-        for tag, pts in self.blocks:
-            out.setdefault(id(pts), []).append(tag)
-        return out
+    def point_sets(self) -> tuple:
+        """(points, ((tag, slice), ...)) per distinct points array, in order of first use.
+
+        Blocks on one points array share its kernel tables; arrays are told
+        apart by identity, as the samplers share one per point group.
+        """
+        sets = {}
+        for (tag, pts), sl in zip(self.blocks, self.slices):
+            sets.setdefault(id(pts), (pts, []))[1].append((tag, sl))
+        return tuple((pts, tuple(blocks)) for pts, blocks in sets.values())
 
 
 def build_functionals(spec: ProblemSpec, pts: CollocationSet):

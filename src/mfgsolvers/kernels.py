@@ -384,25 +384,22 @@ def representer_grid(k: KernelSpec, funcs, coeffs, ops, nodes) -> np.ndarray:
     """
     if len(nodes) != 2 or k.dim != 2:
         raise DimensionMismatch(f"a grid of {len(nodes)} axes on a kernel of dimension {k.dim}")
-    tags_on = funcs.tags_on
     out = np.zeros((len(ops), nodes[0].size, nodes[1].size))
-    tables = {}
-    for (tag, pts), sl in zip(funcs.blocks, funcs.slices):
+    for pts, blocks in funcs.point_sets:
         if pts.shape[0] == 0:
             continue
-        if id(pts) not in tables:
-            axes = _distinct_axes(_as_points(k, pts))
-            top_grid, top_pts = _top_orders(k, ops), _top_orders(k, tags_on[id(pts)])
-            derivs = _profile_tables(k, nodes, [u for u, _ in axes], top_grid, top_pts)
-            tables[id(pts)] = (derivs, [index for _, index in axes])
-        (d1, d2), (i1, i2) = tables[id(pts)]
-        c = coeffs[sl]
-        for j, op in enumerate(ops):
-            for ol in op_terms(k.axes, op):
-                for orr in op_terms(k.axes, tag):
-                    sign = -1.0 if (sum(orr) % 2) else 1.0
-                    left = d1[ol[0] + orr[0]][:, i1] * (sign * c)
-                    out[j] += left @ d2[ol[1] + orr[1]][:, i2].T
+        axes = _distinct_axes(_as_points(k, pts))
+        top_grid, top_pts = _top_orders(k, ops), _top_orders(k, [tag for tag, _ in blocks])
+        d1, d2 = _profile_tables(k, nodes, [u for u, _ in axes], top_grid, top_pts)
+        i1, i2 = (index for _, index in axes)
+        for tag, sl in blocks:
+            c = coeffs[sl]
+            for j, op in enumerate(ops):
+                for ol in op_terms(k.axes, op):
+                    for orr in op_terms(k.axes, tag):
+                        sign = -1.0 if (sum(orr) % 2) else 1.0
+                        left = d1[ol[0] + orr[0]][:, i1] * (sign * c)
+                        out[j] += left @ d2[ol[1] + orr[1]][:, i2].T
     return out.reshape(len(ops), -1).T
 
 
@@ -670,20 +667,18 @@ def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
     spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
     c = spectrum(k.lengthscales[0], k.n_modes)
     acc = np.zeros(c.shape, dtype=complex)
-    tables = {}  # conjugate point-by-point exponentials per point set, keyed by identity
-    for (tag, pts), sl in zip(funcs.blocks, funcs.slices):
+    for pts, blocks in funcs.point_sets:
         if pts.shape[0] == 0:
             continue
-        if id(pts) not in tables:
-            axes = _axis_exponentials(k, _as_points(k, pts))
-            tables[id(pts)] = [t.conj()[index] for t, index in axes]
-        e = tables[id(pts)]
-        if k.dim == 1:
-            summed = e[0].T @ coeffs[sl]
-        else:
-            # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
-            summed = e[0].T @ (coeffs[sl][:, None] * e[1])
-        acc += _mode_symbol(k, tag, "right") * summed
+        # the conjugate point-by-point exponentials of the point set
+        e = [t.conj()[index] for t, index in _axis_exponentials(k, _as_points(k, pts))]
+        for tag, sl in blocks:
+            if k.dim == 1:
+                summed = e[0].T @ coeffs[sl]
+            else:
+                # sum_i coeff_i exp(-2 pi i (a1 y_i1 + a2 y_i2)) as one n_modes x n_modes product
+                summed = e[0].T @ (coeffs[sl][:, None] * e[1])
+            acc += _mode_symbol(k, tag, "right") * summed
     return c * acc
 
 

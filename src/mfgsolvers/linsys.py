@@ -15,8 +15,9 @@ step of ``optimizer`` also reads that inverse as a matrix, ``regularized``,
 for the block rows of its A Theta products (a feature factor forms it on
 each access, only for systems with at least as many features as residual
 rows, which hold it for their run); the feature side reads the split
-P^{-1} = F F^T + D instead: the feature matrix with D = mu I, or a lattice
-gram's spectral features with D its nugget (``SpectralSplit``).
+P^{-1} = F F^T + D instead, D = diag(``ridge``) given per row on both: the
+feature matrix with mu on every row, or a lattice gram's spectral features
+with its nugget (``SpectralSplit``).
 
 A gram is factored by one of two routes, chosen from the points alone
 (``lattice_shape``).  When the functional set lies wholly on one full torus
@@ -29,8 +30,9 @@ the order of the operator count, each factored by numpy's batched Cholesky
 (``LatticeFactor``): no n x n factor exists, and a solve is an FFT,
 per-frequency triangular solves and an inverse FFT.  The eigenpairs of the
 same blocks, less the nugget, give the gram as F F^T with F real, the
-weighted Fourier-feature model of a periodic GP, counted at setup and
-formed only for an inner step that takes the feature side.  Any other set, on
+weighted Fourier-feature model of a periodic GP: one eigendecomposition per
+frequency, taken at setup, counts its columns, and F is formed only for an
+inner step that takes the feature side.  Any other set, on
 random points or planning's space-time points, keeps the dense Cholesky
 factor (``GramFactor``).
 
@@ -183,10 +185,11 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
     """Symmetric bi-operator gram matrix over a functional set.
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
-    result is exactly symmetric.  Blocks on the same pair of point sets share
-    one ``kernels.CrossTables``: its tables are computed once per pair, not
-    once per block.  On the 2D torus a J5 block is one real GEMM over about
-    n_modes^2 mode features, n_modes being the kernel's own count.
+    result is exactly symmetric.  Blocks on the same pair of point sets
+    (``FunctionalSet.point_sets``) share one ``kernels.CrossTables``: its
+    tables are computed once per pair, not once per block.  On the 2D torus
+    a J5 block is one real GEMM over about n_modes^2 mode features, n_modes
+    being the kernel's own count.
 
     With ``lattice``, the shape ``lattice_shape`` gives for funcs, the gram
     is gathered instead from each upper block pair's generating column
@@ -197,22 +200,19 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
         return _lattice_gram(kernel, funcs, lattice)
     n = funcs.size
     out = np.empty((n, n))
-    blocks = funcs.blocks
-    sls = funcs.slices
-    tags_on = funcs.tags_on
-    tables = {}
-    for i, (op_i, pts_i) in enumerate(blocks):
-        for j in range(i, len(blocks)):
-            op_j, pts_j = blocks[j]
-            key = (id(pts_i), id(pts_j))
-            if key not in tables:
-                tables[key] = K.CrossTables(kernel, pts_i, pts_j, tags_on[key[0]], tags_on[key[1]])
-            B = tables[key].op_matrix(op_i, op_j)
-            if i == j:
-                B = 0.5 * (B + B.T)
-            out[sls[i], sls[j]] = B
-            if i != j:
-                out[sls[j], sls[i]] = B.T
+    sets = funcs.point_sets
+    tags = [[tag for tag, _ in blocks] for _, blocks in sets]
+    for a, (X, blocks_x) in enumerate(sets):
+        for b in range(a, len(sets)):
+            Y, blocks_y = sets[b]
+            tables = K.CrossTables(kernel, X, Y, tags[a], tags[b])
+            for i, (op_i, sl_i) in enumerate(blocks_x):
+                for op_j, sl_j in blocks_y[i if b == a else 0 :]:
+                    B = tables.op_matrix(op_i, op_j)
+                    if sl_j == sl_i:
+                        out[sl_i, sl_i] = 0.5 * (B + B.T)
+                    else:
+                        out[sl_i, sl_j], out[sl_j, sl_i] = B, B.T
     return out
 
 
@@ -383,8 +383,9 @@ class LatticeFactor(_Factored):
     (``SpectralSplit``): P^{-1} = F F^T + D, with F the real spectral
     features of the gram without its nugget and D = diag(``nugget``), the
     nugget itself, constant on each operator block.  ``feature_count`` is
-    F's column count k, found from eigenvalues alone; ``features`` forms F
-    on first use, for an inner step that takes the feature side (k < r).
+    F's column count k and ``features`` forms F on first use, for an inner
+    step that takes the feature side (k < r); both read the one
+    eigendecomposition of the frequency blocks.
     A lead factor shares the full factor's split: its F and D are their
     leading rows, since its gram is the leading block of the full gram.
     """
@@ -455,14 +456,14 @@ class LatticeFactor(_Factored):
 
 
 # The spectral features keep the eigenpairs of the gram's frequency blocks
-# above SPECTRAL_CUTOFF times the largest eigenvalue.  Those blocks, L L^H
+# above SPECTRAL_CUTOFF times the largest eigenvalue.  Those blocks, Lambda
 # minus the nugget, carry round-off of a few eps times that eigenvalue: the
 # most negative of them, which is round-off alone, measures -3.7e-16 of it on
 # mfg1d_gp's 256-point lattice and -5.7e-16 on a 64-point one, and the
 # eigenvalues of mfg1d_gp fall from 5.5e-15 straight to that floor (4.7e-16).
 # With the eigenvalues below the cutoff dropped, F F^T + D differs from the
-# regularized gram by 1.0e-15 of it there (Frobenius norm), 45 columns for
-# 768 rows, and by 2.3e-15 on its 512-row lead.
+# regularized gram by 9.0e-16 of it there (Frobenius norm), 45 columns for
+# 768 rows, and by 2.2e-15 on its 512-row lead.
 SPECTRAL_CUTOFF = 5 * np.finfo(float).eps
 
 
@@ -470,7 +471,8 @@ class SpectralSplit:
     """The gram of a lattice factor as F F^T, F real, from its frequency blocks' eigenpairs.
 
     The DFT block of the gram at frequency q is Theta^(q) = Lambda(q) - D_p,
-    with Lambda(q) = L(q) L(q)^H and D_p the nugget of each operator block.
+    with Lambda(q) the regularized gram's block, as ``_frequency_cholesky``
+    forms it before factoring it, and D_p the nugget of each operator block.
     Each of its eigenpairs (lambda, v) gives the complex column
     g(a, x) = sqrt(lambda / n) v_a exp(2 pi i q.x) over operator a and
     lattice point x (in lattice units), and the gram is the sum of g g^H.
@@ -480,13 +482,12 @@ class SpectralSplit:
     (q = 0 and the Nyquist frequencies) are real, and so are their columns.
     Only the eigenpairs above ``SPECTRAL_CUTOFF`` times the largest are kept.
 
-    ``count`` takes eigenvalues alone, one batched ``eigvalsh`` over half
-    the frequencies; ``features`` takes the eigenvectors of the same blocks,
-    keeping as many per frequency as ``count`` did, and forms F once.
+    One batched ``eigh`` per half of the frequencies, taken on first use and
+    kept, serves both ``count`` and ``features``; ``features`` forms F once.
     """
 
-    def __init__(self, chol: np.ndarray, nugget: np.ndarray, shape: tuple):
-        self._chol, self._nugget, self._shape = chol, nugget, shape
+    def __init__(self, spectrum: np.ndarray, nugget: np.ndarray, shape: tuple):
+        self._spectrum, self._nugget, self._shape = spectrum, nugget, shape
         # lattice points (and frequencies) as integer coordinates, (dim, n)
         self._points = np.indices(shape).reshape(len(shape), -1)
         neg = np.ravel_multi_index(tuple(-self._points % shape[0]), shape)
@@ -494,47 +495,39 @@ class SpectralSplit:
         # (frequencies, whether their blocks are real): those paired with
         # their negative, then those that are their own
         self._halves = ((np.flatnonzero(q < neg), False), (np.flatnonzero(q == neg), True))
-        self._kept = None  # eigenpairs kept per frequency, per half
+        self._eigenpairs = None
         self._features = None
 
-    def _blocks(self, q: np.ndarray, real: bool) -> np.ndarray:
-        """Theta^(q) for the frequencies q, as real blocks where they are real."""
-        chol = self._chol[q]
-        blocks = chol @ chol.conj().transpose(0, 2, 1)
-        blocks = blocks.real if real else blocks
-        idx = np.arange(blocks.shape[1])
-        blocks[:, idx, idx] -= self._nugget
-        return blocks
-
-    def _kept_per_frequency(self) -> list:
-        """How many eigenpairs each frequency of each half keeps, from its eigenvalues alone."""
-        if self._kept is None:
-            eig = [np.linalg.eigvalsh(self._blocks(q, real)) for q, real in self._halves]
-            top = max(e.max(initial=0.0) for e in eig)
-            self._kept = [np.count_nonzero(e > SPECTRAL_CUTOFF * top, axis=1) for e in eig]
-        return self._kept
+    def _kept_eigenpairs(self) -> list:
+        """Per half: (frequencies, real, eigenvalues, eigenvectors, which eigenpairs are kept)."""
+        if self._eigenpairs is None:
+            out = []
+            for q, real in self._halves:
+                blocks = self._spectrum[q]
+                blocks = blocks.real if real else blocks
+                idx = np.arange(blocks.shape[1])
+                blocks[:, idx, idx] -= self._nugget
+                out.append((q, real, *np.linalg.eigh(blocks)))
+            top = max(w.max(initial=0.0) for _, _, w, _ in out)
+            self._eigenpairs = [(*half, half[2] > SPECTRAL_CUTOFF * top) for half in out]
+        return self._eigenpairs
 
     @property
     def count(self) -> int:
         """k, the real columns of F."""
-        paired, own = self._kept_per_frequency()
-        return 2 * int(paired.sum()) + int(own.sum())
+        halves = self._kept_eigenpairs()
+        return sum((1 if real else 2) * int(keep.sum()) for _, real, *_, keep in halves)
 
     @property
     def features(self) -> np.ndarray:
         """F, (n p) x k: the real columns of the kept eigenpairs, rows as the gram's."""
         if self._features is None:
-            n, p = self._chol.shape[:2]
+            n, p = self._spectrum.shape[:2]
             side = self._shape[0]
             columns = []
-            for (q, real), kept in zip(self._halves, self._kept_per_frequency()):
-                q, kept = q[kept > 0], kept[kept > 0]
-                w, v = np.linalg.eigh(self._blocks(q, real))
-                # eigh sorts ascending: keep each frequency's last ``kept``
-                keep = np.arange(p) >= p - kept[:, None]
-                weight = np.sqrt(w[keep] / n)
-                vectors = v.transpose(0, 2, 1)[keep] * weight[:, None]  # (columns, p)
-                freqs = self._points[:, np.repeat(q, kept)]
+            for q, real, w, v, keep in self._kept_eigenpairs():
+                vectors = v.transpose(0, 2, 1)[keep] * np.sqrt(w[keep] / n)[:, None]  # (columns, p)
+                freqs = self._points[:, q[np.nonzero(keep)[0]]]
                 turns = (self._points.T @ freqs) % side  # q.x in lattice units, (n, columns)
                 phase = np.exp(2j * np.pi * np.arange(side) / side)[turns]
                 g = (vectors.T[:, None, :] * phase).reshape(n * p, -1)
@@ -579,7 +572,8 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     on that lattice, such as ``assemble_gram`` gathers, and only the first
     column of each block is read: its DFT over the lattice gives the block
     Lambda(q) of each frequency, which is factored instead
-    (``LatticeFactor``).  The order then counts in the frequency-major
+    (``LatticeFactor``) and whose eigenpairs, less the nugget, give its
+    spectral features (``SpectralSplit``).  The order then counts in the frequency-major
     block diagonal of those blocks.  ``nugget``, one entry per row and
     constant on each block, is the part of matrix's diagonal that the
     factor's spectral features leave out, the D of P^{-1} = F F^T + D; it
@@ -587,14 +581,14 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     """
     t0 = time.perf_counter()
     if lattice is not None:
-        chol = _frequency_cholesky(matrix, lattice)
+        spectrum, chol = _frequency_cholesky(matrix, lattice)
         nugget = np.zeros(matrix.shape[0]) if nugget is None else nugget
         return LatticeFactor(
             regularized=matrix,
             chol=chol,
             shape=tuple(lattice),
             nugget=nugget,
-            split=SpectralSplit(chol, nugget[:: math.prod(lattice)], tuple(lattice)),
+            split=SpectralSplit(spectrum, nugget[:: math.prod(lattice)], tuple(lattice)),
             assembly_seconds=assembly_seconds,
             cholesky_seconds=time.perf_counter() - t0,
         )
@@ -610,8 +604,8 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     )
 
 
-def _frequency_cholesky(matrix: np.ndarray, lattice) -> np.ndarray:
-    """Lower Cholesky factors (n, p, p) of the DFT blocks Lambda(q) of a block-circulant matrix.
+def _frequency_cholesky(matrix: np.ndarray, lattice):
+    """The DFT blocks Lambda(q) (n, p, p) of a block-circulant matrix and their Cholesky factors.
 
     Entry (a, i, b) of the first columns of the p x p blocks is
     theta_ab(x_i), and its DFT over the lattice axes is Lambda(q)[a, b].
@@ -624,7 +618,7 @@ def _frequency_cholesky(matrix: np.ndarray, lattice) -> np.ndarray:
     if not np.isfinite(spectrum).all():
         raise NonFiniteMatrix("the regularized gram must not contain infs or NaNs")
     try:
-        return np.linalg.cholesky(spectrum)
+        return spectrum, np.linalg.cholesky(spectrum)
     except np.linalg.LinAlgError:
         for q, block in enumerate(spectrum):
             info = lapack_info("zpotrf", lapack.zpotrf(block, lower=1)[1])
@@ -733,9 +727,9 @@ class FeatureFactor:
         return self.A.shape[1]
 
     @property
-    def ridge(self) -> float:
-        """D = mu I in P^{-1} = A A^T + D, as the scalar mu."""
-        return self.mu
+    def ridge(self) -> np.ndarray:
+        """D's diagonal in P^{-1} = A A^T + D: mu on every row."""
+        return np.full(self.A.shape[0], self.mu)
 
     @property
     def regularized(self) -> np.ndarray:

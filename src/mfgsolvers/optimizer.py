@@ -14,11 +14,12 @@ which is algebraically the solution of the dense normal equations
 (P + A^T W A) theta_hat = A^T W c but only ever factors a matrix whose size
 is the smaller of rows and features.  Crucially P^{-1} is cheap on both
 paths: it is the regularized gram matrix Theta itself for the GP quadratic
-form and F F^T + mu I, with F the feature matrix, for the ridge form.  A
-gram on a full torus lattice has the same shape, F F^T + D: F holds the
-real spectral features of the gram without its nugget, from the
-eigenpairs of its per-frequency blocks, and D is the nugget
-(``linsys.SpectralSplit``).
+form and F F^T + D, with F the feature matrix and mu on D's every row, for
+the ridge form.  A gram on a full torus lattice has the same shape: F holds
+the real spectral features of the gram without its nugget, from one
+eigendecomposition of each of its per-frequency blocks, and D is the
+nugget (``linsys.SpectralSplit``), so both feature models reach the inner
+step as one per-row diagonal.
 
 There is one linearization, point-major.  Its rows come in point groups, one
 residual batch of ``problems`` each: the boundary points (one row each), then
@@ -33,9 +34,10 @@ B = W^{-1} + A P^{-1} A^T from P^{-1} as a matrix (the factor's
 triangle, so only that triangle is formed.  It then solves y = B^{-1} c
 and returns theta_hat = P^{-1} (A^T y): each factor applies P^{-1} to the
 one vector A^T y (``apply_regularized``).  With a split P^{-1} = F F^T + D,
-D diagonal, B also splits as S + U U^T: S = W^{-1} + A D A^T couples only
-the rows of one point (plus the dense normalization rows) and U = [A_z F_u,
-A_rho F_m, a_lam] has one column per feature.  When those k columns are
+D = diag(``ridge``) given per row, B also splits as S + U U^T:
+S = W^{-1} + A D A^T couples only the rows of one point (plus the dense
+normalization rows) and U = [A_z F_u, A_rho F_m, a_lam] has one column per
+feature.  When those k columns are
 fewer than the r kept rows, the inner step instead factors S point by point
 and solves by Woodbury's identity with the k x k capacitance matrix
 I + V^T V of the whitened rows V = L^{-1} U
@@ -160,22 +162,14 @@ def init_state(
     return SolverState(z=z, rho=rho, lam=lam)
 
 
-def _point_ridge(d, slices, n):
-    """D's diagonal d on a point group's functionals, (points, operators); a scalar stays one."""
-    return d if np.ndim(d) == 0 else _columns(d, slices, n)
-
-
 def _ridge_rows(J, d, X):
-    """J D X for each point of a (points, rows, cols) stack and D = diag(d) over its columns.
-
-    d is (points, cols), or a scalar, the mu of D = mu I, taken as mu (J X).
-    """
-    return d * (J @ X) if np.ndim(d) == 0 else (J * d[:, None, :]) @ X
+    """J D X for each point of a (points, rows, cols) stack and D = diag(d), d (points, cols)."""
+    return (J * d[:, None, :]) @ X
 
 
 def _ridge_gram(X, d):
-    """X^T D X for D = diag(d) over X's rows; a scalar d, the mu of D = mu I, as mu (X^T X)."""
-    return d * (X.T @ X) if np.ndim(d) == 0 else X.T @ (d[:, None] * X)
+    """X^T D X for D = diag(d) over X's rows."""
+    return X.T @ (d[:, None] * X)
 
 
 def _apply(J, v):
@@ -511,7 +505,8 @@ class MfgSystem:
         U = [A_z F_u, A_rho F_m, a_lam] and S = W^{-1} + A_z D_u A_z^T +
         A_rho D_m A_rho^T, which is a 2 x 2 block per interior point, a
         scalar per boundary row and the dense normalization rows.  D is
-        diagonal: mu I for a feature factor, the nugget for a lattice gram.
+        diagonal, the factor's ``ridge`` per row: mu on every row for a
+        feature factor, the nugget for a lattice gram.
         ``linsys.low_rank_update_solve`` works in O(r k^2) on the feature
         side, by a Cholesky factor of the k x k capacitance matrix
         I + V^T V with V = L_S^{-1} U, so neither F F^T nor B is formed.  A
@@ -525,7 +520,7 @@ class MfgSystem:
         blocks, rows, coupling = [], [], []
         for (*_, z_sl, m_sl), (R, Jz, Jm, jl) in zip(self._groups, lin):
             n = R.shape[0]
-            dz, dm = _point_ridge(d_u, z_sl, n), _point_ridge(d_m, m_sl, n)
+            dz, dm = _columns(d_u, z_sl, n), _columns(d_m, m_sl, n)
             blocks.append(
                 np.eye(R.shape[1]) / self.gamma
                 + _ridge_rows(Jz, dz, Jz.transpose(0, 2, 1))

@@ -118,7 +118,6 @@ class Problem:
     grid_desc: str
     metrics: Callable  # (m_field, lam, grid, u_grid, m_grid) -> the ErrorReport entries
     sized_by_M: bool = True  # else n_interior, n_initial and n_terminal set the sample count
-    n_held_out: int = 2000
 
     def grid(self) -> np.ndarray:
         return S.TensorGrid(self.grid_axes).points()
@@ -328,7 +327,7 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
-    n, n_held = kernel.n_modes, problem.n_held_out
+    n, n_held = kernel.n_modes, S.HELD_OUT_COUNT
     q_u, q_m = len(spec.u_operators), len(spec.m_operators)
     features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
     residual_rows = 8 * n_held * (q_u + q_m + P.INTERIOR_ROWS * (q_u + q_m + 2))
@@ -373,7 +372,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     state0 = O.init_state(
         phi, psi, spec.has_ergodic_constant, cfg.init_mode, cfg.init_scale, cfg.seed
     )
-    held = S.PointSet(S.held_out_points(spec, problem.n_held_out))
+    held = S.PointSet(S.held_out_points(spec))
     # a start that overflows is reported once, as the optimizer's non-finite objective
     with np.errstate(over="ignore", invalid="ignore"):
         initial_residual = S.pde_residual_norm(*method.reconstruct(state0), spec, held)

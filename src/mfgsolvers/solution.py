@@ -143,17 +143,16 @@ class GpField:
             return K.eval_mode_weights(self.kernel, self.weights, ops, X)
         X = np.atleast_2d(np.asarray(X, dtype=float))
         out = np.zeros((X.shape[0], len(ops)))
-        tags_on = self.funcs.tags_on
+        sets = self.funcs.point_sets
         for lo in range(0, X.shape[0], _CROSS_CHUNK):
             rows = slice(lo, lo + _CROSS_CHUNK)
-            tables = {}
-            for (tag, pts), sl in zip(self.funcs.blocks, self.funcs.slices):
+            for pts, blocks in sets:
                 if pts.shape[0] == 0:
                     continue
-                if id(pts) not in tables:
-                    tables[id(pts)] = K.CrossTables(self.kernel, X[rows], pts, ops, tags_on[id(pts)])
-                for j, op in enumerate(ops):
-                    out[rows, j] += tables[id(pts)].op_matrix(op, tag) @ self.coeffs[sl]
+                tables = K.CrossTables(self.kernel, X[rows], pts, ops, [tag for tag, _ in blocks])
+                for tag, sl in blocks:
+                    for j, op in enumerate(ops):
+                        out[rows, j] += tables.op_matrix(op, tag) @ self.coeffs[sl]
         return out
 
     def eval_op(self, op: str, X) -> np.ndarray:
@@ -219,7 +218,12 @@ def linf_error(values, reference, grid) -> float:
     return float(np.max(np.abs(fv - rv)))
 
 
-def held_out_points(spec: ProblemSpec, n: int = 2000, seed: int = 987654321) -> np.ndarray:
+HELD_OUT_COUNT = 2000  # the held-out points of every run's residual report
+
+
+def held_out_points(
+    spec: ProblemSpec, n: int = HELD_OUT_COUNT, seed: int = 987654321
+) -> np.ndarray:
     """Seed-fixed uniform points on the spec's domain, disjoint (a.s.) from any training lattice."""
     lo, hi = np.array(spec.domain, dtype=float).T
     return lo + np.random.default_rng(seed).random((n, spec.dim)) * (hi - lo)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,25 @@ def test_a_differing_string_field_fails_any_tolerance(tmp_path):
     a = _json(tmp_path / "a.json", grid="100 x 100", residual_l2=0.5)
     b = _json(tmp_path / "b.json", grid="64 x 512", residual_l2=0.5)
     assert AD.main([a, b, "--rtol", "1"]) == 1
+
+
+@pytest.mark.parametrize("method_b, ok", [("gp", True), ("ff", False)])
+def test_a_text_csv_column_is_compared_as_other_content(tmp_path, method_b, ok):
+    """timing.csv's ``method`` column holds no numbers: an equal one passes
+    within the tolerance of the time columns, a differing one fails, and
+    neither raises."""
+    paths = [tmp_path / "a" / "timing.csv", tmp_path / "b" / "timing.csv"]
+    for path, method, seconds in zip(paths, ("gp", method_b), ("0.0125", "0.0126")):
+        path.parent.mkdir()
+        header = "method,M,qr_seconds,cholesky_seconds"
+        path.write_text(f"{header}\r\n{method},256,0.0,{seconds}\r\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "artifact_diff.py"), *map(str, paths), "--rtol", "0.01"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == (0 if ok else 1)
+    assert "Traceback" not in proc.stderr
+    assert ("non-numeric content differs" in proc.stdout) != ok
 
 
 @pytest.mark.parametrize(

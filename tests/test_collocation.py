@@ -78,6 +78,18 @@ def test_functionals_boundary_blocks_come_first():
     assert all(points is pts.interior for _, points in phi.blocks)
 
 
+def test_point_sets_group_the_blocks_of_each_points_array_in_order_of_first_use():
+    pts = C.sample_planning(seed=2, n_interior=20, n_initial=4, n_terminal=4)
+    phi, psi = C.build_functionals(SPEC_PL, pts)
+    (b, on_b), (i, on_i) = psi.point_sets
+    assert b is pts.boundary and i is pts.interior
+    assert on_b == (("id", slice(0, 8)),)
+    assert on_i == (("id", slice(8, 28)), ("dx", slice(28, 48)), ("dt", slice(48, 68)))
+    assert [tag for tag, _ in on_b + on_i] == list(psi.operator_tags)
+    ((x, on_x),) = phi.point_sets
+    assert x is pts.interior and tuple(sl for _, sl in on_x) == phi.slices
+
+
 def test_functionals_dimension_check():
     pts = C.sample_uniform_grid(1, 10)
     with pytest.raises(BadCount):

@@ -209,22 +209,27 @@ def test_lattice_factor_agrees_with_a_dense_cholesky_of_its_gram(name):
         assert fac.quadratic_form(v) == pytest.approx(dense.quadratic_form(v), rel=1e-8)
 
 
-@pytest.mark.parametrize("name", ["mfg1d_gp", "small2d"])
+@pytest.mark.parametrize("name", ["mfg1d_gp", "small2d", "feature"])
 def test_lattice_spectral_split_reproduces_the_regularized_gram(name):
-    """F F^T + D of both factors of a lattice pair, the full one and the lead
-    that reads its leading rows, is within 16 eps of the regularized gram,
-    relative in the Frobenius norm: measured at most 2.3e-15 (10 eps) on
-    mfg1d_gp's lead, 45 columns against 512 rows."""
-    if name == "small2d":
+    """F F^T + diag(ridge) of both factors of a lattice pair, the full one
+    and the lead that reads its leading rows, is within 16 eps of the
+    regularized gram, relative in the Frobenius norm: measured at most
+    2.2e-15 (10 eps) on mfg1d_gp's lead, 45 columns against 512 rows.  A
+    feature factor's split, A A^T + mu I, meets the same bound."""
+    if name == "feature":
+        A = np.random.default_rng(4).standard_normal((30, 12))
+        factors = [L.qr_ridge_factor(A, 1e-3)]
+    elif name == "small2d":
         funcs = C.build_functionals(P.make_nonlocal_2d(1.0), C.sample_uniform_grid(2, 36))
-        kernel, eta = K.periodic_kernel_2d(0.5), 1e-6
+        factors = L.build_gram_factors(K.periodic_kernel_2d(0.5), funcs, 1e-6)
     else:
-        kernel, funcs, eta = _gp_pair(name)
-    for fac in L.build_gram_factors(kernel, funcs, eta):
-        assert isinstance(fac, L.LatticeFactor)
+        factors = L.build_gram_factors(*_gp_pair(name))
+    for fac in factors:
+        assert isinstance(fac, L.FeatureFactor if name == "feature" else L.LatticeFactor)
         F = fac.features
-        assert F.shape == (fac.size, fac.feature_count) and F.dtype == np.float64
         G = fac.regularized
+        assert F.shape == (G.shape[0], fac.feature_count) and F.dtype == np.float64
+        assert fac.ridge.shape == (G.shape[0],)
         err = F @ F.T + np.diag(fac.ridge) - G
         assert np.linalg.norm(err) <= 16 * np.finfo(float).eps * np.linalg.norm(G)
 

@@ -83,7 +83,7 @@ def _dense_rows(system, state):
     dropped.
     """
     spec, pts, phi, psi = system.spec, system.pts, system.phi, system.psi
-    m, n_b = pts.m_interior, pts.boundary.shape[0]
+    m, n_b = len(pts.interior), pts.boundary.shape[0]
     d_b = len(spec.m_boundary_operators) if n_b else 0
     lam = state.lam or 0.0
     U = np.stack([state.z[sl] for sl in phi.slices], axis=1)
@@ -255,7 +255,7 @@ def test_loss_terms_are_consistent():
         n_b = pts.boundary.shape[0]
         d_b = len(spec.m_boundary_operators) if n_b else 0
         if spec.kind == P.MFG_1D:  # no boundary rows on the torus: HJB, FP and two means
-            assert system.n_rows == 2 * pts.m_interior + 2
+            assert system.n_rows == 2 * len(pts.interior) + 2
         U = np.stack([state.z[sl] for sl in phi.slices], axis=1)
         M = np.stack([state.rho[sl] for sl in psi.slices[d_b:]], axis=1)
         R, _, _, _ = P.interior_residual_batch(spec, pts.interior, U, M, state.lam or 0.0)

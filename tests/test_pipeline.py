@@ -169,7 +169,7 @@ def test_held_out_tables_are_built_once_per_run(monkeypatch, tmp_path):
         {"problem": "nonlocal2d", "method": "gp", "M": 16, "max_iters": 1,
          "output_dir": str(tmp_path)}
     )
-    n_held = PL.PROBLEMS[cfg.problem].n_held_out
+    n_held = S.HELD_OUT_COUNT
     result = PL.run_experiment(cfg)
     assert result.initial_residual > 0 and result.final_residual > 0
     assert calls.count(n_held) == 2
@@ -183,7 +183,7 @@ def _held_out_peak(cfg):
     rng = np.random.default_rng(5)
     u = S.GpField(rng.standard_normal(phi.size), phi, kernel)
     m = S.GpField(rng.standard_normal(psi.size), psi, kernel)
-    held = S.held_out_points(spec, problem.n_held_out)
+    held = S.held_out_points(spec)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
