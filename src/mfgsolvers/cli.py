@@ -90,12 +90,14 @@ def _cmd_run(args) -> int:
 
 def _cmd_bench(args) -> int:
     from .errors import ConfigError
-    from .pipeline import ExperimentConfig, bench_precompute, export_timing, sized_by_m_problem
+    from .pipeline import ExperimentConfig, bench_precompute, check_bench_counts, export_timing
+    from .pipeline import sized_by_m_problem
 
     try:
         m_values = [int(v) for v in args.m_values.split(",") if v]
     except ValueError as exc:
         raise ConfigError(f"--m-values: {exc}") from exc
+    check_bench_counts(m_values, args.repeats, ("--m-values", "--repeats"))
     sized_by_m_problem(args.problem, "--problem")
     _check_output_file(args.output, "--output")
     base = _load_config(args.config) if args.config else ExperimentConfig()

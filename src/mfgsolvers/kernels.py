@@ -13,7 +13,7 @@ the torus K(x, y) = sum_a c_a exp(2 pi i a.(x - y)) up to a truncation that
 ``spectral_tail_ratio`` measures.  A periodic kernel keeps the modes its
 sigma needs: ``KernelSpec.n_modes`` is the smallest even count whose weighted
 tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
-0.6, 0.5 and 0.35).  Three things are built on the spectrum:
+0.6, 0.5 and 0.35).  Four things are built on the spectrum:
 
 - a representer-form field on the 1D or 2D torus collapses once into one
   weight per mode (``mode_weights``, on the exponentials exp(2 pi i a x_d)
@@ -24,19 +24,23 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   is given them; in 2D it runs over half the first-axis modes, a_1 folded
   with -a_1 (``_fold_first_axis``).  On a tensor grid given by its nodes
   per axis the sum is one real GEMM per operator (``eval_mode_weights_grid``);
-- a gram block with J5 on either side: one real GEMM of n_X n_Y n^2 over
-  the mode features [cos, sin](2 pi a.x) of the two point sets, with the
-  modes a and -a folded into one (``_mode_cross``).  A lattice's gram takes
-  it for its generating columns alone, n_X x 1 (``linsys``);
-- ``nonlocal_from_coeffs`` sums the same series directly, as the oracle.
+- a gram block with J5 on either side, on scattered points: one real GEMM
+  of n_X n_Y n^2 over the mode features [cos, sin](2 pi a.x) of the two
+  point sets, with the modes a and -a folded into one (``_mode_cross``);
+- the gram of a full torus lattice (``linsys``): each operator pair's
+  generating column is the spectrum under both symbols folded onto the
+  lattice and inverse-DFT'd (``lattice_columns``), and the gram is F F^T
+  for the real half-mode features F of the spectrum (``lattice_features``);
+- ``nonlocal_from_coeffs`` sums the series directly, 1D or 2D: the oracle.
 
 All of them, and the Fourier-feature bases of ``features``, read what an
 operator does to a Fourier mode from ``op_symbol``, which derives it from
 ``OP_ORDERS``.
 
-``CrossTables`` holds what the blocks on one pair of point sets share: each
-axis indexed by its distinct coordinates, the profile-derivative tables
-built on those and gathered to the block, and the mode features of J5.
+``CrossTables`` holds what the blocks on one pair of scattered point sets
+share: each axis indexed by its distinct coordinates, the
+profile-derivative tables built on those and gathered to the block, and
+the mode features of J5.
 ``representer_grid`` builds the same per-axis tables between a tensor
 grid's nodes and a point set, and evaluates a field of a product kernel
 with one GEMM per operator term.
@@ -62,8 +66,10 @@ LAP = "lap"
 J5 = "j5"
 
 # largest Nyquist-to-peak ratio of the weighted spectrum (spectral_tail_ratio)
-# that a periodic kernel's mode count leaves; every torus GP field is
-# evaluated through the truncated spectrum
+# that a periodic kernel's mode count leaves.  Every torus GP field and
+# lattice gram is built on the truncated spectrum, so this also bounds a
+# lattice gram's distance from the closed form (``CrossTables``): at most
+# 1.5e-13 of a block's largest entry, on mfg1d_gp's dxx-dxx block
 SPECTRAL_TAIL_TOL = 1e-12
 # most modes per axis a periodic kernel takes: the count near sigma 5e-4, at
 # which a 1D run's mode tables on its 2000 held-out points reach about 1 GiB
@@ -240,23 +246,6 @@ def _distinct_axes(X):
     return out
 
 
-def _differences(kind: str, ux, uy):
-    """The table ux[:, None] - uy[None, :] of one axis's distinct coordinates.
-
-    On a periodic axis whose distinct coordinates on both sides are the
-    lattice j/s, entry (i, j) is instead the coordinate ((i - j) mod s)/s:
-    the periodic profile takes the same value there up to round-off, and the
-    table is exactly circulant.  So a lattice's gram assembled block by
-    block is exactly block-circulant, entry for entry the gather of its
-    generating columns that ``linsys`` factors per Fourier frequency.
-    """
-    s = ux.size
-    if kind == "periodic" and np.array_equal(ux, uy) and np.array_equal(ux, np.arange(s) / s):
-        j = np.arange(s)
-        return ux[(j[:, None] - j[None, :]) % s]
-    return ux[:, None] - uy[None, :]
-
-
 def _top_orders(k: KernelSpec, ops):
     """The highest derivative order per axis among the terms of ``ops`` (J5 has none)."""
     orders = [o for op in ops if op != J5 for o in op_terms(k.axes, op)]
@@ -267,10 +256,10 @@ def _profile_tables(k: KernelSpec, xs, ys, top_l, top_r):
     """Per axis a: the profile derivatives, orders 0..top_l[a] + top_r[a], on xs[a] - ys[a].
 
     ``xs`` and ``ys`` hold one array of coordinates per axis, such as the
-    distinct ones of a point set; the differences are ``_differences``'.
+    distinct ones of a point set.
     """
     return [
-        _PROFILE_DERIVS[kind](_differences(kind, ux, uy), s, tl + tr)
+        _PROFILE_DERIVS[kind](ux[:, None] - uy[None, :], s, tl + tr)
         for (kind, s), ux, uy, tl, tr in zip(k.axis_profiles(), xs, ys, top_l, top_r)
     ]
 
@@ -305,10 +294,8 @@ class CrossTables:
     - the profile derivatives of each axis, on first use, on the differences
       of its distinct coordinates, up to the highest order any pair of
       operators needs, each gathered to n_X x n_Y once; its entries are the
-      floats the point-by-point differences give, except on a periodic axis
-      whose distinct coordinates on both sides are the lattice j/s
-      (``_differences``).  ``op_matrix`` then costs one product of tables
-      per term;
+      floats the point-by-point differences give.  ``op_matrix`` then costs
+      one product of tables per term;
     - the mode features of X and of Y for the J5 blocks of the 2D periodic
       kernel, one real GEMM of n_X x n_Y x n^2 per block (``_mode_features``,
       ``_mode_cross``).
@@ -527,39 +514,70 @@ def _symbol(axes, op: str, modes, side: str):
 def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
     """Bi-operator cross matrix from explicit profile Fourier coefficients.
 
-    Entry (i, j) is sum_a c_a mult_L(a) mult_R(a) exp(2 pi i a.(x_i - y_j)),
-    summed directly over the n x n grid: the oracle for ``_mode_cross``.
+    Entry (i, j) is Re sum_a c_a mult_L(a) mult_R(a) exp(2 pi i a.(x_i - y_j)),
+    summed directly over the mode grid: n values in 1D, n x n in 2D, the
+    dimension being that of ``coeffs``.  The oracle for ``_mode_cross`` and
+    for every block of a lattice gram (``lattice_columns``).  Each point's
+    exponentials are the products of its axes' (``_direct_exponentials``).
     """
     _check_modes(n_modes)
-    modes = _mode_grid(n_modes).reshape(-1, 2)
-    axes = ("x", "y")
+    dim = np.ndim(coeffs)
+    modes = _mode_grid(n_modes, dim).reshape(-1, dim)
+    axes = ("x", "y")[:dim]
     d = np.ravel(coeffs) * _symbol(axes, left, modes, "left") * _symbol(axes, right, modes, "right")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    ey = np.exp(2.0j * np.pi * (Y @ modes.T))  # (ny, n_modes^2)
+    X = np.asarray(X, dtype=float).reshape(-1, dim)
+    Y = np.asarray(Y, dtype=float).reshape(-1, dim)
+    ey = _direct_exponentials(Y, n_modes)  # (ny, n_modes^dim)
     out = np.empty((X.shape[0], Y.shape[0]))
     chunk = max(1, int(2**24 // max(1, modes.shape[0])))
     for lo in range(0, X.shape[0], chunk):
-        ex = np.exp(2.0j * np.pi * (X[lo : lo + chunk] @ modes.T))
+        ex = _direct_exponentials(X[lo : lo + chunk], n_modes)
         out[lo : lo + chunk] = np.real((ex * d[None, :]) @ ey.conj().T)
     return out
 
 
-@lru_cache(maxsize=4)
-def _half_modes(n_modes: int):
-    """One mode of each pair {a, -a} of the n x n grid: (flat index, a1, a2, weight).
+def _direct_exponentials(X, n_modes: int) -> np.ndarray:
+    """exp(2 pi i a.x) over the points X (n, dim) and the flat mode grid: (n, n_modes^dim).
+
+    Each axis's phase is taken in turns, a x mod 1: x mod 1 is split into
+    its first 26 bits and the rest, and a mode |a| <= 2^14 (``MAX_MODES``)
+    times the first is exact, so no rounding of size a x eps enters.  A
+    6 x 6 lattice gram's (dx, lap) block is within 7e-15 of it, 1.6e-14
+    with exp(2 pi i a.x) unreduced.
+    """
+    a = _mode_axis(n_modes)
+    out = np.ones((X.shape[0], 1), dtype=complex)
+    for x in X.T % 1.0:
+        hi = np.floor(x * 2.0**26) / 2.0**26
+        turns = np.multiply.outer(hi, a) % 1.0 + np.multiply.outer(x - hi, a) % 1.0
+        e = np.exp(2.0j * np.pi * turns)
+        out = (out[:, :, None] * e[:, None, :]).reshape(X.shape[0], -1)
+    return out
+
+
+@lru_cache(maxsize=8)
+def _half_modes(n_modes: int, dim: int = 2):
+    """One mode of each pair {a, -a} of the mode grid: (flat index, modes (h, dim), weight).
 
     The terms of a and -a in Re sum_a d_a exp(2 pi i a.(x - y)) are equal
     when d_{-a} = conj(d_a), which holds for c_a times any two symbols here,
-    so a pair is one mode of weight 2.  The zero mode, and the modes with a
-    component at -n/2 (whose partner at +n/2 is off the grid), have weight 1.
+    so a pair is one mode of weight 2, the one whose first nonzero component
+    is positive.  The zero mode, first, and the modes with a component at
+    -n/2 (whose partner is off the grid) have weight 1: n/2 + 1 half modes
+    in 1D, n^2/2 + n in 2D.
     """
-    a1, a2 = _mode_grid(n_modes).reshape(-1, 2).T
-    zero = (a1 == 0) & (a2 == 0)
-    unpaired = (a1 == -(n_modes // 2)) | (a2 == -(n_modes // 2)) | zero
-    keep = np.flatnonzero(unpaired | (a1 > 0) | ((a1 == 0) & (a2 > 0)))
+    modes = _mode_grid(n_modes, dim).reshape(-1, dim)
+    unpaired = (modes == -(n_modes // 2)).any(axis=1) | ~modes.any(axis=1)
+    first = modes[np.arange(modes.shape[0]), np.argmax(modes != 0, axis=1)]
+    keep = np.flatnonzero(unpaired | (first > 0))
     weight = np.where(unpaired[keep], 1.0, 2.0)
-    return keep, a1[keep], a2[keep], weight
+    return keep, modes[keep], weight
+
+
+def _coeff_grid(k: KernelSpec) -> np.ndarray:
+    """A periodic kernel's c_a over its mode grid: n_modes values in 1D, n_modes x n_modes in 2D."""
+    spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
+    return spectrum(k.lengthscales[0], k.n_modes)
 
 
 def _mode_features(k: KernelSpec, X) -> np.ndarray:
@@ -567,8 +585,7 @@ def _mode_features(k: KernelSpec, X) -> np.ndarray:
 
     exp(2 pi i a.x) is the product of the axis exponentials of a_1 and a_2
     (``_axis_exponentials``), so no transcendental is evaluated per point
-    and mode: an s x s lattice evaluates 2 s n_modes exponentials, not a
-    sine and a cosine per point and folded mode.
+    and mode.
     """
     keep = _half_modes(k.n_modes)[0]
     (e1, i1), (e2, i2) = _axis_exponentials(k, X)
@@ -585,8 +602,7 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
     + S_x (Re d S_y - Im d C_y); both symbols fold into the right-hand
     table, and the left one serves every operator on its point set.
     """
-    keep, a1, a2, weight = _half_modes(k.n_modes)
-    modes = np.stack([a1, a2], axis=1)
+    keep, modes, weight = _half_modes(k.n_modes)
     d = weight * _profile_coeff_grid(k.lengthscales[0], k.n_modes).ravel()[keep]
     d = d * _symbol(k.axes, left, modes, "left") * _symbol(k.axes, right, modes, "right")
     g = np.concatenate([d.real, d.real]) * fy
@@ -594,6 +610,61 @@ def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
         h = keep.size
         g += np.concatenate([d.imag, d.imag]) * np.hstack([fy[:, h:], -fy[:, :h]])
     return fx @ g.T
+
+
+# ---------------------------------------------------------------------------
+# the gram of a full torus lattice from the truncated spectrum
+
+
+def lattice_columns(k: KernelSpec, ops, shape) -> np.ndarray:
+    """theta_ab(x_j) = (L_a (x) R_b) K(x_j, 0) for every pair of ``ops``: (p, p, n).
+
+    x_j = j / side per axis runs over the full lattice ``shape``, flat in C
+    order, and theta_ab(x) = Re sum_m c_m sigma_a(m) conj(sigma_b(m))
+    exp(2 pi i m.x) over the mode grid, sigma the left symbol.  At x_j the
+    exponential depends on m mod side alone, so the terms are folded onto
+    the lattice frequencies, by a 0/1 matrix per axis, and the column is n
+    times their inverse DFT.  Cost: p^2 (side n_modes^dim + n log n).
+    """
+    c = _coeff_grid(k)
+    sym = np.stack([np.broadcast_to(_mode_symbol(k, op, "left"), c.shape) for op in ops])
+    d = c * sym[:, None] * sym[None, :].conj()
+    side = shape[0]
+    fold = (np.arange(side)[:, None] == _mode_axis(k.n_modes) % side).astype(float)
+    d = d @ fold.T  # the last axis folded
+    if k.dim == 2:
+        d = fold @ d
+    axes = tuple(range(2, 2 + k.dim))
+    columns = math.prod(shape) * np.fft.ifftn(d, axes=axes).real
+    return columns.reshape(len(ops), len(ops), -1)
+
+
+def lattice_feature_count(k: KernelSpec) -> int:
+    """Columns of ``lattice_features``: 2h - 1 for the h half modes of ``_half_modes``."""
+    return 2 * _half_modes(k.n_modes, k.dim)[0].size - 1
+
+
+def lattice_features(k: KernelSpec, ops, shape) -> np.ndarray:
+    """F, (len(ops) n) x (2h - 1), with F F^T the gram of ``ops`` on the full lattice ``shape``.
+
+    Rows are operator-major, as the gram's.  For a half mode h of weight w
+    (``_half_modes``) and z_a(x) = sigma_a(h) exp(2 pi i h.x), row (a, x)
+    holds sqrt(w c_h) [Re z_a(x), Im z_a(x)], so rows (a, x) and (b, y)
+    give sum_h w c_h Re(z_a(x) conj(z_b(y))) = theta_ab(x - y) of
+    ``lattice_columns``.  The zero mode's Im column, zero, is left out.
+    Every operator reads one half-mode table of the side's roots of unity.
+    """
+    keep, modes, weight = _half_modes(k.n_modes, k.dim)
+    side = shape[0]
+    points = np.indices(shape).reshape(k.dim, -1).T
+    turns = points @ (modes.astype(int) % side).T % side  # (n, h)
+    table = np.exp(2j * np.pi * np.arange(side) / side)[turns]
+    scale = np.sqrt(weight * _coeff_grid(k).ravel()[keep])
+    blocks = []
+    for op in ops:
+        z = table * (scale * _symbol(k.axes, op, modes, "left"))
+        blocks.append(np.hstack([z.real, z.imag[:, 1:]]))
+    return np.vstack(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -664,8 +735,7 @@ def mode_weights(k: KernelSpec, funcs, coeffs) -> np.ndarray:
     """
     if not k.periodic:
         raise UnsupportedOperator("mode weights require a periodic kernel")
-    spectrum = _profile_coeffs_1d if k.dim == 1 else _profile_coeff_grid
-    c = spectrum(k.lengthscales[0], k.n_modes)
+    c = _coeff_grid(k)
     acc = np.zeros(c.shape, dtype=complex)
     for pts, blocks in funcs.point_sets:
         if pts.shape[0] == 0:

@@ -16,25 +16,24 @@ for the block rows of its A Theta products (a feature factor forms it on
 each access, only for systems with at least as many features as residual
 rows, which hold it for their run); the feature side reads the split
 P^{-1} = F F^T + D instead, D = diag(``ridge``) given per row on both: the
-feature matrix with mu on every row, or a lattice gram's spectral features
-with its nugget (``SpectralSplit``).
+feature matrix with mu on every row, or a lattice gram's half-mode features
+with its nugget (``LatticeFactor``).
 
 A gram is factored by one of two routes, chosen from the points alone
 (``lattice_shape``).  When the functional set lies wholly on one full torus
 lattice under a periodic kernel, as every bundled torus GP config does,
 each gram block depends on x_i - x_j alone and is circulant on the lattice
 (Davis, *Circulant Matrices*, 1979).  The gram is then gathered from the
-generating column of each block pair (``_lattice_gram``), and the DFT of
-those columns splits it into one Hermitian block per lattice frequency, of
-the order of the operator count, each factored by numpy's batched Cholesky
+generating column of each block pair, an inverse DFT of the kernel's
+truncated spectrum (``kernels.lattice_columns``), and the DFT of those
+columns splits it into one Hermitian block per lattice frequency, of the
+order of the operator count, each factored by numpy's batched Cholesky
 (``LatticeFactor``): no n x n factor exists, and a solve is an FFT,
-per-frequency triangular solves and an inverse FFT.  The eigenpairs of the
-same blocks, less the nugget, give the gram as F F^T with F real, the
-weighted Fourier-feature model of a periodic GP: one eigendecomposition per
-frequency, taken at setup, counts its columns, and F is formed only for an
-inner step that takes the feature side.  Any other set, on
-random points or planning's space-time points, keeps the dense Cholesky
-factor (``GramFactor``).
+per-frequency triangular solves and an inverse FFT.  The same spectrum
+gives the gram as F F^T, F the kernel's real half-mode features, the
+weighted Fourier-feature model of a periodic GP (``kernels.lattice_features``).
+Any other set, on random points or planning's space-time points, keeps
+the dense Cholesky factor (``GramFactor``).
 
 When the blocks of one functional set are the first blocks of the other's,
 with the same operator tags on the same point arrays, its regularized gram
@@ -62,15 +61,14 @@ and for the residual side's B in ``optimizer``.  It raises
 or the solution is not finite, as after an overflow; the optimizer reports
 that as ``SingularNormalEquations`` (exit status 3), with no fallback route.
 
-Gram blocks that sit on the same pair of point sets share their kernel
-tables (``kernels.CrossTables``), so a functional set with many operators on
-one point set pays for its tables once.  Those tables are built on the
-distinct coordinates of each axis and gathered to each block.  J5 blocks
-are one GEMM over the kernel's mode features; a lattice needs them for its
-n x 1 generating columns alone.  The nugget is added to the gram's diagonal
-in place, and LAPACK factors a C-ordered copy of a dense gram in place
-through its Fortran-ordered transpose, where f2py would make a slower
-transposing copy.
+On the dense route, gram blocks that sit on the same pair of point sets
+share their kernel tables (``kernels.CrossTables``), so a functional set
+with many operators on one point set pays for its tables once.  Those
+tables are built on the distinct coordinates of each axis and gathered to
+each block.  J5 blocks are one GEMM over the kernel's mode features.  The
+nugget is added to the gram's diagonal in place, and LAPACK factors a
+C-ordered copy of a dense gram in place through its Fortran-ordered
+transpose, where f2py would make a slower transposing copy.
 
 The dense factorizations call LAPACK through scipy's compiled wrappers
 (``lapack``: dpotrf, dpotrs, dtrtrs, dgeqrf and dormqr), which this module
@@ -92,6 +90,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -192,9 +191,8 @@ def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
     being the kernel's own count.
 
     With ``lattice``, the shape ``lattice_shape`` gives for funcs, the gram
-    is gathered instead from each upper block pair's generating column
-    theta_ab(x_i - x_0), computed against the lattice's first point x_0 = 0
-    (``_lattice_gram``).
+    is gathered instead from the generating columns of the kernel's
+    truncated spectrum (``_lattice_gram``).
     """
     if lattice is not None:
         return _lattice_gram(kernel, funcs, lattice)
@@ -256,30 +254,25 @@ def _circulant_index(shape):
 def _lattice_gram(kernel: K.KernelSpec, funcs: FunctionalSet, shape):
     """The gram of funcs on the lattice ``shape``, gathered from its generating columns.
 
-    The generating column of an upper block pair (a, b) is
-    theta_ab(x_i - x_0), one ``kernels.CrossTables`` against the first
-    point, so local entries stay closed form and J5 entries take the mode
-    features of n x 1 pairs.  Block (a, b) is the column gathered at the
-    offsets x_i - x_j; block (b, a) reads theta_ba(d) := theta_ab(-d) and a
-    diagonal block the even part of its column, so the result is exactly
-    symmetric.  Its local blocks equal ``assemble_gram``'s per-block
-    assembly entry for entry; its J5 blocks agree with it up to round-off.
+    Block (a, a <= b) is the generating column theta_ab(x_i - x_0) of the
+    kernel's truncated spectrum (``kernels.lattice_columns``) gathered at
+    the offsets x_i - x_j; block (b, a) reads theta_ba(d) := theta_ab(-d)
+    and a diagonal block the even part of its column, so the result is
+    exactly symmetric.  The spectrum's truncation, which
+    ``kernels.SPECTRAL_TAIL_TOL`` bounds, sets it apart from the closed form.
     """
-    X = funcs.blocks[0][1]
-    ops = funcs.operator_tags
-    tables = K.CrossTables(kernel, X, X[:1], ops, ops)
+    columns = K.lattice_columns(kernel, funcs.operator_tags, shape)
     index = _circulant_index(shape)
     neg = index[0]
     sls = funcs.slices
     out = np.empty((funcs.size, funcs.size))
-    for a, op_a in enumerate(ops):
-        for b in range(a, len(ops)):
-            col = tables.op_matrix(op_a, ops[b])[:, 0]
-            if a == b:
-                out[sls[a], sls[a]] = (0.5 * (col + col[neg]))[index]
-            else:
-                out[sls[a], sls[b]] = col[index]
-                out[sls[b], sls[a]] = col[neg][index]
+    for a, b in zip(*np.triu_indices(len(sls))):
+        col = columns[a, b]
+        if a == b:
+            out[sls[a], sls[a]] = (0.5 * (col + col[neg]))[index]
+        else:
+            out[sls[a], sls[b]] = col[index]
+            out[sls[b], sls[a]] = col[neg][index]
     return out
 
 
@@ -300,7 +293,7 @@ class _Factored:
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
     # no split P^{-1} = F F^T + D: P^{-1} is the gram itself, or its leading
-    # block; a LatticeFactor splits it by its spectrum
+    # block; a LatticeFactor splits it by its kernel's spectrum
     feature_count = None
     regularized: np.ndarray
     chol: np.ndarray
@@ -379,20 +372,17 @@ class LatticeFactor(_Factored):
     L(q) L(q)^H instead.  ``regularized`` is the gram itself, whose block
     rows the residual-side inner step reads.
 
-    The same spectrum is a weighted Fourier-feature model of the gram
-    (``SpectralSplit``): P^{-1} = F F^T + D, with F the real spectral
-    features of the gram without its nugget and D = diag(``nugget``), the
-    nugget itself, constant on each operator block.  ``feature_count`` is
-    F's column count k and ``features`` forms F on first use, for an inner
-    step that takes the feature side (k < r); both read the one
-    eigendecomposition of the frequency blocks.
-    A lead factor shares the full factor's split: its F and D are their
-    leading rows, since its gram is the leading block of the full gram.
+    The spectrum that built the gram also splits it: P^{-1} = F F^T + D,
+    F the half-mode features of ``kernel`` under the symbols of ``ops``
+    (``kernels.lattice_features``), formed on first use for a feature-side
+    inner step (k < r), and D = diag(``nugget``).  A lead factor's F holds
+    its own operators' rows.  Without ``kernel`` there is no split.
     """
 
     shape: tuple  # the lattice: (side,) or (side, side), n points
     nugget: np.ndarray  # eta R: the nugget added to the gram's diagonal, one entry per row
-    split: "SpectralSplit"  # the full factor's
+    kernel: K.KernelSpec | None  # the periodic kernel of the gram, None when not given
+    ops: tuple  # the operator tag of each block
 
     def leading(self, n: int) -> "LatticeFactor":
         """The factor of the leading n x n block, n whole blocks of the lattice; it reports no time."""
@@ -405,19 +395,20 @@ class LatticeFactor(_Factored):
             regularized=self.regularized[:n, :n],
             chol=self.chol[:, :p, :p].copy(),
             nugget=self.nugget[:n],
+            ops=self.ops[:p],
             assembly_seconds=0.0,
             cholesky_seconds=0.0,
         )
 
     @property
-    def feature_count(self) -> int:
-        """k, the columns of F in P^{-1} = F F^T + D."""
-        return self.split.count
+    def feature_count(self) -> int | None:
+        """k, the columns of F in P^{-1} = F F^T + D; None without the kernel."""
+        return None if self.kernel is None else K.lattice_feature_count(self.kernel)
 
-    @property
+    @cached_property
     def features(self) -> np.ndarray:
         """F (size x k): the gram without its nugget is F F^T."""
-        return self.split.features[: self.size]
+        return K.lattice_features(self.kernel, self.ops, self.shape)
 
     @property
     def ridge(self) -> np.ndarray:
@@ -455,87 +446,6 @@ class LatticeFactor(_Factored):
         return float(np.vdot(y, y).real) / self.chol.shape[0]
 
 
-# The spectral features keep the eigenpairs of the gram's frequency blocks
-# above SPECTRAL_CUTOFF times the largest eigenvalue.  Those blocks, Lambda
-# minus the nugget, carry round-off of a few eps times that eigenvalue: the
-# most negative of them, which is round-off alone, measures -3.7e-16 of it on
-# mfg1d_gp's 256-point lattice and -5.7e-16 on a 64-point one, and the
-# eigenvalues of mfg1d_gp fall from 5.5e-15 straight to that floor (4.7e-16).
-# With the eigenvalues below the cutoff dropped, F F^T + D differs from the
-# regularized gram by 9.0e-16 of it there (Frobenius norm), 45 columns for
-# 768 rows, and by 2.2e-15 on its 512-row lead.
-SPECTRAL_CUTOFF = 5 * np.finfo(float).eps
-
-
-class SpectralSplit:
-    """The gram of a lattice factor as F F^T, F real, from its frequency blocks' eigenpairs.
-
-    The DFT block of the gram at frequency q is Theta^(q) = Lambda(q) - D_p,
-    with Lambda(q) the regularized gram's block, as ``_frequency_cholesky``
-    forms it before factoring it, and D_p the nugget of each operator block.
-    Each of its eigenpairs (lambda, v) gives the complex column
-    g(a, x) = sqrt(lambda / n) v_a exp(2 pi i q.x) over operator a and
-    lattice point x (in lattice units), and the gram is the sum of g g^H.
-    Theta^(-q) is the conjugate of Theta^(q), whose eigenpairs conjugate
-    g, so each pair q, -q gives the two real columns sqrt(2) Re g and
-    sqrt(2) Im g; the blocks at the frequencies equal to their own negative
-    (q = 0 and the Nyquist frequencies) are real, and so are their columns.
-    Only the eigenpairs above ``SPECTRAL_CUTOFF`` times the largest are kept.
-
-    One batched ``eigh`` per half of the frequencies, taken on first use and
-    kept, serves both ``count`` and ``features``; ``features`` forms F once.
-    """
-
-    def __init__(self, spectrum: np.ndarray, nugget: np.ndarray, shape: tuple):
-        self._spectrum, self._nugget, self._shape = spectrum, nugget, shape
-        # lattice points (and frequencies) as integer coordinates, (dim, n)
-        self._points = np.indices(shape).reshape(len(shape), -1)
-        neg = np.ravel_multi_index(tuple(-self._points % shape[0]), shape)
-        q = np.arange(neg.size)
-        # (frequencies, whether their blocks are real): those paired with
-        # their negative, then those that are their own
-        self._halves = ((np.flatnonzero(q < neg), False), (np.flatnonzero(q == neg), True))
-        self._eigenpairs = None
-        self._features = None
-
-    def _kept_eigenpairs(self) -> list:
-        """Per half: (frequencies, real, eigenvalues, eigenvectors, which eigenpairs are kept)."""
-        if self._eigenpairs is None:
-            out = []
-            for q, real in self._halves:
-                blocks = self._spectrum[q]
-                blocks = blocks.real if real else blocks
-                idx = np.arange(blocks.shape[1])
-                blocks[:, idx, idx] -= self._nugget
-                out.append((q, real, *np.linalg.eigh(blocks)))
-            top = max(w.max(initial=0.0) for _, _, w, _ in out)
-            self._eigenpairs = [(*half, half[2] > SPECTRAL_CUTOFF * top) for half in out]
-        return self._eigenpairs
-
-    @property
-    def count(self) -> int:
-        """k, the real columns of F."""
-        halves = self._kept_eigenpairs()
-        return sum((1 if real else 2) * int(keep.sum()) for _, real, *_, keep in halves)
-
-    @property
-    def features(self) -> np.ndarray:
-        """F, (n p) x k: the real columns of the kept eigenpairs, rows as the gram's."""
-        if self._features is None:
-            n, p = self._spectrum.shape[:2]
-            side = self._shape[0]
-            columns = []
-            for q, real, w, v, keep in self._kept_eigenpairs():
-                vectors = v.transpose(0, 2, 1)[keep] * np.sqrt(w[keep] / n)[:, None]  # (columns, p)
-                freqs = self._points[:, q[np.nonzero(keep)[0]]]
-                turns = (self._points.T @ freqs) % side  # q.x in lattice units, (n, columns)
-                phase = np.exp(2j * np.pi * np.arange(side) / side)[turns]
-                g = (vectors.T[:, None, :] * phase).reshape(n * p, -1)
-                columns += [g.real] if real else [math.sqrt(2) * g.real, math.sqrt(2) * g.imag]
-            self._features = np.hstack(columns)
-        return self._features
-
-
 def _lattice_axes(shape) -> tuple:
     """The lattice axes of an array (blocks, *shape, ...)."""
     return tuple(range(1, 1 + len(shape)))
@@ -558,7 +468,10 @@ def _lower_solve(chol, b, adjoint=False):
     return x
 
 
-def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None, nugget=None):
+def cholesky_factor(
+    matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None, nugget=None, *, kernel=None,
+    ops=(),
+):
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
     LAPACK factors a C-ordered copy in place, through its Fortran-ordered
@@ -572,23 +485,23 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
     on that lattice, such as ``assemble_gram`` gathers, and only the first
     column of each block is read: its DFT over the lattice gives the block
     Lambda(q) of each frequency, which is factored instead
-    (``LatticeFactor``) and whose eigenpairs, less the nugget, give its
-    spectral features (``SpectralSplit``).  The order then counts in the frequency-major
-    block diagonal of those blocks.  ``nugget``, one entry per row and
-    constant on each block, is the part of matrix's diagonal that the
-    factor's spectral features leave out, the D of P^{-1} = F F^T + D; it
+    (``LatticeFactor``).  The order then counts in the frequency-major block
+    diagonal of those blocks.  ``kernel`` and ``ops``, the periodic kernel
+    and the operator tags of the blocks, give the factor its split
+    P^{-1} = F F^T + D: ``nugget``, one entry per row and constant on each
+    block, is the part of matrix's diagonal that F F^T leaves out, the D; it
     is zero when not given.
     """
     t0 = time.perf_counter()
     if lattice is not None:
-        spectrum, chol = _frequency_cholesky(matrix, lattice)
-        nugget = np.zeros(matrix.shape[0]) if nugget is None else nugget
+        chol = _frequency_cholesky(matrix, lattice)
         return LatticeFactor(
             regularized=matrix,
             chol=chol,
             shape=tuple(lattice),
-            nugget=nugget,
-            split=SpectralSplit(spectrum, nugget[:: math.prod(lattice)], tuple(lattice)),
+            nugget=np.zeros(matrix.shape[0]) if nugget is None else nugget,
+            kernel=kernel,
+            ops=tuple(ops),
             assembly_seconds=assembly_seconds,
             cholesky_seconds=time.perf_counter() - t0,
         )
@@ -605,7 +518,7 @@ def cholesky_factor(matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=N
 
 
 def _frequency_cholesky(matrix: np.ndarray, lattice):
-    """The DFT blocks Lambda(q) (n, p, p) of a block-circulant matrix and their Cholesky factors.
+    """The Cholesky factors (n, p, p) of the DFT blocks Lambda(q) of a block-circulant matrix.
 
     Entry (a, i, b) of the first columns of the p x p blocks is
     theta_ab(x_i), and its DFT over the lattice axes is Lambda(q)[a, b].
@@ -618,7 +531,7 @@ def _frequency_cholesky(matrix: np.ndarray, lattice):
     if not np.isfinite(spectrum).all():
         raise NonFiniteMatrix("the regularized gram must not contain infs or NaNs")
     try:
-        return spectrum, np.linalg.cholesky(spectrum)
+        return np.linalg.cholesky(spectrum)
     except np.linalg.LinAlgError:
         for q, block in enumerate(spectrum):
             info = lapack_info("zpotrf", lapack.zpotrf(block, lower=1)[1])
@@ -650,7 +563,10 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float):
     with np.errstate(over="ignore"):
         nugget = eta * r
         gram[np.diag_indices_from(gram)] += nugget
-    return cholesky_factor(gram, assembly_seconds=assembly, lattice=lattice, nugget=nugget)
+    return cholesky_factor(
+        gram, assembly_seconds=assembly, lattice=lattice, nugget=nugget, kernel=kernel,
+        ops=funcs.operator_tags,
+    )
 
 
 def _leads(a: FunctionalSet, b: FunctionalSet) -> bool:

@@ -16,10 +16,10 @@ is the smaller of rows and features.  Crucially P^{-1} is cheap on both
 paths: it is the regularized gram matrix Theta itself for the GP quadratic
 form and F F^T + D, with F the feature matrix and mu on D's every row, for
 the ridge form.  A gram on a full torus lattice has the same shape: F holds
-the real spectral features of the gram without its nugget, from one
-eigendecomposition of each of its per-frequency blocks, and D is the
-nugget (``linsys.SpectralSplit``), so both feature models reach the inner
-step as one per-row diagonal.
+the kernel's real half-mode features under the operator symbols, whose
+F F^T is the gram without its nugget, and D is the nugget
+(``linsys.LatticeFactor``), so both feature models reach the inner step as
+one per-row diagonal.
 
 There is one linearization, point-major.  Its rows come in point groups, one
 residual batch of ``problems`` each: the boundary points (one row each), then
@@ -44,7 +44,7 @@ I + V^T V of the whitened rows V = L^{-1} U
 (``linsys.low_rank_update_solve``), never forming an r x r or n x n matrix.
 Its eigenvalues are all >= 1.  That is the rule for every factor with a
 split (``feature_count``): Fourier features, and a lattice gram, whose
-k counts its spectral features (45 per side against r = 514 on mfg1d_gp).
+k counts its half-mode features (41 per side against r = 514 on mfg1d_gp).
 A system with k >= r gains nothing there and takes the residual side on
 P^{-1} as a matrix, as does a dense gram, which has no split.  Both steps
 fail alike: a Cholesky that fails in

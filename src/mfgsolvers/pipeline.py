@@ -311,20 +311,19 @@ class ExperimentConfig:
 def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     """Bytes a torus GP run holds at once in arrays that grow with the kernel's mode count.
 
-    That is the largest of: with J5, the gram's mode features (float64,
-    M x n^2); an array of the field weights or of their evaluation
-    (``kernels.mode_table_bytes``) at the collocation and held-out points
-    with every operator of a field (no product spans the operators of both
-    fields, so the larger count is the one that matters), and on the grid
-    with the field's values alone, whose tables span one axis's nodes
+    That is the largest of: with J5, the mode features of random points for
+    their J5 gram blocks (float64, M x n^2), or on a lattice a feature-side
+    step's half-mode table (M x (n^2/2 + n) complex); an array of the field
+    weights or of their evaluation (``kernels.mode_table_bytes``) at the
+    collocation and held-out points with every operator of a field (no
+    product spans the operators of both fields, so the larger count is the
+    one that matters), and on the grid with the field's values alone, whose
+    tables span one axis's nodes
     (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points);
     and the held-out residual, which keeps its points' tables while it
     evaluates each field (``kernels.mode_points_bytes``) and then holds both
-    fields' values and the residual rows with their Jacobians.  Every J5
-    gram block is built from the mode features of its points, with either
-    sampler: on a lattice they serve its generating columns, on random
-    points the whole blocks.  Raises ``BadGrid`` when sigma needs more than
-    ``kernels.MAX_MODES`` modes.
+    fields' values and the residual rows with their Jacobians.  Raises
+    ``BadGrid`` when sigma needs more than ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
     n, n_held = kernel.n_modes, S.HELD_OUT_COUNT
@@ -447,11 +446,23 @@ def sized_by_m_problem(name: str, field: str = "problem") -> Problem:
     return PROBLEMS[name]
 
 
+def check_bench_counts(m_values, repeats: int, fields=("m_values", "repeats")) -> None:
+    """Reject no M, an M below 1, unordered M values or under one repeat, naming ``fields``."""
+    m_field, repeats_field = fields
+    if len(m_values) == 0:
+        raise ConfigError(f"{m_field}: expected at least one M")
+    if min(m_values) < 1:
+        raise ConfigError(f"{m_field}: M must be positive, got {min(m_values)}")
+    if list(m_values) != sorted(m_values):
+        raise ConfigError(f"{m_field}: M values must be ascending")
+    if repeats < 1:
+        raise ConfigError(f"{repeats_field}: expected at least 1, got {repeats}")
+
+
 def bench_precompute(problem: str, method: str, m_values, repeats: int = 5, cfg=None):
     """Median factorization times at growing sample counts; basis size fixed."""
     entry = sized_by_m_problem(problem)
-    if list(m_values) != sorted(m_values):
-        raise ConfigError("M values must be ascending")
+    check_bench_counts(m_values, repeats)
     base = cfg or ExperimentConfig()
     rows = []
     for m in m_values:
@@ -460,7 +471,7 @@ def bench_precompute(problem: str, method: str, m_values, repeats: int = 5, cfg=
         )
         spec = entry.spec(run_cfg)
         funcs = C.build_functionals(spec, entry.points(run_cfg, spec))
-        runs = (METHODS[method](run_cfg, entry).factor(funcs) for _ in range(max(1, repeats)))
+        runs = (METHODS[method](run_cfg, entry).factor(funcs) for _ in range(repeats))
         qrs, chols = zip(*map(_factor_seconds, runs))
         rows.append((method, int(m), float(np.median(qrs)), float(np.median(chols))))
     return rows

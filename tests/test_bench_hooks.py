@@ -38,8 +38,8 @@ SPANS = {
 # columns < r = 66 rows); mfg1d_ff_dense has k = 27 > r = 18 and takes the
 # residual-side Cholesky step on F F^T + mu I.  The torus GP runs on a
 # lattice (mfg1d_gp, mfg1d_gp_feature_side, nonlocal2d_gp) factor their gram
-# per Fourier frequency and split it into k spectral features: at M = 64,
-# k = 45 + 45 + 1 < r = 130 takes the feature side, while M = 32 (k = 79 >
+# per Fourier frequency and split it into k half-mode features: at M = 64,
+# k = 41 + 41 + 1 < r = 130 takes the feature side, while M = 32 (k = 83 >
 # r = 66) and nonlocal2d_gp take the residual side.  mfg1d_gp_random, on
 # random points, factors its gram by a dense Cholesky and has no split, so
 # it takes the residual side, as planning_gp does

@@ -391,11 +391,21 @@ def test_bench_subcommand(tmp_path, capsys):
     assert "M=64" in capsys.readouterr().out
 
 
-def test_bench_rejects_bad_m_values(tmp_path):
-    assert (
-        cli.main(["bench-precompute", "--m-values", "a,b", "--output", str(tmp_path / "t.csv")])
-        == cli.EXIT_CONFIG
-    )
+def test_bench_rejects_bad_m_values(tmp_path, capsys):
+    """Each bad count exits 2 naming its flag, before anything is timed or written."""
+    target = tmp_path / "t.csv"
+    cases = [
+        (["--m-values", "a,b"], "--m-values:"),
+        (["--m-values", ""], "--m-values: expected at least one M"),
+        (["--m-values", "64,0"], "--m-values: M must be positive, got 0"),
+        (["--m-values", "64,32"], "--m-values: M values must be ascending"),
+        (["--m-values", "32", "--repeats", "-3"], "--repeats: expected at least 1, got -3"),
+        (["--m-values", "32", "--repeats", "0"], "--repeats: expected at least 1, got 0"),
+    ]
+    for flags, message in cases:
+        assert cli.main(["bench-precompute", *flags, "--output", str(target)]) == cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err, flags
+        assert not target.exists()
 
 
 def test_compare_subcommand(tmp_path, capsys):

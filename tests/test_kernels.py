@@ -141,6 +141,23 @@ def test_nonlocal_identity_matches_closed_form():
     np.testing.assert_allclose(spectral, direct, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["p1", "p2"])
+def test_direct_sum_matches_every_closed_form_pair(name):
+    """The direct sum takes its dimension from the coefficients, 1D or 2D, and
+    on random points meets the closed form of every local operator pair
+    within SPECTRAL_TAIL_TOL of the pair's largest entry."""
+    k = KERNELS[name]
+    X, Y = _rand_pts(k, 9), _rand_pts(k, 7)
+    coeffs = K._coeff_grid(k)
+    assert coeffs.ndim == k.dim
+    for left in OP_TABLE[name]:
+        for right in OP_TABLE[name]:
+            spectral = K.nonlocal_from_coeffs(coeffs, left, right, X, Y, k.n_modes)
+            closed = K.pairwise_op_matrix(k, left, right, X, Y)
+            bound = K.SPECTRAL_TAIL_TOL * np.abs(closed).max()
+            np.testing.assert_allclose(spectral, closed, rtol=0, atol=bound, err_msg=(left, right))
+
+
 def test_nonlocal_brute_force_oracle():
     """J5 blocks of the run path against an explicit mode-by-mode double sum."""
     k = K.periodic_kernel_2d(0.5)
@@ -366,7 +383,8 @@ def test_mode_symbols_equal_the_hand_written_formulas(side):
         got = np.broadcast_to(K._mode_symbol(k1, op, side), a.shape)
         np.testing.assert_array_equal(got, want, err_msg=op)
     a1, a2 = np.moveaxis(K._mode_grid(k2.n_modes), -1, 0)
-    _, h1, h2, _ = K._half_modes(k2.n_modes)
+    _, half_modes, _ = K._half_modes(k2.n_modes)
+    h1, h2 = half_modes.T
     for op in TORUS_OPS:
         got = np.broadcast_to(K._mode_symbol(k2, op, side), a1.shape)
         np.testing.assert_array_equal(got, _reference_symbol(op, a1, a2, side), err_msg=op)

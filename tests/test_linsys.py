@@ -150,23 +150,38 @@ def _lattice_set(name):
 
 @pytest.mark.parametrize("name", LATTICE_SETS)
 def test_lattice_gram_is_symmetric_and_the_per_block_assembly(name):
-    """The lattice route's regularized gram is exactly symmetric.  Its local
-    blocks equal assemble_gram's per-block assembly entry for entry, and its
-    J5 blocks (GEMMs over n x 1 instead of n x n point pairs) are within
-    1e-14 of it, relative to the largest entry."""
+    """The lattice route's regularized gram is exactly symmetric, and less its
+    nugget it is the gram of the kernel's truncated spectrum: every block,
+    local and J5, is within 1e-14 of its largest entry of the direct sum
+    nonlocal_from_coeffs (measured at most 6.9e-15, on small2d's (dx, lap)).
+
+    It differs from assemble_gram's closed-form per-block assembly by the
+    modes the spectrum leaves out.  By Cauchy-Schwarz an entry of block
+    (a, b) is off by at most sqrt(T_a T_b), T_a the weight sum c |sigma_a|^2
+    of those modes; at the highest symbol, dxx or lap on both sides, T_a
+    is about the weight of the Nyquist mode, which SPECTRAL_TAIL_TOL bounds
+    relative to the peak weight, and the lower symbols weigh the tail
+    less.  So the bound is SPECTRAL_TAIL_TOL sqrt(theta_aa(0) theta_bb(0)),
+    the two blocks' diagonals: measured at most 1.45e-13 of it on
+    mfg1d_gp (dxx, dxx), 3.6e-14 on nonlocal2d_gp_nu1 and small2d."""
     kernel, funcs, eta = _lattice_set(name)
     fac = L.build_gram_factor(kernel, funcs, eta)
     assert isinstance(fac, L.LatticeFactor)
     G = fac.regularized
     assert np.array_equal(G, G.T)
-    dense = L.assemble_gram(kernel, funcs)
-    dense[np.diag_indices_from(dense)] += eta * L.build_nugget(dense, funcs, eta)
-    assert np.abs(G - dense).max() <= 1e-14 * np.abs(dense).max()
-    for i, (op_i, _) in enumerate(funcs.blocks):
-        for j, (op_j, _) in enumerate(funcs.blocks):
-            if K.J5 not in (op_i, op_j):
-                block = (funcs.slices[i], funcs.slices[j])
-                np.testing.assert_array_equal(G[block], dense[block], err_msg=(op_i, op_j))
+    G = G - np.diag(fac.nugget)
+    closed = L.assemble_gram(kernel, funcs)
+    coeffs = K._coeff_grid(kernel)
+    sls = funcs.slices
+    diagonal = [np.diagonal(closed[sl, sl]).max() for sl in sls]
+    for i, (op_i, X) in enumerate(funcs.blocks):
+        for j in range(i, len(sls)):
+            op_j, Y = funcs.blocks[j]
+            block = G[sls[i], sls[j]]
+            direct = K.nonlocal_from_coeffs(coeffs, op_i, op_j, X, Y, kernel.n_modes)
+            assert np.abs(block - direct).max() <= 1e-14 * np.abs(direct).max(), (op_i, op_j)
+            bound = K.SPECTRAL_TAIL_TOL * np.sqrt(diagonal[i] * diagonal[j])
+            assert np.abs(block - closed[sls[i], sls[j]]).max() <= bound, (op_i, op_j)
 
 
 @pytest.mark.parametrize("name", LATTICE_SETS)
@@ -212,10 +227,11 @@ def test_lattice_factor_agrees_with_a_dense_cholesky_of_its_gram(name):
 @pytest.mark.parametrize("name", ["mfg1d_gp", "small2d", "feature"])
 def test_lattice_spectral_split_reproduces_the_regularized_gram(name):
     """F F^T + diag(ridge) of both factors of a lattice pair, the full one
-    and the lead that reads its leading rows, is within 16 eps of the
+    and the lead whose F has the leading rows, is within 16 eps of the
     regularized gram, relative in the Frobenius norm: measured at most
-    2.2e-15 (10 eps) on mfg1d_gp's lead, 45 columns against 512 rows.  A
-    feature factor's split, A A^T + mu I, meets the same bound."""
+    4.1 eps, on small2d (2207 half-mode columns), and 2.0 eps on mfg1d_gp
+    (41 columns).  A feature factor's split, A A^T + mu I, meets the same
+    bound."""
     if name == "feature":
         A = np.random.default_rng(4).standard_normal((30, 12))
         factors = [L.qr_ridge_factor(A, 1e-3)]
@@ -318,11 +334,12 @@ def test_apply_regularized_is_the_regularized_matrix_product(case):
 
 
 def test_nugget_is_blockwise_constant_mean_diagonal():
-    """The nugget is each block's mean gram diagonal, added to the diagonal alone."""
+    """The nugget is each block's mean gram diagonal, added to the diagonal
+    alone of the gram of the set's route, here its lattice."""
     kernel = K.periodic_kernel_1d(0.6)
     pts = C.sample_uniform_grid(1, 9)
     phi, _ = C.build_functionals(SPEC_1D, pts)
-    gram = L.assemble_gram(kernel, phi)
+    gram = L.assemble_gram(kernel, phi, L.lattice_shape(kernel, phi))
     r = L.build_nugget(gram, phi, eta=1.0)
     d = np.diag(gram)
     for sl in phi.slices:

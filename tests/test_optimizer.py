@@ -181,7 +181,7 @@ def test_inner_solve_across_point_chunks_matches_dense_normal_equations(case, mo
 
 
 def test_lattice_feature_side_inner_solve_matches_dense_normal_equations():
-    """A 64-point 1D lattice splits its grams into k = 45 + 45 spectral
+    """A 64-point 1D lattice splits its grams into k = 41 + 41 half-mode
     features plus lambda, fewer than its r = 130 rows: it takes the feature
     side, which meets the residual side's 1e-10 bound.  The nugget 1e-4
     keeps the dense oracle well conditioned: at 1e-6, cond(Theta) is 3.6e11
@@ -194,21 +194,30 @@ def test_lattice_feature_side_inner_solve_matches_dense_normal_equations():
 
 
 def test_bundled_lattice_configs_take_the_side_of_their_feature_count(monkeypatch):
-    """mfg1d_gp (k = 91 < r = 514) takes the feature side; nonlocal2d_gp_nu1
-    (k = 2 x 1143 + 1 >= r = 802) keeps the residual side and steps without
-    forming its spectral feature matrix."""
-    system, _, _ = _system("gp", **_bundled_overrides("mfg1d_gp"))
-    assert system.feature_side
+    """mfg1d_gp (k = 41 + 41 + 1 = 83 < r = 514) takes the feature side;
+    nonlocal2d_gp_nu1 (k = 2 x 2207 + 1 >= r = 802) keeps the residual side
+    and steps without forming its half-mode feature matrix.  Both take their
+    gram and its features from the kernel's spectrum: with numpy's
+    eigendecompositions and the scattered-point mode features unavailable,
+    each builds its factors, counts k and takes one inner step."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("a lattice system took an eigendecomposition or mode features")
 
     def never(self):
-        raise AssertionError("a residual-side system formed SpectralSplit.features")
+        raise AssertionError("a residual-side system formed LatticeFactor.features")
 
-    monkeypatch.setattr(L.SpectralSplit, "features", property(never))
-    system, phi, psi = _system("gp", **_bundled_overrides("nonlocal2d_gp_nu1"))
-    counts = system.quad_u.feature_count, system.quad_m.feature_count
-    assert not system.feature_side and sum(counts) + 1 >= system.n_rows
-    hat = system.inner_solve(_zero_start(phi, psi))
-    assert np.all(np.isfinite(hat.pack()))
+    for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (K, "_mode_features")):
+        monkeypatch.setattr(owner, attr, unavailable)
+    for name, k, feature_side in (("mfg1d_gp", 83, True), ("nonlocal2d_gp_nu1", 4415, False)):
+        if not feature_side:
+            monkeypatch.setattr(L.LatticeFactor, "features", property(never))
+        system, phi, psi = _system("gp", **_bundled_overrides(name))
+        assert isinstance(system.quad_u, L.LatticeFactor)
+        counts = system.quad_u.feature_count, system.quad_m.feature_count
+        assert sum(counts) + system.has_lam == k and system.feature_side == feature_side
+        hat = system.inner_solve(_zero_start(phi, psi, system.has_lam))
+        assert np.all(np.isfinite(hat.pack()))
 
 
 def test_inner_solve_satisfies_normal_equation_residual():

@@ -398,8 +398,12 @@ def test_bench_precompute_rows_and_ordering():
     rows = PL.bench_precompute("mfg1d", "ff", [32, 64], repeats=1)
     assert [r[1] for r in rows] == [32, 64]
     assert all(r[0] == "ff" and r[2] >= 0.0 and r[3] >= 0.0 for r in rows)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^m_values: M values must be ascending"):
         PL.bench_precompute("mfg1d", "ff", [64, 32], repeats=1)
+    with pytest.raises(ConfigError, match="^m_values: M must be positive"):
+        PL.bench_precompute("mfg1d", "ff", [0, 32], repeats=1)
+    with pytest.raises(ConfigError, match="^repeats: expected at least 1, got 0"):
+        PL.bench_precompute("mfg1d", "ff", [32], repeats=0)
 
 
 def test_bench_precompute_rejects_problems_not_sized_by_m(monkeypatch):
