@@ -292,8 +292,7 @@ class _Factored:
     """A factored nugget-regularized gram: the gram, its factor and their seconds."""
 
     qr_seconds = 0.0  # no orthogonal factorization, unlike FeatureFactor
-    # no split P^{-1} = F F^T + D: P^{-1} is the gram itself, or its leading
-    # block; a LatticeFactor splits it by its kernel's spectrum
+    # P^{-1} is the gram (or its leading block), with no split F F^T + D; a LatticeFactor has one
     feature_count = None
     regularized: np.ndarray
     chol: np.ndarray
@@ -376,12 +375,12 @@ class LatticeFactor(_Factored):
     F the half-mode features of ``kernel`` under the symbols of ``ops``
     (``kernels.lattice_features``), formed on first use for a feature-side
     inner step (k < r), and D = diag(``nugget``).  A lead factor's F holds
-    its own operators' rows.  Without ``kernel`` there is no split.
+    its own operators' rows.
     """
 
     shape: tuple  # the lattice: (side,) or (side, side), n points
     nugget: np.ndarray  # eta R: the nugget added to the gram's diagonal, one entry per row
-    kernel: K.KernelSpec | None  # the periodic kernel of the gram, None when not given
+    kernel: K.KernelSpec  # the periodic kernel of the gram
     ops: tuple  # the operator tag of each block
 
     def leading(self, n: int) -> "LatticeFactor":
@@ -401,9 +400,9 @@ class LatticeFactor(_Factored):
         )
 
     @property
-    def feature_count(self) -> int | None:
-        """k, the columns of F in P^{-1} = F F^T + D; None without the kernel."""
-        return None if self.kernel is None else K.lattice_feature_count(self.kernel)
+    def feature_count(self) -> int:
+        """k, the columns of F in P^{-1} = F F^T + D."""
+        return K.lattice_feature_count(self.kernel)
 
     @cached_property
     def features(self) -> np.ndarray:
@@ -470,7 +469,7 @@ def _lower_solve(chol, b, adjoint=False):
 
 def cholesky_factor(
     matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None, nugget=None, *, kernel=None,
-    ops=(),
+    ops=None,
 ):
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
@@ -487,13 +486,15 @@ def cholesky_factor(
     Lambda(q) of each frequency, which is factored instead
     (``LatticeFactor``).  The order then counts in the frequency-major block
     diagonal of those blocks.  ``kernel`` and ``ops``, the periodic kernel
-    and the operator tags of the blocks, give the factor its split
-    P^{-1} = F F^T + D: ``nugget``, one entry per row and constant on each
-    block, is the part of matrix's diagonal that F F^T leaves out, the D; it
-    is zero when not given.
+    and the operator tags of the blocks, are then required: they give the
+    factor its split P^{-1} = F F^T + D.  ``nugget``, one entry per row and
+    constant on each block, is the part of matrix's diagonal that F F^T
+    leaves out, the D; it is zero when not given.
     """
     t0 = time.perf_counter()
     if lattice is not None:
+        if kernel is None or ops is None:
+            raise TypeError("a lattice factor needs its gram's kernel and ops")
         chol = _frequency_cholesky(matrix, lattice)
         return LatticeFactor(
             regularized=matrix,

@@ -312,13 +312,12 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     """Bytes a torus GP run holds at once in arrays that grow with the kernel's mode count.
 
     That is the largest of: with J5, the mode features of random points for
-    their J5 gram blocks (float64, M x n^2), or on a lattice a feature-side
-    step's half-mode table (M x (n^2/2 + n) complex); an array of the field
-    weights or of their evaluation (``kernels.mode_table_bytes``) at the
-    collocation and held-out points with every operator of a field (no
-    product spans the operators of both fields, so the larger count is the
-    one that matters), and on the grid with the field's values alone, whose
-    tables span one axis's nodes
+    their J5 gram blocks (float64, M x n^2); an array of the field weights
+    or of their evaluation (``kernels.mode_table_bytes``) at the collocation
+    and held-out points with every operator of a field (no product spans the
+    operators of both fields, so the larger count is the one that matters),
+    and on the grid with the field's values alone, whose tables span one
+    axis's nodes
     (``kernels.eval_mode_weights_grid``; in 1D the nodes are its points);
     and the held-out residual, which keeps its points' tables while it
     evaluates each field (``kernels.mode_points_bytes``) and then holds both

@@ -256,19 +256,23 @@ def test_a_frequency_block_that_is_not_positive_definite_raises():
     their smallest eigenvalues, the first frequency below it fails, and the
     pivot counts in the frequency-major block diagonal."""
     _, psi = C.build_functionals(SPEC_1D, C.sample_uniform_grid(1, 16))
-    fac = L.build_gram_factor(K.periodic_kernel_1d(0.6), psi, 1e-6)
+    kernel = K.periodic_kernel_1d(0.6)
+    fac = L.build_gram_factor(kernel, psi, 1e-6)
     blocks = fac.chol @ fac.chol.conj().transpose(0, 2, 1)
     smallest = np.linalg.eigvalsh(blocks)[:, 0]
     c = float(np.median(smallest))
     bad = fac.regularized - c * np.eye(fac.size)
+    split = {"kernel": kernel, "ops": psi.operator_tags}
     with pytest.raises(NotPositiveDefinite) as exc:
-        L.cholesky_factor(bad, lattice=fac.shape)
+        L.cholesky_factor(bad, lattice=fac.shape, **split)
     first = int(np.flatnonzero(smallest < c)[0])
     assert (exc.value.pivot - 1) // fac.chol.shape[1] == first
     with pytest.raises(NotPositiveDefinite):
         L.cholesky_factor(bad)
     with pytest.raises(ValueError, match="infs or NaNs"):
-        L.cholesky_factor(np.full_like(bad, np.nan), lattice=fac.shape)
+        L.cholesky_factor(np.full_like(bad, np.nan), lattice=fac.shape, **split)
+    with pytest.raises(TypeError, match="kernel and ops"):
+        L.cholesky_factor(fac.regularized, lattice=fac.shape)
 
 
 def _off_lattice(case):
