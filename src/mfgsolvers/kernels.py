@@ -24,13 +24,11 @@ tail is below ``SPECTRAL_TAIL_TOL`` (40, 46 and 60 modes per axis at sigma
   is given them; in 2D it runs over half the first-axis modes, a_1 folded
   with -a_1 (``_fold_first_axis``).  On a tensor grid given by its nodes
   per axis the sum is one real GEMM per operator (``eval_mode_weights_grid``);
-- a gram block with J5 on either side, on scattered points: one real GEMM
-  of n_X n_Y n^2 over the mode features [cos, sin](2 pi a.x) of the two
-  point sets, with the modes a and -a folded into one (``_mode_cross``);
-- the gram of a full torus lattice (``linsys``): each operator pair's
-  generating column is the spectrum under both symbols folded onto the
-  lattice and inverse-DFT'd (``lattice_columns``), and the gram is F F^T
-  for the real half-mode features F of the spectrum (``lattice_features``);
+- real half-mode features F_a(X), one table per point set and per operator
+  its symbols (``half_mode_features``): F_a(X) F_b(Y)^T is a J5 gram block
+  on scattered points, and on a full torus lattice the gram is F F^T;
+- the gram of a full torus lattice per lattice frequency, the spectrum
+  under both symbols folded onto the lattice (``lattice_spectrum``);
 - ``nonlocal_from_coeffs`` sums the series directly, 1D or 2D: the oracle.
 
 All of them, and the Fourier-feature bases of ``features``, read what an
@@ -40,7 +38,7 @@ operator does to a Fourier mode from ``op_symbol``, which derives it from
 ``CrossTables`` holds what the blocks on one pair of scattered point sets
 share: each axis indexed by its distinct coordinates, the
 profile-derivative tables built on those and gathered to the block, and
-the mode features of J5.
+the half-mode tables of J5.
 ``representer_grid`` builds the same per-axis tables between a tensor
 grid's nodes and a point set, and evaluates a field of a product kernel
 with one GEMM per operator term.
@@ -277,8 +275,8 @@ def pairwise_op_matrix(k: KernelSpec, left: str, right: str, X, Y):
     """Matrix of (L_x (x) R_y) K(x, y) over all pairs of rows of X and Y.
 
     J5 on either side needs the 2D periodic kernel, whose blocks
-    ``CrossTables`` builds from mode features; ``nonlocal_from_coeffs`` is
-    the direct sum they replace.
+    ``CrossTables`` builds from half-mode features; ``nonlocal_from_coeffs``
+    is the direct sum they replace.
     """
     return CrossTables(k, X, Y, (left,), (right,)).op_matrix(left, right)
 
@@ -296,9 +294,9 @@ class CrossTables:
       operators needs, each gathered to n_X x n_Y once; its entries are the
       floats the point-by-point differences give.  ``op_matrix`` then costs
       one product of tables per term;
-    - the mode features of X and of Y for the J5 blocks of the 2D periodic
-      kernel, one real GEMM of n_X x n_Y x n^2 per block (``_mode_features``,
-      ``_mode_cross``).
+    - the half-mode tables of X and of Y for the J5 blocks of the 2D
+      periodic kernel: a block is one real GEMM of n_X x n_Y x n^2 over
+      the two operators' features (``half_mode_features``).
     """
 
     def __init__(self, k: KernelSpec, X, Y, left_ops, right_ops):
@@ -311,7 +309,7 @@ class CrossTables:
         self.axes_x = _distinct_axes(self.X)
         self.axes_y = self.axes_x if self.same else _distinct_axes(self.Y)
         self._derivs = None
-        self._features = None
+        self._mode_tables = None
 
     def op_matrix(self, left: str, right: str) -> np.ndarray:
         if J5 in (left, right):
@@ -349,10 +347,15 @@ class CrossTables:
         k = self.kernel
         if k.family != PERIODIC_2D:
             raise UnsupportedOperator("nonlocal operator requires the 2D periodic kernel")
-        if self._features is None:
-            fx = _mode_features(k, self.X)
-            self._features = (fx, fx if self.same else _mode_features(k, self.Y))
-        return _mode_cross(k, left, right, *self._features)
+        if self._mode_tables is None:
+            tx = half_mode_table(k, self.X)
+            self._mode_tables = (tx, tx if self.same else half_mode_table(k, self.Y))
+        tx, ty = self._mode_tables
+        out = np.zeros((tx.shape[0], ty.shape[0]))
+        for lo in range(0, tx.shape[1], _MODE_CHUNK):
+            cx, cy = tx[:, lo : lo + _MODE_CHUNK], ty[:, lo : lo + _MODE_CHUNK]
+            out += half_mode_features(k, left, cx, lo) @ half_mode_features(k, right, cy, lo).T
+        return out
 
 
 def representer_grid(k: KernelSpec, funcs, coeffs, ops, nodes) -> np.ndarray:
@@ -516,8 +519,8 @@ def nonlocal_from_coeffs(coeffs, left: str, right: str, X, Y, n_modes: int):
 
     Entry (i, j) is Re sum_a c_a mult_L(a) mult_R(a) exp(2 pi i a.(x_i - y_j)),
     summed directly over the mode grid: n values in 1D, n x n in 2D, the
-    dimension being that of ``coeffs``.  The oracle for ``_mode_cross`` and
-    for every block of a lattice gram (``lattice_columns``).  Each point's
+    dimension being that of ``coeffs``.  The oracle for J5 blocks and for
+    every block of a lattice gram (``lattice_spectrum``).  Each point's
     exponentials are the products of its axes' (``_direct_exponentials``).
     """
     _check_modes(n_modes)
@@ -580,97 +583,88 @@ def _coeff_grid(k: KernelSpec) -> np.ndarray:
     return spectrum(k.lengthscales[0], k.n_modes)
 
 
-def _mode_features(k: KernelSpec, X) -> np.ndarray:
-    """Real mode features [cos, sin] of 2 pi a.x over ``_half_modes``: (n_points, 2 n_half).
+def half_mode_table(k: KernelSpec, X) -> np.ndarray:
+    """sqrt(w c_h) exp(2 pi i h.x) at the points X over ``_half_modes``, of weight w: (n_points, h).
 
-    exp(2 pi i a.x) is the product of the axis exponentials of a_1 and a_2
-    (``_axis_exponentials``), so no transcendental is evaluated per point
-    and mode.
+    exp(2 pi i h.x) is the product of the axis exponentials of h's
+    components (``_axis_exponentials``), multiplied into the table in place,
+    ``_MODE_CHUNK`` modes at a time, so no second table is allocated.
     """
-    keep = _half_modes(k.n_modes)[0]
-    (e1, i1), (e2, i2) = _axis_exponentials(k, X)
-    z = e1[i1][:, keep // k.n_modes]
-    z *= e2[i2][:, keep % k.n_modes]
-    return np.hstack([z.real, z.imag])
+    keep, _, weight = _half_modes(k.n_modes, k.dim)
+    columns = np.unravel_index(keep, (k.n_modes,) * k.dim)
+    axes = _axis_exponentials(k, X)
+    table = np.empty((X.shape[0], keep.size), dtype=complex)
+    table[:] = np.sqrt(weight * _coeff_grid(k).ravel()[keep])
+    for lo in range(0, keep.size, _MODE_CHUNK):
+        for (e, index), col in zip(axes, columns):
+            table[:, lo : lo + _MODE_CHUNK] *= e[index[:, None], col[lo : lo + _MODE_CHUNK]]
+    return table
 
 
-def _mode_cross(k: KernelSpec, left: str, right: str, fx, fy):
-    """(L_x (x) R_y) K from the mode features of X and Y, as one real GEMM.
+def half_mode_feature_count(k: KernelSpec) -> int:
+    """Columns of ``half_mode_features``: 2h - 1 for the h half modes of ``_half_modes``."""
+    return 2 * _half_modes(k.n_modes, k.dim)[0].size - 1
 
-    With d_a = w_a c_a mult_L(a) mult_R(a) and exp(2 pi i a.x) = C + i S,
-    Re(d_a exp(2 pi i a.(x - y))) = C_x (Re d C_y + Im d S_y)
-    + S_x (Re d S_y - Im d C_y); both symbols fold into the right-hand
-    table, and the left one serves every operator on its point set.
+
+def half_mode_block_bytes(k: KernelSpec, n_points: int) -> int:
+    """Bytes ``CrossTables`` holds at once for a J5 block of n_points points with themselves.
+
+    The points' ``half_mode_table`` (n_points x h complex, h half modes); per
+    chunk of modes a product with symbols and two operators' features, each
+    n_points x _MODE_CHUNK complex; three blocks (the sum, a chunk's term and
+    the one ``linsys.assemble_gram`` keeps); under 64 bytes per grid mode.
     """
-    keep, modes, weight = _half_modes(k.n_modes)
-    d = weight * _profile_coeff_grid(k.lengthscales[0], k.n_modes).ravel()[keep]
-    d = d * _symbol(k.axes, left, modes, "left") * _symbol(k.axes, right, modes, "right")
-    g = np.concatenate([d.real, d.real]) * fy
-    if np.any(d.imag):
-        h = keep.size
-        g += np.concatenate([d.imag, d.imag]) * np.hstack([fy[:, h:], -fy[:, :h]])
-    return fx @ g.T
+    h = _half_modes(k.n_modes, k.dim)[0].size
+    return 16 * n_points * (h + 3 * _MODE_CHUNK) + 24 * n_points**2 + 64 * k.n_modes**k.dim
+
+
+def half_mode_features(k: KernelSpec, op: str, table, first: int = 0) -> np.ndarray:
+    """The real features of ``op`` at the points of a ``half_mode_table``: (n_points, 2h - 1).
+
+    With z = table sigma(h), sigma the left symbol of ``op``, a row holds
+    [Re z, Im z] less the zero mode's Im column, which is 0; ``table`` may
+    be the table's columns from ``first`` on.  F_a(X) F_b(Y)^T = sum_h w c_h
+    Re(sigma_a(h) conj(sigma_b(h)) exp(2 pi i h.(x - y))) = (L_a (x) R_b) K.
+    """
+    modes = _half_modes(k.n_modes, k.dim)[1][first : first + table.shape[1]]
+    z = table * _symbol(k.axes, op, modes, "left")
+    return np.hstack([z.real, z.imag[:, 1:] if first == 0 else z.imag])
 
 
 # ---------------------------------------------------------------------------
 # the gram of a full torus lattice from the truncated spectrum
 
 
-def lattice_columns(k: KernelSpec, ops, shape) -> np.ndarray:
-    """theta_ab(x_j) = (L_a (x) R_b) K(x_j, 0) for every pair of ``ops``: (p, p, n).
+def lattice_spectrum(k: KernelSpec, ops, shape) -> np.ndarray:
+    """The gram of ``ops`` on the full lattice ``shape`` per lattice frequency: Lambda_0, (n, p, p).
 
-    x_j = j / side per axis runs over the full lattice ``shape``, flat in C
-    order, and theta_ab(x) = Re sum_m c_m sigma_a(m) conj(sigma_b(m))
-    exp(2 pi i m.x) over the mode grid, sigma the left symbol.  At x_j the
-    exponential depends on m mod side alone, so the terms are folded onto
-    the lattice frequencies, by a 0/1 matrix per axis, and the column is n
-    times their inverse DFT.  Cost: p^2 (side n_modes^dim + n log n).
+    Block (a, b) of the gram on the n points x_j = j / side, flat in C order,
+    is generated by theta_ab(x) = Re sum_m c_m sigma_a(m) conj(sigma_b(m))
+    exp(2 pi i m.x), sigma the left symbol.  At x_j a term depends on m mod
+    side alone: folded onto the lattice frequencies q (a 0/1 matrix per
+    axis) the terms sum to D(q), and theta_ab is the inverse DFT of
+    Lambda_0(q) = n (D(q) + conj(D(-q))) / 2, Hermitian positive
+    semidefinite, q in ``np.fft.fftn``'s order.  Cost: p^2 side n_modes^dim.
     """
     c = _coeff_grid(k)
     sym = np.stack([np.broadcast_to(_mode_symbol(k, op, "left"), c.shape) for op in ops])
     d = c * sym[:, None] * sym[None, :].conj()
-    side = shape[0]
+    side, n = shape[0], math.prod(shape)
     fold = (np.arange(side)[:, None] == _mode_axis(k.n_modes) % side).astype(float)
     d = d @ fold.T  # the last axis folded
     if k.dim == 2:
         d = fold @ d
-    axes = tuple(range(2, 2 + k.dim))
-    columns = math.prod(shape) * np.fft.ifftn(d, axes=axes).real
-    return columns.reshape(len(ops), len(ops), -1)
-
-
-def lattice_feature_count(k: KernelSpec) -> int:
-    """Columns of ``lattice_features``: 2h - 1 for the h half modes of ``_half_modes``."""
-    return 2 * _half_modes(k.n_modes, k.dim)[0].size - 1
-
-
-def lattice_features(k: KernelSpec, ops, shape) -> np.ndarray:
-    """F, (len(ops) n) x (2h - 1), with F F^T the gram of ``ops`` on the full lattice ``shape``.
-
-    Rows are operator-major, as the gram's.  For a half mode h of weight w
-    (``_half_modes``) and z_a(x) = sigma_a(h) exp(2 pi i h.x), row (a, x)
-    holds sqrt(w c_h) [Re z_a(x), Im z_a(x)], so rows (a, x) and (b, y)
-    give sum_h w c_h Re(z_a(x) conj(z_b(y))) = theta_ab(x - y) of
-    ``lattice_columns``.  The zero mode's Im column, zero, is left out.
-    Every operator reads one half-mode table of the side's roots of unity.
-    """
-    keep, modes, weight = _half_modes(k.n_modes, k.dim)
-    side = shape[0]
-    points = np.indices(shape).reshape(k.dim, -1).T
-    turns = points @ (modes.astype(int) % side).T % side  # (n, h)
-    table = np.exp(2j * np.pi * np.arange(side) / side)[turns]
-    scale = np.sqrt(weight * _coeff_grid(k).ravel()[keep])
-    blocks = []
-    for op in ops:
-        z = table * (scale * _symbol(k.axes, op, modes, "left"))
-        blocks.append(np.hstack([z.real, z.imag[:, 1:]]))
-    return np.vstack(blocks)
+    neg = -np.arange(side) % side
+    mirrored = d[(..., *np.ix_(*(neg,) * k.dim))]
+    spectrum = (0.5 * n) * (d + mirrored.conj())
+    return np.moveaxis(spectrum.reshape(len(ops), len(ops), n), -1, 0)
 
 
 # ---------------------------------------------------------------------------
 # torus fields as per-mode weights of the truncated kernel spectrum
 
-# points per chunk of ``eval_mode_weights`` on the 2D torus.  A chunk's
+# modes per chunk of a half-mode table and of a J5 block, and points per
+# chunk of ``eval_mode_weights`` on the 2D torus.  A chunk's
 # rows of the two point tables and its product with one operator's folded
 # weights take 2.5 x _MODE_CHUNK x n_modes complex, 0.7 MB at 64 modes, and
 # stay in a core's L2 cache while every operator of the call passes.  On

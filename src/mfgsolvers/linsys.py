@@ -23,15 +23,15 @@ A gram is factored by one of two routes, chosen from the points alone
 (``lattice_shape``).  When the functional set lies wholly on one full torus
 lattice under a periodic kernel, as every bundled torus GP config does,
 each gram block depends on x_i - x_j alone and is circulant on the lattice
-(Davis, *Circulant Matrices*, 1979).  The gram is then gathered from the
-generating column of each block pair, an inverse DFT of the kernel's
-truncated spectrum (``kernels.lattice_columns``), and the DFT of those
-columns splits it into one Hermitian block per lattice frequency, of the
-order of the operator count, each factored by numpy's batched Cholesky
-(``LatticeFactor``): no n x n factor exists, and a solve is an FFT,
-per-frequency triangular solves and an inverse FFT.  The same spectrum
-gives the gram as F F^T, F the kernel's real half-mode features, the
-weighted Fourier-feature model of a periodic GP (``kernels.lattice_features``).
+(Davis, *Circulant Matrices*, 1979).  The lattice DFT splits the gram into
+one Hermitian block per frequency, of the order of the operator count: the
+kernel's truncated spectrum folded onto the lattice
+(``kernels.lattice_spectrum``), built once per factor.  With the nugget on
+their diagonals numpy's batched Cholesky factors them (``LatticeFactor``):
+no n x n factor exists, and a solve is an FFT, per-frequency triangular
+solves and an inverse FFT.  Their inverse DFT gives the gram's columns.
+The spectrum also gives the gram as F F^T, F the kernel's real half-mode
+features, the weighted Fourier-feature model of a periodic GP.
 Any other set, on random points or planning's space-time points, keeps
 the dense Cholesky factor (``GramFactor``).
 
@@ -65,7 +65,8 @@ On the dense route, gram blocks that sit on the same pair of point sets
 share their kernel tables (``kernels.CrossTables``), so a functional set
 with many operators on one point set pays for its tables once.  Those
 tables are built on the distinct coordinates of each axis and gathered to
-each block.  J5 blocks are one GEMM over the kernel's mode features.  The
+each block.  A J5 block is one GEMM of the two operators' half-mode
+features, from one table per point set.  The
 nugget is added to the gram's diagonal in place, and LAPACK factors a
 C-ordered copy of a dense gram in place through its Fortran-ordered
 transpose, where f2py would make a slower transposing copy.
@@ -90,7 +91,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -180,22 +181,24 @@ def solve_triangular(a: np.ndarray, b, lower: int, trans: int = 0):
     return x
 
 
-def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None):
+def assemble_gram(kernel: K.KernelSpec, funcs: FunctionalSet, lattice=None, *, spectrum=None):
     """Symmetric bi-operator gram matrix over a functional set.
 
     Only the upper block triangle is evaluated; the rest is mirrored, so the
     result is exactly symmetric.  Blocks on the same pair of point sets
     (``FunctionalSet.point_sets``) share one ``kernels.CrossTables``: its
     tables are computed once per pair, not once per block.  On the 2D torus
-    a J5 block is one real GEMM over about n_modes^2 mode features, n_modes
-    being the kernel's own count.
+    a J5 block is one real GEMM over about n_modes^2 half-mode features,
+    n_modes being the kernel's own count.
 
     With ``lattice``, the shape ``lattice_shape`` gives for funcs, the gram
-    is gathered instead from the generating columns of the kernel's
-    truncated spectrum (``_lattice_gram``).
+    is gathered from the inverse DFT of ``spectrum``, its frequency blocks
+    (``kernels.lattice_spectrum``, computed when not given).
     """
     if lattice is not None:
-        return _lattice_gram(kernel, funcs, lattice)
+        if spectrum is None:
+            spectrum = K.lattice_spectrum(kernel, funcs.operator_tags, lattice)
+        return _lattice_gram(spectrum, funcs, lattice)
     n = funcs.size
     out = np.empty((n, n))
     sets = funcs.point_sets
@@ -251,23 +254,23 @@ def _circulant_index(shape):
     return (d[:, None, :, None] * side + d[None, :, None, :]).reshape(n, n)
 
 
-def _lattice_gram(kernel: K.KernelSpec, funcs: FunctionalSet, shape):
+def _lattice_gram(spectrum: np.ndarray, funcs: FunctionalSet, shape):
     """The gram of funcs on the lattice ``shape``, gathered from its generating columns.
 
-    Block (a, a <= b) is the generating column theta_ab(x_i - x_0) of the
-    kernel's truncated spectrum (``kernels.lattice_columns``) gathered at
-    the offsets x_i - x_j; block (b, a) reads theta_ba(d) := theta_ab(-d)
-    and a diagonal block the even part of its column, so the result is
-    exactly symmetric.  The spectrum's truncation, which
+    Block (a, a <= b) is theta_ab(x_i - x_0), the inverse DFT of ``spectrum``,
+    gathered at the offsets x_i - x_j; block (b, a) reads theta_ba(d) :=
+    theta_ab(-d) and a diagonal block the even part of its column, so the
+    result is exactly symmetric.  The spectrum's truncation, which
     ``kernels.SPECTRAL_TAIL_TOL`` bounds, sets it apart from the closed form.
     """
-    columns = K.lattice_columns(kernel, funcs.operator_tags, shape)
+    columns = np.fft.ifftn(spectrum.reshape(*shape, -1), axes=tuple(range(len(shape))))
+    columns = columns.real.reshape(spectrum.shape)
     index = _circulant_index(shape)
     neg = index[0]
     sls = funcs.slices
     out = np.empty((funcs.size, funcs.size))
     for a, b in zip(*np.triu_indices(len(sls))):
-        col = columns[a, b]
+        col = columns[:, a, b]
         if a == b:
             out[sls[a], sls[a]] = (0.5 * (col + col[neg]))[index]
         else:
@@ -276,10 +279,16 @@ def _lattice_gram(kernel: K.KernelSpec, funcs: FunctionalSet, shape):
     return out
 
 
-def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float):
-    """Diagonal of the block nugget R: each block scaled by its mean gram diagonal."""
+def build_nugget(gram: np.ndarray, funcs: FunctionalSet, eta: float, spectrum=None):
+    """Diagonal of the block nugget R: each block scaled by its mean gram diagonal.
+
+    With ``spectrum``, a lattice gram's frequency blocks Lambda_0, that is
+    theta_aa(0) = (1/n) sum_q Lambda_0_aa(q) for block a.
+    """
     if eta <= 0:
         raise ValueError("eta must be positive")
+    if spectrum is not None:
+        return np.repeat(np.einsum("qaa->a", spectrum).real, len(spectrum)) / len(spectrum)
     d = np.diag(gram)
     r = np.empty(gram.shape[0])
     for sl in funcs.slices:
@@ -362,20 +371,19 @@ class LatticeFactor(_Factored):
 
     On a lattice of n points every block pair's gram block is circulant in
     the lattice offset, so the DFT over the lattice splits the regularized
-    gram into one Hermitian block Lambda(q) per frequency q, of the order p
-    of the operator count.  ``chol`` (n, p, p) holds their lower Cholesky
-    factors; a lead factor holds a copy of the leading block of each, the
-    factor of its leading block.  ``solve`` and ``quadratic_form`` are an FFT
-    over the lattice, per-frequency triangular solves and, for ``solve``, an
-    inverse FFT; ``apply_regularized`` multiplies each frequency by
-    L(q) L(q)^H instead.  ``regularized`` is the gram itself, whose block
-    rows the residual-side inner step reads.
+    gram into one Hermitian block per frequency q, of the order p of the
+    operator count: Lambda_0(q) of ``kernels.lattice_spectrum`` plus the
+    nugget.  ``chol`` (n, p, p) holds their lower Cholesky factors; a lead
+    factor holds a copy of the leading block of each.  ``solve`` and
+    ``quadratic_form`` are an FFT over the lattice, per-frequency triangular
+    solves and, for ``solve``, an inverse FFT; ``apply_regularized``
+    multiplies each frequency by L(q) L(q)^H instead.  ``regularized`` is
+    the gram itself, whose block rows the residual-side inner step reads.
 
     The spectrum that built the gram also splits it: P^{-1} = F F^T + D,
-    F the half-mode features of ``kernel`` under the symbols of ``ops``
-    (``kernels.lattice_features``), formed on first use for a feature-side
-    inner step (k < r), and D = diag(``nugget``).  A lead factor's F holds
-    its own operators' rows.
+    F the half-mode features of ``ops`` at the lattice points, stacked
+    operator-major (``kernels.half_mode_features``), formed on first use
+    for a feature-side inner step (k < r), and D = diag(``nugget``).
     """
 
     shape: tuple  # the lattice: (side,) or (side, side), n points
@@ -402,12 +410,13 @@ class LatticeFactor(_Factored):
     @property
     def feature_count(self) -> int:
         """k, the columns of F in P^{-1} = F F^T + D."""
-        return K.lattice_feature_count(self.kernel)
+        return K.half_mode_feature_count(self.kernel)
 
     @cached_property
     def features(self) -> np.ndarray:
         """F (size x k): the gram without its nugget is F F^T."""
-        return K.lattice_features(self.kernel, self.ops, self.shape)
+        table = _lattice_table(self.kernel, self.shape)
+        return np.vstack([K.half_mode_features(self.kernel, op, table) for op in self.ops])
 
     @property
     def ridge(self) -> np.ndarray:
@@ -445,6 +454,12 @@ class LatticeFactor(_Factored):
         return float(np.vdot(y, y).real) / self.chol.shape[0]
 
 
+@lru_cache(maxsize=1)
+def _lattice_table(kernel: K.KernelSpec, shape) -> np.ndarray:
+    """``kernels.half_mode_table`` on the full lattice ``shape``: a factor and its lead share it."""
+    return K.half_mode_table(kernel, sample_uniform_grid(len(shape), math.prod(shape)).interior)
+
+
 def _lattice_axes(shape) -> tuple:
     """The lattice axes of an array (blocks, *shape, ...)."""
     return tuple(range(1, 1 + len(shape)))
@@ -469,7 +484,7 @@ def _lower_solve(chol, b, adjoint=False):
 
 def cholesky_factor(
     matrix: np.ndarray, assembly_seconds: float = 0.0, lattice=None, nugget=None, *, kernel=None,
-    ops=None,
+    ops=None, spectrum=None,
 ):
     """Lower Cholesky factor of a finite symmetric matrix, its upper triangle zeroed.
 
@@ -481,21 +496,18 @@ def cholesky_factor(
     leading minor that is not.
 
     With ``lattice`` (``lattice_shape``), matrix is a block-circulant gram
-    on that lattice, such as ``assemble_gram`` gathers, and only the first
-    column of each block is read: its DFT over the lattice gives the block
-    Lambda(q) of each frequency, which is factored instead
-    (``LatticeFactor``).  The order then counts in the frequency-major block
-    diagonal of those blocks.  ``kernel`` and ``ops``, the periodic kernel
-    and the operator tags of the blocks, are then required: they give the
-    factor its split P^{-1} = F F^T + D.  ``nugget``, one entry per row and
-    constant on each block, is the part of matrix's diagonal that F F^T
-    leaves out, the D; it is zero when not given.
+    on that lattice, kept as ``regularized`` but not read: its blocks per
+    lattice frequency, ``spectrum`` (n, p, p), are factored instead
+    (``LatticeFactor``; the order counts in their frequency-major block
+    diagonal), with the periodic ``kernel`` and blocks' ``ops``.  ``nugget``,
+    one entry per row and constant on each block, is the diagonal D that
+    F F^T leaves out of matrix; zero if not given.
     """
     t0 = time.perf_counter()
     if lattice is not None:
-        if kernel is None or ops is None:
-            raise TypeError("a lattice factor needs its gram's kernel and ops")
-        chol = _frequency_cholesky(matrix, lattice)
+        if kernel is None or ops is None or spectrum is None:
+            raise TypeError("a lattice factor needs its gram's kernel and ops, and its spectrum")
+        chol = _frequency_cholesky(spectrum)
         return LatticeFactor(
             regularized=matrix,
             chol=chol,
@@ -518,17 +530,8 @@ def cholesky_factor(
     )
 
 
-def _frequency_cholesky(matrix: np.ndarray, lattice):
-    """The Cholesky factors (n, p, p) of the DFT blocks Lambda(q) of a block-circulant matrix.
-
-    Entry (a, i, b) of the first columns of the p x p blocks is
-    theta_ab(x_i), and its DFT over the lattice axes is Lambda(q)[a, b].
-    """
-    n = math.prod(lattice)
-    p = matrix.shape[0] // n
-    columns = matrix[:, ::n].reshape(p, *lattice, p)
-    spectrum = np.fft.fftn(columns, axes=_lattice_axes(lattice))
-    spectrum = spectrum.reshape(p, n, p).transpose(1, 0, 2)
+def _frequency_cholesky(spectrum: np.ndarray):
+    """The lower Cholesky factors (n, p, p) of the Hermitian blocks (n, p, p) of ``spectrum``."""
     if not np.isfinite(spectrum).all():
         raise NonFiniteMatrix("the regularized gram must not contain infs or NaNs")
     try:
@@ -537,7 +540,7 @@ def _frequency_cholesky(matrix: np.ndarray, lattice):
         for q, block in enumerate(spectrum):
             info = lapack_info("zpotrf", lapack.zpotrf(block, lower=1)[1])
             if info:
-                raise NotPositiveDefinite(q * p + info) from None
+                raise NotPositiveDefinite(q * block.shape[0] + info) from None
         raise
 
 
@@ -551,22 +554,24 @@ def build_gram_factor(kernel: K.KernelSpec, funcs: FunctionalSet, eta: float):
     """
     t0 = time.perf_counter()
     lattice = lattice_shape(kernel, funcs)
-    gram = assemble_gram(kernel, funcs, lattice)
-    r = build_nugget(gram, funcs, eta)
+    spectrum = None if lattice is None else K.lattice_spectrum(kernel, funcs.operator_tags, lattice)
+    gram = assemble_gram(kernel, funcs, lattice, spectrum=spectrum)
+    r = build_nugget(gram, funcs, eta, spectrum)
     if lattice is not None:
-        # the gather evicts pocketfft's and LAPACK's code from the caches;
-        # reloading it on a four-point lattice charges that to the assembly,
-        # so the factorization's time follows the lattice size (as ``_qr_svd``
-        # does for its SVD)
-        _frequency_cholesky(np.eye(4), (4,) if len(lattice) == 1 else (2, 2))
+        # the gather evicts numpy's batched complex Cholesky from the caches;
+        # reloading it on one 2 x 2 block charges that to the assembly, so the
+        # factorization's time follows the lattice size (as in ``_qr_svd``)
+        _frequency_cholesky(np.eye(2, dtype=complex)[None])
     assembly = time.perf_counter() - t0
     # a nugget that overflows is reported once, by the factorization
     with np.errstate(over="ignore"):
         nugget = eta * r
         gram[np.diag_indices_from(gram)] += nugget
+        if spectrum is not None:  # the regularized gram's frequency blocks
+            spectrum += np.diag(nugget[:: spectrum.shape[0]])
     return cholesky_factor(
         gram, assembly_seconds=assembly, lattice=lattice, nugget=nugget, kernel=kernel,
-        ops=funcs.operator_tags,
+        ops=funcs.operator_tags, spectrum=spectrum,
     )
 
 

@@ -44,7 +44,7 @@ _LENGTHSCALE_FIELDS = ("sigma", "sigma_space", "sigma_time", "varsigma")
 # products) must stay finite too, so 2^20 times 12/s^4 must be finite
 _LENGTHSCALE_HEADROOM = 12.0 * 2.0**20
 # cap in bytes on a torus GP run's mode tables (_largest_mode_table_bytes); its
-# n x n gram is not one and can be larger: 32 MB against 6.5 MB on nonlocal2d_gp_nu1
+# n x n gram is not one and can be larger: 32 MB against 16 MB on nonlocal2d_gp_nu1
 MAX_MODE_TABLE_BYTES = 2**30
 
 
@@ -311,8 +311,8 @@ class ExperimentConfig:
 def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     """Bytes a torus GP run holds at once in arrays that grow with the kernel's mode count.
 
-    That is the largest of: with J5, the mode features of random points for
-    their J5 gram blocks (float64, M x n^2); an array of the field weights
+    That is the largest of: with J5, what a J5 gram block on M random
+    points holds (``kernels.half_mode_block_bytes``); an array of the field weights
     or of their evaluation (``kernels.mode_table_bytes``) at the collocation
     and held-out points with every operator of a field (no product spans the
     operators of both fields, so the larger count is the one that matters),
@@ -325,9 +325,9 @@ def _largest_mode_table_bytes(cfg: ExperimentConfig, problem: Problem) -> int:
     ``BadGrid`` when sigma needs more than ``kernels.MAX_MODES`` modes.
     """
     kernel, spec = problem.kernel(cfg), problem.spec(cfg)
-    n, n_held = kernel.n_modes, S.HELD_OUT_COUNT
+    n_held = S.HELD_OUT_COUNT
     q_u, q_m = len(spec.u_operators), len(spec.m_operators)
-    features = 8 * cfg.M * n * n if K.J5 in spec.m_operators else 0
+    features = K.half_mode_block_bytes(kernel, cfg.M) if K.J5 in spec.m_operators else 0
     residual_rows = 8 * n_held * (q_u + q_m + P.INTERIOR_ROWS * (q_u + q_m + 2))
     return max(
         features,

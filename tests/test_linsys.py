@@ -185,6 +185,53 @@ def test_lattice_gram_is_symmetric_and_the_per_block_assembly(name):
 
 
 @pytest.mark.parametrize("name", LATTICE_SETS)
+def test_lattice_spectrum_is_the_dft_of_the_gathered_columns(name):
+    """The frequency blocks Lambda_0(q) of kernels.lattice_spectrum are, per
+    operator pair, within 16 eps of the pair's largest entry of the lattice
+    DFT of the gathered gram's generating columns, which that gram reads
+    from their inverse DFT (measured at most 2.4 eps, on
+    nonlocal2d_gp_nu1); and the block nugget read from them is the mean
+    diagonal of the gram, within 8 eps relative (measured 2.2 eps)."""
+    kernel, funcs, eta = _lattice_set(name)
+    shape = L.lattice_shape(kernel, funcs)
+    spectrum = K.lattice_spectrum(kernel, funcs.operator_tags, shape)
+    n, p = spectrum.shape[:2]
+    assert spectrum.shape == (n, p, p) and n == np.prod(shape) and p == len(funcs.blocks)
+    gram = L.assemble_gram(kernel, funcs, shape, spectrum=spectrum)
+    columns = gram[:, ::n].reshape(p, *shape, p)
+    dft = np.fft.fftn(columns, axes=tuple(range(1, 1 + len(shape))))
+    dft = dft.reshape(p, n, p).transpose(1, 0, 2)
+    eps = np.finfo(float).eps
+    for a in range(p):
+        for b in range(p):
+            scale = np.abs(spectrum[:, a, b]).max()
+            assert np.abs(spectrum[:, a, b] - dft[:, a, b]).max() <= 16 * eps * scale, (a, b)
+    want = L.build_nugget(gram, funcs, eta)
+    np.testing.assert_allclose(L.build_nugget(gram, funcs, eta, spectrum), want, rtol=8 * eps)
+
+
+@pytest.mark.parametrize("name", ["mfg1d_gp", "nonlocal2d_gp_nu1"])
+def test_a_lattice_factor_build_takes_one_spectrum_and_no_forward_dft(monkeypatch, name):
+    """One kernels.lattice_spectrum call serves the gather, the nugget and
+    the per-frequency Cholesky of the pair's one factor build, and no
+    forward DFT runs: the gram's columns are not read back."""
+    kernel, funcs, eta = _gp_pair(name)
+    calls, spectrum = [], K.lattice_spectrum
+
+    def counted(*args):
+        calls.append(args)
+        return spectrum(*args)
+
+    def never(*args, **kwargs):
+        raise AssertionError("a lattice factor build took a forward DFT")
+
+    monkeypatch.setattr(K, "lattice_spectrum", counted)
+    monkeypatch.setattr(np.fft, "fftn", never)
+    factors = L.build_gram_factors(kernel, funcs, eta)
+    assert all(isinstance(f, L.LatticeFactor) for f in factors) and len(calls) == 1
+
+
+@pytest.mark.parametrize("name", LATTICE_SETS)
 def test_lattice_factor_agrees_with_a_dense_cholesky_of_its_gram(name):
     """solve (vector and matrix right-hand sides) and quadratic_form against
     the dense route on the factor's own regularized gram Theta, to 1e-8.
@@ -229,7 +276,7 @@ def test_lattice_spectral_split_reproduces_the_regularized_gram(name):
     """F F^T + diag(ridge) of both factors of a lattice pair, the full one
     and the lead whose F has the leading rows, is within 16 eps of the
     regularized gram, relative in the Frobenius norm: measured at most
-    4.1 eps, on small2d (2207 half-mode columns), and 2.0 eps on mfg1d_gp
+    4.0 eps on small2d (2207 half-mode columns) and 4.6 eps on mfg1d_gp
     (41 columns).  A feature factor's split, A A^T + mu I, meets the same
     bound."""
     if name == "feature":
@@ -251,28 +298,36 @@ def test_lattice_spectral_split_reproduces_the_regularized_gram(name):
 
 
 def test_a_frequency_block_that_is_not_positive_definite_raises():
-    """Theta - c I on a 16-point lattice keeps the gram block-circulant and
-    moves every frequency block's eigenvalues down by c: with c the median of
-    their smallest eigenvalues, the first frequency below it fails, and the
-    pivot counts in the frequency-major block diagonal."""
+    """A nugget of eta R - c on a 16-point lattice moves every frequency
+    block's eigenvalues down by c: with c the median of their smallest
+    eigenvalues, the first frequency below it fails, and the pivot counts in
+    the frequency-major block diagonal.  The lattice factor reads the blocks
+    from the spectrum, not from the matrix, so the shift goes through the
+    nugget; the dense route fails on the shifted matrix too."""
     _, psi = C.build_functionals(SPEC_1D, C.sample_uniform_grid(1, 16))
     kernel = K.periodic_kernel_1d(0.6)
     fac = L.build_gram_factor(kernel, psi, 1e-6)
     blocks = fac.chol @ fac.chol.conj().transpose(0, 2, 1)
     smallest = np.linalg.eigvalsh(blocks)[:, 0]
     c = float(np.median(smallest))
-    bad = fac.regularized - c * np.eye(fac.size)
-    split = {"kernel": kernel, "ops": psi.operator_tags}
+    spectrum = K.lattice_spectrum(kernel, psi.operator_tags, fac.shape)
+    split = {"lattice": fac.shape, "kernel": kernel, "ops": psi.operator_tags}
+
+    def shifted(nugget):
+        return {"nugget": nugget, "spectrum": spectrum + np.diag(nugget[:: fac.chol.shape[0]])}
+
     with pytest.raises(NotPositiveDefinite) as exc:
-        L.cholesky_factor(bad, lattice=fac.shape, **split)
+        L.cholesky_factor(fac.regularized, **split, **shifted(fac.nugget - c))
     first = int(np.flatnonzero(smallest < c)[0])
     assert (exc.value.pivot - 1) // fac.chol.shape[1] == first
     with pytest.raises(NotPositiveDefinite):
-        L.cholesky_factor(bad)
+        L.cholesky_factor(fac.regularized - c * np.eye(fac.size))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        L.cholesky_factor(np.full_like(bad, np.nan), lattice=fac.shape, **split)
+        L.cholesky_factor(fac.regularized, **split, **shifted(fac.nugget * np.nan))
     with pytest.raises(TypeError, match="kernel and ops"):
         L.cholesky_factor(fac.regularized, lattice=fac.shape)
+    with pytest.raises(TypeError, match="spectrum"):
+        L.cholesky_factor(fac.regularized, lattice=fac.shape, kernel=kernel, ops=split["ops"])
 
 
 def _off_lattice(case):

@@ -198,16 +198,16 @@ def test_bundled_lattice_configs_take_the_side_of_their_feature_count(monkeypatc
     nonlocal2d_gp_nu1 (k = 2 x 2207 + 1 >= r = 802) keeps the residual side
     and steps without forming its half-mode feature matrix.  Both take their
     gram and its features from the kernel's spectrum: with numpy's
-    eigendecompositions and the scattered-point mode features unavailable,
-    each builds its factors, counts k and takes one inner step."""
+    eigendecompositions and the scattered-point tables (CrossTables)
+    unavailable, each builds its factors, counts k and takes one inner step."""
 
     def unavailable(*args, **kwargs):
-        raise AssertionError("a lattice system took an eigendecomposition or mode features")
+        raise AssertionError("a lattice system took an eigendecomposition or CrossTables")
 
     def never(self):
         raise AssertionError("a residual-side system formed LatticeFactor.features")
 
-    for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (K, "_mode_features")):
+    for owner, attr in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"), (K, "CrossTables")):
         monkeypatch.setattr(owner, attr, unavailable)
     for name, k, feature_side in (("mfg1d_gp", 83, True), ("nonlocal2d_gp_nu1", 4415, False)):
         if not feature_side:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import tracemalloc
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,8 +215,39 @@ def test_held_out_evaluation_at_small_M_peaks_below_the_mode_table_estimate(sigm
     holds beside them (46 and 92 modes)."""
     cfg = PL.ExperimentConfig(problem="nonlocal2d", method="gp", M=16, sigma=sigma, nu=1.0)
     problem, peak = PL.PROBLEMS[cfg.problem], _held_out_peak(cfg)
-    assert 8 * cfg.M * problem.kernel(cfg).n_modes ** 2 < peak
+    assert K.half_mode_block_bytes(problem.kernel(cfg), cfg.M) < peak
     assert peak < PL._largest_mode_table_bytes(cfg, problem)
+
+
+@pytest.mark.parametrize("M", [400, 100])
+def test_random_point_j5_blocks_peak_below_the_mode_table_estimate(M):
+    """The J5 blocks of nonlocal2d psi on M random points, built as
+    assemble_gram builds them (one CrossTables, each block kept until the
+    next replaces it), allocate less at once than the size the mode-table
+    cap checks; at these M that is their own term."""
+    data = json.loads(
+        (Path(PL.__file__).parent / "configs" / "nonlocal2d_gp_nu1.json").read_text()
+    )
+    cfg = PL.ExperimentConfig.from_dict({**data, "grid_sampling": False, "M": M})
+    problem = PL.PROBLEMS[cfg.problem]
+    spec, kernel = problem.spec(cfg), problem.kernel(cfg)
+    _, psi = C.build_functionals(spec, problem.points(cfg, spec))
+    ((X, blocks),) = psi.point_sets
+    tags = [tag for tag, _ in blocks]
+    assert K.J5 in tags
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tables = K.CrossTables(kernel, X, X, tags, tags)
+        for tag in tags:
+            block = tables.op_matrix(tag, K.J5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert block.shape == (M, M)
+    guard = PL._largest_mode_table_bytes(cfg, problem)
+    assert guard == K.half_mode_block_bytes(kernel, M)
+    assert peak < guard
 
 
 def test_config_round_trips_through_dict():
