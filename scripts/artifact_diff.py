@@ -12,6 +12,11 @@ that is not a number, such as timing.csv's ``method``) is equal and every
 pair of values satisfies |a - b| <= T + R max(|a|, |b|);
 otherwise the exit status is 1.  A field outside the tolerance is marked
 "exceeds".  Both tolerances default to 0, which asks for equal values.
+
+Two CSVs with different row counts, such as the loss histories of runs
+that stopped at different steps, print both counts and compare each
+shared column over the shared leading rows; the exit status is then 1
+whatever those differences are.
 """
 
 from __future__ import annotations
@@ -23,14 +28,17 @@ import sys
 
 
 def read_fields(path: str):
-    """(numeric fields, each a list of values; the other content) of an artifact."""
+    """(numeric fields, each a list of values; the other content; the row count) of an artifact.
+
+    A JSON artifact has one row.
+    """
     if path.endswith(".json"):
         with open(path, encoding="utf-8") as f:
             data = json.load(f)
         numeric = {
             k: [v] for k, v in data.items() if isinstance(v, (int, float)) and not isinstance(v, bool)
         }
-        return numeric, {k: v for k, v in data.items() if k not in numeric}
+        return numeric, {k: v for k, v in data.items() if k not in numeric}, 1
     with open(path, newline="", encoding="utf-8") as f:
         header, *rows = list(csv.reader(f)) or [[]]
     columns, text = {}, {}
@@ -40,11 +48,14 @@ def read_fields(path: str):
             columns[name] = [float(cell) for cell in cells]
         except ValueError:
             text[name] = cells
-    return columns, (header, len(rows), text)
+    return columns, (header, text), len(rows)
 
 
 def field_diff(xs, ys, rtol: float, atol: float):
-    """(largest relative difference, largest absolute one, whether every pair is within tolerance)."""
+    """(largest relative difference, largest absolute one, whether every pair is within tolerance).
+
+    The pairs are those of the shared leading rows when one column is longer.
+    """
     rel = ab = 0.0
     ok = True
     for x, y in zip(xs, ys):
@@ -60,14 +71,17 @@ def field_diff(xs, ys, rtol: float, atol: float):
 
 def compare(path_a: str, path_b: str, rtol: float = 0.0, atol: float = 0.0) -> bool:
     """Print the differences of two artifacts; whether they agree within the tolerance."""
-    (a, rest_a), (b, rest_b) = read_fields(path_a), read_fields(path_b)
+    (a, rest_a, rows_a), (b, rest_b, rows_b) = read_fields(path_a), read_fields(path_b)
     ok = rest_a == rest_b
     if not ok:
         print("  non-numeric content differs")
+    if rows_a != rows_b:
+        print(f"  rows: {rows_a} and {rows_b}; columns compared on the first {min(rows_a, rows_b)}")
+        ok = False
     for name in [*a, *(k for k in b if k not in a)]:
         xs, ys = a.get(name), b.get(name)
-        if xs is None or ys is None or len(xs) != len(ys):
-            print(f"  {name}: not comparable (missing, or a different row count)")
+        if xs is None or ys is None:
+            print(f"  {name}: not comparable (missing on one side)")
             ok = False
             continue
         rel, ab, within = field_diff(xs, ys, rtol, atol)

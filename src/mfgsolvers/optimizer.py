@@ -61,14 +61,30 @@ system: the first step allocates them, every later step overwrites them in
 place, and ``gauss_newton_run`` releases them when it returns, so they
 never overlap the post-solve field evaluation.
 
+Both steps also return the linearized objective's minimum beside theta_hat
+(``SolverState.model``).  It is c^T y, by the identity
+min_theta theta^T P theta + ||W^{1/2} (A theta - c)||^2 = c^T B^{-1} c,
+so it costs one dot product.  At theta_k the linearized objective equals
+the objective f_k, so delta_k = f_k - c^T y is the decrease the
+Gauss-Newton model predicts for the full step.
+
 The outer iteration is globalized by a backtracking line search along the
 Gauss-Newton direction theta_hat - theta (Nocedal and Wright, Numerical
 Optimization, ch. 3).  It tries the full step first and halves it until the
 objective decreases; once the step reaches the configured ``alpha``, the
 source paper's relaxed step theta + alpha (theta_hat - theta) is taken
 whatever its objective, so ``alpha`` is the smallest step.  The run stops
-when the Gauss-Newton step vanishes, ||theta_hat - theta|| <= tau
-||theta_hat|| with tau = ``STEP_TOL``, or after ``max_iters`` steps.
+before a step by either of two rules, or after ``max_iters`` steps:
+
+* the model predicts no further decrease, delta_k <= ``DECREASE_TOL`` f_k,
+  and the step before was a full one (t = 1) that lowered the objective,
+  or there was none yet.  Where the line search cuts steps back, the model
+  is a poor guide (Nocedal and Wright, ch. 4), so the rule waits for a
+  full step that it predicted;
+* the Gauss-Newton step vanishes, ||theta_hat - theta|| <= ``STEP_TOL``
+  ||theta_hat||.  This is the only stop of a run that ends cutting steps
+  back.
+
 ``alpha``, ``max_iters`` and the start's settings are plain arguments
 taken from ``pipeline.ExperimentConfig``, which alone checks them.
 """
@@ -99,13 +115,29 @@ POINT_CHUNK = 64
 # 1e-8 is 1.9e-8 (mfg1d_gp); a 1e-8 relative change of theta moves no
 # reported metric beyond its printed digits
 STEP_TOL = 1e-8
+# stop once the predicted decrease f - c^T y <= DECREASE_TOL f after a full
+# step.  On the bundled Fourier-feature configs c^T y matches the model
+# recomputed at theta_hat only to 2e-11 to 2e-8 relative (the ridge
+# quadratic form), so their predicted decrease has a floor, near 3e-9 f on
+# nonlocal2d_ff_nu01 and 1e-10 f on planning_ff; 1e-8 clears it.
+# planning_ff meets it after 72 steps, at a loss 1.2e-8 above the one
+# that 121 steps reach
+DECREASE_TOL = 1e-8
 
 
 @dataclass
 class SolverState:
+    """The unknowns: functional values z of u, rho of m, and the ergodic constant.
+
+    ``model`` is set on an inner step's theta_hat alone: the linearized
+    objective's value there, its minimum.  It is nan on any other state,
+    where the predicted-decrease stop never fires.
+    """
+
     z: np.ndarray
     rho: np.ndarray
     lam: float | None
+    model: float = np.nan
 
     def pack(self) -> np.ndarray:
         tail = [] if self.lam is None else [self.lam]
@@ -116,9 +148,10 @@ class SolverState:
 class LossHistory:
     """The objective split of each accepted state, and the step that reached it.
 
-    ``step`` is the accepted step length t and ``step_norm`` the relative
+    ``step`` is the accepted step length t, ``step_norm`` the relative
     Gauss-Newton step ||theta_hat - theta|| / ||theta_hat|| it was taken
-    along; both are 0.0 at the start.
+    along and ``predicted_decrease`` the model's delta = f - c^T y for that
+    step's full length, at the state it left; all three are 0.0 at the start.
     """
 
     total: list = field(default_factory=list)
@@ -127,11 +160,15 @@ class LossHistory:
     norm_penalty: list = field(default_factory=list)
     step: list = field(default_factory=list)
     step_norm: list = field(default_factory=list)
+    predicted_decrease: list = field(default_factory=list)
 
-    _COLUMNS = ("total", "quadratic", "pde_penalty", "norm_penalty", "step", "step_norm")
+    _COLUMNS = (
+        "total", "quadratic", "pde_penalty", "norm_penalty", "step", "step_norm", "predicted_decrease"
+    )
 
-    def append(self, total, quad, pde, norm, step=0.0, step_norm=0.0):
-        for column, value in zip(self._COLUMNS, (total, quad, pde, norm, step, step_norm)):
+    def append(self, total, quad, pde, norm, step=0.0, step_norm=0.0, predicted_decrease=0.0):
+        values = (total, quad, pde, norm, step, step_norm, predicted_decrease)
+        for column, value in zip(self._COLUMNS, values):
             getattr(self, column).append(float(value))
 
     def export_csv(self, path) -> None:
@@ -380,10 +417,14 @@ class MfgSystem:
     # -- the inner step ------------------------------------------------------
 
     def inner_solve(self, state: SolverState) -> SolverState:
-        """Minimizer of the linearized objective, theta_hat = P^{-1} A^T B^{-1} c."""
+        """Minimizer of the linearized objective, theta_hat = P^{-1} A^T B^{-1} c.
+
+        Its ``model`` is the linearized objective's value there, c^T y with
+        y = B^{-1} c: 0.0 when no row carries weight.
+        """
         if not self.n_rows:
             zer = np.zeros_like
-            return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None)
+            return SolverState(zer(state.z), zer(state.rho), 0.0 if self.has_lam else None, model=0.0)
         lin = self._linearize_by_point(state)
         c = self._targets(lin, state)
         step = self._feature_inner_solve if self.feature_side else self._gram_inner_solve
@@ -449,7 +490,8 @@ class MfgSystem:
         products with the slab, plus a_lam a_lam^T, into B.  The
         normalization rows keep their corner N^T Theta N alone.  The
         Cholesky factor overwrites B, and theta_hat = P^{-1} (A^T y) is
-        applied through each factor (``apply_regularized``).
+        applied through each factor (``apply_regularized``); its ``model``
+        is c^T y.
         """
         thetas, B, slabs, sums, theta_ns = self._residual_workspace()
         r, lo = self.n_rows, 0
@@ -497,6 +539,7 @@ class MfgSystem:
             z=self.quad_u.apply_regularized(at_z),
             rho=self.quad_m.apply_regularized(at_rho),
             lam=at_lam if self.has_lam else None,
+            model=float(c @ y),
         )
 
     def _feature_inner_solve(self, lin, c) -> SolverState:
@@ -512,7 +555,7 @@ class MfgSystem:
         I + V^T V with V = L_S^{-1} U, so neither F F^T nor B is formed.  A
         failed factorization or a non-finite solve raises
         ``SingularNormalEquations`` (exit status 3).  Returns F g + D A^T y
-        with g = U^T y.
+        with g = U^T y, and c^T y as its ``model``.
         """
         F_u, F_m = self.quad_u.features, self.quad_m.features
         d_u, d_m = self.quad_u.ridge, self.quad_m.ridge
@@ -539,7 +582,8 @@ class MfgSystem:
         k_u, k_m = F_u.shape[1], F_m.shape[1]
         z_hat = F_u @ g[:k_u] + d_u * at_z
         rho_hat = F_m @ g[k_u : k_u + k_m] + d_m * at_rho
-        return SolverState(z=z_hat, rho=rho_hat, lam=float(g[-1]) if self.has_lam else None)
+        lam = float(g[-1]) if self.has_lam else None
+        return SolverState(z=z_hat, rho=rho_hat, lam=lam, model=float(c @ y))
 
     def normal_equation_residual(self, state: SolverState, hat: SolverState) -> float:
         """Relative residual of (P + A^T W A) theta_hat = A^T W c, an oracle for tests.
@@ -563,9 +607,13 @@ class MfgSystem:
 def gauss_newton_run(system, init: SolverState, alpha: float, max_iters: int):
     """Gauss-Newton with a backtracking step; returns the last state and its history.
 
-    Each iteration computes theta_hat, the linearized objective's minimizer.
-    If ||theta_hat - theta|| <= STEP_TOL ||theta_hat|| (theta packs z, rho
-    and lambda) the run stops without stepping.  Otherwise it takes
+    Each iteration computes theta_hat, the linearized objective's minimizer,
+    and the model's predicted decrease delta = f - theta_hat.model from the
+    current objective f.  The run stops without stepping when delta <=
+    DECREASE_TOL f and the previous step was a full one (t = 1) that
+    lowered the objective, or it is the first iteration; or when
+    ||theta_hat - theta|| <= STEP_TOL ||theta_hat|| (theta packs z, rho and
+    lambda).  Otherwise it takes
     theta <- theta + t (theta_hat - theta) for the first t of 1, 1/2, 1/4,
     ... above alpha whose objective is below the current one (a non-finite
     objective is no decrease), else t = alpha whatever its objective; only
@@ -610,8 +658,13 @@ def _line_search_iterations(system, init: SolverState, alpha: float, max_iters: 
     if not np.isfinite(history.total[0]):
         raise NonFiniteObjective(0)
     steps = _step_lengths(alpha)
+    full_step = True  # the model is trusted at the start
     for it in range(1, max_iters + 1):
         hat = system.inner_solve(state)
+        f = history.total[-1]
+        predicted = f - hat.model
+        if full_step and predicted <= DECREASE_TOL * f:
+            break
         theta, theta_hat = state.pack(), hat.pack()
         d_norm, hat_norm = np.linalg.norm(theta_hat - theta), np.linalg.norm(theta_hat)
         # theta_hat = 0 moves all of theta: a relative step of 1
@@ -622,10 +675,12 @@ def _line_search_iterations(system, init: SolverState, alpha: float, max_iters: 
             trial = _moved(state, hat, t)
             with np.errstate(over="ignore", invalid="ignore"):
                 parts = system.loss(trial)
-            if parts[0] < history.total[-1]:
+            if parts[0] < f:
                 break
         if not np.isfinite(parts[0]):
             raise NonFiniteObjective(it)
+        # with alpha = 1 the full step is taken whatever its objective
+        full_step = t == 1.0 and parts[0] < f
         state = trial
-        history.append(*parts, t, step_norm)
+        history.append(*parts, t, step_norm, predicted)
     return state, history

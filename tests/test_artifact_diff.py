@@ -67,6 +67,32 @@ def test_structure_and_nan_fail_any_tolerance(tmp_path, b_header, b_rows):
     assert AD.main([a, b, "--rtol", "1", "--atol", "1e300"]) == 1
 
 
+def test_different_row_counts_compare_the_shared_leading_rows(tmp_path, capsys):
+    """Loss histories of runs that stopped at different steps: both row counts
+    are printed, each shared column is compared over the shorter one's rows,
+    a column on one side only is named, and the exit status is 1."""
+    a = _csv(tmp_path / "a.csv", ["iteration", "total"], (0, 4.0), (1, 2.0), (2, 1.0))
+    b = _csv(
+        tmp_path / "b.csv", ["iteration", "total", "predicted_decrease"], (0, 4.0, 0.0), (1, 2.5, 3.0)
+    )
+    assert AD.main([a, b, "--rtol", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "  non-numeric content differs",
+        "  rows: 3 and 2; columns compared on the first 2",
+        "  iteration: max rel diff 0, max abs diff 0",
+        "  total: max rel diff 0.2, max abs diff 0.5",
+        "  predicted_decrease: not comparable (missing on one side)",
+    ]
+    # an exact prefix: the shared rows agree, and the row count alone fails
+    b = _csv(tmp_path / "b.csv", ["iteration", "total"], (0, 4.0), (1, 2.0))
+    assert AD.main([a, b, "--rtol", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "  rows: 3 and 2; columns compared on the first 2",
+        "  iteration: max rel diff 0, max abs diff 0",
+        "  total: max rel diff 0, max abs diff 0",
+    ]
+
+
 def test_a_differing_string_field_fails_any_tolerance(tmp_path):
     a = _json(tmp_path / "a.json", grid="100 x 100", residual_l2=0.5)
     b = _json(tmp_path / "b.json", grid="64 x 512", residual_l2=0.5)
